@@ -206,8 +206,8 @@ def graded_depth(ideal_or_gb, *, seed="depth:1", socle_bound=None,
         ideal = ideal_or_gb
         gb = ideal.groebner()
     ring = gb.ring
-    assert all(w == 1 for w in ring.weights), \
-        "descent depth needs the standard grading"
+    if any(w != 1 for w in ring.weights):
+        raise ValueError("descent depth needs the standard grading")
     rng = random.Random(str(seed))
     hs = series_of_basis(gb)
     dim_total = hs.dimension

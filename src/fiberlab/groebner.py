@@ -4,130 +4,172 @@ Pair management follows Gebauer-Moeller (criteria M, F and the coprime
 criterion, plus pruning of old pairs), with the normal selection
 strategy: minimal lcm degree, ties broken by the lcm monomial and then
 by insertion index, so runs are deterministic for a fixed input.
+
+Inside the engine a monomial is one int (``_Packing``, after Monagan and
+Pearce, "Sparse polynomial division using a heap", 2011): comparison,
+product and divisibility are single integer operations.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .polyring import (GREVLEX, Elimination, Polynomial, Ring, RingError,
-                       TermOrder, mono_coprime, mono_div, mono_lcm, mono_mul)
+                       TermOrder, mono_div, mono_lcm)
+
+EXPONENT_BITS = 21
+EXPONENT_LIMIT = (1 << EXPONENT_BITS) - 1   # over twice polyring.MAX_EXPONENT
 
 
-def _support_mask(m) -> int:
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
+class _Packing:
+    """Monomials of one ring packed into ints, for one term order.
+
+    The low bits hold one EXPONENT_BITS-wide field per variable, each
+    with a guard bit above it.  Above them sit the order's key rows
+    (``TermOrder.rows``), first row highest, each wide enough for its
+    value at EXPONENT_LIMIT.  Integer comparison is then the term order,
+    ``a + b`` is the product, and a divides b iff ``(b - a) & guard``
+    is 0.  A guard bit set in a sum means an exponent passed the limit.
+    """
+
+    __slots__ = ("units", "shifts", "guard")
+
+    def __init__(self, order: TermOrder, nvars: int):
+        step = EXPONENT_BITS + 1
+        self.shifts = tuple(range(0, nvars * step, step))
+        self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
+        units = [1 << s for s in self.shifts]
+        offset = nvars * step
+        for row in reversed(order.rows(nvars)):
+            for i, w in enumerate(row):
+                units[i] += w << offset
+            offset += (sum(row) * EXPONENT_LIMIT).bit_length()
+        self.units = tuple(units)
+
+    def pack(self, m) -> int:
+        if max(m) > EXPONENT_LIMIT:
+            raise RingError(_OVERFLOW)
+        return sum(map(mul, m, self.units))
+
+    def pack_terms(self, terms: dict) -> dict:
+        pack = self.pack
+        return {pack(m): c for m, c in terms.items()}
+
+    def unpack(self, a) -> tuple:
+        return tuple([(a >> s) & EXPONENT_LIMIT for s in self.shifts])
+
+    def unpack_terms(self, terms: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(a): c for a, c in terms.items()}
+
+    def top(self, monos) -> int:
+        """Packed componentwise maximum of packed monomials (0 if none)."""
+        if not monos:
+            return 0
+        return sum(max((a >> s) & EXPONENT_LIMIT for a in monos) * u
+                   for s, u in zip(self.shifts, self.units))
+
+
+@lru_cache(maxsize=64)
+def _packing(order: TermOrder, nvars: int) -> _Packing:
+    return _Packing(order, nvars)
+
+
+_OVERFLOW = f"exponent above the engine limit {EXPONENT_LIMIT}"
 
 
 class _Reducers:
-    """Leading-term indexed view of the current basis for fast division.
+    """Packed reducing polynomials, scanned in insertion order.
 
-    A support bitmask per leading term rejects most divisibility
-    candidates with one integer operation.
+    Per reducer: its leading monomial, its monic tail as (monomial,
+    coefficient) pairs, and the componentwise maximum of the tail
+    monomials, which bounds every product in one overflow test.
     """
 
-    __slots__ = ("lts", "ltdegs", "masks", "tails", "alive")
+    __slots__ = ("packing", "lts", "tails", "tops", "ids")
 
-    def __init__(self):
+    def __init__(self, packing: _Packing):
+        self.packing = packing
         self.lts = []
-        self.ltdegs = []
-        self.masks = []
-        self.tails = []     # list[(mono, coeff)] of the non-leading terms, monic
-        self.alive = []
+        self.tails = []
+        self.tops = []
+        self.ids = []
 
-    def append(self, lt, tail):
+    def append(self, ident, lt, tail):
         self.lts.append(lt)
-        self.ltdegs.append(sum(lt))
-        self.masks.append(_support_mask(lt))
         self.tails.append(tail)
-        self.alive.append(True)
+        self.tops.append(self.packing.top([m for m, _ in tail]))
+        self.ids.append(ident)
 
-    def find(self, m, mdeg, mmask):
-        lts = self.lts
-        ltdegs = self.ltdegs
-        masks = self.masks
-        alive = self.alive
-        for i in range(len(lts)):
-            if not alive[i] or ltdegs[i] > mdeg or (masks[i] & ~mmask):
-                continue
-            lt = lts[i]
-            for a, b in zip(lt, m):
-                if a > b:
-                    break
-            else:
-                return i
-        return -1
+    def retire_multiples(self, lt) -> list:
+        """Drop the reducers whose leading monomial lt divides; returns
+        their ids."""
+        guard = self.packing.guard
+        gone = [k for k, a in enumerate(self.lts) if not (a - lt) & guard]
+        for k in reversed(gone):
+            del self.lts[k], self.tails[k], self.tops[k]
+        return [self.ids.pop(k) for k in reversed(gone)]
 
 
-def _poly_to_parts(p: Polynomial, order: TermOrder):
-    """(leading monomial, monic tail items) of a nonzero polynomial."""
-    lt = p.leading_monomial(order)
-    f = p.ring.field
-    lc = p.terms[lt]
-    if lc == f.one:
-        tail = [(m, c) for m, c in p.terms.items() if m != lt]
-    else:
-        inv = f.inv(lc)
-        tail = [(m, f.mul(c, inv)) for m, c in p.terms.items() if m != lt]
-    return lt, tail
+def _monic_parts(terms: dict, field):
+    """(leading monomial, monic tail items) of a nonzero packed map."""
+    lt = max(terms)
+    lc = terms[lt]
+    if lc == field.one:
+        return lt, [(m, c) for m, c in terms.items() if m != lt]
+    inv = field.inv(lc)
+    return lt, [(m, field.mul(c, inv)) for m, c in terms.items() if m != lt]
 
 
-def _nf_terms(terms: dict, red: _Reducers, order: TermOrder, field):
-    """Normal form of a coefficient map; returns a new map."""
-    heapkey = order.heapkey
-    cur = dict(terms)
-    heap = [(heapkey(m), m) for m in cur]
+def _nf_terms(cur: dict, red: _Reducers, p: int) -> dict:
+    """Normal form of a packed coefficient map, which it consumes."""
+    guard = red.packing.guard
+    lts, tails, tops = red.lts, red.tails, red.tops
+    heappush, heappop = heapq.heappush, heapq.heappop
+    heap = [-m for m in cur]
     heapq.heapify(heap)
     rem = {}
-    p = field.characteristic
-    if p:
-        while heap:
-            m = heapq.heappop(heap)[1]
-            c = cur.pop(m, 0)
-            if not c:
-                continue
-            i = red.find(m, sum(m), _support_mask(m))
-            if i < 0:
-                rem[m] = c
-                continue
-            q = mono_div(m, red.lts[i])
-            for tm, tc in red.tails[i]:
-                mm = mono_mul(q, tm)
+    while heap:
+        m = -heappop(heap)
+        c = cur.pop(m, 0)
+        if not c:
+            continue
+        for k, lt in enumerate(lts):
+            if not (m - lt) & guard:
+                break
+        else:
+            rem[m] = c
+            continue
+        q = m - lt
+        if (q + tops[k]) & guard:
+            raise RingError(_OVERFLOW)
+        if p:
+            for tm, tc in tails[k]:
+                mm = q + tm
                 old = cur.get(mm)
                 if old is None:
                     v = (-c * tc) % p
                     if v:
                         cur[mm] = v
-                        heapq.heappush(heap, (heapkey(mm), mm))
+                        heappush(heap, -mm)
                 else:
                     v = (old - c * tc) % p
                     if v:
                         cur[mm] = v
                     else:
                         del cur[mm]
-    else:
-        while heap:
-            m = heapq.heappop(heap)[1]
-            c = cur.pop(m, None)
-            if not c:
-                continue
-            i = red.find(m, sum(m), _support_mask(m))
-            if i < 0:
-                rem[m] = c
-                continue
-            q = mono_div(m, red.lts[i])
-            for tm, tc in red.tails[i]:
-                mm = mono_mul(q, tm)
+        else:
+            for tm, tc in tails[k]:
+                mm = q + tm
                 old = cur.get(mm)
                 if old is None:
                     v = -c * tc
                     if v:
                         cur[mm] = v
-                        heapq.heappush(heap, (heapkey(mm), mm))
+                        heappush(heap, -mm)
                 else:
                     v = old - c * tc
                     if v:
@@ -170,26 +212,22 @@ class GroebnerBasis:
     cofactors: tuple | None = dc_field(default=None, compare=False)
     degree_bound: int | None = None
 
-    @property
+    @cached_property
+    def _reducers(self) -> _Reducers:
+        """Packed reducer index of the elements, built once."""
+        packing = _packing(self.order, self.ring.nvars)
+        red = _Reducers(packing)
+        for i, g in enumerate(self.elements):
+            red.append(i, *_monic_parts(packing.pack_terms(g.terms), self.ring.field))
+        return red
+
+    @cached_property
     def leading_monomials(self):
-        return tuple(g.leading_monomial(self.order) for g in self.elements)
+        unpack = self._reducers.packing.unpack
+        return tuple(unpack(lt) for lt in self._reducers.lts)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
-
-    def same_ideal(self, other: "GroebnerBasis") -> bool:
-        if self.order == other.order:
-            return self.elements == other.elements
-        return (all(other.contains(g) for g in self.elements)
-                and all(self.contains(g) for g in other.elements))
-
-
-def _make_reducers(polys, order):
-    red = _Reducers()
-    for g in polys:
-        lt, tail = _poly_to_parts(g, order)
-        red.append(lt, tail)
-    return red
 
 
 def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
@@ -198,9 +236,9 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise RingError("polynomial not in the basis ring")
     if not f.terms:
         return f
-    red = _make_reducers(gb.elements, gb.order)
-    rem = _nf_terms(f.terms, red, gb.order, f.ring.field)
-    return Polynomial(f.ring, rem)
+    red = gb._reducers
+    rem = _nf_terms(red.packing.pack_terms(f.terms), red, f.ring.field.characteristic)
+    return Polynomial(f.ring, red.packing.unpack_terms(rem))
 
 
 def buchberger(generators, order: TermOrder = GREVLEX, *,
@@ -218,6 +256,9 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     weights (pair degrees are then nondecreasing, so the truncation is a
     basis through degree D).  The result carries ``degree_bound`` and
     must not be treated as a full basis.
+
+    Monomials are packed (``_Packing``) on entry and unpacked once on
+    exit; only the pair selection order is kept on exponent tuples.
     """
     gens = [g for g in generators if g is not None and not g.is_zero()]
     if not gens:
@@ -232,56 +273,57 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     if track_cofactors:
         return _buchberger_tracked(gens, ring, order)
 
-    key = order.key
-    if groebner_prefix:
-        work = gens
-    else:
-        work = sorted(gens, key=lambda g: key(g.leading_monomial(order)))
+    packing = _packing(order, ring.nvars)
+    guard = packing.guard
+    p = field.characteristic
+    work = [packing.pack_terms(g.terms) for g in gens]
+    if not groebner_prefix:
+        work.sort(key=max)      # by leading monomial; stable on ties
     wdeg = ring.mono_degree     # selection by graded degree: for inputs
-    red = _Reducers()           # homogeneous in the ring weights this is
-    polys = []                  # true degree-by-degree processing
-    pairs = []                  # heap of (lcm degree, lcm, i, j)
+    red = _Reducers(packing)    # homogeneous in the ring weights this is
+    leads = []                  # true degree-by-degree processing
+    lead_tuples = []
+    tails = []
+    tops = []
+    alive = []
+    pairs = []                  # heap of (lcm degree, lcm, i, j, packed lcm)
 
     def push_element(terms):
-        terms = _strip_content(terms, field)
-        g = Polynomial(ring, terms).monic(order)
-        t = len(polys)
-        lt_t, tail_t = _poly_to_parts(g, order)
-        # Gebauer-Moeller update of the pair set.
+        lt, tail = _monic_parts(_strip_content(terms, field), field)
+        lt_t = packing.unpack(lt)
+        t = len(leads)
+        # Gebauer-Moeller update of the pair set: divisibility tests on
+        # packed lcms, selection order on exponent tuples.
         cand = []
         if t >= groebner_prefix:
             for i in range(t):
-                if not red.alive[i]:
-                    continue
-                cand.append((i, mono_lcm(red.lts[i], lt_t)))
-        cand.sort(key=lambda e: (sum(e[1]), e[1], e[0]))
+                if alive[i]:
+                    lcm_i = mono_lcm(lead_tuples[i], lt_t)
+                    cand.append((sum(lcm_i), lcm_i, i, packing.pack(lcm_i)))
+        cand.sort()
         # criterion M: drop a pair whose lcm is properly divided by another's
-        kept_m = []
-        for i, lcm_i in cand:
-            dominated = False
-            for j, lcm_j in cand:
-                if lcm_j != lcm_i and all(a <= b for a, b in zip(lcm_j, lcm_i)):
-                    dominated = True
+        packed_lcms = [e[3] for e in cand]
+        seen = {}
+        for _, lcm_i, i, a in cand:
+            for b in packed_lcms:
+                if b != a and not (a - b) & guard:
                     break
-            if not dominated:
-                kept_m.append((i, lcm_i))
+            else:
+                seen.setdefault(lcm_i, [a]).append(i)
         # criterion F: one pair per lcm value; a coprime member kills its group
         new_pairs = []
-        seen = {}
-        for i, lcm_i in kept_m:
-            seen.setdefault(lcm_i, []).append(i)
         for lcm_i in sorted(seen, key=lambda m: (sum(m), m)):
-            group = seen[lcm_i]
-            if any(mono_coprime(red.lts[i], lt_t) for i in group):
+            a, *group = seen[lcm_i]
+            if any(a == leads[i] + lt for i in group):
                 continue
-            new_pairs.append((wdeg(lcm_i), lcm_i, group[0], t))
+            new_pairs.append((wdeg(lcm_i), lcm_i, group[0], t, a))
         # criterion B: prune old pairs via the new leading term
         survivors = []
         for entry in pairs:
-            _, lcm_ij, i, j = entry
-            if (all(a <= b for a, b in zip(lt_t, lcm_ij))
-                    and mono_lcm(red.lts[i], lt_t) != lcm_ij
-                    and mono_lcm(red.lts[j], lt_t) != lcm_ij):
+            _, lcm_ij, i, j, a = entry
+            if (not (a - lt) & guard
+                    and mono_lcm(lead_tuples[i], lt_t) != lcm_ij
+                    and mono_lcm(lead_tuples[j], lt_t) != lcm_ij):
                 continue
             survivors.append(entry)
         pairs.clear()
@@ -289,30 +331,32 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
         pairs.extend(new_pairs)
         heapq.heapify(pairs)
         # retire basis elements whose leading term became redundant
-        for i in range(t):
-            if red.alive[i] and all(a <= b for a, b in zip(lt_t, red.lts[i])):
-                red.alive[i] = False
-        red.append(lt_t, tail_t)
-        polys.append(g)
+        for i in red.retire_multiples(lt):
+            alive[i] = False
+        red.append(t, lt, tail)
+        leads.append(lt)
+        lead_tuples.append(lt_t)
+        tails.append(tail)
+        tops.append(red.tops[-1])
+        alive.append(True)
 
-    for g in work:
-        rem = _nf_terms(g.terms, red, order, field)
+    for terms in work:
+        rem = _nf_terms(terms, red, p)
         if rem:
             push_element(rem)
 
     while pairs:
-        top, lcm_ij, i, j = heapq.heappop(pairs)
+        top, _, i, j, lcm_p = heapq.heappop(pairs)
         if degree_bound is not None and top > degree_bound:
             break
-        fi, fj = polys[i], polys[j]
-        # s-polynomial of two monic elements
-        qi = mono_div(lcm_ij, red.lts[i])
-        qj = mono_div(lcm_ij, red.lts[j])
-        s = {}
-        for m, c in fi.terms.items():
-            s[mono_mul(m, qi)] = c
-        for m, c in fj.terms.items():
-            mm = mono_mul(m, qj)
+        # s-polynomial of two monic elements: their leading terms cancel
+        qi = lcm_p - leads[i]
+        qj = lcm_p - leads[j]
+        if (qi + tops[i]) & guard or (qj + tops[j]) & guard:
+            raise RingError(_OVERFLOW)
+        s = {qi + m: c for m, c in tails[i]}
+        for m, c in tails[j]:
+            mm = qj + m
             v = field.sub(s.get(mm, field.zero), c)
             if v:
                 s[mm] = v
@@ -320,11 +364,11 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
                 s.pop(mm, None)
         if not s:
             continue
-        rem = _nf_terms(s, red, order, field)
+        rem = _nf_terms(s, red, p)
         if rem:
             push_element(rem)
 
-    elements = _final_reduce(polys, red, order, field, ring)
+    elements = _final_reduce(red, field, ring)
     gb = GroebnerBasis(ring, order, tuple(elements), tuple(gens),
                        degree_bound=degree_bound)
     for g in gens:
@@ -333,19 +377,19 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     return gb
 
 
-def _final_reduce(polys, red, order, field, ring):
-    """Interreduce the live basis elements into the reduced basis."""
-    live = [i for i in range(len(polys)) if red.alive[i]]
+def _final_reduce(red: _Reducers, field, ring):
+    """Interreduce the live basis elements into the reduced basis.
+
+    Live leading monomials divide none of each other, and none divides a
+    monomial below it, so each element keeps its leading term and only
+    its tail needs reducing, by the whole live set.
+    """
     out = []
-    for i in live:
-        others = _Reducers()
-        for j in live:
-            if j != i:
-                others.append(red.lts[j], red.tails[j])
-        rem = _nf_terms(polys[i].terms, others, order, field)
-        if rem:
-            out.append(Polynomial(ring, rem).monic(order))
-    out.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    for lt, tail in sorted(zip(red.lts, red.tails)):
+        rem = _nf_terms(dict(tail), red, field.characteristic)
+        terms = {red.packing.unpack(lt): field.one}
+        terms.update(red.packing.unpack_terms(rem))
+        out.append(Polynomial(ring, terms))
     return out
 
 
@@ -359,7 +403,6 @@ def _buchberger_tracked(gens, ring, order):
         # full reduction keeping poly = sum cof[k] * gens[k] + (reducible part)
         rem = ring.zero()
         cur = poly
-        changed = True
         while cur.terms:
             lt_m = cur.leading_monomial(order)
             c = cur.terms[lt_m]

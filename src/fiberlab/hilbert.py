@@ -179,13 +179,14 @@ class HilbertSeries:
 
     @property
     def multiplicity(self) -> int:
-        assert all(w == 1 for w in self.weights), \
-            "multiplicity is only taken in the standard grading"
+        if any(w != 1 for w in self.weights):
+            raise ValueError("multiplicity is only taken in the standard grading")
         num, _ = self.reduced()
         if not num:
             return 0
         e = sum(num.values())
-        assert e > 0, "reduced numerator must be positive at t=1"
+        if e <= 0:
+            raise AssertionError("reduced numerator must be positive at t=1")
         return e
 
     def coefficients(self, up_to: int):

@@ -41,23 +41,16 @@ def mono_lcm(a, b):
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def mono_gcd(a, b):
-    return tuple(x if x < y else y for x, y in zip(a, b))
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 # ---------------------------------------------------------------------------
 # term orders
 
 class TermOrder:
     """Total multiplicative monomial order with 1 minimal.
 
-    ``key(m)`` returns a tuple that sorts ascending in the order;
-    ``heapkey(m)`` is its negation, so a min-heap pops the largest
-    monomial first.
+    ``key(m)`` returns a tuple that sorts ascending in the order.
+    ``rows(n)`` writes the order on n variables as a nonnegative integer
+    matrix: comparing the row values ``sum(r[i] * m[i])`` lexicographically,
+    first row first, compares monomials in the order.
     """
 
     name = "order"
@@ -65,7 +58,7 @@ class TermOrder:
     def key(self, m):
         raise NotImplementedError
 
-    def heapkey(self, m):
+    def rows(self, nvars: int):
         raise NotImplementedError
 
     def compare(self, a, b) -> int:
@@ -90,8 +83,8 @@ class GrevLex(TermOrder):
     def key(self, m):
         return (sum(m), tuple(-e for e in reversed(m)))
 
-    def heapkey(self, m):
-        return (-sum(m), tuple(reversed(m)))
+    def rows(self, nvars):
+        return _grevlex_rows(nvars, 0, nvars)
 
 
 class Lex(TermOrder):
@@ -100,8 +93,8 @@ class Lex(TermOrder):
     def key(self, m):
         return m
 
-    def heapkey(self, m):
-        return tuple(-e for e in m)
+    def rows(self, nvars):
+        return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
 
 
 class Elimination(TermOrder):
@@ -122,11 +115,9 @@ class Elimination(TermOrder):
         return (sum(head), tuple(-e for e in reversed(head)),
                 sum(tail), tuple(-e for e in reversed(tail)))
 
-    def heapkey(self, m):
-        k = self.block_size
-        head, tail = m[:k], m[k:]
-        return (-sum(head), tuple(reversed(head)),
-                -sum(tail), tuple(reversed(tail)))
+    def rows(self, nvars):
+        k = min(self.block_size, nvars)
+        return _grevlex_rows(nvars, 0, k) + _grevlex_rows(nvars, k, nvars)
 
 
 class WeightThen(TermOrder):
@@ -142,8 +133,17 @@ class WeightThen(TermOrder):
     def key(self, m):
         return (sum(w * e for w, e in zip(self.weights, m)), self.base.key(m))
 
-    def heapkey(self, m):
-        return (-sum(w * e for w, e in zip(self.weights, m)), self.base.heapkey(m))
+    def rows(self, nvars):
+        if len(self.weights) != nvars:
+            raise RingError("need one order weight per variable")
+        return [self.weights] + self.base.rows(nvars)
+
+
+def _grevlex_rows(nvars, lo, hi):
+    """Grevlex on variables lo..hi-1: their degree, then the degrees of
+    ever shorter prefixes (a smaller last exponent wins a degree tie)."""
+    return [tuple(int(lo <= j < end) for j in range(nvars))
+            for end in range(hi, lo, -1)]
 
 
 GREVLEX = GrevLex()

@@ -87,3 +87,18 @@ def test_depth_skips_to_dimension_cap(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     rep = graded_depth(Ideal(R3, (x,)), seed="t")
     assert rep.value == rep.dimension == 2   # stops at the CM cap exactly
+
+
+def test_weighted_grading_rejected():
+    """The descent, the multiplicity and the CM test need the standard
+    grading; a weighted ring is refused with ValueError, also under -O."""
+    from fiberlab.blowup import is_cm_graded
+    ring = Ring(GF(32003), ["x", "y", "w"], weights=(1, 1, 2))
+    x, y, w = (ring.variable(i) for i in range(3))
+    ideal = Ideal(ring, (x * y, w - x * x))
+    with pytest.raises(ValueError, match="standard grading"):
+        graded_depth(ideal, seed="t")
+    with pytest.raises(ValueError, match="standard grading"):
+        ideal.hilbert_series().multiplicity
+    with pytest.raises(ValueError, match="standard grading"):
+        is_cm_graded((ring, ideal))

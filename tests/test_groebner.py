@@ -3,12 +3,13 @@ import random
 import pytest
 
 from fiberlab.fields import GF, QQ
-from fiberlab.groebner import (GroebnerBasis, buchberger, eliminate,
+from fiberlab.groebner import (EXPONENT_LIMIT, GroebnerBasis, buchberger, eliminate,
                                extend_basis, normal_form,
                                saturate_by_last_variable)
 from fiberlab.ideals import Ideal
-from fiberlab.polyring import (GREVLEX, LEX, Elimination, Polynomial, Ring,
-                               mono_div, mono_lcm, mono_mul)
+from fiberlab.polyring import (GREVLEX, LEX, MAX_EXPONENT, Elimination,
+                               Polynomial, Ring, RingError, WeightThen,
+                               mono_div, mono_lcm)
 
 
 def naive_buchberger(gens, order):
@@ -169,24 +170,41 @@ def test_autoreduced_and_monic(sevengen):
                 assert not all(a <= b for a, b in zip(lead, m))
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3, 4])
-def test_differential_against_naive(seed, R3):
-    """The Gebauer-Moeller criteria never change the reduced basis."""
+ORACLE_ORDERS = {"grevlex": GREVLEX, "lex": LEX, "elim1": Elimination(1),
+                 "weight211": WeightThen((2, 1, 1))}
+ORACLE_FIELDS = {"F32003": GF(32003), "QQ": QQ}
+
+
+def _oracle_case(seed, order_name, field_name):
+    # grevlex over F_32003 keeps its bare seed id
+    plain = order_name == "grevlex" and field_name == "F32003"
+    return pytest.param(seed, ORACLE_ORDERS[order_name], field_name,
+                        id=str(seed) if plain else f"{order_name}-{field_name}-{seed}")
+
+
+@pytest.mark.parametrize("seed,order,field_name", [
+    _oracle_case(seed, order_name, field_name)
+    for field_name in ORACLE_FIELDS for order_name in ORACLE_ORDERS
+    for seed in (1, 2, 3, 4)])
+def test_differential_against_naive(seed, order, field_name):
+    """The Gebauer-Moeller criteria and the packed monomials of every
+    order's key rows never change the reduced basis."""
+    ring = Ring(ORACLE_FIELDS[field_name], ["x", "y", "z"])
     rng = random.Random(f"diff:{seed}")
-    monos2 = R3.monomials_of_degree(2)
-    monos3 = R3.monomials_of_degree(3)
+    monos2 = ring.monomials_of_degree(2)
+    monos3 = ring.monomials_of_degree(3)
     gens = []
     for _ in range(rng.randrange(2, 6)):
         pool = monos2 if rng.random() < 0.5 else monos3
         terms = {}
         for _ in range(rng.randrange(1, 4)):
-            terms[pool[rng.randrange(len(pool))]] = R3.field.random_raw(rng, nonzero=True)
-        gens.append(R3.from_terms(terms))
+            terms[pool[rng.randrange(len(pool))]] = ring.field.random_raw(rng, nonzero=True)
+        gens.append(ring.from_terms(terms))
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         pytest.skip("empty draw")
-    fast = buchberger(gens, GREVLEX)
-    slow = naive_buchberger(gens, GREVLEX)
+    fast = buchberger(gens, order)
+    slow = naive_buchberger(gens, order)
     assert list(fast.elements) == slow
 
 
@@ -276,3 +294,66 @@ def test_qq_and_fp_leads_agree(sixgen, R3q):
     gb_q = buchberger(gens_q, GREVLEX)
     gb_p = sixgen.groebner()
     assert gb_q.leading_monomials == gb_p.leading_monomials
+
+
+@pytest.mark.parametrize("nvars", [5, 6, 7, 8])
+def test_reduced_basis_matches_sympy(nvars):
+    """Seeded sparse homogeneous ideals in 5-8 variables: the reduced
+    grevlex basis over F_32003 equals sympy's, which shares no code."""
+    sympy = pytest.importorskip("sympy")
+    p = 32003
+    ring = Ring(GF(p), [f"x{i}" for i in range(nvars)])
+    symbols = sympy.symbols(ring.names)
+    rng = random.Random(f"sympy-oracle:{nvars}:0")
+    gens = []
+    for _ in range(5):
+        monos = ring.monomials_of_degree(rng.choice((2, 2, 3)))
+        terms = {monos[rng.randrange(len(monos))]: ring.field.random_raw(rng, nonzero=True)
+                 for _ in range(3)}
+        gens.append(ring.from_terms(terms))
+
+    def to_sympy(g):
+        return sum(c * sympy.prod([s ** e for s, e in zip(symbols, m)])
+                   for m, c in g.terms.items())
+
+    def monic_terms(poly):
+        terms = {m: int(c) % p for m, c in poly.terms()}
+        lead = max(terms, key=GREVLEX.key)
+        inv = pow(terms[lead], -1, p)
+        return {m: c * inv % p for m, c in terms.items()}
+
+    theirs = sympy.groebner([to_sympy(g) for g in gens], *symbols,
+                            modulus=p, order="grevlex")
+    want = sorted((monic_terms(sympy.Poly(g, *symbols, modulus=p)) for g in theirs),
+                  key=lambda t: GREVLEX.key(max(t, key=GREVLEX.key)))
+    have = [g.terms for g in buchberger(gens, GREVLEX).elements]
+    assert have == want
+
+
+def test_exponent_overflow_raises():
+    """An exponent past the engine's field raises, never wraps around."""
+    ring = Ring(GF(32003), ["x", "y"])
+    x, y = ring.variable(0), ring.variable(1)
+    at_limit = ring.monomial((0, EXPONENT_LIMIT))
+    gb = buchberger([x - at_limit], LEX)        # leading term x
+    with pytest.raises(RingError):
+        normal_form(x * y, gb)                  # would be y^(LIMIT + 1)
+    with pytest.raises(RingError):
+        buchberger([x - at_limit, x * y], LEX)
+    with pytest.raises(RingError):
+        buchberger([ring.monomial((EXPONENT_LIMIT + 1, 0))], GREVLEX)
+    with pytest.raises(RingError):
+        normal_form(ring.monomial((EXPONENT_LIMIT + 1, 0)), gb)
+
+
+def test_exponents_at_parse_limit():
+    """Inputs at polyring.MAX_EXPONENT compute correctly, also where the
+    result doubles an exponent."""
+    ring = Ring(GF(32003), ["x", "y", "z"])
+    x, y = ring.variable(0), ring.variable(1)
+    big_x = ring.monomial((MAX_EXPONENT, 0, 0))
+    big_y = ring.monomial((0, MAX_EXPONENT, 0))
+    gens = [big_x - big_y, x * y]
+    assert list(buchberger(gens, GREVLEX).elements) == naive_buchberger(gens, GREVLEX)
+    gb = buchberger([x - big_y], LEX)
+    assert normal_form(x * big_y, gb) == ring.monomial((0, 2 * MAX_EXPONENT, 0))
