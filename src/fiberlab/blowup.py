@@ -14,15 +14,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .depth import DepthReport, graded_depth, series_of_basis
-from .fields import FieldSpec
-from .graded import graded_piece, piece_span_of_polys
-from .groebner import GREVLEX, GroebnerBasis, Elimination, buchberger, extend_basis
+from .graded import GradedPieceBasis, piece_span_of_polys
+from .groebner import GREVLEX, GroebnerBasis, eliminate, extend_basis
 from .hilbert import HilbertSeries
 from .ideals import Ideal
 from .linalg import rank_of_rows
-from .polyring import Polynomial, Ring, RingError
+from .polyring import Polynomial, Ring
+from .resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
+                          minimal_resolution)
 
 
 def _fresh_names(base: str, count: int, taken) -> list:
@@ -54,10 +56,6 @@ class FiberPresentation:
     relations: Ideal
     source: tuple               # the degree-d minimal generators of I
     degree: int
-
-    @property
-    def num_generators(self) -> int:
-        return self.fiber_ring.nvars
 
     def hilbert_series(self) -> HilbertSeries:
         return self.relations.hilbert_series()
@@ -106,19 +104,141 @@ class ReesPresentation:
         return self.gr_dimension() - top.krull_dimension()
 
 
-def equigenerated_data(ideal: Ideal):
+class IdealContext:
+    """One ideal and the expensive objects built from it, each built once.
+
+    Every routine below that takes an ideal also takes its context
+    (``IdealContext.of`` wraps a bare ideal in a fresh one), so a report
+    that passes one context around builds the minimal generators, the
+    powers I^n, the graded pieces, the fiber and Rees presentations, the
+    resolution of R/I, the CM reports and the analytic spread once.
+    ``label`` names the ideal in the seeds of its randomized tests.
+    With ``bounded`` the full eliminations are out of budget: ``fp``,
+    ``pres`` and the CM reports are None and the spread comes from the
+    Jacobian squeeze (None unless that is exact).
+    """
+
+    def __init__(self, ideal: Ideal, label: str = "", *, trials: int = 3,
+                 cutoff: int = DEFAULT_CEILING, bounded: bool = False):
+        self.ideal = ideal
+        self.ring = ideal.ring
+        self.label = label
+        self.trials = trials
+        self.cutoff = cutoff
+        self.bounded = bounded
+        self._powers = None
+        self._pieces = {}
+
+    @classmethod
+    def of(cls, ideal) -> "IdealContext":
+        return ideal if isinstance(ideal, cls) else cls(ideal)
+
+    @cached_property
+    def mingens(self) -> list:
+        return self.ideal.minimal_generators()
+
+    @cached_property
+    def degree(self) -> int | None:
+        """Common degree of the minimal generators, or None."""
+        degs = {g.homogeneous_degree() for g in self.mingens}
+        return degs.pop() if len(degs) == 1 else None
+
+    def power_gens(self, n: int) -> list:
+        """Minimal generators of I^n (I^0 = (1)), built incrementally."""
+        if self._powers is None:
+            self._powers = [[self.ring.one()], list(self.mingens)]
+        while len(self._powers) <= n:
+            prod = tuple(a * b for a in self._powers[-1] for b in self.mingens)
+            self._powers.append(Ideal(self.ring, prod).minimal_generators())
+        return self._powers[n]
+
+    def piece(self, polys, degree: int) -> GradedPieceBasis:
+        """Degree piece of the ideal the polynomials generate, memoized on
+        (polynomials, degree).  The result is shared: copy its echelon
+        before changing it."""
+        key = (tuple(polys), degree)
+        piece = self._pieces.get(key)
+        if piece is None:
+            piece = self._pieces[key] = piece_span_of_polys(key[0], degree,
+                                                            self.ring)
+        return piece
+
+    def forget(self):
+        """Drop the memoized powers and pieces.  A report calls this
+        between stages that share none of them, so that one seed's pieces
+        and the high powers of a reduction search do not stay in memory
+        while the next stage runs; both are cheap to build again."""
+        self._powers = None
+        self._pieces.clear()
+
+    @cached_property
+    def fp(self) -> "FiberPresentation | None":
+        return None if self.bounded else fiber_presentation(self)
+
+    @cached_property
+    def pres(self) -> "ReesPresentation | None":
+        return None if self.bounded else rees_and_gr(self, self.fp)
+
+    @cached_property
+    def jacobian_spread(self) -> tuple:
+        return spread_via_jacobian(self, seed=f"jac:{self.label}")
+
+    @cached_property
+    def spread(self) -> int | None:
+        """Analytic spread: the fiber dimension, or the exact Jacobian
+        squeeze when the plan is bounded."""
+        if not self.bounded:
+            return self.fp.analytic_spread()
+        lower, exact = self.jacobian_spread
+        return lower if exact else None
+
+    @cached_property
+    def resolution(self):
+        return minimal_resolution(self.ideal, ceiling=self.cutoff)
+
+    @property
+    def presentation(self):
+        """Minimal presentation of I, from the certified resolution."""
+        res = self.resolution
+        if not res.table.complete:
+            raise IncompleteResolutionError(
+                "presentation not certified complete", table=res.table)
+        return res.presentation
+
+    @cached_property
+    def fiber_resolution(self):
+        return minimal_resolution(self.fp.relations, ceiling=self.cutoff)
+
+    @cached_property
+    def fiber_cm(self) -> "CMReport | None":
+        if self.bounded:
+            return None
+        return is_cm_graded((self.fp.fiber_ring, self.fp.relations),
+                            trials=self.trials, base_seed=f"cm:{self.label}:fiber")
+
+    @cached_property
+    def rees_cm(self) -> "CMReport | None":
+        if self.bounded:
+            return None
+        return is_cm_graded((self.pres.big_ring, self.pres.rees_ideal),
+                            trials=self.trials, base_seed=f"cm:{self.label}:rees")
+
+
+def equigenerated_data(ideal):
     """(minimal generators, common degree); rejects mixed degrees."""
-    gens = ideal.minimal_generators()
-    if not gens:
+    ctx = IdealContext.of(ideal)
+    if not ctx.mingens:
         raise ValueError("zero ideal is not equigenerated")
-    degs = {g.homogeneous_degree() for g in gens}
-    if len(degs) != 1:
-        raise ValueError(f"ideal is not equigenerated: degrees {sorted(degs)}")
-    return gens, degs.pop()
+    if ctx.degree is None:
+        degs = sorted({g.homogeneous_degree() for g in ctx.mingens})
+        raise ValueError(f"ideal is not equigenerated: degrees {degs}")
+    return ctx.mingens, ctx.degree
 
 
-def fiber_presentation(ideal: Ideal) -> FiberPresentation:
-    """Relations Q of the fiber cone, by eliminating the x-variables."""
+def _fiber_relations(ideal, degree_bound: int | None = None):
+    """(generators, degree, fiber ring, relations): the kernel of
+    w_i -> f_i, by eliminating the x-variables (through w-degree
+    ``degree_bound`` when one is given)."""
     ring = ideal.ring
     gens, d = equigenerated_data(ideal)
     m = len(gens)
@@ -129,36 +249,23 @@ def fiber_presentation(ideal: Ideal) -> FiberPresentation:
     for i, f in enumerate(gens):
         w = elim_ring.variable(ring.nvars + i)
         work.append(w - ring.embed(f, elim_ring))
-    kept = _eliminate_with_basis(work, ring.nvars)
+    kept = eliminate(work, ring.nvars, degree_bound=None if degree_bound is None
+                     else degree_bound * d)
     fiber_ring = Ring(ring.field, tuple(wnames))
-    rel_polys = tuple(elim_ring.restrict(g, fiber_ring) for g in kept)
+    rels = tuple(elim_ring.restrict(g, fiber_ring) for g in kept)
+    for q in rels:
+        if not q.substitute(list(gens), ring).is_zero():
+            raise AssertionError("fiber relation does not vanish on the generators")
+    return gens, d, fiber_ring, rels
+
+
+def fiber_presentation(ideal) -> FiberPresentation:
+    """Relations Q of the fiber cone, by eliminating the x-variables."""
+    gens, d, fiber_ring, rel_polys = _fiber_relations(ideal)
     relations = Ideal(fiber_ring, rel_polys)
     relations._gb_cache[repr(GREVLEX)] = GroebnerBasis(
         fiber_ring, GREVLEX, rel_polys, rel_polys)
-    fp = FiberPresentation(fiber_ring, relations, tuple(gens), d)
-    _verify_fiber(fp, ring)
-    return fp
-
-
-def _eliminate_with_basis(work, block: int):
-    """Tail elements of the block-elimination basis (a reduced grevlex
-    basis of the elimination ideal)."""
-    gb = buchberger(work, Elimination(block))
-    return [g for g in gb.elements
-            if all(all(e == 0 for e in m[:block]) for m in g.terms)]
-
-
-def _verify_fiber(fp: FiberPresentation, ring: Ring):
-    images = [f for f in fp.source]
-    for g in fp.relations.generators:
-        sub = g.substitute(images, ring)
-        if not sub.is_zero():
-            raise AssertionError("fiber relation does not vanish on the generators")
-
-
-def analytic_spread(ideal: Ideal, fp: FiberPresentation | None = None) -> int:
-    fp = fp or fiber_presentation(ideal)
-    return fp.analytic_spread()
+    return FiberPresentation(fiber_ring, relations, tuple(gens), d)
 
 
 @dataclass
@@ -172,32 +279,14 @@ class TruncatedFiber:
     relation_dims: dict          # n -> dim_k [Q]_n for n <= degree_bound
 
 
-def fiber_truncated(ideal: Ideal, n_max: int) -> TruncatedFiber:
+def fiber_truncated(ideal, n_max: int) -> TruncatedFiber:
     """Q through w-degree n_max via a degree-truncated elimination.
 
     X-free elements of the truncated block basis present Q through the
     bound (reductions of x-free elements stay x-free under the block
     order), so the relation dimensions are standard-monomial counts.
     """
-    ring = ideal.ring
-    gens, d = equigenerated_data(ideal)
-    m = len(gens)
-    wnames = _fresh_names("w", m, set(ring.names))
-    elim_ring = Ring(ring.field, ring.names + tuple(wnames),
-                     ring.weights + (d,) * m)
-    work = []
-    for i, f in enumerate(gens):
-        w = elim_ring.variable(ring.nvars + i)
-        work.append(w - ring.embed(f, elim_ring))
-    gb = buchberger(work, Elimination(ring.nvars), degree_bound=n_max * d)
-    n = ring.nvars
-    kept = [g for g in gb.elements
-            if all(all(e == 0 for e in mm[:n]) for mm in g.terms)]
-    fiber_ring = Ring(ring.field, tuple(wnames))
-    rels = tuple(elim_ring.restrict(g, fiber_ring) for g in kept)
-    for q in rels:
-        if not q.substitute(list(gens), ring).is_zero():
-            raise AssertionError("truncated fiber relation does not vanish")
+    _, _, fiber_ring, rels = _fiber_relations(ideal, n_max)
     leads = [q.leading_monomial(GREVLEX) for q in rels]
     dims = {}
     for nn in range(1, n_max + 1):
@@ -208,33 +297,34 @@ def fiber_truncated(ideal: Ideal, n_max: int) -> TruncatedFiber:
     return TruncatedFiber(fiber_ring, rels, n_max, dims)
 
 
-def spread_via_jacobian(ideal: Ideal, trials: int = 5, seed="jac") -> tuple:
+def spread_via_jacobian(ideal, trials: int = 5, seed="jac") -> tuple:
     """(lower bound for the analytic spread, exact flag).
 
     The Jacobian rank of the generators at a random point bounds the
     transcendence degree of k[I_d] from below; when the bound meets
     dim R it is exact.
     """
-    import random as _random
     ring = ideal.ring
     field = ring.field
-    gens = ideal.minimal_generators()
+    gens = IdealContext.of(ideal).mingens
     jac = [[g.derivative(j) for j in range(ring.nvars)] for g in gens]
     best = 0
     from .graded import _evaluate
     for trial in range(trials):
-        rng = _random.Random(f"{seed}:{trial}")
+        rng = random.Random(f"{seed}:{trial}")
         point = [field.random_raw(rng) for _ in range(ring.nvars)]
         rows = [[_evaluate(entry, point, field) for entry in row] for row in jac]
         best = max(best, rank_of_rows(rows, field, ring.nvars))
     return best, best == ring.nvars
 
 
-def rees_and_gr(ideal: Ideal, fp: FiberPresentation | None = None) -> ReesPresentation:
-    """Rees and associated graded presentations, by eliminating t."""
-    ring = ideal.ring
-    gens, d = equigenerated_data(ideal)
-    if ideal.height() < 1:
+def rees_and_gr(ideal, fp: FiberPresentation | None = None) -> ReesPresentation:
+    """Rees and associated graded presentations, by eliminating t; with
+    ``fp``, also checks that the fiber relations lie in the Rees ideal."""
+    ctx = IdealContext.of(ideal)
+    ring = ctx.ring
+    gens, d = equigenerated_data(ctx)
+    if ctx.ideal.height() < 1:
         raise ValueError("Rees presentation needs grade >= 1")
     m = len(gens)
     taken = set(ring.names)
@@ -247,7 +337,7 @@ def rees_and_gr(ideal: Ideal, fp: FiberPresentation | None = None) -> ReesPresen
     for i, f in enumerate(gens):
         w = elim_ring.variable(1 + ring.nvars + i)
         work.append(w - ring.embed(f, elim_ring) * t)
-    kept = _eliminate_with_basis(work, 1)
+    kept = eliminate(work, 1)
     big_ring = Ring(ring.field, ring.names + tuple(wnames))
     split = ring.nvars
     rees_polys = []
@@ -380,11 +470,10 @@ class ReductionData:
         return Ideal(ring, tuple(self.reduction_generators))
 
 
-def random_forms_in_degree(ideal: Ideal, count: int, seed,
-                           gens=None) -> list:
+def random_forms_in_degree(ideal, count: int, seed) -> list:
     """Seeded k-linear combinations of the minimal generators, with a
     linear-independence recheck."""
-    gens = gens or ideal.minimal_generators()
+    gens = IdealContext.of(ideal).mingens
     ring = ideal.ring
     field = ring.field
     rng = random.Random(str(seed))
@@ -403,76 +492,64 @@ def random_forms_in_degree(ideal: Ideal, count: int, seed,
     return forms
 
 
-def minimal_reduction(ideal: Ideal, seed="red:1", r_max: int = 12,
-                      fp: FiberPresentation | None = None,
+def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
                       forms=None) -> ReductionData:
     """Candidate minimal reduction by random combinations (or the given
     forms), plus the least verified reduction number r with
     J I^r = I^{r+1}."""
-    gens, d = equigenerated_data(ideal)
-    fp = fp or fiber_presentation(ideal)
-    spread = fp.analytic_spread()
-    ring = ideal.ring
+    ctx = IdealContext.of(ideal)
+    gens, d = equigenerated_data(ctx)
+    spread = ctx.spread
+    if spread is None:
+        raise ValueError("a minimal reduction needs the analytic spread")
     if forms is None and spread == len(gens):
         return ReductionData(list(gens), str(seed), 0, True, spread, d)
     if forms is None:
-        forms = random_forms_in_degree(ideal, spread, seed, gens)
+        forms = random_forms_in_degree(ctx, spread, seed)
     elif len(forms) != spread:
         raise ValueError("a minimal reduction needs analytic-spread many forms")
-    powers = [[ring.one()], list(gens)]        # powers[k] = minimal gens of I^k
     dims = []
     for r in range(0, r_max + 1):
-        while len(powers) <= r + 1:
-            prev = Ideal(ring, tuple(a * b for a in powers[-1] for b in gens))
-            powers.append(prev.minimal_generators())
-        target = piece_span_of_polys(powers[r + 1], (r + 1) * d, ring)
-        jpart = piece_span_of_polys([a * b for a in forms for b in powers[r]],
-                                    (r + 1) * d, ring)
+        degree = (r + 1) * d
+        target = ctx.piece(ctx.power_gens(r + 1), degree)
+        jpart = ctx.piece([a * b for a in forms for b in ctx.power_gens(r)], degree)
         dims.append((r, jpart.dim, target.dim))
         if jpart.dim == target.dim:
             return ReductionData(forms, str(seed), r, True, spread, d, dims)
     return ReductionData(forms, str(seed), None, False, spread, d, dims)
 
 
-def fiber_multiplicity(ideal: Ideal, fp: FiberPresentation | None = None) -> int:
-    fp = fp or fiber_presentation(ideal)
-    return fp.multiplicity()
+def fiber_multiplicity(ideal) -> int:
+    return IdealContext.of(ideal).fp.multiplicity()
 
 
-def free_basis_over_reduction(ideal: Ideal, red: ReductionData,
-                              fp: FiberPresentation | None = None,
-                              fiber_cm: CMReport | None = None):
+def free_basis_over_reduction(ideal, red: ReductionData):
     """Lifted module basis of the fiber over its Noether normalization.
 
     Returns [(n, B_n)] for 1 <= n <= r with B_n a lift of a basis of
     [I^n / J I^{n-1}]_{nd}; total rank 1 + sum |B_n| must equal the
     fiber multiplicity.  Refuses when the fiber is not CM.
     """
-    fp = fp or fiber_presentation(ideal)
-    if fiber_cm is None:
-        fiber_cm = is_cm_graded((fp.fiber_ring, fp.relations))
-    if not fiber_cm.is_cm:
+    ctx = IdealContext.of(ideal)
+    if not ctx.fiber_cm.is_cm:
         raise ValueError("fiber is not Cohen-Macaulay: no free basis")
     if red.reduction_number is None:
         raise ValueError("unverified reduction")
     from .graded import vector_to_poly
-    ring = ideal.ring
     d = red.degree
     J_forms = red.reduction_generators
     out = []
     for n in range(1, red.reduction_number + 1):
-        lower = ideal.power(n - 1).minimal_generators() if n > 1 else [ring.one()]
-        jproducts = [a * b for a in J_forms for b in lower]
-        jpiece = piece_span_of_polys(jproducts, n * d, ring)
-        ipiece = graded_piece(ideal.power(n), n * d)
+        jproducts = [a * b for a in J_forms for b in ctx.power_gens(n - 1)]
+        ech = ctx.piece(jproducts, n * d).echelon.copy()
+        ipiece = ctx.piece(ctx.power_gens(n), n * d)
         lifts = []
-        ech = jpiece.echelon
         for row in ipiece.echelon.rows:
             if ech.add(row):
-                lifts.append(vector_to_poly(row, ipiece.ambient_monomials, ring))
+                lifts.append(vector_to_poly(row, ipiece.ambient_monomials, ctx.ring))
         out.append((n, lifts))
     total = 1 + sum(len(b) for _, b in out)
-    if total != fp.multiplicity():
+    if total != ctx.fp.multiplicity():
         raise AssertionError(
-            f"free-basis bookkeeping {total} != fiber multiplicity {fp.multiplicity()}")
+            f"free-basis bookkeeping {total} != fiber multiplicity {ctx.fp.multiplicity()}")
     return out

@@ -5,9 +5,18 @@
     fiberlab reproduce [id|all] [flags]
 
 Reports are JSON with sorted keys (byte-deterministic for fixed input,
-seeds and field); human tables via --markdown.  Exit codes: 0 success or
-true, 1 mismatch or false, 2 input error, 3 computation bound exceeded,
-4 unknown verdict.
+seeds and field); human tables via --markdown.  ``invariants`` runs the
+corpus pipeline's ``basic`` plan, with the file's stem in its seeds.
+
+Exit codes:
+
+    0  success, or a true verdict
+    1  golden mismatch, or a false verdict
+    2  input error
+    3  a computation bound was exceeded (an ``invariants`` item skipped
+       for a bound; a skip for a property of the input, such as a
+       non-equigenerated ideal having no blow-up block, is not one)
+    4  unknown verdict
 """
 
 from __future__ import annotations
@@ -16,17 +25,18 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 from . import corpus as corpus_mod
-from .blowup import fiber_presentation, minimal_reduction, rees_and_gr
+from .blowup import IdealContext
 from .fields import FieldError
 from .ideals import Ideal
 from .parse import ParseError, parse_ideal_file
 from .polyring import RingError
-from .predicates import (analytically_adjusted, check_gs, fiber_indeg,
-                         generic_forms, generically_ci, is_perfect,
+from .predicates import (analytically_adjusted, analytically_tight, check_gs,
+                         fiber_indeg, generic_forms, generically_ci, is_perfect,
                          map_degree_via_formula, multiplicity_formula_checks,
-                         tight_profile, user_forms, valabrega_valla,
+                         regular_in_gr, tight_profile, valabrega_valla,
                          valla_dimension)
 
 EXIT_OK = 0
@@ -34,6 +44,9 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
 EXIT_UNKNOWN = 4
+
+# Skips that state a property of the input, not an exceeded bound.
+INPUT_SKIPS = frozenset({"blowup"})
 
 CHECK_NAMES = ("gs", "valla-dim", "indeg", "tight", "adjusted", "vv",
                "reg-in-gr", "gen-ci", "perfect", "mult-formulas", "map-degree")
@@ -112,108 +125,51 @@ def _seeds(args):
 
 def cmd_invariants(args) -> int:
     ideal = _load_ideal(args.file, args.field)
-    report = _ideal_report(ideal, args)
-    _emit(report, args.markdown)
-    return EXIT_BOUND if report.get("skipped") else EXIT_OK
-
-
-def _ideal_report(ideal, args) -> dict:
-    """Invariants for an arbitrary input file (general-purpose variant of
-    the corpus pipeline)."""
     t0 = time.time()
-    from .graded import linear_rank
-    from .resolutions import minimal_resolution
-    report = {"field": ideal.ring.field.characteristic,
-              "seeds": _seeds(args),
-              "bounds": {"r_max": args.rmax, "trials": args.trials,
-                         "cutoff_ceiling": args.cutoff},
-              "invariants": {}, "skipped": {}}
-    inv = report["invariants"]
-    mingens = ideal.minimal_generators()
-    inv["mu"] = len(mingens)
-    degrees = sorted({g.homogeneous_degree() for g in mingens})
-    inv["generator_degrees"] = degrees
-    inv["dim"] = ideal.krull_dimension()
-    inv["height"] = ideal.height()
-    inv["multiplicity"] = ideal.multiplicity()
-    equigen = len(degrees) == 1
-    inv["degree"] = degrees[0] if equigen else None
-    res = minimal_resolution(ideal, ceiling=args.cutoff)
-    if res.table.complete:
-        inv["pd"] = res.table.projective_dimension
-        inv["depth_quotient"] = ideal.ring.nvars - res.table.projective_dimension
-        inv["regularity_quotient"] = res.table.regularity()
-        inv["betti"] = res.table.rows()
-        if equigen:
-            inv["linear_rank"] = linear_rank(res.presentation, ideal.ring.field)
-    else:
-        report["skipped"]["resolution"] = f"incomplete at cutoff {res.table.cutoff}"
-    if equigen:
-        fp = fiber_presentation(ideal)
-        inv["analytic_spread"] = fp.analytic_spread()
-        inv["fiber_multiplicity"] = fp.multiplicity()
-        indeg = fiber_indeg(ideal, fp=fp)
-        inv["indeg_Q"] = indeg.certificate["indeg"]
-        red = minimal_reduction(ideal, seed=f"red:{_seeds(args)[0]}",
-                                r_max=args.rmax, fp=fp)
-        inv["reduction_number"] = red.reduction_number
-        inv["reduction_verified"] = red.verified
-        from .blowup import is_cm_graded
-        fiber_cm = is_cm_graded((fp.fiber_ring, fp.relations), trials=args.trials)
-        inv["fiber_cm"] = fiber_cm.verdict
-        pres = rees_and_gr(ideal, fp)
-        rees_cm = is_cm_graded((pres.big_ring, pres.rees_ideal), trials=args.trials)
-        inv["rees_cm"] = rees_cm.verdict
-    else:
-        report["skipped"]["blowup"] = "ideal is not equigenerated"
+    entry = corpus_mod.CorpusEntry(Path(args.file).stem, args.file, "",
+                                   plan="basic")
+    report = corpus_mod.entry_report(entry, ideal, _seeds(args), args.nmax,
+                                     args.trials, args.rmax, args.cutoff)
     if args.timings:
         report["timing_seconds"] = round(time.time() - t0, 3)
     else:
         print(f"elapsed {time.time() - t0:.2f}s", file=sys.stderr)
-    return report
+    _emit(report, args.markdown)
+    return EXIT_BOUND if set(report["skipped"]) - INPUT_SKIPS else EXIT_OK
 
 
 def cmd_check(args) -> int:
-    ideal = _load_ideal(args.file, args.field)
+    ctx = IdealContext(_load_ideal(args.file, args.field))
     seeds = _seeds(args)
     nmax = args.nmax or corpus_mod.DEFAULT_NMAX_FLOOR
     name = args.predicate
     if name == "gs":
-        rep = check_gs(ideal, args.s)
+        rep = check_gs(ctx, args.s)
     elif name == "valla-dim":
-        rep = valla_dimension(ideal)
+        rep = valla_dimension(ctx)
     elif name == "indeg":
-        rep = fiber_indeg(ideal)
+        rep = fiber_indeg(ctx)
     elif name == "perfect":
-        rep = is_perfect(ideal)
+        rep = is_perfect(ctx)
     elif name == "gen-ci":
-        rep = generically_ci(ideal)
+        rep = generically_ci(ctx)
     elif name == "mult-formulas":
-        rep = multiplicity_formula_checks(ideal)
+        rep = multiplicity_formula_checks(ctx)
     elif name == "map-degree":
-        rep = map_degree_via_formula(ideal)
-    elif name in ("tight", "adjusted", "vv", "reg-in-gr"):
-        fp = fiber_presentation(ideal)
-        spread = fp.analytic_spread()
-        if name == "tight":
-            fs = generic_forms(ideal, spread, f"forms:{seeds[0]}")
-            if args.n == 0:
-                rep = tight_profile(ideal, fs, nmax)
-            else:
-                from .predicates import analytically_tight
-                rep = analytically_tight(ideal, fs, args.n)
-        elif name == "adjusted":
-            count = args.l or spread
-            fs = generic_forms(ideal, count, f"forms:{seeds[0]}")
-            rep = analytically_adjusted(ideal, fs)
+        rep = map_degree_via_formula(ctx)
+    elif name == "tight":
+        fs = generic_forms(ctx, ctx.spread, f"forms:{seeds[0]}")
+        if args.n == 0:
+            rep = tight_profile(ctx, fs, nmax)
         else:
-            g = ideal.height()
-            fs = generic_forms(ideal, g, f"forms:{seeds[0]}")
-            rep = valabrega_valla(ideal, fs, nmax)
-            if name == "reg-in-gr":
-                from .predicates import PredicateReport
-                rep = PredicateReport("reg-in-gr", rep.inputs, rep.verdict,
-                                      rep.bounds_used, rep.certificate)
+            rep = analytically_tight(ctx, fs, args.n)
+    elif name == "adjusted":
+        fs = generic_forms(ctx, args.l or ctx.spread, f"forms:{seeds[0]}")
+        rep = analytically_adjusted(ctx, fs)
+    elif name in ("vv", "reg-in-gr"):
+        fs = generic_forms(ctx, ctx.ideal.height(), f"forms:{seeds[0]}")
+        check = valabrega_valla if name == "vv" else regular_in_gr
+        rep = check(ctx, fs, nmax)
     else:
         raise SystemExit(f"unknown predicate {name}")
     _emit(rep.to_json(), args.markdown)

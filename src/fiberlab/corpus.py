@@ -1,10 +1,12 @@
-"""Bundled worked examples with golden expectations.
+"""Bundled worked examples with golden expectations, and the report
+pipeline they share with ``fiberlab invariants``.
 
-Each entry carries an input file, a per-entry computation plan (the
-6x5-matrix entry runs a bounded plan: its full fiber/Rees eliminations
-are out of budget, so relation dimensions come from a degree-truncated
-elimination and the analytic spread from the Jacobian squeeze), and a
-golden record whose values are tagged literature / trivial / derived.
+Each entry carries an input file, a per-entry computation plan (see
+``entry_report``; the 6x5-matrix entry runs the bounded plan: its full
+fiber/Rees eliminations are out of budget, so relation dimensions come
+from a degree-truncated elimination and the analytic spread from the
+Jacobian squeeze), and a golden record whose values are tagged
+literature / trivial / derived.
 """
 
 from __future__ import annotations
@@ -13,20 +15,16 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .blowup import (fiber_presentation, fiber_truncated, is_cm_graded,
-                     minimal_reduction, rees_and_gr, spread_via_jacobian)
+from .blowup import IdealContext, fiber_truncated, minimal_reduction
 from .depth import bounded_ideal_grade, graded_depth
-from .fields import FieldSpec
+from .graded import linear_rank
 from .ideals import Ideal
 from .parse import parse_ideal_file
-from .polyring import Ring
-from .predicates import (analytically_adjusted, check_gs, fiber_indeg,
-                         generic_forms, generically_ci, ideal_fingerprint,
-                         is_perfect, map_degree_via_formula,
+from .predicates import (FormSequence, analytically_adjusted, check_gs,
+                         fiber_indeg, generic_forms, generically_ci,
+                         ideal_fingerprint, is_perfect, map_degree_via_formula,
                          multiplicity_formula_checks, tight_profile,
                          valabrega_valla, valla_dimension)
-from .resolutions import (IncompleteResolutionError, minimal_resolution,
-                          presentation_matrix)
 
 
 @dataclass(frozen=True)
@@ -94,179 +92,182 @@ def compute_entry(entry_id: str, field_char: int | None = None,
     """Full report tree for one corpus entry; deterministic for fixed
     (entry, field, seeds, bounds), and cached on that key."""
     key = (entry_id, field_char, tuple(seeds), n_max, trials, r_max, cutoff)
-    if key in _REPORT_CACHE:
-        return _REPORT_CACHE[key]
-    report = _compute_entry(entry_id, field_char, seeds, n_max, trials,
-                            r_max, cutoff)
-    _REPORT_CACHE[key] = report
-    return report
+    if key not in _REPORT_CACHE:
+        entry = CORPUS_BY_ID[entry_id]
+        report = entry_report(entry, load_entry_ideal(entry, field_char), seeds,
+                              n_max, trials, r_max, cutoff)
+        _REPORT_CACHE[key] = {"id": entry.id, "description": entry.description,
+                              **report}
+    return _REPORT_CACHE[key]
 
 
-def _compute_entry(entry_id: str, field_char, seeds, n_max, trials,
-                   r_max, cutoff) -> dict:
-    entry = CORPUS_BY_ID[entry_id]
-    ideal = load_entry_ideal(entry, field_char)
-    ring = ideal.ring
-    seeds = list(seeds)
+def entry_report(entry: CorpusEntry, ideal: Ideal, seeds=DEFAULT_SEEDS,
+                 n_max: int | None = None, trials: int = DEFAULT_TRIALS,
+                 r_max: int = DEFAULT_RMAX,
+                 cutoff: int = DEFAULT_CUTOFF_CEILING) -> dict:
+    """Report tree of one ideal under its entry's plan, over one
+    ``IdealContext``; ``entry.id`` names the ideal in every seed.
+
+    Every plan starts with the ideal-level block (generators, dimension,
+    resolution, perfectness, the entry's G_s / Valla / generic-CI
+    predicates).  For an equigenerated ideal the plan then adds:
+
+    - ``basic``: the invariants read off the fiber and Rees presentations
+      (analytic spread, fiber multiplicity, relation dimensions, indeg,
+      reduction numbers, fiber and Rees CM verdicts);
+    - ``full``: basic, plus the fiber resolution, the depth, grade and
+      codimension values, the seeded tight / VV / adjusted predicates and
+      the formula checks;
+    - ``bounded-blowup``: relation dimensions from a degree-truncated
+      elimination, the Jacobian spread, a capped reduction search, the
+      seeded tight / adjusted predicates and the formula checks.
+    """
+    ctx = IdealContext(ideal, entry.id, trials=trials, cutoff=cutoff,
+                       bounded=entry.plan == "bounded-blowup")
     report = {
-        "id": entry.id,
-        "description": entry.description,
-        "field": ring.field.characteristic,
-        "seeds": seeds,
+        "field": ideal.ring.field.characteristic,
+        "seeds": list(seeds),
         "bounds": {"r_max": r_max, "trials": trials, "cutoff_ceiling": cutoff},
         "skipped": {},
         "invariants": {},
         "predicates": {},
     }
+    _ideal_block(ctx, entry, report)
+    if ctx.degree is None:
+        report["skipped"]["blowup"] = "ideal is not equigenerated"
+        return report
+    n_max = n_max or entry.n_max_override or DEFAULT_NMAX_FLOOR
+    if ctx.bounded:
+        _bounded_blowup(ctx, report, list(seeds), n_max, r_max)
+    else:
+        _blowup(ctx, entry, report, list(seeds), n_max, r_max)
+    if entry.plan != "basic" and ideal.height() == 2 and is_perfect(ctx).is_true:
+        report["predicates"]["mult-formulas"] = \
+            multiplicity_formula_checks(ctx).to_json()
+        if entry.run_map_degree:
+            report["predicates"]["map-degree"] = \
+                map_degree_via_formula(ctx).to_json()
+    return report
+
+
+def _ideal_block(ctx, entry, report):
+    ideal = ctx.ideal
     inv = report["invariants"]
     preds = report["predicates"]
-    skipped = report["skipped"]
-
-    mingens = ideal.minimal_generators()
-    inv["mu"] = len(mingens)
-    degrees = sorted({g.homogeneous_degree() for g in mingens})
-    inv["generator_degrees"] = degrees
-    equigen = len(degrees) == 1
-    d = degrees[0] if equigen else None
-    inv["degree"] = d
+    inv["mu"] = len(ctx.mingens)
+    inv["generator_degrees"] = sorted({g.homogeneous_degree() for g in ctx.mingens})
+    inv["degree"] = ctx.degree
     inv["dim"] = ideal.krull_dimension()
     inv["height"] = ideal.height()
     inv["multiplicity"] = ideal.multiplicity()
     inv["fingerprint"] = ideal_fingerprint(ideal)
+    preds["perfect"] = is_perfect(ctx).to_json()
 
     # resolution-side data over the small polynomial ambient
-    perfect = is_perfect(ideal)
-    preds["perfect"] = perfect.to_json()
-    res = minimal_resolution(ideal, ceiling=cutoff)
+    res = ctx.resolution
     if res.table.complete:
         inv["pd"] = res.table.projective_dimension
-        inv["depth_quotient"] = ring.nvars - res.table.projective_dimension
+        inv["depth_quotient"] = ideal.ring.nvars - res.table.projective_dimension
         inv["regularity_quotient"] = res.table.regularity()
         inv["betti"] = res.table.rows()
-        pres_matrix = res.presentation
-        inv["presentation_column_degrees"] = sorted(pres_matrix.column_degrees)
-        if equigen:
-            from .graded import linear_rank
-            inv["linear_rank"] = linear_rank(pres_matrix, ring.field)
+        inv["presentation_column_degrees"] = sorted(res.presentation.column_degrees)
+        if ctx.degree is not None:
+            inv["linear_rank"] = linear_rank(res.presentation, ideal.ring.field)
     else:
-        skipped["resolution"] = f"incomplete at cutoff {res.table.cutoff}"
-        pres_matrix = None
+        report["skipped"]["resolution"] = f"incomplete at cutoff {res.table.cutoff}"
 
     for s in entry.gs_values:
-        gs = check_gs(ideal, s, pres_matrix)
-        preds[f"gs-{s}"] = gs.to_json()
+        preds[f"gs-{s}"] = check_gs(ctx, s).to_json()
     if entry.run_valla:
-        preds["valla-dim"] = valla_dimension(ideal, pres_matrix).to_json()
-    if ideal.height() == 2 and pres_matrix is not None:
-        preds["gen-ci"] = generically_ci(ideal, pres_matrix).to_json()
+        preds["valla-dim"] = valla_dimension(ctx).to_json()
+    if ideal.height() == 2 and res.table.complete:
+        preds["gen-ci"] = generically_ci(ctx).to_json()
 
-    if not equigen:
-        skipped["blowup"] = "ideal is not equigenerated"
-        return report
 
-    n_max = n_max or entry.n_max_override or DEFAULT_NMAX_FLOOR
-
-    if entry.plan == "bounded-blowup":
-        _bounded_blowup(entry, ideal, report, seeds, n_max, r_max, perfect)
-        return report
-
-    # ---- full blow-up pipeline ----
-    fp = fiber_presentation(ideal)
-    pres = rees_and_gr(ideal, fp)
-    inv["analytic_spread"] = fp.analytic_spread()
+def _blowup(ctx, entry, report, seeds, n_max, r_max):
+    """The basic and full plans, from the fiber and Rees presentations."""
+    inv = report["invariants"]
+    preds = report["predicates"]
+    fp = ctx.fp
+    inv["analytic_spread"] = ctx.spread
     inv["analytic_spread_method"] = "fiber-dimension"
     inv["fiber_multiplicity"] = fp.multiplicity()
     inv["relation_dims"] = {str(n): fp.relation_piece_dim(n) for n in range(1, 5)}
-    indeg = fiber_indeg(ideal, fp=fp)
+    indeg = fiber_indeg(ctx)
     preds["indeg"] = indeg.to_json()
     inv["indeg_Q"] = indeg.certificate["indeg"]
+    inv["fiber_cm"] = ctx.fiber_cm.verdict
+    inv["rees_cm"] = ctx.rees_cm.verdict
 
-    fiber_cm = is_cm_graded((fp.fiber_ring, fp.relations), trials=trials,
-                            base_seed=f"cm:{entry.id}:fiber")
-    inv["fiber_cm"] = fiber_cm.verdict
+    # one drawn sequence per seed serves as the reduction candidate, the
+    # tightness sequence and (its prefix) the Valabrega-Valla input
+    forms = {seed: generic_forms(ctx, ctx.spread, f"{ctx.label}:forms:{seed}")
+             for seed in seeds}
+    reduce_forms = ctx.spread < len(ctx.mingens)
+    reductions = {seed: minimal_reduction(ctx, seed=f"{ctx.label}:red:{seed}",
+                                          r_max=r_max,
+                                          forms=fs.forms if reduce_forms else None)
+                  for seed, fs in forms.items()}
+    ctx.forget()
+    red_numbers = [reductions[seed].reduction_number for seed in seeds]
+    inv["reduction_numbers"] = red_numbers
+    inv["reduction_number"] = red_numbers[0] if len(set(red_numbers)) == 1 else None
+    inv["reduction_stable"] = len(set(red_numbers)) == 1
+    if entry.plan != "full":
+        return
+
+    _depth_block(ctx, report)
+    n_max = max((red_numbers[0] or 0) + 2, n_max)
+    report["bounds"]["n_max"] = n_max
+    g = ctx.ideal.height()
+    tight, vv = {}, {}
+    for seed, fs in forms.items():
+        tight[seed] = tight_profile(ctx, fs, n_max)
+        prefix = FormSequence(fs.forms[:g], fs.provenance,
+                              fs.coefficients[:g] if fs.coefficients else None)
+        vv[seed] = valabrega_valla(ctx, prefix, n_max)
+        preds[f"tight:seed{seed}"] = tight[seed].to_json()
+        preds[f"vv:seed{seed}"] = vv[seed].to_json()
+        preds[f"adjusted:seed{seed}"] = analytically_adjusted(ctx, fs).to_json()
+        ctx.forget()
+    report["_objects"] = {
+        "id": ctx.label, "ideal": ctx.ideal, "fp": fp, "rees": ctx.pres,
+        "fiber_cm": ctx.fiber_cm, "rees_cm": ctx.rees_cm, "seeds": seeds,
+        "forms": forms, "reductions": reductions,
+        "tight": tight, "vv_prefix": vv, "indeg": indeg,
+    }
+
+
+def _depth_block(ctx, report):
+    """Depths of the fiber, Rees algebra and gr, grade and codim of gr+."""
+    inv = report["invariants"]
+    fp, pres = ctx.fp, ctx.pres
     if fp.fiber_ring.nvars <= 7:
-        fres = minimal_resolution(fp.relations, ceiling=cutoff)
+        fres = ctx.fiber_resolution
         if fres.table.complete:
             inv["depth_fiber"] = fp.fiber_ring.nvars - fres.table.projective_dimension
             inv["regularity_fiber"] = fres.table.regularity()
             inv["fiber_relation_degrees"] = sorted(
                 g.homogeneous_degree() for g in fp.relations.minimal_generators())
         else:
-            skipped["fiber_resolution"] = f"incomplete at cutoff {fres.table.cutoff}"
+            report["skipped"]["fiber_resolution"] = \
+                f"incomplete at cutoff {fres.table.cutoff}"
     else:
-        dfib = graded_depth(fp.relations, seed=f"depthF:{entry.id}")
+        dfib = graded_depth(fp.relations, seed=f"depthF:{ctx.label}")
         inv["depth_fiber"] = dfib.value if dfib.exact else None
-
-    rees_cm = is_cm_graded((pres.big_ring, pres.rees_ideal), trials=trials,
-                           base_seed=f"cm:{entry.id}:rees")
-    inv["rees_cm"] = rees_cm.verdict
-    if rees_cm.depth is not None and rees_cm.depth.exact:
-        inv["depth_rees"] = rees_cm.depth.value
-    dgr = graded_depth(pres.gr_ideal, seed=f"depthgr:{entry.id}")
+    if ctx.rees_cm.depth is not None and ctx.rees_cm.depth.exact:
+        inv["depth_rees"] = ctx.rees_cm.depth.value
+    dgr = graded_depth(pres.gr_ideal, seed=f"depthgr:{ctx.label}")
     if dgr.exact:
         inv["depth_gr"] = dgr.value
     else:
-        skipped["depth_gr"] = "descent inconclusive within bounds"
+        report["skipped"]["depth_gr"] = "descent inconclusive within bounds"
     grade = bounded_ideal_grade(pres.gr_ideal.groebner(),
                                 range(pres.split, pres.big_ring.nvars),
-                                seed=f"grade:{entry.id}")
+                                seed=f"grade:{ctx.label}")
     inv["grade_gr_plus"] = grade["value"]
     inv["grade_gr_plus_bound"] = grade["candidate_degree_bound"]
     inv["gr_plus_codim"] = pres.gr_plus_codimension()
-
-    # seeded generic data; one drawn sequence per seed serves as the
-    # tightness sequence, the reduction candidate, and (its prefix) the
-    # Valabrega-Valla input
-    from .predicates import FormSequence
-    spread = fp.analytic_spread()
-    g = ideal.height()
-    reductions = {}
-    forms_by_seed = {}
-    tight_by_seed = {}
-    vv_by_seed = {}
-    red_numbers = []
-    for seed in seeds:
-        fs = generic_forms(ideal, spread, f"{entry.id}:forms:{seed}")
-        forms_by_seed[seed] = fs
-        red = minimal_reduction(ideal, seed=f"{entry.id}:red:{seed}", r_max=r_max,
-                                fp=fp, forms=fs.forms if spread < len(mingens) else None)
-        reductions[seed] = red
-        red_numbers.append(red.reduction_number)
-        if seed == seeds[0]:
-            r0 = red.reduction_number or 0
-            n_max = max(r0 + 2, n_max)
-            report["bounds"]["n_max"] = n_max
-        tp = tight_profile(ideal, fs, n_max)
-        tight_by_seed[seed] = tp
-        prefix = FormSequence(fs.forms[:g], fs.provenance,
-                              fs.coefficients[:g] if fs.coefficients else None)
-        vv = valabrega_valla(ideal, prefix, n_max, pres)
-        vv_by_seed[seed] = vv
-        adj = analytically_adjusted(ideal, fs)
-        preds[f"tight:seed{seed}"] = tp.to_json()
-        preds[f"vv:seed{seed}"] = vv.to_json()
-        preds[f"adjusted:seed{seed}"] = adj.to_json()
-    inv["reduction_numbers"] = red_numbers
-    inv["reduction_number"] = red_numbers[0] if len(set(red_numbers)) == 1 else None
-    inv["reduction_stable"] = len(set(red_numbers)) == 1
-
-    if ideal.height() == 2 and perfect.is_true:
-        context = {"perfect": perfect, "fp": fp, "indeg": indeg,
-                   "rees_cm": rees_cm, "rees": pres,
-                   "reduction": reductions[seeds[0]]}
-        preds["mult-formulas"] = multiplicity_formula_checks(ideal, context).to_json()
-        if entry.run_map_degree:
-            context["gen_ci"] = generically_ci(ideal, pres_matrix)
-            context["presentation"] = pres_matrix
-            preds["map-degree"] = map_degree_via_formula(ideal, context).to_json()
-
-    report["_objects"] = {
-        "id": entry.id, "ideal": ideal, "fp": fp, "rees": pres,
-        "fiber_cm": fiber_cm, "rees_cm": rees_cm, "seeds": seeds,
-        "forms": forms_by_seed, "reductions": reductions,
-        "tight": tight_by_seed, "vv_prefix": vv_by_seed, "indeg": indeg,
-    }
-    return report
 
 
 def crosscheck_bundles(reports) -> list:
@@ -274,30 +275,25 @@ def crosscheck_bundles(reports) -> list:
     return [r["_objects"] for r in reports if "_objects" in r]
 
 
-def _bounded_blowup(entry, ideal, report, seeds, n_max, r_max, perfect):
+def _bounded_blowup(ctx, report, seeds, n_max, r_max):
     """Matrix entry whose full eliminations exceed the budget: truncated
     fiber data, Jacobian-squeezed spread, piece-level reductions."""
     inv = report["invariants"]
     preds = report["predicates"]
     skipped = report["skipped"]
-    ring = ideal.ring
-    mingens = ideal.minimal_generators()
 
-    trunc = fiber_truncated(ideal, 4)
+    trunc = fiber_truncated(ctx, 4)
     inv["relation_dims"] = {str(n): trunc.relation_dims[n] for n in range(1, 5)}
-    indeg = fiber_indeg(ideal, up_to=4, fp=None)
+    indeg = fiber_indeg(ctx, up_to=4)
     for k, v in indeg.certificate["relation_piece_dims"].items():
         if trunc.relation_dims[int(k)] != v:
             raise AssertionError(
                 "truncated elimination disagrees with the piece formula")
     preds["indeg"] = indeg.to_json()
     inv["indeg_Q"] = indeg.certificate["indeg"]
-    for q in trunc.partial_relations:
-        if not q.substitute(list(mingens), ring).is_zero():
-            raise AssertionError("partial fiber relation fails substitution")
     inv["fiber_relations_known_through"] = trunc.degree_bound
 
-    lower, exact = spread_via_jacobian(ideal, seed=f"jac:{entry.id}")
+    lower, exact = ctx.jacobian_spread
     if exact:
         inv["analytic_spread"] = lower
         inv["analytic_spread_method"] = "jacobian-rank squeeze at dim R"
@@ -307,45 +303,24 @@ def _bounded_blowup(entry, ideal, report, seeds, n_max, r_max, perfect):
     skipped["fiber_cm"] = "full fiber presentation out of budget"
     skipped["rees"] = "full Rees presentation out of budget"
 
-    spread = lower if exact else None
     capped_rmax = min(r_max, 3)     # degree-(r+1)d pieces outgrow the budget fast
-    red_numbers = []
-    for seed in seeds:
-        if spread is None:
-            break
-        fs = generic_forms(ideal, spread, f"{entry.id}:forms:{seed}")
-        if seed == seeds[0]:
-            red = minimal_reduction(ideal, seed=f"{entry.id}:red:{seed}",
-                                    r_max=capped_rmax, forms=fs.forms,
-                                    fp=_spread_stub(ideal, spread))
-            red_numbers.append(red.reduction_number)
-        tp = tight_profile(ideal, fs, n_max)
-        adj = analytically_adjusted(ideal, fs)
-        preds[f"tight:seed{seed}"] = tp.to_json()
-        preds[f"adjusted:seed{seed}"] = adj.to_json()
-    if red_numbers and red_numbers[0] is not None:
-        inv["reduction_number"] = red_numbers[0]
+    red_number = None
+    if ctx.spread is not None and seeds:
+        forms = {seed: generic_forms(ctx, ctx.spread, f"{ctx.label}:forms:{seed}")
+                 for seed in seeds}
+        red_number = minimal_reduction(ctx, seed=f"{ctx.label}:red:{seeds[0]}",
+                                       r_max=capped_rmax,
+                                       forms=forms[seeds[0]].forms).reduction_number
+        ctx.forget()
+        for seed, fs in forms.items():
+            preds[f"tight:seed{seed}"] = tight_profile(ctx, fs, n_max).to_json()
+            preds[f"adjusted:seed{seed}"] = analytically_adjusted(ctx, fs).to_json()
+            ctx.forget()
+    if red_number is not None:
+        inv["reduction_number"] = red_number
     else:
         skipped["reduction_number"] = f"not found <= {capped_rmax} (search capped)"
     report["bounds"]["r_max_effective"] = capped_rmax
-
-    if perfect.is_true and inv.get("height") == 2:
-        preds["mult-formulas"] = multiplicity_formula_checks(
-            ideal, {"perfect": perfect, "fp": None, "indeg": indeg}).to_json()
-
-
-class _SpreadStub:
-    """Minimal stand-in carrying a known analytic spread."""
-
-    def __init__(self, spread):
-        self._spread = spread
-
-    def analytic_spread(self):
-        return self._spread
-
-
-def _spread_stub(ideal, spread):
-    return _SpreadStub(spread)
 
 
 # ---------------------------------------------------------------------------

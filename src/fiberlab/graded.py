@@ -85,12 +85,7 @@ def spanning_rows(gens, degree: int, ring: Ring, index, width):
 
 
 def graded_piece(ideal, degree: int) -> GradedPieceBasis:
-    ring = ideal.ring
-    monos, index = degree_basis(ring, degree)
-    ech = Echelon(ring.field, len(monos))
-    for row in spanning_rows(ideal.generators, degree, ring, index, len(monos)):
-        ech.add(row)
-    return GradedPieceBasis(degree, monos, ech)
+    return piece_span_of_polys(ideal.generators, degree, ideal.ring)
 
 
 def piece_span_of_polys(polys, degree: int, ring: Ring) -> GradedPieceBasis:
@@ -110,10 +105,6 @@ def joint_rank(a: GradedPieceBasis, b: GradedPieceBasis) -> int:
     for row in b.echelon.rows:
         ech.add(row)
     return ech.rank
-
-
-def piece_intersection_dim(a: GradedPieceBasis, b: GradedPieceBasis) -> int:
-    return a.dim + b.dim - joint_rank(a, b)
 
 
 def piece_intersection(a: GradedPieceBasis, b: GradedPieceBasis, ring: Ring):

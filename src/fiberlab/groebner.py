@@ -13,12 +13,12 @@ product and divisibility are single integer operations.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import mul
 
 from .polyring import (GREVLEX, Elimination, Polynomial, Ring, RingError,
-                       TermOrder, mono_div, mono_lcm)
+                       TermOrder, mono_lcm)
 
 EXPONENT_BITS = 21
 EXPONENT_LIMIT = (1 << EXPONENT_BITS) - 1   # over twice polyring.MAX_EXPONENT
@@ -209,7 +209,6 @@ class GroebnerBasis:
     order: TermOrder
     elements: tuple
     source_generators: tuple
-    cofactors: tuple | None = dc_field(default=None, compare=False)
     degree_bound: int | None = None
 
     @cached_property
@@ -242,7 +241,6 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def buchberger(generators, order: TermOrder = GREVLEX, *,
-               track_cofactors: bool = False,
                groebner_prefix: int = 0,
                degree_bound: int | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
@@ -270,9 +268,6 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
         if not all(g.is_homogeneous() for g in gens):
             raise RingError("degree-truncated runs need homogeneous input")
     field = ring.field
-    if track_cofactors:
-        return _buchberger_tracked(gens, ring, order)
-
     packing = _packing(order, ring.nvars)
     guard = packing.guard
     p = field.characteristic
@@ -393,100 +388,6 @@ def _final_reduce(red: _Reducers, field, ring):
     return out
 
 
-# ---------------------------------------------------------------------------
-# cofactor-tracking variant (small inputs; certifies ideal membership)
-
-def _buchberger_tracked(gens, ring, order):
-    field = ring.field
-
-    def nf_tracked(poly, cof, basis):
-        # full reduction keeping poly = sum cof[k] * gens[k] + (reducible part)
-        rem = ring.zero()
-        cur = poly
-        while cur.terms:
-            lt_m = cur.leading_monomial(order)
-            c = cur.terms[lt_m]
-            hit = None
-            for g, gcof in basis:
-                glt = g.leading_monomial(order)
-                if all(a <= b for a, b in zip(glt, lt_m)):
-                    hit = (g, gcof, glt)
-                    break
-            if hit is None:
-                t = Polynomial(ring, {lt_m: c})
-                rem = rem + t
-                cur = cur - t
-                continue
-            g, gcof, glt = hit
-            q = mono_div(lt_m, glt)
-            factor = field.div(c, g.terms[glt])
-            cur = cur - g.mul_term(q, factor)
-            for k, w in gcof.items():
-                cof[k] = cof.get(k, ring.zero()) - w.mul_term(q, factor)
-        return rem, cof
-
-    basis = []
-    for k, g in enumerate(gens):
-        rem, cof = nf_tracked(g, {k: ring.one()}, basis)
-        if rem.terms:
-            lc = rem.leading_coefficient(order)
-            inv = field.inv(lc)
-            basis.append((rem.scale(inv), {k2: w.scale(inv) for k2, w in cof.items()}))
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-    while pairs:
-        i, j = pairs.pop(0)
-        gi, ci = basis[i]
-        gj, cj = basis[j]
-        li = gi.leading_monomial(order)
-        lj = gj.leading_monomial(order)
-        lcm_ij = mono_lcm(li, lj)
-        s = gi.mul_term(mono_div(lcm_ij, li), field.one) - \
-            gj.mul_term(mono_div(lcm_ij, lj), field.one)
-        cof = {}
-        for k, w in ci.items():
-            cof[k] = cof.get(k, ring.zero()) + w.mul_term(mono_div(lcm_ij, li), field.one)
-        for k, w in cj.items():
-            cof[k] = cof.get(k, ring.zero()) - w.mul_term(mono_div(lcm_ij, lj), field.one)
-        rem, cof = nf_tracked(s, cof, basis)
-        if rem.terms:
-            lc = rem.leading_coefficient(order)
-            inv = field.inv(lc)
-            basis.append((rem.scale(inv), {k: w.scale(inv) for k, w in cof.items()}))
-            t = len(basis) - 1
-            pairs.extend((i2, t) for i2 in range(t))
-
-    # interreduce, keeping the certificates in sync
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(basis)):
-            gi, ci = basis[i]
-            if gi.is_zero():
-                continue
-            others = [(g, c) for k, (g, c) in enumerate(basis) if k != i and not g.is_zero()]
-            rem, cof = nf_tracked(gi, dict(ci), others)
-            if rem != gi:
-                changed = True
-            if rem.terms:
-                lc = rem.leading_coefficient(order)
-                inv = field.inv(lc)
-                basis[i] = (rem.scale(inv), {k: w.scale(inv) for k, w in cof.items()})
-            else:
-                basis[i] = (ring.zero(), {})
-    final = [(g, c) for g, c in basis if not g.is_zero()]
-    final.sort(key=lambda e: order.key(e[0].leading_monomial(order)))
-    elements = tuple(g for g, _ in final)
-    cofactors = tuple({k: w for k, w in c.items() if not w.is_zero()} for _, c in final)
-    gb = GroebnerBasis(ring, order, elements, tuple(gens), cofactors)
-    for g, cof in zip(gb.elements, gb.cofactors):
-        check = ring.zero()
-        for k, w in cof.items():
-            check = check + w * gens[k]
-        if check != g:
-            raise AssertionError("cofactor certificate failed")
-    return gb
-
-
 def extend_basis(gb: GroebnerBasis, extra) -> GroebnerBasis:
     """Basis of ideal(gb) + ideal(extra), reusing gb's pair bookkeeping."""
     extra = tuple(g for g in extra if not g.is_zero())
@@ -501,13 +402,14 @@ def extend_basis(gb: GroebnerBasis, extra) -> GroebnerBasis:
 # ---------------------------------------------------------------------------
 # elimination and saturation
 
-def eliminate(gens, drop_first_k: int, order_tail: TermOrder | None = None):
+def eliminate(gens, drop_first_k: int, *, degree_bound: int | None = None):
     """Generators of ideal(gens) intersected with the subring that omits
     the first ``drop_first_k`` variables.
 
     Returns the Groebner basis elements free of the dropped variables,
-    still expressed in the full ring; they form a basis of the
-    elimination ideal for the induced tail order (grevlex by default).
+    still expressed in the full ring; they form a reduced grevlex basis
+    of the elimination ideal (through weighted degree ``degree_bound``
+    when one is given; see ``buchberger``).
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -516,9 +418,7 @@ def eliminate(gens, drop_first_k: int, order_tail: TermOrder | None = None):
     k = drop_first_k
     if k < 0 or k >= ring.nvars:
         raise RingError("elimination block out of range")
-    if order_tail is not None and not isinstance(order_tail, GREVLEX.__class__):
-        raise RingError("only a grevlex tail order is supported")
-    gb = buchberger(gens, Elimination(k))
+    gb = buchberger(gens, Elimination(k), degree_bound=degree_bound)
     kept = [g for g in gb.elements
             if all(all(e == 0 for e in m[:k]) for m in g.terms)]
     return kept

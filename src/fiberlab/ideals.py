@@ -67,14 +67,6 @@ class Ideal:
         more = ", ..." if len(self.generators) > 6 else ""
         return f"Ideal({gens}{more})"
 
-    def equigenerated_degree(self):
-        """Common degree of the minimal generators, or None."""
-        mingens = self.minimal_generators()
-        if not mingens:
-            return None
-        degs = {g.homogeneous_degree() for g in mingens}
-        return degs.pop() if len(degs) == 1 else None
-
     def minimal_generators(self):
         from .graded import minimal_generators
         return minimal_generators(self)
@@ -92,16 +84,18 @@ class Ideal:
                                       for b in other.generators))
 
     def power(self, n: int, minimalize: bool = True) -> "Ideal":
-        """I^n, computed incrementally with generator minimalization."""
+        """I^n; minimalized, its generators are those of
+        ``IdealContext.power_gens``."""
         if n < 0:
             raise ValueError("negative power")
+        if minimalize:
+            from .blowup import IdealContext
+            return Ideal(self.ring, tuple(IdealContext(self).power_gens(n)))
         if n == 0:
             return Ideal(self.ring, (self.ring.one(),))
         result = self
         for _ in range(n - 1):
             result = result * self
-            if minimalize:
-                result = Ideal(self.ring, result.minimal_generators())
         return result
 
     def _check(self, other):
@@ -173,10 +167,6 @@ class Ideal:
         """e(R/I) from the Hilbert series."""
         return self.hilbert_series().multiplicity
 
-    def dim_graded_piece(self, degree: int) -> int:
-        from .graded import graded_piece
-        return graded_piece(self, degree).dim
-
     def graded_equal(self, other: "Ideal", degree: int) -> bool:
         """[I]_degree == [J]_degree as subspaces of R_degree."""
         from .graded import graded_piece, joint_rank
@@ -219,33 +209,3 @@ def divide_exact(g: Polynomial, f: Polynomial) -> Polynomial:
         quotient[q] = c
         rest = rest - f.mul_term(q, c)
     return Polynomial(ring, quotient)
-
-
-def ideal_sum_product_power(a: Ideal, b_or_n) -> Ideal:
-    if isinstance(b_or_n, Ideal):
-        return a * b_or_n
-    return a.power(int(b_or_n))
-
-
-def intersect(a: Ideal, b: Ideal) -> Ideal:
-    return a.intersect(b)
-
-
-def colon(a: Ideal, f: Polynomial) -> Ideal:
-    return a.colon(f)
-
-
-def hilbert_series(a: Ideal) -> HilbertSeries:
-    return a.hilbert_series()
-
-
-def krull_dimension(a: Ideal) -> int:
-    return a.krull_dimension()
-
-
-def height(a: Ideal) -> int:
-    return a.height()
-
-
-def graded_equal(a: Ideal, b: Ideal, degree: int) -> bool:
-    return a.graded_equal(b, degree)

@@ -89,6 +89,14 @@ class Echelon:
         self.pivots.insert(at, pos)
         return True
 
+    def copy(self) -> "Echelon":
+        """Independent copy; rows are shared, since ``add`` replaces
+        rows instead of changing them in place."""
+        other = Echelon(self.field, self.width)
+        other.rows = list(self.rows)
+        other.pivots = list(self.pivots)
+        return other
+
     def extend(self, vectors) -> int:
         added = 0
         for v in vectors:
@@ -165,8 +173,3 @@ def nullspace(rows, field: FieldSpec, width: int):
                 vec[pc] = field.neg(v if not field.characteristic else int(v))
         basis.append(vec)
     return basis
-
-
-def intersection_dim(rank_a: int, rank_b: int, rank_sum: int) -> int:
-    """dim(U cap W) from dim U, dim W, dim(U + W)."""
-    return rank_a + rank_b - rank_sum

@@ -454,22 +454,6 @@ class Polynomial:
         inv = f.inv(lc)
         return Polynomial(self.ring, {m: f.mul(c, inv) for m, c in self.terms.items()})
 
-    def content_free(self) -> "Polynomial":
-        """Over Q: primitive integer form with positive leading content."""
-        if self.ring.field.characteristic or not self.terms:
-            return self
-        from math import gcd
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        num = 0
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator * (den // c.denominator)))
-        if num == 0:
-            return self
-        scale = Fraction(den, num)
-        return Polynomial(self.ring, {m: c * scale for m, c in self.terms.items()})
-
     def derivative(self, var_index: int) -> "Polynomial":
         f = self.ring.field
         terms = {}

@@ -4,6 +4,10 @@ dimension test, fiber relation degrees, analytic tightness and
 adjustment, the Valabrega-Valla condition (decided through the
 associated graded ring), generic complete intersections, perfectness
 with Hilbert-Burch data, and the multiplicity / map-degree formulas.
+
+Each predicate takes an ideal or its ``IdealContext``; called with the
+report's context, it reuses the powers, pieces and presentations that
+the other predicates built.
 """
 
 from __future__ import annotations
@@ -12,18 +16,13 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 from math import comb, inf
 
-from .blowup import (FiberPresentation, ReesPresentation, equigenerated_data,
-                     fiber_presentation, is_cm_graded, minimal_reduction,
-                     random_forms_in_degree, rees_and_gr)
+from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
+                     minimal_reduction, random_forms_in_degree)
 from .depth import regular_cut, series_of_basis
-from .graded import (degree_basis, graded_piece, joint_rank, linear_rank,
-                     piece_span_of_polys, poly_to_vector)
-from .groebner import extend_basis
+from .graded import degree_basis, joint_rank, poly_to_vector
 from .ideals import Ideal
 from .linalg import Echelon, nullspace, rank_of_rows
-from .polyring import Polynomial, Ring
-from .resolutions import (IncompleteResolutionError, minimal_resolution,
-                          presentation_matrix)
+from .polyring import Ring
 
 
 @dataclass
@@ -67,10 +66,11 @@ def ideal_fingerprint(ideal: Ideal) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def generic_forms(ideal: Ideal, count: int, seed) -> FormSequence:
-    gens = ideal.minimal_generators()
-    forms = random_forms_in_degree(ideal, count, seed, gens)
-    ring = ideal.ring
+def generic_forms(ideal, count: int, seed) -> FormSequence:
+    ctx = IdealContext.of(ideal)
+    gens = ctx.mingens
+    forms = random_forms_in_degree(ctx, count, seed)
+    ring = ctx.ring
     field = ring.field
     # recover the coefficient rows by solving against the generator piece
     d = gens[0].homogeneous_degree()
@@ -106,10 +106,12 @@ def user_forms(forms) -> FormSequence:
 # ---------------------------------------------------------------------------
 # G_s and friends
 
-def check_gs(ideal: Ideal, s: int, pres=None) -> PredicateReport:
+def check_gs(ideal, s: int) -> PredicateReport:
     """G_s via Fitting-ideal heights: ht I_{r-i}(phi) >= i+1 for i < s."""
     from .graded import minors_ideal
-    pres = pres or presentation_matrix(ideal)
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    pres = ctx.presentation
     r = pres.nrows
     heights = {}
     verdict = True
@@ -135,13 +137,15 @@ def check_gs(ideal: Ideal, s: int, pres=None) -> PredicateReport:
                      "generators": r})
 
 
-def valla_dimension(ideal: Ideal, pres=None) -> PredicateReport:
+def valla_dimension(ideal) -> PredicateReport:
     """dim of the symmetric algebra against max(dim R + 1, mu)."""
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
     if ideal.is_zero() or ideal.height() < 1:
         raise ValueError("symmetric-algebra dimension needs grade >= 1")
     ring = ideal.ring
-    pres = pres or presentation_matrix(ideal)
-    gens = ideal.minimal_generators()
+    pres = ctx.presentation
+    gens = ctx.mingens
     r = len(gens)
     from .blowup import _fresh_names
     ynames = _fresh_names("u", r, set(ring.names))
@@ -166,25 +170,19 @@ def valla_dimension(ideal: Ideal, pres=None) -> PredicateReport:
                      "mu": r, "dim_ring": ring.nvars})
 
 
-def fiber_indeg(ideal: Ideal, up_to: int = 6, fp="auto") -> PredicateReport:
+def fiber_indeg(ideal, up_to: int = 6) -> PredicateReport:
     """Least degree of a fiber relation, with the binomial-count formula
-    cross-checked against the eliminated presentation (pass ``fp=None``
-    to skip the elimination cross-check)."""
-    gens, d = equigenerated_data(ideal)
+    cross-checked against the eliminated presentation (unless the
+    context's eliminations are out of budget)."""
+    ctx = IdealContext.of(ideal)
+    gens, d = equigenerated_data(ctx)
     m = len(gens)
-    powers = [[ideal.ring.one()], list(gens)]
-    if fp == "auto":
-        fp = fiber_presentation(ideal)
     found = None
     dims = {}
     for n in range(1, up_to + 1):
-        while len(powers) <= n:
-            prev = Ideal(ideal.ring, tuple(a * b for a in powers[-1] for b in gens))
-            powers.append(prev.minimal_generators())
-        piece = piece_span_of_polys(powers[n], n * d, ideal.ring)
-        formula = comb(m + n - 1, n) - piece.dim
-        if fp is not None:
-            cross = fp.relation_piece_dim(n)
+        formula = comb(m + n - 1, n) - ctx.piece(ctx.power_gens(n), n * d).dim
+        if ctx.fp is not None:
+            cross = ctx.fp.relation_piece_dim(n)
             if formula != cross:
                 raise AssertionError(
                     f"fiber piece mismatch at n={n}: "
@@ -195,7 +193,7 @@ def fiber_indeg(ideal: Ideal, up_to: int = 6, fp="auto") -> PredicateReport:
             break
     verdict = "true" if found is not None else "unknown"
     return PredicateReport(
-        "indeg", {"ideal": ideal_fingerprint(ideal)},
+        "indeg", {"ideal": ideal_fingerprint(ctx.ideal)},
         verdict,
         bounds_used={"up_to": up_to},
         certificate={"indeg": found if found is not None else f">= {up_to + 1}",
@@ -205,13 +203,14 @@ def fiber_indeg(ideal: Ideal, up_to: int = 6, fp="auto") -> PredicateReport:
 # ---------------------------------------------------------------------------
 # tightness and adjustment
 
-def _colon_piece(numerators, f, degree: int, ring: Ring) -> Echelon:
+def _colon_piece(ctx: IdealContext, numerators, f, degree: int) -> Echelon:
     """Echelon basis of [ (numerators) : f ]_degree."""
+    ring = ctx.ring
     field = ring.field
     fdeg = f.homogeneous_degree()
     monos, index = degree_basis(ring, degree)
     up_monos, up_index = degree_basis(ring, degree + fdeg)
-    target = piece_span_of_polys(numerators, degree + fdeg, ring)
+    target = ctx.piece(numerators, degree + fdeg)
     rows = []
     for u in monos:
         prod = f.mul_term(u, field.one)
@@ -231,20 +230,18 @@ def _echelon_to_piece(ech: Echelon, degree: int, ring: Ring):
     return GradedPieceBasis(degree, monos, ech)
 
 
-def analytically_tight(ideal: Ideal, fs: FormSequence, n: int,
-                       powers=None) -> PredicateReport:
+def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     """Graded equality at degree n*d of the colon-capped and plain-capped
     pieces of the prefix ideal."""
-    gens, d = equigenerated_data(ideal)
-    ring = ideal.ring
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    gens, d = equigenerated_data(ctx)
     prefix = fs.forms[:-1]
     last = fs.forms[-1]
-    if powers is None:
-        powers = _power_gens(ideal, gens, n)
-    ipiece = piece_span_of_polys(powers[n], n * d, ring)
-    colon = _colon_piece(prefix, last, n * d, ring)
-    colon_piece = _echelon_to_piece(colon, n * d, ring)
-    prefix_piece = piece_span_of_polys(prefix, n * d, ring)
+    ipiece = ctx.piece(ctx.power_gens(n), n * d)
+    colon = _colon_piece(ctx, prefix, last, n * d)
+    colon_piece = _echelon_to_piece(colon, n * d, ctx.ring)
+    prefix_piece = ctx.piece(prefix, n * d)
     lhs = colon_piece.dim + ipiece.dim - joint_rank(colon_piece, ipiece)
     rhs = prefix_piece.dim + ipiece.dim - joint_rank(prefix_piece, ipiece)
     assert lhs >= rhs, "colon piece must contain the plain piece"
@@ -254,18 +251,19 @@ def analytically_tight(ideal: Ideal, fs: FormSequence, n: int,
         certificate={"colon_cap_dim": lhs, "plain_cap_dim": rhs, "degree": n * d})
 
 
-def tight_profile(ideal: Ideal, fs: FormSequence, n_max: int) -> PredicateReport:
+def tight_profile(ideal, fs: FormSequence, n_max: int) -> PredicateReport:
     """Per-power tightness plus the all-powers verdict.
 
     Tightness in one power propagates to all higher powers, so the
     sequence is analytically tight (every n >= 1) exactly when power 1
     is tight.
     """
-    gens, d = equigenerated_data(ideal)
-    powers = _power_gens(ideal, gens, n_max)
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    equigenerated_data(ctx)
     per_n = {}
     for n in range(1, n_max + 1):
-        per_n[n] = analytically_tight(ideal, fs, n, powers).is_true
+        per_n[n] = analytically_tight(ctx, fs, n).is_true
     for n in range(1, n_max):
         if per_n[n] and not per_n[n + 1]:
             raise AssertionError("tightness monotonicity violated")
@@ -277,17 +275,11 @@ def tight_profile(ideal: Ideal, fs: FormSequence, n_max: int) -> PredicateReport
         certificate={"per_power": {str(n): v for n, v in per_n.items()}})
 
 
-def _power_gens(ideal: Ideal, gens, n_max: int):
-    powers = [[ideal.ring.one()], list(gens)]
-    while len(powers) <= n_max:
-        prev = Ideal(ideal.ring, tuple(a * b for a in powers[-1] for b in gens))
-        powers.append(prev.minimal_generators())
-    return powers
-
-
-def analytically_adjusted(ideal: Ideal, fs: FormSequence) -> PredicateReport:
+def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
     """mu(JI) against l*mu(I) - C(l,2) for J spanned by the sequence."""
-    gens, d = equigenerated_data(ideal)
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    gens, d = equigenerated_data(ctx)
     ring = ideal.ring
     monos, index = degree_basis(ring, d)
     rows = [poly_to_vector(f, index, len(monos)) for f in fs.forms]
@@ -296,7 +288,7 @@ def analytically_adjusted(ideal: Ideal, fs: FormSequence) -> PredicateReport:
     l = len(fs.forms)
     mu = len(gens)
     products = [a * b for a in fs.forms for b in gens]
-    mu_ji = piece_span_of_polys(products, 2 * d, ring).dim
+    mu_ji = ctx.piece(products, 2 * d).dim
     expected = l * mu - comb(l, 2)
     assert mu_ji <= expected, "adjustment upper bound violated"
     return PredicateReport(
@@ -309,8 +301,7 @@ def analytically_adjusted(ideal: Ideal, fs: FormSequence) -> PredicateReport:
 # ---------------------------------------------------------------------------
 # Valabrega-Valla via the associated graded ring
 
-def valabrega_valla(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
-                    pres: ReesPresentation | None = None,
+def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
                     gb_equality_upto: int = 0) -> PredicateReport:
     """(f_1..f_g) cap I^n = (f_1..f_g) I^{n-1} for all n.
 
@@ -320,7 +311,9 @@ def valabrega_valla(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
     comparisons at degree n*d give explicit failure witnesses, and full
     ideal equality via elimination can be requested for small powers.
     """
-    gens, d = equigenerated_data(ideal)
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    gens, d = equigenerated_data(ctx)
     ring = ideal.ring
     g = len(fs_prefix.forms)
     prefix_ideal = Ideal(ring, tuple(fs_prefix.forms))
@@ -328,7 +321,7 @@ def valabrega_valla(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
         raise ValueError("prefix is not a regular sequence (height drop)")
     if fs_prefix.coefficients is None:
         raise ValueError("prefix forms must come with generator coordinates")
-    pres = pres or rees_and_gr(ideal)
+    pres = ctx.pres
     big = pres.big_ring
     split = pres.split
 
@@ -348,15 +341,15 @@ def valabrega_valla(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
             failed_at_step = i + 1
             break
 
-    powers = _power_gens(ideal, gens, n_max)
     per_n = {}
     first_failure = None
     for n in range(1, n_max + 1):
-        prefix_piece = piece_span_of_polys(fs_prefix.forms, n * d, ring)
-        ipiece = piece_span_of_polys(powers[n], n * d, ring)
+        prefix_piece = ctx.piece(fs_prefix.forms, n * d)
+        ipiece = ctx.piece(ctx.power_gens(n), n * d)
         lhs = prefix_piece.dim + ipiece.dim - joint_rank(prefix_piece, ipiece)
-        rhs_products = [a * b for a in fs_prefix.forms for b in powers[n - 1]]
-        rhs = piece_span_of_polys(rhs_products, n * d, ring).dim
+        rhs_products = [a * b for a in fs_prefix.forms
+                        for b in ctx.power_gens(n - 1)]
+        rhs = ctx.piece(rhs_products, n * d).dim
         assert lhs >= rhs
         per_n[n] = (lhs == rhs)
         if not per_n[n] and first_failure is None:
@@ -366,9 +359,9 @@ def valabrega_valla(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
         raise AssertionError("gr-route and piece route disagree on VV")
     gb_checks = {}
     for n in range(1, min(gb_equality_upto, n_max) + 1):
-        inter = prefix_ideal.intersect(Ideal(ring, tuple(powers[n])))
+        inter = prefix_ideal.intersect(Ideal(ring, tuple(ctx.power_gens(n))))
         prod = Ideal(ring, tuple(a * b for a in fs_prefix.forms
-                                 for b in powers[n - 1]))
+                                 for b in ctx.power_gens(n - 1)))
         gb_checks[str(n)] = (inter == prod)
         if gb_checks[str(n)] != per_n[n]:
             raise AssertionError("full ideal equality disagrees with piece check")
@@ -384,10 +377,9 @@ def valabrega_valla(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
                      "full_ideal_equality": gb_checks})
 
 
-def regular_in_gr(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
-                  pres: ReesPresentation | None = None) -> PredicateReport:
+def regular_in_gr(ideal, fs_prefix: FormSequence, n_max: int = 5) -> PredicateReport:
     """Images of the prefix form a regular sequence in gr; decided as VV."""
-    rep = valabrega_valla(ideal, fs_prefix, n_max, pres)
+    rep = valabrega_valla(ideal, fs_prefix, n_max)
     return PredicateReport("reg-in-gr", rep.inputs, rep.verdict,
                            rep.bounds_used, rep.certificate)
 
@@ -395,14 +387,16 @@ def regular_in_gr(ideal: Ideal, fs_prefix: FormSequence, n_max: int = 5,
 # ---------------------------------------------------------------------------
 # generic complete intersection, perfectness, formulas
 
-def generically_ci(ideal: Ideal, pres=None) -> PredicateReport:
+def generically_ci(ideal) -> PredicateReport:
     """Height-2 Fitting criterion: ht(I + I_{r-2}(phi)) >= 3."""
     from .graded import minors_ideal
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
     if ideal.height() != 2:
         return PredicateReport(
             "gen-ci", {"ideal": ideal_fingerprint(ideal)}, "unknown",
             certificate={"reason": "criterion restricted to height-2 ideals"})
-    pres = pres or presentation_matrix(ideal)
+    pres = ctx.presentation
     r = pres.nrows
     minors = minors_ideal(pres, r - 2, ideal)
     if r - 2 <= 0 or minors.is_unit():
@@ -415,9 +409,11 @@ def generically_ci(ideal: Ideal, pres=None) -> PredicateReport:
         certificate={"fitting_height": h})
 
 
-def is_perfect(ideal: Ideal) -> PredicateReport:
+def is_perfect(ideal) -> PredicateReport:
     """pd(R/I) == ht(I); Hilbert-Burch data in height two."""
-    res = minimal_resolution(ideal)
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    res = ctx.resolution
     if not res.table.complete:
         return PredicateReport(
             "perfect", {"ideal": ideal_fingerprint(ideal)}, "unknown",
@@ -428,7 +424,7 @@ def is_perfect(ideal: Ideal) -> PredicateReport:
     cert = {"pd": pd, "ht": ht}
     verdict = pd == ht
     if verdict and ht == 2:
-        d = ideal.equigenerated_degree()
+        d = ctx.degree
         if d is not None:
             ms = sorted(c - d for c in res.presentation.column_degrees)
             cert["hilbert_burch"] = {"d": d, "m": ms}
@@ -437,13 +433,13 @@ def is_perfect(ideal: Ideal) -> PredicateReport:
                            "true" if verdict else "false", certificate=cert)
 
 
-def multiplicity_formula_checks(ideal: Ideal,
-                                context: dict | None = None) -> PredicateReport:
+def multiplicity_formula_checks(ideal) -> PredicateReport:
     """e(R/I) = (d^2 + sum m_i^2)/2, plus the fiber-side conclusions
     (e(F) = C(mu-1,2), r = 2, 3-linear fiber resolution) when the
     degree-3-relations + CM-Rees hypotheses verify."""
-    context = context or {}
-    perfect = context.get("perfect") or is_perfect(ideal)
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    perfect = is_perfect(ctx)
     if not perfect.is_true or perfect.certificate.get("ht") != 2:
         raise ValueError("formula suite needs a height-2 perfect ideal")
     hb = perfect.certificate.get("hilbert_burch")
@@ -458,33 +454,26 @@ def multiplicity_formula_checks(ideal: Ideal,
 
     # hypothesis chain, cheap to expensive; stop at the first failure so
     # entries outside the theorem's reach never build their blow-ups
-    mu = len(ideal.minimal_generators())
+    mu = len(ctx.mingens)
     hyps = {"dim_ring_3": ideal.ring.nvars == 3, "mu_ge_4": mu >= 4}
-    fp = context.get("fp")
     applicable = all(hyps.values())
     if applicable:
-        indeg = context.get("indeg") or fiber_indeg(
-            ideal, fp=fp if fp is not None else "auto")
+        indeg = fiber_indeg(ctx)
         hyps["indeg_ge_3"] = isinstance(indeg.certificate["indeg"], int) \
             and indeg.certificate["indeg"] >= 3
         applicable = hyps["indeg_ge_3"]
     if applicable:
-        fp = fp or fiber_presentation(ideal)
-        hyps["spread_3"] = fp.analytic_spread() == 3
+        hyps["spread_3"] = ctx.spread == 3
         applicable = hyps["spread_3"]
     if applicable:
-        rees_cm = context.get("rees_cm")
-        if rees_cm is None:
-            pres = context.get("rees") or rees_and_gr(ideal, fp)
-            rees_cm = is_cm_graded((pres.big_ring, pres.rees_ideal))
-        hyps["rees_cm"] = rees_cm.is_cm
+        hyps["rees_cm"] = ctx.rees_cm.is_cm
         applicable = hyps["rees_cm"]
     cert["hypotheses"] = hyps
     verdict = formula_ok
     if applicable:
-        e_f = fp.multiplicity()
-        red = context.get("reduction") or minimal_reduction(ideal, fp=fp)
-        fres = context.get("fiber_resolution") or minimal_resolution(fp.relations)
+        e_f = ctx.fp.multiplicity()
+        red = minimal_reduction(ctx)
+        fres = ctx.fiber_resolution
         linear3 = fres.table.complete and all(
             j - i == 2 for (i, j) in fres.table.entries if i >= 1)
         cert["conditional"] = {
@@ -501,17 +490,17 @@ def multiplicity_formula_checks(ideal: Ideal,
         "true" if verdict else "false", certificate=cert)
 
 
-def map_degree_via_formula(ideal: Ideal,
-                           context: dict | None = None) -> PredicateReport:
+def map_degree_via_formula(ideal) -> PredicateReport:
     """Degree of the linear-system map from e(F)*deg = d^2 - e(R/I).
 
     The identity chain d^2 - e(R/I) = sum_{i<j} m_i m_j is evaluated for
     every height-2 perfect equigenerated input; the degree itself is
     asserted only under the generically-CI certificate the formula
-    requires.
+    requires, and checked against the Rees CM verdict.
     """
-    context = context or {}
-    perfect = context.get("perfect") or is_perfect(ideal)
+    ctx = IdealContext.of(ideal)
+    ideal = ctx.ideal
+    perfect = is_perfect(ctx)
     if not perfect.is_true or perfect.certificate.get("ht") != 2:
         raise ValueError("map degree needs a height-2 perfect ideal")
     hb = perfect.certificate.get("hilbert_burch")
@@ -521,10 +510,8 @@ def map_degree_via_formula(ideal: Ideal,
     e_ri = ideal.multiplicity()
     pairs = sum(ms[i] * ms[j] for i in range(len(ms)) for j in range(i + 1, len(ms)))
     chain_ok = (d * d - e_ri) == pairs
-    gci = context.get("gen_ci") or generically_ci(
-        ideal, context.get("presentation"))
-    fp = context.get("fp") or fiber_presentation(ideal)
-    e_f = fp.multiplicity()
+    gci = generically_ci(ctx)
+    e_f = ctx.fp.multiplicity()
     cert = {"d": d, "m": ms, "e_RI": e_ri, "sum_pairs": pairs,
             "identity_chain": chain_ok, "e_F": e_f,
             "generically_ci": gci.verdict}
@@ -535,16 +522,14 @@ def map_degree_via_formula(ideal: Ideal,
         cert["map_degree"] = num // e_f if integral else None
         cert["integral"] = integral
         verdict = verdict and integral
-        if len(ideal.minimal_generators()) > 2:
+        if len(ctx.mingens) > 2:
             linearly_presented = all(m == 1 for m in ms)
             cert["linearly_presented"] = linearly_presented
-            rees_cm = context.get("rees_cm")
-            if rees_cm is not None:
-                cert["rees_cm"] = rees_cm.is_cm
-                if rees_cm.is_cm and integral:
-                    if linearly_presented != (cert["map_degree"] == 1):
-                        raise AssertionError(
-                            "linear presentation vs degree-1 cross-check failed")
+            cert["rees_cm"] = ctx.rees_cm.is_cm
+            if ctx.rees_cm.is_cm and integral:
+                if linearly_presented != (cert["map_degree"] == 1):
+                    raise AssertionError(
+                        "linear presentation vs degree-1 cross-check failed")
     else:
         cert["map_degree"] = "not-applicable"
     return PredicateReport(

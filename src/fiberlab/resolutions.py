@@ -69,7 +69,6 @@ DEFAULT_CEILING = 60
 
 def _cutoff_ladder(start: int, nvars: int, ceiling: int):
     cuts = []
-    c = start + 2
     for inc in (2, 4, nvars):
         cuts.append(start + inc)
     c = cuts[-1]

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from fiberlab.blowup import (equigenerated_data, fiber_presentation,
+from fiberlab.blowup import (IdealContext, equigenerated_data, fiber_presentation,
                              fiber_truncated, fiber_multiplicity,
                              free_basis_over_reduction, is_cm_graded,
                              minimal_reduction, rees_and_gr,
@@ -17,7 +17,7 @@ def test_complete_intersection_fiber(R3):
     fp = fiber_presentation(Ideal(R3, (x, y)))
     assert fp.relations.is_zero()
     assert fp.analytic_spread() == 2
-    assert fiber_multiplicity(Ideal(R3, (x, y)), fp) == 1
+    assert fiber_multiplicity(Ideal(R3, (x, y))) == 1
 
 
 def test_monomial4_quadric(monomial4):
@@ -136,9 +136,9 @@ def test_free_basis_examples(R3, binomial4, monomial4):
     fbb = free_basis_over_reduction(binomial4, redb)
     assert [(n, len(b)) for n, b in fbb] == [(1, 1), (2, 1)]
     # total rank 1 + |B_1| + |B_2| = 3 = e(F), checked internally
-    fpm = fiber_presentation(monomial4)
-    redm = minimal_reduction(monomial4, seed="t", fp=fpm)
-    fbm = free_basis_over_reduction(monomial4, redm, fpm)
+    ctx = IdealContext(monomial4)
+    redm = minimal_reduction(ctx, seed="t")
+    fbm = free_basis_over_reduction(ctx, redm)
     assert [(n, len(b)) for n, b in fbm] == [(1, 1)]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from fiberlab import cli
 from fiberlab.corpus import (CORPUS_BY_ID, compare_with_golden, compute_entry,
-                             load_golden, strip_objects)
+                             load_golden, read_entry_text, strip_objects)
 
 
 def run_cli(args, **kw):
@@ -51,6 +51,31 @@ def test_check_exit_codes(simple_file):
         assert run_cli(["check", "indeg", name]).returncode == 4
     finally:
         os.unlink(name)
+
+
+def test_invariants_non_equigenerated_exits_zero(tmp_path):
+    """No blow-up block for mixed degrees is a fact about the input, not
+    an exceeded bound."""
+    p = tmp_path / "mixed.ideal"
+    p.write_text("ring x, y, z over 32003;\nideal x^2, y^2, z^2, x*y*z;\n")
+    out = run_cli(["invariants", str(p)])
+    assert out.returncode == 0
+    assert set(json.loads(out.stdout)["skipped"]) == {"blowup"}
+
+
+def test_invariants_agrees_with_corpus_report(tmp_path):
+    """``invariants`` and ``reproduce`` run one pipeline: on a copy of a
+    corpus file with the same stem, every invariant the command reports
+    equals the corpus report's value."""
+    entry = CORPUS_BY_ID["ex-3-monomial4"]
+    p = tmp_path / entry.filename
+    p.write_text(read_entry_text(entry))
+    out = run_cli(["invariants", str(p)])
+    assert out.returncode == 0
+    inv = json.loads(out.stdout)["invariants"]
+    expected = json.loads(json.dumps(compute_entry(entry.id)["invariants"]))
+    assert inv and set(inv) <= set(expected)
+    assert {k: expected[k] for k in inv} == inv
 
 
 def test_parse_error_exit_two(tmp_path):

@@ -232,20 +232,6 @@ def test_eliminate_quadric_relation():
     assert kept[0] == w2 * w3 - w1 * w4
 
 
-def test_cofactor_certificates(R3):
-    x, y, z = (R3.variable(i) for i in range(3))
-    gens = [x * x - y, x * y - z]
-    gb = buchberger(gens, GREVLEX, track_cofactors=True)
-    assert gb.cofactors is not None
-    for g, cof in zip(gb.elements, gb.cofactors):
-        acc = R3.zero()
-        for k, w in cof.items():
-            acc = acc + w * gens[k]
-        assert acc == g
-    plain = buchberger(gens, GREVLEX)
-    assert plain.elements == gb.elements
-
-
 def test_extend_basis_matches_scratch(binomial4):
     gb = binomial4.groebner()
     x = binomial4.ring.variable(0)

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from fiberlab.blowup import fiber_presentation, is_cm_graded, minimal_reduction, rees_and_gr
+from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
+                             minimal_reduction)
 from fiberlab.fields import GF
 from fiberlab.ideals import Ideal
 from fiberlab.parse import maximal_minors, parse_ideal_file
@@ -195,10 +196,10 @@ def test_vv_complete_intersection(R3):
 
 
 def test_vv_sixgen_fails_at_two(sixgen):
-    pres = rees_and_gr(sixgen)
+    ctx = IdealContext(sixgen)
     for seed in (1, 2, 3):
-        fs = generic_forms(sixgen, 2, f"vv:{seed}")
-        rep = valabrega_valla(sixgen, fs, n_max=3, pres=pres,
+        fs = generic_forms(ctx, 2, f"vv:{seed}")
+        rep = valabrega_valla(ctx, fs, n_max=3,
                               gb_equality_upto=2 if seed == 1 else 0)
         assert not rep.is_true
         assert rep.certificate["first_failure"] == 2
@@ -303,11 +304,9 @@ def test_theorem_conclusions_on_generic_instance(gen4x3):
 
 
 def test_map_degree_linearly_presented(gen4x3):
-    fp = fiber_presentation(gen4x3)
-    pres = rees_and_gr(gen4x3, fp)
-    cm = is_cm_graded((pres.big_ring, pres.rees_ideal))
-    rep = map_degree_via_formula(gen4x3, {"fp": fp, "rees_cm": cm})
+    rep = map_degree_via_formula(gen4x3)
     assert rep.is_true
+    assert rep.certificate["rees_cm"] is True
     assert rep.certificate["map_degree"] == 1
     assert rep.certificate["linearly_presented"] is True
 
