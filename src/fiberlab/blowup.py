@@ -544,8 +544,9 @@ def free_basis_over_reduction(ideal, red: ReductionData):
         ech = ctx.piece(jproducts, n * d).echelon.copy()
         ipiece = ctx.piece(ctx.power_gens(n), n * d)
         lifts = []
-        for row in ipiece.echelon.rows:
-            if ech.add(row):
+        rows = ipiece.echelon.rows
+        for row, grew in zip(rows, ech.extend(rows)):
+            if grew:
                 lifts.append(vector_to_poly(row, ipiece.ambient_monomials, ctx.ring))
         out.append((n, lifts))
     total = 1 + sum(len(b) for _, b in out)

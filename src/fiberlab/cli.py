@@ -57,7 +57,6 @@ def _common_flags(p):
                    help="override the characteristic (0 for the rationals)")
     p.add_argument("--seed", type=str, default="1,2,3",
                    help="comma-separated seed list")
-    p.add_argument("--nmax", type=int, default=None, help="power bound for per-n checks")
     p.add_argument("--cutoff", type=int, default=corpus_mod.DEFAULT_CUTOFF_CEILING,
                    help="resolution degree ceiling")
     p.add_argument("--trials", type=int, default=corpus_mod.DEFAULT_TRIALS,
@@ -83,11 +82,13 @@ def build_parser():
     p_chk.add_argument("--s", type=int, default=3, help="s for the gs predicate")
     p_chk.add_argument("--n", type=int, default=1, help="power for tight")
     p_chk.add_argument("--l", type=int, default=None, help="forms for adjusted")
+    p_chk.add_argument("--nmax", type=int, default=None, help="power bound for per-n checks")
     _common_flags(p_chk)
 
     p_rep = sub.add_parser("reproduce", help="rerun corpus entries against goldens")
     p_rep.add_argument("target", nargs="?", default="all")
     p_rep.add_argument("--jobs", type=int, default=1)
+    p_rep.add_argument("--nmax", type=int, default=None, help="power bound for per-n checks")
     _common_flags(p_rep)
     return ap
 
@@ -128,8 +129,8 @@ def cmd_invariants(args) -> int:
     t0 = time.time()
     entry = corpus_mod.CorpusEntry(Path(args.file).stem, args.file, "",
                                    plan="basic")
-    report = corpus_mod.entry_report(entry, ideal, _seeds(args), args.nmax,
-                                     args.trials, args.rmax, args.cutoff)
+    report = corpus_mod.entry_report(entry, ideal, _seeds(args), trials=args.trials,
+                                     r_max=args.rmax, cutoff=args.cutoff)
     if args.timings:
         report["timing_seconds"] = round(time.time() - t0, 3)
     else:

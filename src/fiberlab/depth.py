@@ -17,11 +17,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from .groebner import GroebnerBasis, buchberger, extend_basis, normal_form
 from .hilbert import HilbertSeries, monomial_numerator
-from .linalg import Echelon, nullspace
+from .linalg import nullspace, sparse_rows
 from .polyring import Polynomial, Ring
 
 
@@ -86,25 +84,16 @@ def socle_witness(gb: GroebnerBasis, max_degree: int) -> Polynomial | None:
             continue
         std_up = standard_monomials(gb, e + 1)
         up_index = {m: i for i, m in enumerate(std_up)}
-        width = n * len(std_up)
-        rows = []
-        for u in std:
-            if field.characteristic:
-                vec = np.zeros(width, dtype=np.int64)
-            else:
-                vec = [field.zero] * width
+        # multiplication by the variables, one row per (variable, standard
+        # monomial of degree e + 1): its kernel is the socle in degree e
+        entries = [[] for _ in range(n * len(std_up))]
+        for col, u in enumerate(std):
             for i in range(n):
                 prod = normal_form(ring.monomial(u) * variables[i], gb)
                 for m, c in prod.terms.items():
-                    j = i * len(std_up) + up_index[m]
-                    vec[j] = c
-            rows.append(vec)
-        if width:
-            mat = list(map(list, zip(*rows)))
-        else:
-            mat = []
-        kernel = nullspace(mat, field, len(std))
-        if kernel:
+                    entries[i * len(std_up) + up_index[m]].append((col, c))
+        kernel = nullspace(sparse_rows(entries, len(std), field), field, len(std))
+        if len(kernel):
             v = kernel[0]
             terms = {}
             for m, c in zip(std, v):

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 32003
 
-# numpy's int64 accumulators need room for sums of ~10^4 products a*b
-# with a, b < p, so p is capped well below 2**31.
+# The dense F_p kernel (linalg) sums products a*b with a, b < p exactly in
+# float64, which needs (p - 1)**2 < 2**53 with room for at least two terms.
 MAX_PRIME = 1 << 26
 
 

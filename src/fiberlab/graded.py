@@ -10,9 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .linalg import Echelon, nullspace, rank_of_rows
+from .linalg import Echelon, nullspace, rank_of_rows, sparse_rows, zero_vector
 from .polyring import GREVLEX, Polynomial, Ring, mono_mul
 
 
@@ -25,12 +23,7 @@ def degree_basis(ring: Ring, degree: int):
 
 
 def poly_to_vector(p: Polynomial, index, width):
-    if p.ring.field.characteristic:
-        vec = np.zeros(width, dtype=np.int64)
-        for m, c in p.terms.items():
-            vec[index[m]] = c
-        return vec
-    vec = [p.ring.field.zero] * width
+    vec = zero_vector(p.ring.field, width)
     for m, c in p.terms.items():
         vec[index[m]] = c
     return vec
@@ -58,10 +51,6 @@ class GradedPieceBasis:
     def dim(self) -> int:
         return self.echelon.rank
 
-    @property
-    def coords(self):
-        return self.echelon.basis_rows()
-
     def contains(self, p: Polynomial) -> bool:
         vec = poly_to_vector(p, {m: i for i, m in enumerate(self.ambient_monomials)},
                              len(self.ambient_monomials))
@@ -73,15 +62,15 @@ class GradedPieceBasis:
 
 
 def spanning_rows(gens, degree: int, ring: Ring, index, width):
-    """Vectors of all monomial multiples m*g landing in the given degree."""
-    rows = []
+    """Vectors of all monomial multiples m*g landing in the given degree,
+    made one at a time."""
+    one = ring.field.one
     for g in gens:
         d = g.homogeneous_degree()
         if d > degree:
             continue
         for m in ring.monomials_of_degree(degree - d):
-            rows.append(poly_to_vector(g.mul_term(m, ring.field.one), index, width))
-    return rows
+            yield poly_to_vector(g.mul_term(m, one), index, width)
 
 
 def graded_piece(ideal, degree: int) -> GradedPieceBasis:
@@ -91,56 +80,17 @@ def graded_piece(ideal, degree: int) -> GradedPieceBasis:
 def piece_span_of_polys(polys, degree: int, ring: Ring) -> GradedPieceBasis:
     monos, index = degree_basis(ring, degree)
     ech = Echelon(ring.field, len(monos))
-    for row in spanning_rows(polys, degree, ring, index, len(monos)):
-        ech.add(row)
+    ech.extend(spanning_rows(polys, degree, ring, index, len(monos)))
     return GradedPieceBasis(degree, monos, ech)
 
 
 def joint_rank(a: GradedPieceBasis, b: GradedPieceBasis) -> int:
     """dim of the sum of two pieces of the same degree."""
-    assert a.degree == b.degree
-    ech = Echelon(a.echelon.field, len(a.ambient_monomials))
-    for row in a.echelon.rows:
-        ech.add(row)
-    for row in b.echelon.rows:
-        ech.add(row)
-    return ech.rank
-
-
-def piece_intersection(a: GradedPieceBasis, b: GradedPieceBasis, ring: Ring):
-    """Basis polynomials of the intersection of two graded pieces.
-
-    Kernel method: vectors (u, w) with u in A-coords, w in B-coords and
-    u*A = w*B; the intersection is the image of the u-part.
-    """
-    field = ring.field
-    width = len(a.ambient_monomials)
-    rows_a = a.echelon.rows
-    rows_b = b.echelon.rows
-    # columns: coefficients over rows_a then rows_b; constraint u*A - w*B = 0
-    mat = []
-    for j in range(width):
-        col = [row[j] for row in rows_a] + [field.neg(row[j] if not field.characteristic
-                                                       else int(row[j])) for row in rows_b]
-        mat.append(col)
-    combos = nullspace(mat, field, len(rows_a) + len(rows_b))
-    out = []
-    ech = Echelon(field, width)
-    for v in combos:
-        u = v[:len(rows_a)]
-        if field.characteristic:
-            vec = np.zeros(width, dtype=np.int64)
-            for c, row in zip(u, rows_a):
-                if c:
-                    vec = (vec + int(c) * row) % field.characteristic
-        else:
-            vec = [field.zero] * width
-            for c, row in zip(u, rows_a):
-                if c:
-                    vec = [x + c * y for x, y in zip(vec, row)]
-        if ech.add(vec):
-            out.append(vector_to_poly(vec, a.ambient_monomials, ring))
-    return out
+    if a.degree != b.degree:
+        raise ValueError(f"pieces of degrees {a.degree} and {b.degree}")
+    residuals = (row for block in b.echelon.row_blocks()
+                 for row in a.echelon.reduce(block))
+    return a.dim + rank_of_rows(residuals, a.echelon.field, a.echelon.width)
 
 
 def minimal_generators(ideal):
@@ -162,11 +112,9 @@ def minimal_generators(ideal):
     for e in sorted(by_degree):
         monos, index = degree_basis(ring, e)
         ech = Echelon(ring.field, len(monos))
-        for row in spanning_rows(chosen, e, ring, index, len(monos)):
-            ech.add(row)
-        for g in by_degree[e]:
-            if ech.add(poly_to_vector(g, index, len(monos))):
-                chosen.append(g)
+        ech.extend(spanning_rows(chosen, e, ring, index, len(monos)))
+        new = ech.extend([poly_to_vector(g, index, len(monos)) for g in by_degree[e]])
+        chosen += [g for g, grew in zip(by_degree[e], new) if grew]
     return chosen
 
 
@@ -230,47 +178,15 @@ def syzygies_degreewise(columns, codomain_degrees, ring: Ring, max_degree: int):
                 continue
             for m in ring.monomials_of_degree(e - di):
                 cod_index[(i, m)] = len(cod_index)
-        width = len(cod_index)
-        rows = []
-        for k, m in dom:
-            vec = (np.zeros(width, dtype=np.int64) if field.characteristic
-                   else [field.zero] * width)
-            for i, entry in enumerate(columns[k]):
-                for em, ec in entry.terms.items():
-                    j = cod_index[(i, mono_mul(em, m))]
-                    if field.characteristic:
-                        vec[j] = (vec[j] + int(ec)) % field.characteristic
-                    else:
-                        vec[j] = vec[j] + ec
-            rows.append(vec)
-        # left kernel of the map: transpose and solve
-        if field.characteristic:
-            mat = np.array(rows, dtype=np.int64).T if rows else np.zeros((0, 0))
-            kernel = nullspace(list(mat), field, len(dom))
-        else:
-            mat = list(map(list, zip(*rows))) if rows else []
-            kernel = nullspace(mat, field, len(dom))
-        if not kernel:
+        kernel = nullspace(_transposed_map(columns, dom, cod_index, field), field,
+                           len(dom))
+        if not len(kernel):
             continue
         # known syzygies generate a sub; take the complement inside the kernel
         known = Echelon(field, len(dom))
-        dom_index = {t: i for i, t in enumerate(dom)}
-        for s, ds in zip(syzygies, syzygy_degrees):
-            if e - ds < 0:
-                continue
-            for m in ring.monomials_of_degree(e - ds):
-                vec = (np.zeros(len(dom), dtype=np.int64) if field.characteristic
-                       else [field.zero] * len(dom))
-                for k, entry in enumerate(s):
-                    for em, ec in entry.terms.items():
-                        j = dom_index[(k, mono_mul(em, m))]
-                        if field.characteristic:
-                            vec[j] = (vec[j] + int(ec)) % field.characteristic
-                        else:
-                            vec[j] = vec[j] + ec
-                known.add(vec)
-        for v in kernel:
-            if known.add(v):
+        known.extend(_multiples(syzygies, syzygy_degrees, e, dom, ring))
+        for v, grew in zip(kernel, known.extend(kernel)):
+            if grew:
                 # materialize the new syzygy as a polynomial vector
                 parts = [dict() for _ in columns]
                 for (k, m), c in zip(dom, v):
@@ -281,6 +197,28 @@ def syzygies_degreewise(columns, codomain_degrees, ring: Ring, max_degree: int):
                 syzygies.append([Polynomial(ring, t) for t in parts])
                 syzygy_degrees.append(e)
     return syzygies, syzygy_degrees
+
+
+def _transposed_map(columns, dom, cod_index, field):
+    """Rows of the map's matrix on the domain coordinates ``dom``, one per
+    codomain coordinate, so that its kernel is the left kernel."""
+    entries = [[] for _ in cod_index]
+    for col, (k, m) in enumerate(dom):
+        for i, entry in enumerate(columns[k]):
+            for em, ec in entry.terms.items():
+                entries[cod_index[(i, mono_mul(em, m))]].append((col, ec))
+    return sparse_rows(entries, len(dom), field)
+
+
+def _multiples(syzygies, degrees, e, dom, ring):
+    """Coordinate vectors of all monomial multiples of the syzygies in
+    degree e, made one at a time."""
+    dom_index = {t: i for i, t in enumerate(dom)}
+    entries = ([(dom_index[(k, mono_mul(em, m))], ec)
+                for k, entry in enumerate(s) for em, ec in entry.terms.items()]
+               for s, ds in zip(syzygies, degrees) if e >= ds
+               for m in ring.monomials_of_degree(e - ds))
+    return sparse_rows(entries, len(dom), ring.field)
 
 
 def minors_ideal(pres: PresentationMatrix, size: int, ideal) -> "object":

@@ -16,10 +16,12 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 from math import comb, inf
 
+import numpy as np
+
 from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
 from .depth import regular_cut, series_of_basis
-from .graded import degree_basis, joint_rank, poly_to_vector
+from .graded import degree_basis, joint_rank, poly_to_vector, spanning_rows
 from .ideals import Ideal
 from .linalg import Echelon, nullspace, rank_of_rows
 from .polyring import Ring
@@ -87,9 +89,8 @@ def _express(vec, rows, field):
     """Coefficients writing vec as a combination of independent rows."""
     width = len(rows[0])
     aug = Echelon(field, width + len(rows))
-    for i, row in enumerate(rows):
-        unit = [field.one if j == i else field.zero for j in range(len(rows))]
-        aug.add(list(row) + unit)
+    aug.extend([list(row) + [field.one if j == i else field.zero for j in range(len(rows))]
+                for i, row in enumerate(rows)])
     padded = list(vec) + [field.zero] * len(rows)
     residual = aug.reduce(padded)
     head = residual[:width]
@@ -208,19 +209,13 @@ def _colon_piece(ctx: IdealContext, numerators, f, degree: int) -> Echelon:
     ring = ctx.ring
     field = ring.field
     fdeg = f.homogeneous_degree()
-    monos, index = degree_basis(ring, degree)
+    monos, _ = degree_basis(ring, degree)
     up_monos, up_index = degree_basis(ring, degree + fdeg)
     target = ctx.piece(numerators, degree + fdeg)
-    rows = []
-    for u in monos:
-        prod = f.mul_term(u, field.one)
-        vec = poly_to_vector(prod, up_index, len(up_monos))
-        rows.append(target.echelon.reduce(vec))
-    mat = list(map(list, zip(*rows))) if rows else []
-    kernel = nullspace(mat, field, len(monos))
+    multiples = list(spanning_rows([f], degree + fdeg, ring, up_index, len(up_monos)))
+    residual = target.echelon.reduce(np.array(multiples))
     ech = Echelon(field, len(monos))
-    for v in kernel:
-        ech.add(v)
+    ech.extend(nullspace(np.transpose(residual), field, len(monos)))
     return ech
 
 
@@ -244,7 +239,8 @@ def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     prefix_piece = ctx.piece(prefix, n * d)
     lhs = colon_piece.dim + ipiece.dim - joint_rank(colon_piece, ipiece)
     rhs = prefix_piece.dim + ipiece.dim - joint_rank(prefix_piece, ipiece)
-    assert lhs >= rhs, "colon piece must contain the plain piece"
+    if lhs < rhs:
+        raise AssertionError("colon piece must contain the plain piece")
     return PredicateReport(
         "tight", {"ideal": ideal_fingerprint(ideal), "forms": fs.provenance, "n": n},
         "true" if lhs == rhs else "false",
@@ -290,7 +286,8 @@ def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
     products = [a * b for a in fs.forms for b in gens]
     mu_ji = ctx.piece(products, 2 * d).dim
     expected = l * mu - comb(l, 2)
-    assert mu_ji <= expected, "adjustment upper bound violated"
+    if mu_ji > expected:
+        raise AssertionError("adjustment upper bound violated")
     return PredicateReport(
         "adjusted", {"ideal": ideal_fingerprint(ideal), "forms": fs.provenance,
                      "l": l},
@@ -350,7 +347,8 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
         rhs_products = [a * b for a in fs_prefix.forms
                         for b in ctx.power_gens(n - 1)]
         rhs = ctx.piece(rhs_products, n * d).dim
-        assert lhs >= rhs
+        if lhs < rhs:
+            raise AssertionError(f"VV piece check at n={n}: cap {lhs} below product {rhs}")
         per_n[n] = (lhs == rhs)
         if not per_n[n] and first_failure is None:
             first_failure = n
@@ -428,7 +426,8 @@ def is_perfect(ideal) -> PredicateReport:
         if d is not None:
             ms = sorted(c - d for c in res.presentation.column_degrees)
             cert["hilbert_burch"] = {"d": d, "m": ms}
-            assert sum(ms) == d, "Hilbert-Burch column degrees must sum to d"
+            if sum(ms) != d:
+                raise AssertionError("Hilbert-Burch column degrees must sum to d")
     return PredicateReport("perfect", {"ideal": ideal_fingerprint(ideal)},
                            "true" if verdict else "false", certificate=cert)
 
@@ -448,7 +447,8 @@ def multiplicity_formula_checks(ideal) -> PredicateReport:
     d, ms = hb["d"], hb["m"]
     e_ri = ideal.multiplicity()
     closed = (d * d + sum(m * m for m in ms))
-    assert closed % 2 == 0
+    if closed % 2:
+        raise AssertionError(f"d^2 + sum m_i^2 = {closed} is odd")
     formula_ok = e_ri == closed // 2
     cert = {"e_RI": e_ri, "closed_form": closed // 2, "d": d, "m": ms}
 

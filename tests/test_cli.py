@@ -86,6 +86,14 @@ def test_parse_error_exit_two(tmp_path):
     assert "line 1" in out.stderr
 
 
+def test_invariants_rejects_nmax(simple_file):
+    """The basic plan has no per-power check, so --nmax is an input error."""
+    out = run_cli(["invariants", simple_file, "--nmax", "2"])
+    assert out.returncode == 2
+    assert "--nmax" in out.stderr
+    assert run_cli(["check", "tight", simple_file, "--nmax", "2"]).returncode != 2
+
+
 def test_bad_predicate_name(simple_file):
     out = run_cli(["check", "nonsense", simple_file])
     assert out.returncode == 2

@@ -4,9 +4,8 @@ from math import comb
 import pytest
 
 from fiberlab.fields import GF
-from fiberlab.graded import (graded_piece, joint_rank, linear_rank,
-                             minimal_generators, minors_ideal,
-                             piece_intersection, piece_span_of_polys)
+from fiberlab.graded import (graded_piece, linear_rank, minimal_generators,
+                             minors_ideal, piece_span_of_polys)
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
 from fiberlab.resolutions import presentation_matrix
@@ -73,17 +72,6 @@ def test_piece_monotone_and_subadditive(R3, rng):
             assert da <= db
             dg = graded_piece(Ideal(R3, (g,)), e).dim
             assert db <= da + dg
-
-
-def test_piece_intersection_brute(R3):
-    x, y, z = (R3.variable(i) for i in range(3))
-    a = graded_piece(Ideal(R3, (x,)), 2)
-    b = graded_piece(Ideal(R3, (y,)), 2)
-    inter = piece_intersection(a, b, R3)
-    assert len(inter) == a.dim + b.dim - joint_rank(a, b)
-    for p in inter:
-        assert a.contains(p) and b.contains(p)
-    assert sorted(str(p) for p in inter) == ["x*y"]
 
 
 def test_presentation_columns_are_syzygies(sixgen):

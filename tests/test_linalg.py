@@ -1,8 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from fiberlab.fields import GF, QQ
 from fiberlab.linalg import Echelon, echelon_from_rows, nullspace, rank_of_rows
+
+
+def rref_rows(e):
+    return e.rows.astype(np.int64).tolist()
 
 
 def random_matrix(rng, rows, cols, p=None):
@@ -31,8 +38,8 @@ def test_echelon_is_canonical_rref():
         m = random_matrix(rng, 6, 5, 32003)
         e1 = echelon_from_rows(m, field, 5)
         e2 = echelon_from_rows(list(reversed(m)), field, 5)
-        assert e1.basis_rows() == e2.basis_rows()   # row order can't matter
-        rows = e1.basis_rows()
+        assert rref_rows(e1) == rref_rows(e2)   # row order can't matter
+        rows = rref_rows(e1)
         for i, p in enumerate(e1.pivots):
             assert rows[i][p] == 1
             for j in range(len(rows)):
@@ -76,3 +83,127 @@ def test_membership_and_reduce():
     assert e.contains([1, 3, 4])
     assert not e.contains([0, 0, 1])
     assert e.rank == 2
+
+
+# ---------------------------------------------------------------------------
+# the block F_p kernel against plain Python Gauss-Jordan
+
+PRIMES = (5, 32003, 67108859)   # 67108859 is the largest prime below 2**26
+
+
+def oracle_insert(basis, row, p):
+    """Insert ``row`` into ``basis`` (dict pivot -> RREF row) with Python
+    ints; True if the rank grew."""
+    row = [v % p for v in row]
+    for pos, b in basis.items():
+        c = row[pos]
+        if c:
+            row = [(x - c * y) % p for x, y in zip(row, b)]
+    pos = next((j for j, v in enumerate(row) if v), None)
+    if pos is None:
+        return False
+    inv = pow(row[pos], -1, p)
+    row = [v * inv % p for v in row]
+    for q, b in basis.items():
+        c = b[pos]
+        if c:
+            basis[q] = [(x - c * y) % p for x, y in zip(b, row)]
+    basis[pos] = row
+    return True
+
+
+def oracle_rref(rows, p):
+    """(RREF rows in pivot order, pivots, per-row rank-growth flags)."""
+    basis = {}
+    flags = [oracle_insert(basis, row, p) for row in rows]
+    return [basis[q] for q in sorted(basis)], sorted(basis), flags
+
+
+def low_rank_rows(rng, nrows, ncols, rank, p, zero_rows=0):
+    """Rows of a random nrows x ncols matrix of rank <= rank, with some
+    rows replaced by zeros and some entries pushed to p - 1."""
+    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+    right = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(ncols)]
+             for _ in range(rank)]
+    rows = [[sum(a * b for a, b in zip(lr, col)) % p for col in zip(*right)]
+            for lr in left]
+    for i in rng.sample(range(nrows), zero_rows):
+        rows[i] = [0] * ncols
+    return rows
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_block_kernel_matches_oracle(p):
+    rng = random.Random(f"block-kernel:{p}")
+    field = GF(p)
+    # more rows than one block, rank-deficient, with zero rows; and a
+    # full-rank square case
+    for nrows, ncols, rank, zeros in ((150, 40, 23, 9), (70, 90, 60, 3), (30, 30, 30, 0)):
+        rows = low_rank_rows(rng, nrows, ncols, rank, p, zeros)
+        want_rows, want_pivots, want_flags = oracle_rref(rows, p)
+        e = Echelon(field, ncols)
+        assert e.extend(rows) == want_flags
+        assert e.rank == len(want_pivots)
+        assert rref_rows(e) == want_rows
+        assert list(e.pivots) == want_pivots
+        assert rank_of_rows(np.array(rows), field, ncols) == len(want_pivots)
+        for row in rows[:5]:
+            assert e.contains(row)
+            assert not e.reduce(row).any()
+        residual = e.reduce([[rng.randrange(p) for _ in range(ncols)]])
+        assert residual.shape == (1, ncols)
+        assert all(residual[0, q] == 0 for q in want_pivots)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_single_adds_mixed_with_extend(p):
+    rng = random.Random(f"mixed:{p}")
+    field = GF(p)
+    rows = low_rank_rows(rng, 140, 50, 35, p, zero_rows=6)
+    want_rows, want_pivots, want_flags = oracle_rref(rows, p)
+    e = Echelon(field, 50)
+    flags = []
+    i = 0
+    while i < len(rows):
+        step = rng.choice((1, 1, 3, 64, 70))
+        if step == 1:
+            flags.append(e.add(rows[i]))
+        else:
+            flags.extend(e.extend(iter(rows[i:i + step])))
+        i += step
+    assert flags == want_flags
+    assert rref_rows(e) == want_rows
+    assert list(e.pivots) == want_pivots
+
+
+def test_copy_is_independent():
+    rng = random.Random("copy")
+    p = 32003
+    field = GF(p)
+    rows = low_rank_rows(rng, 100, 30, 20, p)
+    e = echelon_from_rows(rows[:70], field, 30)
+    before_rows, before_pivots = rref_rows(e), list(e.pivots)
+    other = e.copy()
+    assert other.extend(rows[70:]) == oracle_rref(rows, p)[2][70:]
+    other.add([rng.randrange(p) for _ in range(30)])
+    assert rref_rows(e) == before_rows
+    assert list(e.pivots) == before_pivots
+    assert rref_rows(other) == oracle_rref(rref_rows(other), p)[0]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_nullspace_of_transpose_view(p):
+    rng = random.Random(f"kernel-view:{p}")
+    field = GF(p)
+    a = np.array(low_rank_rows(rng, 90, 45, 30, p, zero_rows=4), dtype=np.float64)
+    kernel = nullspace(a.T, field, 90)      # left kernel of a, from a view
+    rref, pivots, _ = oracle_rref(a.astype(np.int64).T.tolist(), p)
+    want = []
+    for j in (j for j in range(90) if j not in pivots):
+        vec = [0] * 90
+        vec[j] = 1
+        for q, row in zip(pivots, rref):
+            vec[q] = -row[j] % p
+        want.append(vec)
+    assert kernel.astype(np.int64).tolist() == want
+    assert len(want) == 90 - len(pivots)
