@@ -17,6 +17,8 @@ Exit codes:
        for a bound; a skip for a property of the input, such as a
        non-equigenerated ideal having no blow-up block, is not one)
     4  unknown verdict
+    5  internal error (a self-check failed, or another fault of the
+       program), printed as ``internal error: ...``
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
 EXIT_UNKNOWN = 4
+EXIT_INTERNAL = 5
 
 # Skips that state a property of the input, not an exceeded bound.
 INPUT_SKIPS = frozenset({"blowup"})
@@ -240,6 +243,9 @@ def main(argv=None) -> int:
     except (FieldError, RingError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_INPUT
 
 

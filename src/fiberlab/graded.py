@@ -11,20 +11,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import Echelon, nullspace, rank_of_rows, sparse_rows, zero_vector
-from .polyring import GREVLEX, Polynomial, Ring, mono_mul
+from .polyring import GREVLEX, Polynomial, Ring, _packing, mono_mul
 
 
 @lru_cache(maxsize=4096)
 def degree_basis(ring: Ring, degree: int):
-    """(monomials sorted grevlex-descending, column index map)."""
+    """(monomials sorted grevlex-descending, column index map keyed by the
+    packed grevlex monomial, ``polyring._packing(GREVLEX, nvars)``)."""
     monos = tuple(ring.monomials_of_degree(degree))
-    index = {m: i for i, m in enumerate(monos)}
-    return monos, index
+    pack = _packing(GREVLEX, ring.nvars).pack
+    return monos, {pack(m): i for i, m in enumerate(monos)}
 
 
 def poly_to_vector(p: Polynomial, index, width):
+    """Coordinates of p over a ``degree_basis`` column index."""
     vec = zero_vector(p.ring.field, width)
-    for m, c in p.terms.items():
+    for m, c in _packing(GREVLEX, p.ring.nvars).pack_terms(p.terms).items():
         vec[index[m]] = c
     return vec
 
@@ -51,26 +53,29 @@ class GradedPieceBasis:
     def dim(self) -> int:
         return self.echelon.rank
 
-    def contains(self, p: Polynomial) -> bool:
-        vec = poly_to_vector(p, {m: i for i, m in enumerate(self.ambient_monomials)},
-                             len(self.ambient_monomials))
-        return self.echelon.contains(vec)
-
     def basis_polynomials(self, ring: Ring):
         return [vector_to_poly(row, self.ambient_monomials, ring)
                 for row in self.echelon.rows]
 
 
-def spanning_rows(gens, degree: int, ring: Ring, index, width):
+def spanning_rows(gens, degree: int, ring: Ring):
     """Vectors of all monomial multiples m*g landing in the given degree,
-    made one at a time."""
-    one = ring.field.one
+    made one at a time: per generator, m runs over the monomials of the
+    complementary degree, grevlex-descending.  Each generator is packed
+    once, and the column of a term of m*g is looked up by the packed sum
+    in the ``degree_basis`` index."""
+    packing = _packing(GREVLEX, ring.nvars)
+    columns = degree_basis(ring, degree)[1]
     for g in gens:
         d = g.homogeneous_degree()
         if d > degree:
             continue
-        for m in ring.monomials_of_degree(degree - d):
-            yield poly_to_vector(g.mul_term(m, one), index, width)
+        terms = packing.pack_terms(g.terms).items()
+        for m in degree_basis(ring, degree - d)[1]:
+            vec = zero_vector(ring.field, len(columns))
+            for t, c in terms:
+                vec[columns[t + m]] = c
+            yield vec
 
 
 def graded_piece(ideal, degree: int) -> GradedPieceBasis:
@@ -78,9 +83,9 @@ def graded_piece(ideal, degree: int) -> GradedPieceBasis:
 
 
 def piece_span_of_polys(polys, degree: int, ring: Ring) -> GradedPieceBasis:
-    monos, index = degree_basis(ring, degree)
+    monos, _ = degree_basis(ring, degree)
     ech = Echelon(ring.field, len(monos))
-    ech.extend(spanning_rows(polys, degree, ring, index, len(monos)))
+    ech.extend(spanning_rows(polys, degree, ring))
     return GradedPieceBasis(degree, monos, ech)
 
 
@@ -112,7 +117,7 @@ def minimal_generators(ideal):
     for e in sorted(by_degree):
         monos, index = degree_basis(ring, e)
         ech = Echelon(ring.field, len(monos))
-        ech.extend(spanning_rows(chosen, e, ring, index, len(monos)))
+        ech.extend(spanning_rows(chosen, e, ring))
         new = ech.extend([poly_to_vector(g, index, len(monos)) for g in by_degree[e]])
         chosen += [g for g, grew in zip(by_degree[e], new) if grew]
     return chosen

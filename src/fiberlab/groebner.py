@@ -5,80 +5,19 @@ criterion, plus pruning of old pairs), with the normal selection
 strategy: minimal lcm degree, ties broken by the lcm monomial and then
 by insertion index, so runs are deterministic for a fixed input.
 
-Inside the engine a monomial is one int (``_Packing``, after Monagan and
-Pearce, "Sparse polynomial division using a heap", 2011): comparison,
-product and divisibility are single integer operations.
+Inside the engine a monomial is one int (``polyring._Packing``, after
+Monagan and Pearce, "Sparse polynomial division using a heap", 2011):
+comparison, product and divisibility are single integer operations.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import mul
+from functools import cached_property
 
-from .polyring import (GREVLEX, Elimination, Polynomial, Ring, RingError,
-                       TermOrder, mono_lcm)
-
-EXPONENT_BITS = 21
-EXPONENT_LIMIT = (1 << EXPONENT_BITS) - 1   # over twice polyring.MAX_EXPONENT
-
-
-class _Packing:
-    """Monomials of one ring packed into ints, for one term order.
-
-    The low bits hold one EXPONENT_BITS-wide field per variable, each
-    with a guard bit above it.  Above them sit the order's key rows
-    (``TermOrder.rows``), first row highest, each wide enough for its
-    value at EXPONENT_LIMIT.  Integer comparison is then the term order,
-    ``a + b`` is the product, and a divides b iff ``(b - a) & guard``
-    is 0.  A guard bit set in a sum means an exponent passed the limit.
-    """
-
-    __slots__ = ("units", "shifts", "guard")
-
-    def __init__(self, order: TermOrder, nvars: int):
-        step = EXPONENT_BITS + 1
-        self.shifts = tuple(range(0, nvars * step, step))
-        self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
-        units = [1 << s for s in self.shifts]
-        offset = nvars * step
-        for row in reversed(order.rows(nvars)):
-            for i, w in enumerate(row):
-                units[i] += w << offset
-            offset += (sum(row) * EXPONENT_LIMIT).bit_length()
-        self.units = tuple(units)
-
-    def pack(self, m) -> int:
-        if max(m) > EXPONENT_LIMIT:
-            raise RingError(_OVERFLOW)
-        return sum(map(mul, m, self.units))
-
-    def pack_terms(self, terms: dict) -> dict:
-        pack = self.pack
-        return {pack(m): c for m, c in terms.items()}
-
-    def unpack(self, a) -> tuple:
-        return tuple([(a >> s) & EXPONENT_LIMIT for s in self.shifts])
-
-    def unpack_terms(self, terms: dict) -> dict:
-        unpack = self.unpack
-        return {unpack(a): c for a, c in terms.items()}
-
-    def top(self, monos) -> int:
-        """Packed componentwise maximum of packed monomials (0 if none)."""
-        if not monos:
-            return 0
-        return sum(max((a >> s) & EXPONENT_LIMIT for a in monos) * u
-                   for s, u in zip(self.shifts, self.units))
-
-
-@lru_cache(maxsize=64)
-def _packing(order: TermOrder, nvars: int) -> _Packing:
-    return _Packing(order, nvars)
-
-
-_OVERFLOW = f"exponent above the engine limit {EXPONENT_LIMIT}"
+from .polyring import (_OVERFLOW, GREVLEX, Elimination, Polynomial, Ring, RingError,
+                       TermOrder, _Packing, _packing, mono_lcm)
 
 
 class _Reducers:
@@ -246,8 +185,8 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     ``groebner_prefix=k`` promises that the first k generators already
-    form a Groebner basis for this order, so pairs among them are
-    skipped.
+    form a reduced Groebner basis for this order, so they enter the basis
+    without reduction and pairs among them are skipped.
 
     ``degree_bound=D`` truncates the run: only S-pairs of weighted lcm
     degree <= D are processed.  Inputs must be homogeneous in the ring
@@ -335,8 +274,9 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
         tops.append(red.tops[-1])
         alive.append(True)
 
-    for terms in work:
-        rem = _nf_terms(terms, red, p)
+    for k, terms in enumerate(work):
+        # a reduced prefix is irreducible by the elements before it
+        rem = terms if k < groebner_prefix else _nf_terms(terms, red, p)
         if rem:
             push_element(rem)
 
@@ -400,7 +340,7 @@ def extend_basis(gb: GroebnerBasis, extra) -> GroebnerBasis:
 
 
 # ---------------------------------------------------------------------------
-# elimination and saturation
+# elimination
 
 def eliminate(gens, drop_first_k: int, *, degree_bound: int | None = None):
     """Generators of ideal(gens) intersected with the subring that omits
@@ -422,25 +362,3 @@ def eliminate(gens, drop_first_k: int, *, degree_bound: int | None = None):
     kept = [g for g in gb.elements
             if all(all(e == 0 for e in m[:k]) for m in g.terms)]
     return kept
-
-
-def saturate_by_last_variable(gb: GroebnerBasis) -> GroebnerBasis:
-    """(J : x_n^inf) from a grevlex basis of homogeneous J.
-
-    With the last variable smallest in grevlex, dividing each basis
-    element by its maximal x_n power generates the saturation; the
-    result is re-reduced into a basis.
-    """
-    if not isinstance(gb.order, GREVLEX.__class__):
-        raise RingError("saturation shortcut needs a grevlex basis")
-    ring = gb.ring
-    n = ring.nvars
-    divided = []
-    for g in gb.elements:
-        a = min(m[n - 1] for m in g.terms)
-        if a == 0:
-            divided.append(g)
-        else:
-            divided.append(Polynomial(ring, {m[:n - 1] + (m[n - 1] - a,): c
-                                             for m, c in g.terms.items()}))
-    return buchberger(divided, gb.order)

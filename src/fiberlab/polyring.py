@@ -1,20 +1,29 @@
 """Monomials, term orders, and exact multivariate polynomials.
 
-Monomials are plain exponent tuples.  A Polynomial is a map from
-monomial to nonzero raw coefficient (see fields.py) together with its
-Ring.  Values are immutable by convention: nothing mutates ``terms``
+At the API monomials are plain exponent tuples.  A Polynomial is a map
+from monomial to nonzero raw coefficient (see fields.py) together with
+its Ring.  Values are immutable by convention: nothing mutates ``terms``
 after construction, so rings, orders and polynomials are safe to share
 across threads.
+
+Inside products a monomial is one int (``_Packing``, after Monagan and
+Pearce, "Sparse polynomial division using a heap", 2011), so that the
+product of two monomials is one integer addition.  The same packing
+serves the Buchberger engine (groebner.py) and the Macaulay rows of
+graded pieces (graded.py).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import mul, or_
 
 from .fields import FieldSpec, FieldError
 
 MAX_EXPONENT = 10**6
+EXPONENT_BITS = 21
+EXPONENT_LIMIT = (1 << EXPONENT_BITS) - 1   # over twice MAX_EXPONENT
 
 
 class RingError(ValueError):
@@ -156,6 +165,68 @@ def compare_monomials(a, b, order: TermOrder) -> str:
 
 
 # ---------------------------------------------------------------------------
+# packed monomials
+
+class _Packing:
+    """Monomials of one ring packed into ints, for one term order.
+
+    The low bits hold one EXPONENT_BITS-wide field per variable, each
+    with a guard bit above it.  Above them sit the order's key rows
+    (``TermOrder.rows``), first row highest, each wide enough for its
+    value at EXPONENT_LIMIT.  Integer comparison is then the term order,
+    ``a + b`` is the product, and a divides b iff ``(b - a) & guard``
+    is 0.  A guard bit set in a sum means an exponent passed the limit.
+    """
+
+    __slots__ = ("units", "shifts", "guard")
+
+    def __init__(self, order: TermOrder, nvars: int):
+        step = EXPONENT_BITS + 1
+        self.shifts = tuple(range(0, nvars * step, step))
+        self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
+        units = [1 << s for s in self.shifts]
+        offset = nvars * step
+        for row in reversed(order.rows(nvars)):
+            for i, w in enumerate(row):
+                units[i] += w << offset
+            offset += (sum(row) * EXPONENT_LIMIT).bit_length()
+        self.units = tuple(units)
+
+    def pack(self, m) -> int:
+        if max(m) > EXPONENT_LIMIT:
+            raise RingError(_OVERFLOW)
+        return sum(map(mul, m, self.units))
+
+    def pack_terms(self, terms: dict) -> dict:
+        if terms and max(map(max, terms)) > EXPONENT_LIMIT:
+            raise RingError(_OVERFLOW)
+        units = self.units
+        return {sum(map(mul, m, units)): c for m, c in terms.items()}
+
+    def unpack(self, a) -> tuple:
+        return tuple([(a >> s) & EXPONENT_LIMIT for s in self.shifts])
+
+    def unpack_terms(self, terms: dict) -> dict:
+        unpack = self.unpack
+        return {unpack(a): c for a, c in terms.items()}
+
+    def top(self, monos) -> int:
+        """Packed componentwise maximum of packed monomials (0 if none)."""
+        if not monos:
+            return 0
+        return sum(max((a >> s) & EXPONENT_LIMIT for a in monos) * u
+                   for s, u in zip(self.shifts, self.units))
+
+
+@lru_cache(maxsize=64)
+def _packing(order: TermOrder, nvars: int) -> _Packing:
+    return _Packing(order, nvars)
+
+
+_OVERFLOW = f"exponent above the packing limit {EXPONENT_LIMIT}"
+
+
+# ---------------------------------------------------------------------------
 # rings
 
 class Ring:
@@ -198,7 +269,7 @@ class Ring:
             raise RingError(f"unknown variable {name!r}") from None
 
     def mono_degree(self, m) -> int:
-        return sum(w * e for w, e in zip(self.weights, m))
+        return sum(map(mul, self.weights, m))
 
     # -- polynomial constructors ------------------------------------
     def zero(self) -> "Polynomial":
@@ -360,34 +431,30 @@ class Polynomial:
         return Polynomial(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
+        """Product on packed monomials: each operand is packed once, every
+        monomial product is one int addition, and F_p coefficients are
+        reduced once per result term."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        f = self.ring.field
+        packing = _packing(GREVLEX, self.ring.nvars)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        b = list(packing.pack_terms(b).items())
         res = {}
-        if f.characteristic:
-            p = f.characteristic
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    mm = mono_mul(m1, m2)
-                    v = (res.get(mm, 0) + c1 * c2) % p
-                    if v:
-                        res[mm] = v
-                    else:
-                        res.pop(mm, None)
-        else:
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    mm = mono_mul(m1, m2)
-                    v = res.get(mm, 0) + c1 * c2
-                    if v:
-                        res[mm] = v
-                    else:
-                        res.pop(mm, None)
-        return Polynomial(self.ring, res)
+        get = res.get
+        for m1, c1 in packing.pack_terms(a).items():
+            for m2, c2 in b:
+                mm = m1 + m2
+                res[mm] = get(mm, 0) + c1 * c2
+        if reduce(or_, res, 0) & packing.guard:
+            raise RingError(_OVERFLOW)
+        p = self.ring.field.characteristic
+        if p:
+            res = {m: c % p for m, c in res.items()}
+        unpack = packing.unpack
+        return Polynomial(self.ring, {unpack(m): c for m, c in res.items() if c})
 
     def scale(self, c):
         f = self.ring.field
@@ -433,9 +500,16 @@ class Polynomial:
         return all(md(m) == d for m in it)
 
     def homogeneous_degree(self) -> int:
-        if not self.is_homogeneous():
-            raise RingError("polynomial is not homogeneous")
-        return self.degree()
+        """The weighted degree of every term; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        md = self.ring.mono_degree
+        it = iter(self.terms)
+        d = md(next(it))
+        for m in it:
+            if md(m) != d:
+                raise RingError("polynomial is not homogeneous")
+        return d
 
     # -- leading data -----------------------------------------------------
     def leading_monomial(self, order: TermOrder):
@@ -494,16 +568,6 @@ class Polynomial:
     # -- printing -----------------------------------------------------------
     def __repr__(self):
         return poly_to_string(self)
-
-
-def poly_arith(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
 
 
 def poly_to_string(p: Polynomial) -> str:

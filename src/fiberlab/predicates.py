@@ -210,9 +210,8 @@ def _colon_piece(ctx: IdealContext, numerators, f, degree: int) -> Echelon:
     field = ring.field
     fdeg = f.homogeneous_degree()
     monos, _ = degree_basis(ring, degree)
-    up_monos, up_index = degree_basis(ring, degree + fdeg)
     target = ctx.piece(numerators, degree + fdeg)
-    multiples = list(spanning_rows([f], degree + fdeg, ring, up_index, len(up_monos)))
+    multiples = list(spanning_rows([f], degree + fdeg, ring))
     residual = target.echelon.reduce(np.array(multiples))
     ech = Echelon(field, len(monos))
     ech.extend(nullspace(np.transpose(residual), field, len(monos)))

@@ -86,6 +86,18 @@ def test_parse_error_exit_two(tmp_path):
     assert "line 1" in out.stderr
 
 
+@pytest.mark.parametrize("exc", [AssertionError("self-check failed"),
+                                 RuntimeError("no independent rows")])
+def test_internal_error_exit_five(simple_file, monkeypatch, capsys, exc):
+    """An internal fault exits 5, apart from the false verdict's 1."""
+    def fail(ctx):
+        raise exc
+    monkeypatch.setattr(cli, "is_perfect", fail)
+    assert cli.main(["check", "perfect", simple_file]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and str(exc) in err
+
+
 def test_invariants_rejects_nmax(simple_file):
     """The basic plan has no per-power check, so --nmax is an input error."""
     out = run_cli(["invariants", simple_file, "--nmax", "2"])

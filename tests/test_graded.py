@@ -3,9 +3,10 @@ from math import comb
 
 import pytest
 
-from fiberlab.fields import GF
-from fiberlab.graded import (graded_piece, linear_rank, minimal_generators,
-                             minors_ideal, piece_span_of_polys)
+from fiberlab.fields import GF, QQ
+from fiberlab.graded import (degree_basis, graded_piece, linear_rank,
+                             minimal_generators, minors_ideal, piece_span_of_polys,
+                             poly_to_vector, spanning_rows)
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
 from fiberlab.resolutions import presentation_matrix
@@ -33,6 +34,37 @@ def test_square_piece_against_enumeration(sixgen):
         if any(all(a <= b for a, b in zip(p, m)) for p in products):
             seen.add(m)
     assert dim == len(seen)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 1, 3)])
+def test_spanning_rows_match_term_multiples(field, weights):
+    """The packed rows equal the coordinates of mul_term's products over
+    exponent tuples, row for row, for generators below, at and above the
+    target degree; so does poly_to_vector at the target degree."""
+    from conftest import random_poly
+    ring = Ring(field, ["x", "y", "z", "w"], weights=weights)
+    rng = random.Random(f"spanning-rows:{field.characteristic}:{weights}")
+    target = 5
+    gens = [random_poly(ring, d, rng, terms=5) for d in (2, 3, 5, 6, 1)]
+    gens = [g for g in gens if not g.is_zero()]
+    monos = ring.monomials_of_degree(target)
+    column = {m: i for i, m in enumerate(monos)}
+
+    def vector(p):
+        vec = [0] * len(monos)
+        for m, c in p.terms.items():
+            vec[column[m]] = c
+        return vec
+    want = [vector(g.mul_term(m, field.one))
+            for g in gens if g.homogeneous_degree() <= target
+            for m in ring.monomials_of_degree(target - g.homogeneous_degree())]
+    got = list(spanning_rows(gens, target, ring))
+    assert len(got) == len(want) > 0
+    assert all(list(a) == b for a, b in zip(got, want))
+    index = degree_basis(ring, target)[1]
+    assert all(list(poly_to_vector(g, index, len(monos))) == vector(g)
+               for g in gens if g.homogeneous_degree() == target)
 
 
 def test_minimal_generators_drops_redundant(R3):

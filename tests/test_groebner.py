@@ -3,11 +3,10 @@ import random
 import pytest
 
 from fiberlab.fields import GF, QQ
-from fiberlab.groebner import (EXPONENT_LIMIT, GroebnerBasis, buchberger, eliminate,
-                               extend_basis, normal_form,
-                               saturate_by_last_variable)
+from fiberlab.groebner import (GroebnerBasis, buchberger, eliminate, extend_basis,
+                               normal_form)
 from fiberlab.ideals import Ideal
-from fiberlab.polyring import (GREVLEX, LEX, MAX_EXPONENT, Elimination,
+from fiberlab.polyring import (EXPONENT_LIMIT, GREVLEX, LEX, MAX_EXPONENT, Elimination,
                                Polynomial, Ring, RingError, WeightThen,
                                mono_div, mono_lcm)
 
@@ -238,18 +237,6 @@ def test_extend_basis_matches_scratch(binomial4):
     ext = extend_basis(gb, (x,))
     scratch = buchberger(list(binomial4.generators) + [x], GREVLEX)
     assert ext.elements == scratch.elements
-
-
-def test_saturation_by_last_variable(R3):
-    x, y, z = (R3.variable(i) for i in range(3))
-    # (x*z, y*z^2) : z^inf = (x, y)
-    gb = buchberger([x * z, y * z * z], GREVLEX)
-    sat = saturate_by_last_variable(gb)
-    oracle = buchberger([x, y], GREVLEX)
-    assert sat.elements == oracle.elements
-    # saturating an already saturated ideal changes nothing
-    gb2 = buchberger([x * x - y * y, x * y], GREVLEX)
-    assert saturate_by_last_variable(gb2).elements == gb2.elements
 
 
 def test_degree_truncation_prefix_of_full(binomial4):

@@ -1,12 +1,13 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from fiberlab.fields import GF, QQ, FieldError
-from fiberlab.polyring import (GREVLEX, LEX, Elimination, Ring, RingError,
-                               WeightThen, compare_monomials, mono_divides,
-                               mono_lcm, mono_mul, poly_arith)
+from fiberlab.polyring import (EXPONENT_LIMIT, GREVLEX, LEX, Elimination, Ring,
+                               RingError, WeightThen, compare_monomials,
+                               mono_divides, mono_lcm, mono_mul)
 
 
 def test_basic_arithmetic(R3):
@@ -14,7 +15,6 @@ def test_basic_arithmetic(R3):
     assert (x + y) * (x - y) == x * x - y * y
     f = x * y + z * z
     assert (f + (-f)).is_zero()
-    assert poly_arith(x, y, "add") == x + y
 
 
 def test_char_two_rejected():
@@ -104,6 +104,19 @@ def test_weighted_degrees():
     assert ring.dim_of_degree(6) == 2    # x^6 and w
 
 
+def test_homogeneous_degree(R3):
+    x, y, z = (R3.variable(i) for i in range(3))
+    assert (x * y + z * z).homogeneous_degree() == 2
+    assert R3.zero().homogeneous_degree() == -1
+    with pytest.raises(RingError):
+        (x * y + z).homogeneous_degree()
+    ring = Ring(GF(32003), ["x", "w"], weights=(1, 6))
+    x, w = ring.variable(0), ring.variable(1)
+    assert (w - x ** 6).homogeneous_degree() == 6
+    with pytest.raises(RingError):
+        (w - x ** 5).homogeneous_degree()
+
+
 def test_monomial_helpers():
     assert mono_divides((1, 0), (2, 1))
     assert not mono_divides((1, 2), (2, 1))
@@ -121,3 +134,80 @@ def test_derivative(R3):
     f = x ** 3 + x * y
     assert f.derivative(0) == x * x * R3.constant(3) + y
     assert f.derivative(2).is_zero()
+
+
+def _tuple_product(f, g):
+    """Product by a plain loop over exponent tuples: the oracle for the
+    packed ``Polynomial.__mul__``."""
+    field = f.ring.field
+    out = {}
+    for m1, c1 in f.terms.items():
+        for m2, c2 in g.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            out[m] = field.add(out.get(m, field.zero), field.mul(c1, c2))
+    return {m: c for m, c in out.items() if c}
+
+
+def _random_terms(ring, rng, nterms, emax):
+    field = ring.field
+    terms = {}
+    for _ in range(nterms):
+        m = tuple(rng.randrange(emax + 1) for _ in range(ring.nvars))
+        if field.characteristic:
+            terms[m] = field.random_raw(rng)
+        else:
+            terms[m] = Fraction(rng.randrange(-20, 21), rng.randrange(1, 7))
+    return ring.from_terms(terms)
+
+
+@pytest.mark.parametrize("field", [GF(32003), GF(67108859), QQ],
+                         ids=["F32003", "F67108859", "QQ"])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5, 10])
+def test_packed_product_matches_tuple_loop(field, nvars):
+    ring = Ring(field, [f"x{i}" for i in range(nvars)])
+    rng = random.Random(f"packed-product:{field.characteristic}:{nvars}")
+    zero = ring.zero()
+    for _ in range(12):
+        f = _random_terms(ring, rng, rng.randrange(1, 9), 4)
+        g = _random_terms(ring, rng, rng.randrange(1, 30), 4)
+        product_fg = f * g
+        assert product_fg.terms == _tuple_product(f, g)
+        assert (g * f).terms == product_fg.terms
+        assert (f * zero).is_zero() and (zero * f).is_zero()
+    # cancellation: (x0 + 1)(x0 - 1) has no x0 term left
+    x0, one = ring.variable(0), ring.one()
+    assert ((x0 + one) * (x0 - one)).terms == _tuple_product(x0 + one, x0 - one)
+    assert ((x0 + one) * (x0 - one)).num_terms() == 2
+
+
+def test_packed_product_weighted_ring():
+    ring = Ring(GF(32003), ["x", "y", "w"], weights=(1, 2, 3))
+    rng = random.Random("packed-product:weighted")
+    for _ in range(20):
+        f = _random_terms(ring, rng, 6, 3)
+        g = _random_terms(ring, rng, 6, 3)
+        assert (f * g).terms == _tuple_product(f, g)
+    x, y, w = (ring.variable(i) for i in range(3))
+    f, g = x * y + w, x ** 3 + y * x + w
+    assert (f * g).homogeneous_degree() == 6
+
+
+@pytest.mark.parametrize("nvars", [1, 3, 10])
+def test_packed_product_exponent_limit(nvars):
+    """A product exponent of exactly EXPONENT_LIMIT is computed; one past
+    it raises, in the first and in the last variable."""
+    ring = Ring(GF(32003), [f"x{i}" for i in range(nvars)])
+    for i in {0, nvars - 1}:
+        def mono(e):
+            return tuple(e if j == i else 0 for j in range(nvars))
+
+        def power(e):
+            return ring.monomial(mono(e))
+        f = power(EXPONENT_LIMIT - 3) + ring.one()
+        g = power(3) + ring.one()
+        assert (f * g).terms == _tuple_product(f, g)
+        assert (f * g).coefficient(mono(EXPONENT_LIMIT)) == 1
+        with pytest.raises(RingError):
+            f * power(4)
+        with pytest.raises(RingError):
+            power(EXPONENT_LIMIT + 1) * ring.one()
