@@ -7,14 +7,14 @@ adjustment, Valabrega-Valla, multiplicity formulas) behind the
 ``fiberlab`` command line.
 """
 
-from .fields import GF, QQ, FieldElement, FieldSpec
+from .fields import GF, QQ, FieldSpec
 from .groebner import GroebnerBasis, buchberger, eliminate, normal_form
 from .ideals import Ideal
 from .parse import ParseError, parse_ideal_file
 from .polyring import GREVLEX, LEX, Elimination, Polynomial, Ring, WeightThen
 
 __all__ = [
-    "GF", "QQ", "FieldElement", "FieldSpec",
+    "GF", "QQ", "FieldSpec",
     "GroebnerBasis", "buchberger", "eliminate", "normal_form",
     "Ideal", "ParseError", "parse_ideal_file",
     "GREVLEX", "LEX", "Elimination", "Polynomial", "Ring", "WeightThen",

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .depth import DepthReport, graded_depth, series_of_basis
+from .depth import series_of_basis
 from .graded import GradedPieceBasis, piece_span_of_polys
 from .groebner import GREVLEX, GroebnerBasis, eliminate, extend_basis
 from .hilbert import HilbertSeries
@@ -395,7 +395,6 @@ class CMReport:
     multiplicity: int
     colengths: list
     seeds: list
-    depth: DepthReport | None = None
 
     @property
     def is_cm(self) -> bool:
@@ -403,7 +402,7 @@ class CMReport:
 
 
 def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm",
-                 escalate_depth: bool = True, max_retries: int = 4) -> CMReport:
+                 max_retries: int = 4) -> CMReport:
     """Colength-versus-multiplicity test with a random linear system of
     parameters; equality certifies CM, excess certifies NOT_CM."""
     ring, ideal = ring_and_ideal
@@ -442,13 +441,7 @@ def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm",
     agree_not = all(c > e for c in colengths)
     if not (agree_cm or agree_not):
         raise AssertionError(f"unstable CM trials: colengths {colengths} vs e={e}")
-    verdict = "CM" if agree_cm else "NOT_CM"
-    depth_report = None
-    if verdict == "NOT_CM" and escalate_depth:
-        depth_report = graded_depth(gb, seed=f"{base_seed}:depth")
-        if depth_report.exact and depth_report.value >= s:
-            raise AssertionError("depth escalation contradicts NOT_CM verdict")
-    return CMReport(verdict, s, e, colengths, seeds, depth_report)
+    return CMReport("CM" if agree_cm else "NOT_CM", s, e, colengths, seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +463,9 @@ class ReductionData:
         return Ideal(ring, tuple(self.reduction_generators))
 
 
-def random_forms_in_degree(ideal, count: int, seed) -> list:
+def random_forms_in_degree(ideal, count: int, seed) -> tuple:
     """Seeded k-linear combinations of the minimal generators, with a
-    linear-independence recheck."""
+    linear-independence recheck: (forms, their coefficient rows)."""
     gens = IdealContext.of(ideal).mingens
     ring = ideal.ring
     field = ring.field
@@ -489,7 +482,7 @@ def random_forms_in_degree(ideal, count: int, seed) -> list:
         for c, g in zip(row, gens):
             f = f + g.scale(c)
         forms.append(f)
-    return forms
+    return forms, matrix
 
 
 def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
@@ -505,7 +498,7 @@ def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
     if forms is None and spread == len(gens):
         return ReductionData(list(gens), str(seed), 0, True, spread, d)
     if forms is None:
-        forms = random_forms_in_degree(ctx, spread, seed)
+        forms = random_forms_in_degree(ctx, spread, seed)[0]
     elif len(forms) != spread:
         raise ValueError("a minimal reduction needs analytic-spread many forms")
     dims = []

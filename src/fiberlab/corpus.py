@@ -255,8 +255,12 @@ def _depth_block(ctx, report):
     else:
         dfib = graded_depth(fp.relations, seed=f"depthF:{ctx.label}")
         inv["depth_fiber"] = dfib.value if dfib.exact else None
-    if ctx.rees_cm.depth is not None and ctx.rees_cm.depth.exact:
-        inv["depth_rees"] = ctx.rees_cm.depth.value
+    if not ctx.rees_cm.is_cm:
+        drees = graded_depth(pres.rees_ideal, seed=f"cm:{ctx.label}:rees:depth")
+        if drees.exact and drees.value >= ctx.rees_cm.dimension:
+            raise AssertionError("Rees depth contradicts the NOT_CM verdict")
+        if drees.exact:
+            inv["depth_rees"] = drees.value
     dgr = graded_depth(pres.gr_ideal, seed=f"depthgr:{ctx.label}")
     if dgr.exact:
         inv["depth_gr"] = dgr.value

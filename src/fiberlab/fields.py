@@ -2,8 +2,7 @@
 
 Every other module stores coefficients *raw* (``int`` residues for F_p,
 ``fractions.Fraction`` for Q) and routes arithmetic through a FieldSpec,
-which keeps the hot loops free of wrapper objects.  The FieldElement
-wrapper is the public, self-checking face of the same arithmetic.
+which keeps the hot loops free of wrapper objects.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ MAX_PRIME = 1 << 26
 
 
 class FieldError(ValueError):
-    """Bad field construction or mixed-field arithmetic."""
+    """Bad field construction."""
 
 
 def _is_prime(n: int) -> bool:
@@ -55,10 +54,6 @@ class FieldSpec:
     @property
     def kind(self) -> str:
         return "rationals" if self.characteristic == 0 else "prime_field"
-
-    @property
-    def is_rationals(self) -> bool:
-        return self.characteristic == 0
 
     # raw representation: canonical residue in [0, p) or reduced Fraction
     def raw(self, value) -> "int | Fraction":
@@ -106,9 +101,6 @@ class FieldSpec:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def element(self, value) -> "FieldElement":
-        return FieldElement(self, self.raw(value))
-
     def random_raw(self, rng, nonzero=False):
         """Uniform raw element; over Q a small integer (keeps GB coefficients tame)."""
         if self.characteristic == 0:
@@ -130,60 +122,3 @@ QQ = FieldSpec(0)
 
 def GF(p: int) -> FieldSpec:
     return FieldSpec(p)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Canonical element of a FieldSpec; equality is representational."""
-
-    spec: FieldSpec
-    value: "int | Fraction"
-
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise FieldError(f"mixed fields {self.spec} and {other.spec}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.add(self.value, other.value))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.sub(self.value, other.value))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, other.value))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.spec, self.spec.div(self.value, other.value))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value}"
-
-
-def field_add_mul_neg(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Dispatch basic arithmetic by name; ``neg`` ignores ``b``."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")
-
-
-def field_inv(a: FieldElement) -> FieldElement:
-    return a.inv()

@@ -1,5 +1,19 @@
 """Degreewise exact linear algebra on ideals and free-module maps.
 
+Every Macaulay row in the package comes from one builder,
+``spanning_columns``, as its columns and coefficients; ``spanning_rows``
+makes them dense.  The degree-e piece of a free module with generator
+degrees (d_1, ..., d_r) has one block of columns per generator, laid
+out by ``module_basis``: block i starts at the sum of the widths before
+it and is the ``degree_basis(ring, e - d_i)`` index, whose monomials
+run grevlex-descending and are keyed by their packed grevlex form.  An
+ideal is the rank-one case d_1 = 0.  The builder packs each element s
+once and writes the row of m*s for every monomial m of degree
+e - deg s, grevlex-descending, by one lookup per term.  Graded pieces,
+minimal generators, colon pieces and both matrices of the degreewise
+syzygies are made of these rows: the map's rows, collected by codomain
+column, and the multiples of the syzygies already found.
+
 Graded pieces are represented by canonical reduced row-echelon bases
 over the monomial basis of the ambient degree, so dimensions, piece
 memberships and complements are deterministic.
@@ -11,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import Echelon, nullspace, rank_of_rows, sparse_rows, zero_vector
-from .polyring import GREVLEX, Polynomial, Ring, _packing, mono_mul
+from .polyring import GREVLEX, Polynomial, Ring, _packing
 
 
 @lru_cache(maxsize=4096)
@@ -23,12 +37,17 @@ def degree_basis(ring: Ring, degree: int):
     return monos, {pack(m): i for i, m in enumerate(monos)}
 
 
-def poly_to_vector(p: Polynomial, index, width):
-    """Coordinates of p over a ``degree_basis`` column index."""
-    vec = zero_vector(p.ring.field, width)
-    for m, c in _packing(GREVLEX, p.ring.nvars).pack_terms(p.terms).items():
-        vec[index[m]] = c
-    return vec
+def module_basis(ring: Ring, degree: int, shifts=(0,)):
+    """Column layout of the degree piece of the free module whose
+    generators have degrees ``shifts``: one (offset, monomials, index)
+    block per generator, from ``degree_basis(ring, degree - shift)``,
+    and the total width."""
+    blocks, width = [], 0
+    for d in shifts:
+        monos, index = degree_basis(ring, degree - d)
+        blocks.append((width, monos, index))
+        width += len(monos)
+    return blocks, width
 
 
 def vector_to_poly(vec, monos, ring: Ring) -> Polynomial:
@@ -39,6 +58,50 @@ def vector_to_poly(vec, monos, ring: Ring) -> Polynomial:
         if c:
             terms[m] = c
     return Polynomial(ring, terms)
+
+
+def _element_degree(parts, shifts):
+    """Degree of a free-module element: shift + degree, the same for
+    every nonzero component; None for the zero element."""
+    degs = {d + p.homogeneous_degree() for d, p in zip(shifts, parts) if p.terms}
+    if len(degs) > 1:
+        raise ValueError("module element is not homogeneous")
+    return degs.pop() if degs else None
+
+
+def spanning_columns(elements, degree: int, ring: Ring, shifts=(0,)):
+    """The Macaulay rows of all monomial multiples m*s landing in the
+    degree piece of the free module with generator degrees ``shifts``
+    (``module_basis``), made one at a time as (columns, coefficients):
+    per element, m runs over the monomials of the complementary degree,
+    grevlex-descending.  An element is a sequence of polynomials, one
+    per generator; a polynomial is an element of the rank-one module.
+    Each element is packed once; zero elements give no rows."""
+    packing = _packing(GREVLEX, ring.nvars)
+    blocks = module_basis(ring, degree, shifts)[0]
+    for s in elements:
+        if isinstance(s, Polynomial):
+            s = (s,)
+        d = _element_degree(s, shifts)
+        if d is None or d > degree:
+            continue
+        terms, coeffs = [], []
+        for (offset, _, index), p in zip(blocks, s):
+            for t, c in packing.pack_terms(p.terms).items():
+                terms.append((offset, index, t))
+                coeffs.append(c)
+        for m in degree_basis(ring, degree - d)[1]:
+            yield [offset + index[t + m] for offset, index, t in terms], coeffs
+
+
+def spanning_rows(elements, degree: int, ring: Ring, shifts=(0,)):
+    """The rows of ``spanning_columns``, dense, made one at a time."""
+    width = module_basis(ring, degree, shifts)[1]
+    for columns, coeffs in spanning_columns(elements, degree, ring, shifts):
+        vec = zero_vector(ring.field, width)
+        for j, c in zip(columns, coeffs):
+            vec[j] = c
+        yield vec
 
 
 @dataclass
@@ -52,30 +115,6 @@ class GradedPieceBasis:
     @property
     def dim(self) -> int:
         return self.echelon.rank
-
-    def basis_polynomials(self, ring: Ring):
-        return [vector_to_poly(row, self.ambient_monomials, ring)
-                for row in self.echelon.rows]
-
-
-def spanning_rows(gens, degree: int, ring: Ring):
-    """Vectors of all monomial multiples m*g landing in the given degree,
-    made one at a time: per generator, m runs over the monomials of the
-    complementary degree, grevlex-descending.  Each generator is packed
-    once, and the column of a term of m*g is looked up by the packed sum
-    in the ``degree_basis`` index."""
-    packing = _packing(GREVLEX, ring.nvars)
-    columns = degree_basis(ring, degree)[1]
-    for g in gens:
-        d = g.homogeneous_degree()
-        if d > degree:
-            continue
-        terms = packing.pack_terms(g.terms).items()
-        for m in degree_basis(ring, degree - d)[1]:
-            vec = zero_vector(ring.field, len(columns))
-            for t, c in terms:
-                vec[columns[t + m]] = c
-            yield vec
 
 
 def graded_piece(ideal, degree: int) -> GradedPieceBasis:
@@ -115,10 +154,9 @@ def minimal_generators(ideal):
         by_degree.setdefault(g.homogeneous_degree(), []).append(g)
     chosen = []
     for e in sorted(by_degree):
-        monos, index = degree_basis(ring, e)
-        ech = Echelon(ring.field, len(monos))
+        ech = Echelon(ring.field, len(degree_basis(ring, e)[0]))
         ech.extend(spanning_rows(chosen, e, ring))
-        new = ech.extend([poly_to_vector(g, index, len(monos)) for g in by_degree[e]])
+        new = ech.extend(spanning_rows(by_degree[e], e, ring))
         chosen += [g for g, grew in zip(by_degree[e], new) if grew]
     return chosen
 
@@ -152,98 +190,56 @@ def syzygies_degreewise(columns, codomain_degrees, ring: Ring, max_degree: int):
     ``columns[k]`` is a vector of polynomials over a free module whose
     generator degrees are ``codomain_degrees``; each column must be
     homogeneous (entry i has degree col_degree - codomain_degrees[i]).
+    In degree e the domain is the free module on the columns, with
+    generator degrees col_degree, and the row of its coordinate
+    (k, m) is the builder's row of m * columns[k].
     Returns (list of syzygy vectors, their degrees).
     """
     field = ring.field
-    col_degrees = []
-    for col in columns:
-        degs = {codomain_degrees[i] + entry.homogeneous_degree()
-                for i, entry in enumerate(col) if not entry.is_zero()}
-        if len(degs) != 1:
-            raise ValueError("column is not homogeneous")
-        col_degrees.append(degs.pop())
+    col_degrees = [_element_degree(col, codomain_degrees) for col in columns]
+    if None in col_degrees:
+        raise ValueError("zero column")
 
     syzygies = []
     syzygy_degrees = []
     min_e = min(col_degrees, default=0) + 1
     for e in range(min_e, max_degree + 1):
-        # domain coordinates: (column k, monomial of degree e - col_degrees[k])
-        dom = []
-        for k, dk in enumerate(col_degrees):
-            if e - dk < 0:
-                continue
-            for m in ring.monomials_of_degree(e - dk):
-                dom.append((k, m))
-        if not dom:
+        blocks, width = module_basis(ring, e, col_degrees)
+        if not width:
             continue
-        # codomain coordinates: (row i, monomial of degree e - codomain_degrees[i])
-        cod_index = {}
-        for i, di in enumerate(codomain_degrees):
-            if e - di < 0:
-                continue
-            for m in ring.monomials_of_degree(e - di):
-                cod_index[(i, m)] = len(cod_index)
-        kernel = nullspace(_transposed_map(columns, dom, cod_index, field), field,
-                           len(dom))
+        # the map's rows, collected by codomain column: the kernel of the
+        # transposed matrix is the left kernel, streamed one row at a time
+        entries = [[] for _ in range(module_basis(ring, e, codomain_degrees)[1])]
+        for r, (cols, coeffs) in enumerate(
+                spanning_columns(columns, e, ring, codomain_degrees)):
+            for j, c in zip(cols, coeffs):
+                entries[j].append((r, c))
+        rows = sparse_rows(entries, width, field)
+        del entries     # read once, then freed before the kernel is allocated
+        kernel = nullspace(rows, field, width)
         if not len(kernel):
             continue
         # known syzygies generate a sub; take the complement inside the kernel
-        known = Echelon(field, len(dom))
-        known.extend(_multiples(syzygies, syzygy_degrees, e, dom, ring))
+        known = Echelon(field, width)
+        known.extend(spanning_rows(syzygies, e, ring, col_degrees))
         for v, grew in zip(kernel, known.extend(kernel)):
             if grew:
-                # materialize the new syzygy as a polynomial vector
-                parts = [dict() for _ in columns]
-                for (k, m), c in zip(dom, v):
-                    c = field.raw(int(c)) if field.characteristic else c
-                    if c:
-                        parts[k][m] = field.add(parts[k].get(m, field.zero), c) \
-                            if m in parts[k] else c
-                syzygies.append([Polynomial(ring, t) for t in parts])
+                syzygies.append([vector_to_poly(v[o:o + len(monos)], monos, ring)
+                                 for o, monos, _ in blocks])
                 syzygy_degrees.append(e)
     return syzygies, syzygy_degrees
 
 
-def _transposed_map(columns, dom, cod_index, field):
-    """Rows of the map's matrix on the domain coordinates ``dom``, one per
-    codomain coordinate, so that its kernel is the left kernel."""
-    entries = [[] for _ in cod_index]
-    for col, (k, m) in enumerate(dom):
-        for i, entry in enumerate(columns[k]):
-            for em, ec in entry.terms.items():
-                entries[cod_index[(i, mono_mul(em, m))]].append((col, ec))
-    return sparse_rows(entries, len(dom), field)
-
-
-def _multiples(syzygies, degrees, e, dom, ring):
-    """Coordinate vectors of all monomial multiples of the syzygies in
-    degree e, made one at a time."""
-    dom_index = {t: i for i, t in enumerate(dom)}
-    entries = ([(dom_index[(k, mono_mul(em, m))], ec)
-                for k, entry in enumerate(s) for em, ec in entry.terms.items()]
-               for s, ds in zip(syzygies, degrees) if e >= ds
-               for m in ring.monomials_of_degree(e - ds))
-    return sparse_rows(entries, len(dom), ring.field)
-
-
 def minors_ideal(pres: PresentationMatrix, size: int, ideal) -> "object":
     """Ideal of size x size minors of the presentation matrix."""
-    from itertools import combinations
-
     from .ideals import Ideal
-    from .parse import determinant
+    from .parse import minors
     ring = ideal.ring
     if size <= 0:
         return Ideal(ring, (ring.one(),))
     if size > min(pres.nrows, pres.ncols):
         return Ideal(ring, ())
-    gens = []
-    for rsel in combinations(range(pres.nrows), size):
-        for csel in combinations(range(pres.ncols), size):
-            sub = [[pres.matrix[i][k] for k in csel] for i in rsel]
-            gens.append(determinant(sub, ring))
-    gens = [g for g in gens if not g.is_zero()]
-    return Ideal(ring, tuple(gens))
+    return Ideal(ring, tuple(minors(pres.matrix, size, ring)))
 
 
 def linear_rank(pres: PresentationMatrix, field, seeds=(11, 12, 13, 14, 15)) -> int:

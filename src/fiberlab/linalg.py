@@ -200,18 +200,21 @@ class Echelon:
         return True
 
     def reduce(self, vec):
-        """Residual of ``vec`` modulo the current row space; a 2-D
-        ``vec`` is a block of rows, each reduced."""
+        """Residual of the vector ``vec`` modulo the current row space.
+        Given a 2-D array or any other iterable of rows, the residuals of
+        the rows, read one block at a time as in ``extend``: one array
+        over F_p, a list of rows over Q."""
         p = self.field.characteristic
-        ndim = np.ndim(vec)
+        if np.ndim(vec) == 1:
+            return self.reduce([vec])[0]
         if not p:
-            if ndim == 2:
-                return [self._reduce_qq(v) for v in vec]
-            return self._reduce_qq(vec)
-        block = _residues(np.array(vec, dtype=np.float64, ndmin=2), p)
-        for s in range(0, len(block), _BLOCK):
-            block[s:s + _BLOCK] = self._reduce_block(block[s:s + _BLOCK])
-        return block if ndim == 2 else block[0]
+            return [self._reduce_qq(v) for v in vec]
+        blocks = []
+        vec = iter(vec)
+        while rows := list(islice(vec, _BLOCK)):
+            blocks.append(self._reduce_block(
+                _residues(np.array(rows, dtype=np.float64), p)))
+        return np.concatenate(blocks) if blocks else np.zeros((0, self.width))
 
     def contains(self, vec) -> bool:
         return not np.any(self.reduce(vec))

@@ -19,9 +19,10 @@ A ``*`` between coefficient and monomial is accepted.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
 from .fields import FieldSpec, FieldError
-from .polyring import MAX_EXPONENT, Polynomial, Ring, RingError, mono_mul
+from .polyring import MAX_EXPONENT, Polynomial, Ring, RingError
 
 
 class ParseError(ValueError):
@@ -231,18 +232,19 @@ class _Parser:
         return tuple(expo)
 
 
-def maximal_minors(matrix, ring: Ring):
-    """Ideal of maximal minors of a rows x cols polynomial matrix."""
-    from itertools import combinations
-
+def minors(matrix, size: int, ring: Ring):
+    """Nonzero size x size minors of a rows x cols polynomial matrix, row
+    selections outermost, each in lexicographic order."""
     rows, cols = len(matrix), len(matrix[0])
-    size = min(rows, cols)
-    gens = []
-    for rsel in combinations(range(rows), size):
-        for csel in combinations(range(cols), size):
-            sub = [[matrix[i][j] for j in csel] for i in rsel]
-            gens.append(determinant(sub, ring))
+    gens = (determinant([[matrix[i][j] for j in csel] for i in rsel], ring)
+            for rsel in combinations(range(rows), size)
+            for csel in combinations(range(cols), size))
     return [g for g in gens if not g.is_zero()]
+
+
+def maximal_minors(matrix, ring: Ring):
+    """Generators of the ideal of maximal minors of a polynomial matrix."""
+    return minors(matrix, min(len(matrix), len(matrix[0])), ring)
 
 
 def determinant(matrix, ring: Ring) -> Polynomial:

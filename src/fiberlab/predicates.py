@@ -21,7 +21,7 @@ import numpy as np
 from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
 from .depth import regular_cut, series_of_basis
-from .graded import degree_basis, joint_rank, poly_to_vector, spanning_rows
+from .graded import degree_basis, joint_rank, spanning_rows
 from .ideals import Ideal
 from .linalg import Echelon, nullspace, rank_of_rows
 from .polyring import Ring
@@ -69,35 +69,8 @@ def ideal_fingerprint(ideal: Ideal) -> str:
 
 
 def generic_forms(ideal, count: int, seed) -> FormSequence:
-    ctx = IdealContext.of(ideal)
-    gens = ctx.mingens
-    forms = random_forms_in_degree(ctx, count, seed)
-    ring = ctx.ring
-    field = ring.field
-    # recover the coefficient rows by solving against the generator piece
-    d = gens[0].homogeneous_degree()
-    monos, index = degree_basis(ring, d)
-    rows = [poly_to_vector(g, index, len(monos)) for g in gens]
-    coeffs = []
-    for f in forms:
-        vec = poly_to_vector(f, index, len(monos))
-        coeffs.append(_express(vec, rows, field))
+    forms, coeffs = random_forms_in_degree(ideal, count, seed)
     return FormSequence(forms, f"generic({seed})", coeffs)
-
-
-def _express(vec, rows, field):
-    """Coefficients writing vec as a combination of independent rows."""
-    width = len(rows[0])
-    aug = Echelon(field, width + len(rows))
-    aug.extend([list(row) + [field.one if j == i else field.zero for j in range(len(rows))]
-                for i, row in enumerate(rows)])
-    padded = list(vec) + [field.zero] * len(rows)
-    residual = aug.reduce(padded)
-    head = residual[:width]
-    if any(v != 0 for v in head):
-        raise ValueError("form is not in the span of the generators")
-    return [field.neg(field.raw(int(v)) if field.characteristic else v)
-            for v in residual[width:]]
 
 
 def user_forms(forms) -> FormSequence:
@@ -211,8 +184,7 @@ def _colon_piece(ctx: IdealContext, numerators, f, degree: int) -> Echelon:
     fdeg = f.homogeneous_degree()
     monos, _ = degree_basis(ring, degree)
     target = ctx.piece(numerators, degree + fdeg)
-    multiples = list(spanning_rows([f], degree + fdeg, ring))
-    residual = target.echelon.reduce(np.array(multiples))
+    residual = target.echelon.reduce(spanning_rows([f], degree + fdeg, ring))
     ech = Echelon(field, len(monos))
     ech.extend(nullspace(np.transpose(residual), field, len(monos)))
     return ech
@@ -276,9 +248,10 @@ def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
     ideal = ctx.ideal
     gens, d = equigenerated_data(ctx)
     ring = ideal.ring
-    monos, index = degree_basis(ring, d)
-    rows = [poly_to_vector(f, index, len(monos)) for f in fs.forms]
-    if rank_of_rows(rows, ring.field, len(monos)) != len(fs.forms):
+    if any(f.homogeneous_degree() != d for f in fs.forms):
+        raise ValueError(f"forms must be nonzero of the generating degree {d}")
+    rows = spanning_rows(fs.forms, d, ring)
+    if rank_of_rows(rows, ring.field, len(degree_basis(ring, d)[0])) != len(fs.forms):
         raise ValueError("forms are k-linearly dependent")
     l = len(fs.forms)
     mu = len(gens)

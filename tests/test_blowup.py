@@ -7,6 +7,7 @@ from fiberlab.blowup import (IdealContext, equigenerated_data, fiber_presentatio
                              free_basis_over_reduction, is_cm_graded,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
+from fiberlab.depth import graded_depth
 from fiberlab.fields import GF
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
@@ -104,8 +105,8 @@ def test_is_cm_examples(R3, monomial4, binomial4):
     presb = rees_and_gr(binomial4)
     rep = is_cm_graded((presb.big_ring, presb.rees_ideal))
     assert rep.verdict == "NOT_CM"
-    assert rep.depth is not None and rep.depth.exact
-    assert rep.depth.value == 3 < rep.dimension == 4
+    depth = graded_depth(presb.rees_ideal, seed="cm:depth")
+    assert depth.exact and depth.value == 3 < rep.dimension == 4
     assert all(c > rep.multiplicity for c in rep.colengths)
 
 
@@ -173,7 +174,6 @@ def test_rees_gr_regularity_equality(monomial4, binomial4):
     """reg(gr) = reg(Rees) where both resolutions complete; the
     resolution depths also re-confirm the descent engine on a third,
     independent route."""
-    from fiberlab.depth import graded_depth
     from fiberlab.resolutions import minimal_resolution
     for ideal in (monomial4, binomial4):
         pres = rees_and_gr(ideal)

@@ -4,9 +4,9 @@ from math import comb
 import pytest
 
 from fiberlab.fields import GF, QQ
-from fiberlab.graded import (degree_basis, graded_piece, linear_rank,
-                             minimal_generators, minors_ideal, piece_span_of_polys,
-                             poly_to_vector, spanning_rows)
+from fiberlab.graded import (graded_piece, linear_rank, minimal_generators,
+                             minors_ideal, piece_span_of_polys, spanning_rows,
+                             syzygies_degreewise)
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
 from fiberlab.resolutions import presentation_matrix
@@ -36,35 +36,81 @@ def test_square_piece_against_enumeration(sixgen):
     assert dim == len(seen)
 
 
+def term_multiples(elements, target, ring, shifts):
+    """Oracle rows over exponent tuples: per element s and monomial m of
+    the complementary degree, the coordinates of mul_term(m) of each
+    component, block after block."""
+    rows = []
+    for s in elements:
+        (ds,) = {d + p.homogeneous_degree() for d, p in zip(shifts, s) if not p.is_zero()}
+        for m in ring.monomials_of_degree(target - ds):
+            row = []
+            for d, p in zip(shifts, s):
+                prod = p.mul_term(m, ring.field.one)
+                row += [prod.terms.get(mono, 0)
+                        for mono in ring.monomials_of_degree(target - d)]
+            rows.append(row)
+    return rows
+
+
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
 @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 1, 3)])
 def test_spanning_rows_match_term_multiples(field, weights):
     """The packed rows equal the coordinates of mul_term's products over
     exponent tuples, row for row, for generators below, at and above the
-    target degree; so does poly_to_vector at the target degree."""
+    target degree; at the target degree each generator's one row (the
+    unit multiplier) is its own coordinate vector."""
     from conftest import random_poly
     ring = Ring(field, ["x", "y", "z", "w"], weights=weights)
     rng = random.Random(f"spanning-rows:{field.characteristic}:{weights}")
     target = 5
     gens = [random_poly(ring, d, rng, terms=5) for d in (2, 3, 5, 6, 1)]
     gens = [g for g in gens if not g.is_zero()]
-    monos = ring.monomials_of_degree(target)
-    column = {m: i for i, m in enumerate(monos)}
-
-    def vector(p):
-        vec = [0] * len(monos)
-        for m, c in p.terms.items():
-            vec[column[m]] = c
-        return vec
-    want = [vector(g.mul_term(m, field.one))
-            for g in gens if g.homogeneous_degree() <= target
-            for m in ring.monomials_of_degree(target - g.homogeneous_degree())]
+    want = term_multiples([(g,) for g in gens if g.homogeneous_degree() <= target],
+                          target, ring, (0,))
     got = list(spanning_rows(gens, target, ring))
     assert len(got) == len(want) > 0
     assert all(list(a) == b for a, b in zip(got, want))
-    index = degree_basis(ring, target)[1]
-    assert all(list(poly_to_vector(g, index, len(monos))) == vector(g)
-               for g in gens if g.homogeneous_degree() == target)
+    at_target = [(g,) for g in gens if g.homogeneous_degree() == target]
+    assert [list(v) for v in spanning_rows([g for g, in at_target], target, ring)] \
+        == term_multiples(at_target, target, ring, (0,))
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_spanning_rows_module_blocks(field):
+    """Rank 3 with generator degrees (0, 1, 3): each row is the blocks of
+    mul_term's products, offset by the widths of the blocks before it,
+    for elements below, at and above the target degree and with a zero
+    component."""
+    from conftest import random_poly
+    ring = Ring(field, ["x", "y", "z"])
+    rng = random.Random(f"module-rows:{field.characteristic}")
+    shifts = (0, 1, 3)
+    target = 5
+    elements = [tuple(random_poly(ring, e - d, rng) if e >= d else ring.zero()
+                      for d in shifts) for e in (3, 4, 5, 6)]
+    elements.append((random_poly(ring, 4, rng), ring.zero(), random_poly(ring, 1, rng)))
+    want = term_multiples([s for s in elements if s[0].degree() <= target], target,
+                          ring, shifts)
+    got = list(spanning_rows(elements, target, ring, shifts))
+    assert len(got) == len(want) > 0
+    assert len(got[0]) == sum(ring.dim_of_degree(target - d) for d in shifts)
+    assert all(list(a) == b for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_syzygies_degreewise_explicit(field):
+    """Columns (x,0), (y,0), (0,x), (0,y) over codomain degrees (0, 1):
+    the Koszul syzygy of each pair, in degrees 2 and 3, scaled as the
+    canonical kernel basis is, with 1 at its free coordinate (the
+    x-multiple of the second column of the pair)."""
+    ring = Ring(field, ["x", "y"])
+    x, y = ring.variable(0), ring.variable(1)
+    zero = ring.zero()
+    columns = [[x, zero], [y, zero], [zero, x], [zero, y]]
+    syz, degs = syzygies_degreewise(columns, [0, 1], ring, 4)
+    assert degs == [2, 3]
+    assert syz == [[-y, x, zero, zero], [zero, zero, -y, x]]
 
 
 def test_minimal_generators_drops_redundant(R3):

@@ -6,7 +6,7 @@ import pytest
 
 from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
                              minimal_reduction)
-from fiberlab.fields import GF
+from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
 from fiberlab.parse import maximal_minors, parse_ideal_file
 from fiberlab.polyring import Ring
@@ -135,6 +135,35 @@ def test_tight_complete_intersection_all_n(R3):
         assert analytically_tight(ci, fs, n).is_true
 
 
+def test_tight_rational_forms_against_colon_oracle():
+    """Over QQ with a non-integral coefficient: f1 = x(x + y/3) and
+    f2 = z(x + y/3) share the factor x + y/3, so (f1) : f2 = (x) and
+    tightness fails.  Both capped dimensions match an oracle that takes
+    the colon ideal from Groebner elimination (``Ideal.colon``).  Rounded
+    to floats, the multiples of f2 lose the common factor, and the colon
+    piece shrinks to the plain one."""
+    from fractions import Fraction
+
+    from fiberlab.graded import graded_piece, joint_rank
+    ring = Ring(QQ, ["x", "y", "z"])
+    x, y, z = (ring.variable(i) for i in range(3))
+    ideal = Ideal(ring, (x * x, x * y, y * y, x * z, y * z))
+    f1 = x * x + (x * y).scale(Fraction(1, 3))
+    f2 = x * z + (y * z).scale(Fraction(1, 3))
+    colon = Ideal(ring, (f1,)).colon(f2)
+    prefix = Ideal(ring, (f1,))
+    for n, want in ((1, (3, 1)), (2, (9, 6)), (3, (18, 14))):
+        rep = analytically_tight(ideal, user_forms([f1, f2]), n)
+        ipiece = graded_piece(ideal.power(n), 2 * n)
+        caps = []
+        for sub in (colon, prefix):
+            piece = graded_piece(sub, 2 * n)
+            caps.append(piece.dim + ipiece.dim - joint_rank(piece, ipiece))
+        assert (rep.certificate["colon_cap_dim"], rep.certificate["plain_cap_dim"]) \
+            == tuple(caps) == want
+        assert rep.verdict == "false"
+
+
 def test_adjusted_single_form(monomial4):
     f = monomial4.generators[0]
     rep = analytically_adjusted(monomial4, user_forms([f]))
@@ -162,6 +191,14 @@ def test_adjusted_rejects_dependent(monomial4):
     f = monomial4.generators[0]
     with pytest.raises(ValueError):
         analytically_adjusted(monomial4, user_forms([f, f.scale(2)]))
+
+
+def test_adjusted_rejects_wrong_degree(monomial4):
+    f = monomial4.generators[0]
+    x = monomial4.ring.variable(0)
+    for bad in (x, f * x):
+        with pytest.raises(ValueError, match="generating degree"):
+            analytically_adjusted(monomial4, user_forms([f, bad]))
 
 
 def test_mu_ji_upper_bound_random(sevengen, sixgen):
