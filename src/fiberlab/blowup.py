@@ -16,10 +16,9 @@ import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
-from .depth import series_of_basis
-from .graded import GradedPieceBasis, piece_span_of_polys
+from .graded import GradedPieceBasis, joint_rank, piece_span_of_polys
 from .groebner import GREVLEX, GroebnerBasis, eliminate, extend_basis
-from .hilbert import HilbertSeries
+from .hilbert import HilbertSeries, series_of_basis
 from .ideals import Ideal
 from .linalg import rank_of_rows
 from .polyring import Polynomial, Ring
@@ -128,6 +127,7 @@ class IdealContext:
         self.bounded = bounded
         self._powers = None
         self._pieces = {}
+        self._joint_ranks = {}
 
     @classmethod
     def of(cls, ideal) -> "IdealContext":
@@ -163,13 +163,25 @@ class IdealContext:
                                                             self.ring)
         return piece
 
+    def joint_rank(self, polys_a, polys_b, degree: int) -> int:
+        """dim of the sum of the two memoized degree pieces, memoized on the
+        pair: tightness and Valabrega-Valla ask for the same one when the
+        tightness prefix is the VV prefix."""
+        key = (tuple(polys_a), tuple(polys_b), degree)
+        rank = self._joint_ranks.get(key)
+        if rank is None:
+            rank = self._joint_ranks[key] = joint_rank(self.piece(key[0], degree),
+                                                       self.piece(key[1], degree))
+        return rank
+
     def forget(self):
-        """Drop the memoized powers and pieces.  A report calls this
-        between stages that share none of them, so that one seed's pieces
-        and the high powers of a reduction search do not stay in memory
-        while the next stage runs; both are cheap to build again."""
+        """Drop the memoized powers, pieces and joint ranks.  A report
+        calls this between stages that share none of them, so that one
+        seed's pieces and the high powers of a reduction search do not stay
+        in memory while the next stage runs; all are cheap to build again."""
         self._powers = None
         self._pieces.clear()
+        self._joint_ranks.clear()
 
     @cached_property
     def fp(self) -> "FiberPresentation | None":

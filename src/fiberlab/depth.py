@@ -7,6 +7,9 @@ depth by exactly one.  So the engine cuts by candidate linear forms
 whose regularity is certified by that numerator identity (no
 genericity needed for soundness), and certifies the final depth-0 stage
 by exhibiting a socle element: a nonzero h with h * x_i in J for all i.
+The same witness, taken relative to a subset of the variables, ends the
+grade search: grade(I, A) = 0 exactly when (0 :_A I) != 0 (Bruns-Herzog,
+Cohen-Macaulay Rings, 1.2.5).
 
 Resolutions stay the depth route for small ambients; this engine covers
 the quotients whose ambient is too large for dense degreewise kernels.
@@ -17,8 +20,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .groebner import GroebnerBasis, buchberger, extend_basis, normal_form
-from .hilbert import HilbertSeries, monomial_numerator
+from .groebner import GroebnerBasis, _nf_terms, extend_basis, normal_form
+from .hilbert import HilbertSeries, series_of_basis
 from .linalg import nullspace, sparse_rows
 from .polyring import Polynomial, Ring
 
@@ -43,13 +46,6 @@ class DepthReport:
         return self.value == self.dimension
 
 
-def series_of_basis(gb: GroebnerBasis) -> HilbertSeries:
-    ring = gb.ring
-    num = monomial_numerator(gb.leading_monomials, ring.weights) \
-        if gb.elements else {0: 1}
-    return HilbertSeries.from_numerator(num, ring.nvars, ring.weights)
-
-
 def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial):
     """(theta regular on S/ideal?, basis and series of the quotient)."""
     new_gb = extend_basis(gb, (theta,))
@@ -57,57 +53,104 @@ def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial):
     return hs.equals_after_cut(new_hs, theta.homogeneous_degree()), new_gb, new_hs
 
 
+def _standard_layers(gb: GroebnerBasis):
+    """Packed standard monomials of S/ideal, one degree after another, each
+    degree sorted descending in the basis's term order.
+
+    Standard monomials are closed under division, so each one of degree
+    e + 1 is u * x_i with u standard of degree e; taking i = the last
+    variable of the product makes each product once.  A leading monomial
+    that divides u * x_i but not u has that same last variable, so only
+    those leading monomials are tested.
+    """
+    ring = gb.ring
+    if any(w != 1 for w in ring.weights):
+        raise ValueError("standard monomials by degree need the standard grading")
+    red = gb._reducers
+    guard, units = red.packing.guard, red.packing.units
+    by_last = [[] for _ in range(ring.nvars)]
+    for lt, m in zip(red.lts, gb.leading_monomials):
+        support = [i for i, e in enumerate(m) if e]
+        if not support:
+            return          # the unit ideal
+        by_last[support[-1]].append(lt)
+    layer = [(0, 0)]        # (packed monomial, its last variable)
+    while layer:
+        yield sorted((a for a, _ in layer), reverse=True)
+        grown = []
+        for u, last in layer:
+            for i in range(last, ring.nvars):
+                prod = u + units[i]
+                if all((prod - lt) & guard for lt in by_last[i]):
+                    grown.append((prod, i))
+        layer = grown
+
+
 def standard_monomials(gb: GroebnerBasis, degree: int):
-    leads = gb.leading_monomials
-    out = []
-    for m in gb.ring.monomials_of_degree(degree):
-        if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads):
-            out.append(m)
-    return out
+    """Exponent tuples of the standard monomials of one degree."""
+    unpack = gb._reducers.packing.unpack
+    for e, layer in enumerate(_standard_layers(gb)):
+        if e == degree:
+            return [unpack(a) for a in layer]
+    return []
 
 
-def socle_witness(gb: GroebnerBasis, max_degree: int) -> Polynomial | None:
-    """Nonzero h in (0 : m) of S/ideal in some degree <= max_degree.
+def socle_witness(gb: GroebnerBasis, max_degree: int,
+                  var_range=None) -> Polynomial | None:
+    """Nonzero h of degree <= max_degree in S/ideal with h * x_i = 0 for
+    every variable x_i, or only for i in ``var_range`` when given.
 
-    Such an h certifies depth 0; None only means no witness below the
-    bound.
+    Such an h certifies depth 0; relative to ``var_range`` it certifies
+    that the ideal of those variables lies in ann(h), so it has grade 0.
+    None only means no witness below the bound.
     """
     ring = gb.ring
     field = ring.field
-    n = ring.nvars
-    variables = [ring.variable(i) for i in range(n)]
-    for e in range(0, max_degree + 1):
-        std = standard_monomials(gb, e)
+    p = field.characteristic
+    red = gb._reducers
+    units, unpack = red.packing.units, red.packing.unpack
+    idx = range(ring.nvars) if var_range is None else list(var_range)
+    layers = _standard_layers(gb)
+    std = next(layers, [])
+    for _ in range(max_degree + 1):
         if not std:
-            if series_of_basis(gb).dimension == 0 and e > 0:
-                return None     # Artinian part exhausted, socle was earlier
-            continue
-        std_up = standard_monomials(gb, e + 1)
-        up_index = {m: i for i, m in enumerate(std_up)}
+            return None     # every higher degree is empty too
+        std_up = next(layers, [])
+        up_index = {a: k for k, a in enumerate(std_up)}
+        width = len(std_up)
         # multiplication by the variables, one row per (variable, standard
         # monomial of degree e + 1): its kernel is the socle in degree e
-        entries = [[] for _ in range(n * len(std_up))]
+        entries = [[] for _ in range(len(idx) * width)]
         for col, u in enumerate(std):
-            for i in range(n):
-                prod = normal_form(ring.monomial(u) * variables[i], gb)
-                for m, c in prod.terms.items():
-                    entries[i * len(std_up) + up_index[m]].append((col, c))
+            for r, i in enumerate(idx):
+                prod = u + units[i]
+                k = up_index.get(prod)
+                if k is not None:
+                    entries[r * width + k].append((col, field.one))
+                    continue
+                for m, c in _nf_terms({prod: field.one}, red, p).items():
+                    entries[r * width + up_index[m]].append((col, c))
         kernel = nullspace(sparse_rows(entries, len(std), field), field, len(std))
         if len(kernel):
-            v = kernel[0]
             terms = {}
-            for m, c in zip(std, v):
-                c = field.raw(int(c)) if field.characteristic else c
+            for a, c in zip(std, kernel[0]):
+                c = field.raw(int(c)) if p else c
                 if c:
-                    terms[m] = c
+                    terms[unpack(a)] = c
             h = Polynomial(ring, terms)
-            for x in variables:
-                if not normal_form(h * x, gb).is_zero():
+            for i in idx:
+                if not normal_form(h * ring.variable(i), gb).is_zero():
                     raise AssertionError("socle witness failed recheck")
             if normal_form(h, gb).is_zero():
                 raise AssertionError("socle witness is zero in the quotient")
             return h
+        std = std_up
     return None
+
+
+def _socle_bound(gb: GroebnerBasis) -> int:
+    """Default degree bound of a socle search: 2 * (top leading degree) + 4."""
+    return 2 * max((sum(m) for m in gb.leading_monomials), default=1) + 4
 
 
 def _candidate_forms(ring: Ring, rng, dense_count=2):
@@ -138,33 +181,41 @@ def _candidate_forms(ring: Ring, rng, dense_count=2):
 def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1",
                         max_candidate_degree: int = 3,
                         per_degree: int = 6) -> dict:
-    """Grade of the subideal generated by the given variables, searched
-    among its homogeneous elements of bounded degree.
+    """Grade on S/ideal of the ideal generated by the given variables.
 
-    The value is an exact lower bound (every cut is certified); "exact"
-    is only claimed for the stop when candidates through the degree
-    bound all fail, so the result records the bound used.
+    Every cut is certified by the numerator identity, so the value is a
+    lower bound.  Each stage draws its seeded candidates, then tries the
+    first random linear form.  When that form is not regular, a relative
+    socle witness (h not in J', h * x_i in J' for every i in var_range)
+    shows that every element of the ideal is a zero-divisor, and the
+    value is exact.  Without a witness the stage tries the variables and
+    the other candidates, through degree ``max_candidate_degree``; a stop
+    there is only bounded, and "exact" is False.
     """
     ring = gb.ring
     field = ring.field
     rng = random.Random(str(seed))
-    hs = series_of_basis(gb)
-    grade = 0
-    cur_gb, cur_hs = gb, hs
+    var_range = list(var_range)
+    forms = []
+    cur_gb, cur_hs = gb, series_of_basis(gb)
+
+    def result(witness):
+        return {"value": len(forms), "candidate_degree_bound": max_candidate_degree,
+                "seed": str(seed), "exact": witness is not None,
+                "regular_forms": forms, "witness": witness}
+
     while True:
-        found = False
-        cands = []
-        for i in var_range:
-            cands.append(ring.variable(i))
+        base = [ring.variable(i) for i in var_range]
+        linear = []
         for _ in range(per_degree):
             coeffs = [field.zero] * ring.nvars
             for i in var_range:
                 coeffs[i] = field.random_raw(rng)
             lin = ring.linear_form(coeffs)
             if not lin.is_zero():
-                cands.append(lin)
+                linear.append(lin)
+        higher = []
         for deg in range(2, max_candidate_degree + 1):
-            base = [ring.variable(i) for i in var_range]
             for _ in range(per_degree):
                 f = ring.zero()
                 for _ in range(deg + 2):
@@ -173,17 +224,24 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1",
                         term = term * base[rng.randrange(len(base))]
                     f = f + term
                 if not f.is_zero() and f.is_homogeneous():
-                    cands.append(f)
-        for theta in cands:
+                    higher.append(f)
+        if linear:
+            ok, ngb, nhs = regular_cut(cur_gb, cur_hs, linear[0])
+            if ok:
+                forms.append(linear[0])
+                cur_gb, cur_hs = ngb, nhs
+                continue
+            w = socle_witness(cur_gb, _socle_bound(cur_gb), var_range=var_range)
+            if w is not None:
+                return result(w)
+        for theta in base + linear[1:] + higher:
             ok, ngb, nhs = regular_cut(cur_gb, cur_hs, theta)
             if ok:
-                grade += 1
+                forms.append(theta)
                 cur_gb, cur_hs = ngb, nhs
-                found = True
                 break
-        if not found:
-            return {"value": grade, "candidate_degree_bound": max_candidate_degree,
-                    "seed": str(seed)}
+        else:
+            return result(None)
 
 
 def graded_depth(ideal_or_gb, *, seed="depth:1", socle_bound=None,
@@ -210,8 +268,7 @@ def graded_depth(ideal_or_gb, *, seed="depth:1", socle_bound=None,
     while True:
         if depth >= limit:
             return DepthReport(depth, dim_total, True, forms, None, 0, str(seed))
-        max_lead = max((sum(m) for m in cur_gb.leading_monomials), default=1)
-        bound = socle_bound if socle_bound is not None else 2 * max_lead + 4
+        bound = socle_bound if socle_bound is not None else _socle_bound(cur_gb)
         found_regular = False
         if cur_hs.dimension > 0:
             for theta in _candidate_forms(ring, rng):

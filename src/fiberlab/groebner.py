@@ -26,9 +26,13 @@ class _Reducers:
     Per reducer: its leading monomial, its monic tail as (monomial,
     coefficient) pairs, and the componentwise maximum of the tail
     monomials, which bounds every product in one overflow test.
+
+    ``first`` memoizes the divisor search of ``_nf_terms``: packed
+    monomial -> index of the first reducer whose leading monomial divides
+    it, or -1.  Any change to the reducer list clears it.
     """
 
-    __slots__ = ("packing", "lts", "tails", "tops", "ids")
+    __slots__ = ("packing", "lts", "tails", "tops", "ids", "first")
 
     def __init__(self, packing: _Packing):
         self.packing = packing
@@ -36,18 +40,22 @@ class _Reducers:
         self.tails = []
         self.tops = []
         self.ids = []
+        self.first = {}
 
     def append(self, ident, lt, tail):
         self.lts.append(lt)
         self.tails.append(tail)
         self.tops.append(self.packing.top([m for m, _ in tail]))
         self.ids.append(ident)
+        self.first.clear()
 
     def retire_multiples(self, lt) -> list:
         """Drop the reducers whose leading monomial lt divides; returns
         their ids."""
         guard = self.packing.guard
         gone = [k for k, a in enumerate(self.lts) if not (a - lt) & guard]
+        if gone:
+            self.first.clear()
         for k in reversed(gone):
             del self.lts[k], self.tails[k], self.tops[k]
         return [self.ids.pop(k) for k in reversed(gone)]
@@ -66,7 +74,7 @@ def _monic_parts(terms: dict, field):
 def _nf_terms(cur: dict, red: _Reducers, p: int) -> dict:
     """Normal form of a packed coefficient map, which it consumes."""
     guard = red.packing.guard
-    lts, tails, tops = red.lts, red.tails, red.tops
+    lts, tails, tops, first = red.lts, red.tails, red.tops, red.first
     heappush, heappop = heapq.heappush, heapq.heappop
     heap = [-m for m in cur]
     heapq.heapify(heap)
@@ -76,13 +84,18 @@ def _nf_terms(cur: dict, red: _Reducers, p: int) -> dict:
         c = cur.pop(m, 0)
         if not c:
             continue
-        for k, lt in enumerate(lts):
-            if not (m - lt) & guard:
-                break
-        else:
+        k = first.get(m)
+        if k is None:
+            for k, lt in enumerate(lts):
+                if not (m - lt) & guard:
+                    break
+            else:
+                k = -1
+            first[m] = k
+        if k < 0:
             rem[m] = c
             continue
-        q = m - lt
+        q = m - lts[k]
         if (q + tops[k]) & guard:
             raise RingError(_OVERFLOW)
         if p:

@@ -6,21 +6,17 @@ on a variable x occurring in a generator:
 
     N(M) = N(M + (x)) + t^deg(x) * N(M : x)
 
-with complete-intersection and variable-disjoint splits as base cases.
+with complete-intersection and variable-disjoint splits as base cases
+(Bigatti, "Computation of Hilbert-Poincare series", 1997).  The
+recursion runs on ``polyring._Packing`` ints, the engine's one monomial
+packing, so a reduced basis hands over its packed leading monomials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-def _minimalize(gens):
-    gens = sorted(set(gens), key=lambda m: (sum(m), m))
-    out = []
-    for g in gens:
-        if not any(all(a <= b for a, b in zip(h, g)) for h in out):
-            out.append(g)
-    return out
+from .polyring import EXPONENT_BITS, EXPONENT_LIMIT, GREVLEX, _packing
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -47,84 +43,121 @@ def _poly_add(a: dict, b: dict) -> dict:
     return res
 
 
-def _components(gens):
-    """Partition generators into variable-disjoint groups."""
-    n = len(gens[0])
-    parent = list(range(len(gens)))
+def monomial_numerator(gens, weights, packing=None) -> dict:
+    """Numerator (degree -> coefficient) for the quotient by a monomial ideal.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_var = {}
-    for idx, g in enumerate(gens):
-        for v in range(n):
-            if g[v]:
-                by_var.setdefault(v, []).append(idx)
-    for idxs in by_var.values():
-        for other in idxs[1:]:
-            parent[find(other)] = find(idxs[0])
-    groups = {}
-    for idx in range(len(gens)):
-        groups.setdefault(find(idx), []).append(gens[idx])
-    return list(groups.values())
+    ``gens`` are exponent tuples; with ``packing`` they are instead that
+    ``polyring._Packing``'s ints and must generate minimally, as the
+    leading monomials of a reduced basis do.
+    """
+    weights = tuple(weights)
+    if packing is None:
+        packing = _packing(GREVLEX, len(weights))
+        gens = _minimalize(set(map(packing.pack, gens)), packing.guard)
+    return _PackedRecursion(packing, weights).numerator(tuple(sorted(gens)))
 
 
-def monomial_numerator(gens, weights) -> dict:
-    """Numerator (degree -> coefficient) for the quotient by a monomial ideal."""
-    gens = _minimalize(tuple(tuple(g) for g in gens))
-    return _numerator(tuple(gens), tuple(weights), {})
+def _minimalize(gens, guard) -> list:
+    """Minimal generators among grevlex-packed monomials: a proper
+    divisor has lower degree, so it sorts first."""
+    out = []
+    for g in sorted(gens):
+        if all((g - h) & guard for h in out):
+            out.append(g)
+    return out
 
 
-def _numerator(gens, weights, memo) -> dict:
-    if not gens:
-        return {0: 1}
-    if any(all(e == 0 for e in g) for g in gens):
-        return {}
-    key = gens
-    hit = memo.get(key)
-    if hit is not None:
+class _PackedRecursion:
+    """The pivot recursion on packed monomials, memoized per call.
+
+    A node is a sorted tuple of minimal generators.  Divisibility is
+    ``(b - a) & guard == 0`` and division by x_v is ``a - units[v]``.
+    Adding ``low`` to the exponent fields sets a field's guard bit
+    exactly when its exponent is nonzero, which gives the support of a
+    monomial as a mask of guard bits.
+    """
+
+    def __init__(self, packing, weights):
+        self.units = packing.units
+        self.shifts = packing.shifts
+        self.guard = packing.guard
+        self.low = sum(EXPONENT_LIMIT << s for s in self.shifts)
+        self.bits = [1 << (s + EXPONENT_BITS) for s in self.shifts]
+        self.var_of = {b: v for v, b in enumerate(self.bits)}
+        self.weights = weights
+        self.memo = {}
+
+    def numerator(self, gens: tuple) -> dict:
+        if not gens:
+            return {0: 1}
+        if gens[0] == 0:
+            return {}       # the unit ideal
+        hit = self.memo.get(gens)
+        if hit is None:
+            hit = self.memo[gens] = self._split(gens)
         return hit
 
-    def wdeg(m):
-        return sum(w * e for w, e in zip(weights, m))
-
-    supports = [tuple(i for i, e in enumerate(g) if e) for g in gens]
-    if all(len(s) == 1 for s in supports):
-        # pure powers of distinct variables: a complete intersection
-        result = {0: 1}
-        for g in gens:
-            result = _poly_mul(result, {0: 1, wdeg(g): -1})
-        memo[key] = result
-        return result
-
-    if len(gens) > 2:
-        comps = _components(list(gens))
-        if len(comps) > 1:
+    def _split(self, gens: tuple) -> dict:
+        shifts, weights, guard, low = self.shifts, self.weights, self.guard, self.low
+        masks = [((a & low) + low) & guard for a in gens]
+        mixed = [m for m in masks if m & (m - 1)]
+        if not mixed:
+            # pure powers of distinct variables: a complete intersection
             result = {0: 1}
-            for comp in comps:
-                result = _poly_mul(result, _numerator(tuple(sorted(comp)), weights, memo))
-            memo[key] = result
+            for a, m in zip(gens, masks):
+                v = self.var_of[m]
+                deg = weights[v] * ((a >> shifts[v]) & EXPONENT_LIMIT)
+                result = _poly_mul(result, {0: 1, deg: -1})
             return result
 
-    counts = {}
-    for g, s in zip(gens, supports):
-        if len(s) > 1:
-            for v in s:
-                counts[v] = counts.get(v, 0) + 1
-    pivot = max(sorted(counts), key=lambda v: counts[v])
+        if len(gens) > 2:
+            groups = []         # variable-disjoint (support, generators)
+            for a, m in zip(gens, masks):
+                members = [a]
+                rest = []
+                for g in groups:
+                    if g[0] & m:
+                        m |= g[0]
+                        members += g[1]
+                    else:
+                        rest.append(g)
+                rest.append((m, members))
+                groups = rest
+            if len(groups) > 1:
+                result = {0: 1}
+                for _, members in groups:
+                    result = _poly_mul(result, self.numerator(tuple(sorted(members))))
+                return result
 
-    plus = [g for g in gens if g[pivot] == 0]
-    unit = tuple(1 if i == pivot else 0 for i in range(len(weights)))
-    plus.append(unit)
-    colon = [g[:pivot] + (max(g[pivot] - 1, 0),) + g[pivot + 1:] for g in gens]
-    n_plus = _numerator(tuple(_minimalize(plus)), weights, memo)
-    n_colon = _numerator(tuple(_minimalize(colon)), weights, memo)
-    result = _poly_add(n_plus, {d + weights[pivot]: c for d, c in n_colon.items()})
-    memo[key] = result
-    return result
+        # pivot: the variable in most generators of mixed support, the
+        # first such; counts add up in the exponent fields
+        counts = sum(m >> EXPONENT_BITS for m in mixed)
+        pivot = max(range(len(shifts)),
+                    key=lambda v: ((counts >> shifts[v]) & EXPONENT_LIMIT, -v))
+        bit, unit, shift = self.bits[pivot], self.units[pivot], shifts[pivot]
+        free = [a for a, m in zip(gens, masks) if not m & bit]
+        # M + (x_v) is minimal as it stands
+        plus = tuple(sorted(free + [unit]))
+        # M : x_v: only a generator free of x_v can become redundant, and
+        # only by a generator whose x_v-exponent was 1
+        divided = [a - unit for a, m in zip(gens, masks) if m & bit]
+        lowered = [a for a in divided if not (a >> shift) & EXPONENT_LIMIT]
+        colon = divided + [f for f in free if all((f - a) & guard for a in lowered)]
+        n_plus = self.numerator(plus)
+        n_colon = self.numerator(tuple(sorted(colon)))
+        w = weights[pivot]
+        return _poly_add(n_plus, {d + w: c for d, c in n_colon.items()})
+
+
+def series_of_basis(gb) -> "HilbertSeries":
+    """Hilbert series of S/ideal from a reduced basis's packed leading
+    monomials."""
+    ring = gb.ring
+    if not gb.elements:
+        return HilbertSeries.from_numerator({0: 1}, ring.nvars, ring.weights)
+    red = gb._reducers
+    num = monomial_numerator(red.lts, ring.weights, red.packing)
+    return HilbertSeries.from_numerator(num, ring.nvars, ring.weights)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .fields import FieldSpec
 from .groebner import GREVLEX, GroebnerBasis, buchberger, eliminate, normal_form
-from .hilbert import HilbertSeries, monomial_numerator
+from .hilbert import HilbertSeries, series_of_basis
 from .polyring import Polynomial, Ring, RingError
 
 
@@ -142,13 +142,7 @@ class Ideal:
         if self._hilbert is None:
             if not self.is_homogeneous():
                 raise RingError("Hilbert series needs a homogeneous ideal")
-            if self.is_zero():
-                num = {0: 1}
-            else:
-                gb = self.groebner()
-                num = monomial_numerator(gb.leading_monomials, self.ring.weights)
-            self._hilbert = HilbertSeries.from_numerator(num, self.ring.nvars,
-                                                         self.ring.weights)
+            self._hilbert = series_of_basis(self.groebner())
         return self._hilbert
 
     def krull_dimension(self) -> int:

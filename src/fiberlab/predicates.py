@@ -20,8 +20,9 @@ import numpy as np
 
 from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
-from .depth import regular_cut, series_of_basis
+from .depth import regular_cut
 from .graded import degree_basis, joint_rank, spanning_rows
+from .hilbert import series_of_basis
 from .ideals import Ideal
 from .linalg import Echelon, nullspace, rank_of_rows
 from .polyring import Ring
@@ -209,7 +210,8 @@ def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     colon_piece = _echelon_to_piece(colon, n * d, ctx.ring)
     prefix_piece = ctx.piece(prefix, n * d)
     lhs = colon_piece.dim + ipiece.dim - joint_rank(colon_piece, ipiece)
-    rhs = prefix_piece.dim + ipiece.dim - joint_rank(prefix_piece, ipiece)
+    rhs = (prefix_piece.dim + ipiece.dim
+           - ctx.joint_rank(prefix, ctx.power_gens(n), n * d))
     if lhs < rhs:
         raise AssertionError("colon piece must contain the plain piece")
     return PredicateReport(
@@ -315,7 +317,8 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     for n in range(1, n_max + 1):
         prefix_piece = ctx.piece(fs_prefix.forms, n * d)
         ipiece = ctx.piece(ctx.power_gens(n), n * d)
-        lhs = prefix_piece.dim + ipiece.dim - joint_rank(prefix_piece, ipiece)
+        lhs = (prefix_piece.dim + ipiece.dim
+               - ctx.joint_rank(fs_prefix.forms, ctx.power_gens(n), n * d))
         rhs_products = [a * b for a in fs_prefix.forms
                         for b in ctx.power_gens(n - 1)]
         rhs = ctx.piece(rhs_products, n * d).dim

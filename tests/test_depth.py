@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,64 @@ def test_weighted_grading_rejected():
         ideal.hilbert_series().multiplicity
     with pytest.raises(ValueError, match="standard grading"):
         is_cm_graded((ring, ideal))
+
+
+def test_relative_socle_witness_certifies_grade_zero():
+    """In k[x,y,a,b]/(xa, xb) the class of x kills a and b, so (a, b) has
+    grade 0; y is regular, so there is no witness for all variables."""
+    ring = Ring(GF(32003), ["x", "y", "a", "b"])
+    x, y, a, b = (ring.variable(i) for i in range(4))
+    gb = Ideal(ring, (x * a, x * b)).groebner()
+    h = socle_witness(gb, 4, var_range=[2, 3])
+    assert h is not None and h.homogeneous_degree() == 1
+    assert not normal_form(h, gb).is_zero()
+    assert normal_form(h * a, gb).is_zero() and normal_form(h * b, gb).is_zero()
+    assert socle_witness(gb, 4) is None
+
+
+def test_relative_socle_witness_none_for_positive_grade():
+    """In k[x,y,a,b]/(xa) the variable b is regular: (a, b) has positive
+    grade, so no bound finds a witness."""
+    ring = Ring(GF(32003), ["x", "y", "a", "b"])
+    x, a = ring.variable(0), ring.variable(2)
+    gb = Ideal(ring, (x * a,)).groebner()
+    assert socle_witness(gb, 6, var_range=[2, 3]) is None
+
+
+def test_bounded_grade_is_exact_on_sevengen_gr(sevengen):
+    """Example 2.2: grade gr+ = 1, ended by a certified witness."""
+    from fiberlab.blowup import fiber_presentation, rees_and_gr
+    pres = rees_and_gr(sevengen, fiber_presentation(sevengen))
+    gb = pres.gr_ideal.groebner()
+    wvars = range(pres.split, pres.big_ring.nvars)
+    out = bounded_ideal_grade(gb, wvars, seed="grade:ex-2.2-sevengen")
+    assert out["value"] == 1 and out["exact"]
+    from fiberlab.groebner import extend_basis
+    cut = extend_basis(gb, tuple(out["regular_forms"]))
+    h = out["witness"]
+    assert not normal_form(h, cut).is_zero()
+    for i in wvars:
+        assert normal_form(h * pres.big_ring.variable(i), cut).is_zero()
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_standard_monomials_match_brute_force(field):
+    """Grown layer by layer, against every monomial of each degree
+    tested against every leading monomial, in the same order."""
+    ring = Ring(field, ["a", "b", "c", "d"])
+    rng = random.Random("standard-monomials")
+    for _ in range(4):
+        gens = []
+        for _ in range(rng.randrange(2, 5)):
+            monos = ring.monomials_of_degree(rng.randrange(2, 4))
+            terms = {monos[rng.randrange(len(monos))]:
+                     field.random_raw(rng, nonzero=True) for _ in range(3)}
+            gens.append(ring.from_terms(terms))
+        gb = Ideal(ring, tuple(gens)).groebner()
+        leads = gb.leading_monomials
+        for e in range(8):
+            brute = [m for m in ring.monomials_of_degree(e)
+                     if not any(all(a <= b for a, b in zip(lm, m)) for lm in leads)]
+            assert standard_monomials(gb, e) == brute
+    unit = Ideal(ring, (ring.one(),)).groebner()
+    assert standard_monomials(unit, 0) == []

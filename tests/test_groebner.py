@@ -207,6 +207,55 @@ def test_differential_against_naive(seed, order, field_name):
     assert list(fast.elements) == slow
 
 
+@pytest.mark.parametrize("field_name", list(ORACLE_FIELDS))
+def test_divisor_memo_survives_retired_reducers(monkeypatch, field_name):
+    """Inputs of mixed degree make a new leading monomial divide older
+    ones mid-run, so reducers retire while the divisor memo of
+    ``_nf_terms`` holds entries; a stale index would change the basis."""
+    from fiberlab import groebner
+    events = []
+    retire = groebner._Reducers.retire_multiples
+
+    def spy(self, lt):
+        filled = len(self.first)
+        gone = retire(self, lt)
+        if gone and filled:
+            events.append(filled)
+        return gone
+
+    monkeypatch.setattr(groebner._Reducers, "retire_multiples", spy)
+    field = ORACLE_FIELDS[field_name]
+    ring = Ring(field, ["x", "y", "z"])
+    for seed in (0, 5, 8):
+        rng = random.Random(f"retire:{seed}")
+        gens = []
+        for _ in range(rng.randrange(3, 6)):
+            terms = {}
+            for _ in range(rng.randrange(2, 4)):
+                monos = ring.monomials_of_degree(rng.randrange(1, 4))
+                terms[rng.choice(monos)] = field.random_raw(rng, nonzero=True)
+            gens.append(ring.from_terms(terms))
+        events.clear()
+        fast = buchberger(gens, GREVLEX)
+        assert events, "no reducer retired while the memo held entries"
+        assert list(fast.elements) == naive_buchberger(gens, GREVLEX)
+
+
+def test_divisor_memo_cleared_on_retire():
+    """A retired reducer shifts the indices after it, so the memo of
+    first divisors must not outlive the retirement."""
+    from fiberlab.groebner import _nf_terms, _Reducers
+    from fiberlab.polyring import _packing
+    packing = _packing(GREVLEX, 3)
+    red = _Reducers(packing)
+    red.append(0, packing.pack((3, 0, 0)), [])
+    red.append(1, packing.pack((0, 2, 0)), [(packing.pack((0, 0, 2)), 1)])
+    y2, minus_z2 = packing.pack((0, 2, 0)), {packing.pack((0, 0, 2)): 32002}
+    assert _nf_terms({y2: 1}, red, 32003) == minus_z2
+    assert red.retire_multiples(packing.pack((2, 0, 0))) == [0]
+    assert _nf_terms({y2: 1}, red, 32003) == minus_z2
+
+
 def test_eliminate_graph_is_zero(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     kept = eliminate([x - y * y - z], 1)

@@ -77,3 +77,73 @@ def test_series_matches_lead_term_ideal(sixgen):
     leads = sixgen.groebner().leading_monomials
     brute = brute_hilbert_function(list(leads), 3, (1, 1, 1), 9)
     assert hs.coefficients(9) == brute
+
+
+def tuple_numerator(gens, weights):
+    """Oracle on exponent tuples, sharing no code with the packed
+    recursion: N(M) = N(M') - t^deg(m) * N(M' : m) for M = M' + (m)."""
+    def minimal(monos):
+        monos = sorted(set(monos), key=lambda m: (sum(m), m))
+        out = []
+        for m in monos:
+            if not any(all(a <= b for a, b in zip(h, m)) for h in out):
+                out.append(m)
+        return tuple(out)
+
+    def rec(gens):
+        if not gens:
+            return {0: 1}
+        *rest, m = gens
+        colon = minimal(tuple(max(a - b, 0) for a, b in zip(r, m)) for r in rest)
+        shift = sum(w * e for w, e in zip(weights, m))
+        out = dict(rec(tuple(rest)))
+        for d, c in rec(colon).items():
+            out[d + shift] = out.get(d + shift, 0) - c
+        return {d: c for d, c in out.items() if c}
+
+    return rec(minimal(tuple(g) for g in gens))
+
+
+def test_packed_numerator_against_tuple_oracle():
+    rng = random.Random("packed-numerator")
+    for trial in range(60):
+        nvars = rng.randrange(1, 6)
+        gens = [tuple(rng.randrange(4) for _ in range(nvars))
+                for _ in range(rng.randrange(1, 8))]
+        gens = [g for g in gens if any(g)] or [(1,) * nvars]
+        mixed = trial % 2
+        weights = tuple(rng.choice((1, 2, 3)) if mixed else 1 for _ in range(nvars))
+        num = monomial_numerator(gens, weights)
+        assert num == tuple_numerator(gens, weights)
+        hs = HilbertSeries.from_numerator(num, nvars, weights)
+        assert hs.coefficients(7) == brute_hilbert_function(gens, nvars, weights, 7)
+
+
+def test_numerator_of_zero_and_unit_ideals():
+    assert monomial_numerator([], (1, 1, 1)) == {0: 1}
+    assert monomial_numerator([(0, 0, 0)], (1, 2, 1)) == {}
+    assert monomial_numerator([(0, 0, 0), (1, 2, 0)], (1, 1, 1)) == {}
+
+
+def test_series_of_basis_reads_packed_leads():
+    """A reduced basis hands over its packed leading monomials, in the
+    packing of its own term order."""
+    from fiberlab.groebner import buchberger
+    from fiberlab.hilbert import series_of_basis
+    from fiberlab.polyring import GREVLEX, LEX
+    ring = Ring(GF(32003), ["a", "b", "c", "d"], (1, 2, 1, 3))
+    rng = random.Random("series-of-basis")
+    for order in (GREVLEX, LEX):
+        for _ in range(3):
+            gens = []
+            for _ in range(3):
+                monos = ring.monomials_of_degree(rng.randrange(2, 5))
+                gens.append(ring.from_terms({monos[rng.randrange(len(monos))]:
+                                             ring.field.random_raw(rng, nonzero=True)
+                                             for _ in range(2)}))
+            gb = buchberger(gens, order)
+            hs = series_of_basis(gb)
+            assert hs.numerator_dict() == tuple_numerator(gb.leading_monomials,
+                                                          ring.weights)
+            assert hs.coefficients(8) == brute_hilbert_function(
+                list(gb.leading_monomials), 4, ring.weights, 8)
