@@ -37,14 +37,12 @@ def _fresh_names(base: str, count: int, taken) -> list:
     return out
 
 
-def _bidegree(m, split: int):
-    """(x-degree, w-count) of an exponent tuple split at index ``split``."""
-    return sum(m[:split]), sum(m[split:])
-
-
 def _is_bihomogeneous(p: Polynomial, split: int) -> bool:
-    degs = {_bidegree(m, split) for m in p.terms}
-    return len(degs) <= 1
+    """One x-degree and one w-degree (the variables from index ``split``
+    on): homogeneous with w weighing one and with w weighing two."""
+    ring = p.ring
+    regraded = Ring(ring.field, ring.names, (1,) * split + (2,) * (ring.nvars - split))
+    return p.is_homogeneous() and ring.embed(p, regraded).is_homogeneous()
 
 
 @dataclass
@@ -296,16 +294,13 @@ def fiber_truncated(ideal, n_max: int) -> TruncatedFiber:
 
     X-free elements of the truncated block basis present Q through the
     bound (reductions of x-free elements stay x-free under the block
-    order), so the relation dimensions are standard-monomial counts.
+    order), and they are a reduced grevlex basis there, so the relation
+    dimensions come from the Hilbert function of their leading monomials.
     """
     _, _, fiber_ring, rels = _fiber_relations(ideal, n_max)
-    leads = [q.leading_monomial(GREVLEX) for q in rels]
-    dims = {}
-    for nn in range(1, n_max + 1):
-        total = fiber_ring.dim_of_degree(nn)
-        std = sum(1 for mm in fiber_ring.monomials_of_degree(nn)
-                  if not any(all(a <= b for a, b in zip(lm, mm)) for lm in leads))
-        dims[nn] = total - std
+    hs = series_of_basis(GroebnerBasis(fiber_ring, GREVLEX, rels, rels, degree_bound=n_max))
+    values = hs.coefficients(n_max)
+    dims = {nn: fiber_ring.dim_of_degree(nn) - values[nn] for nn in range(1, n_max + 1)}
     return TruncatedFiber(fiber_ring, rels, n_max, dims)
 
 
@@ -321,11 +316,10 @@ def spread_via_jacobian(ideal, trials: int = 5, seed="jac") -> tuple:
     gens = IdealContext.of(ideal).mingens
     jac = [[g.derivative(j) for j in range(ring.nvars)] for g in gens]
     best = 0
-    from .graded import _evaluate
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
         point = [field.random_raw(rng) for _ in range(ring.nvars)]
-        rows = [[_evaluate(entry, point, field) for entry in row] for row in jac]
+        rows = [[entry.evaluate(point) for entry in row] for row in jac]
         best = max(best, rank_of_rows(rows, field, ring.nvars))
     return best, best == ring.nvars
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 from .groebner import GroebnerBasis, _nf_terms, extend_basis, normal_form
 from .hilbert import HilbertSeries, series_of_basis
 from .linalg import nullspace, sparse_rows
-from .polyring import Polynomial, Ring
+from .polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring
 
 
 @dataclass
@@ -53,9 +53,20 @@ def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial):
     return hs.equals_after_cut(new_hs, theta.homogeneous_degree()), new_gb, new_hs
 
 
+def regular_prefix(gb: GroebnerBasis, forms) -> int:
+    """How many leading forms are a regular sequence on S/ideal: cut by
+    one form after another and stop at the first that is not regular."""
+    hs = series_of_basis(gb)
+    for k, theta in enumerate(forms):
+        ok, gb, hs = regular_cut(gb, hs, theta)
+        if not ok:
+            return k
+    return len(forms)
+
+
 def _standard_layers(gb: GroebnerBasis):
     """Packed standard monomials of S/ideal, one degree after another, each
-    degree sorted descending in the basis's term order.
+    degree sorted grevlex-descending.
 
     Standard monomials are closed under division, so each one of degree
     e + 1 is u * x_i with u standard of degree e; taking i = the last
@@ -64,16 +75,17 @@ def _standard_layers(gb: GroebnerBasis):
     those leading monomials are tested.
     """
     ring = gb.ring
-    if any(w != 1 for w in ring.weights):
-        raise ValueError("standard monomials by degree need the standard grading")
+    if gb.order != GREVLEX or any(w != 1 for w in ring.weights):
+        raise ValueError("standard monomials by degree need a grevlex basis "
+                         "in the standard grading")
     red = gb._reducers
-    guard, units = red.packing.guard, red.packing.units
+    guard, units, shifts = red.packing.guard, red.packing.units, red.packing.shifts
     by_last = [[] for _ in range(ring.nvars)]
-    for lt, m in zip(red.lts, gb.leading_monomials):
-        support = [i for i, e in enumerate(m) if e]
-        if not support:
+    for lt in red.lts:
+        if not lt:
             return          # the unit ideal
-        by_last[support[-1]].append(lt)
+        last = max(i for i, s in enumerate(shifts) if (lt >> s) & EXPONENT_LIMIT)
+        by_last[last].append(lt)
     layer = [(0, 0)]        # (packed monomial, its last variable)
     while layer:
         yield sorted((a for a, _ in layer), reverse=True)
@@ -87,11 +99,10 @@ def _standard_layers(gb: GroebnerBasis):
 
 
 def standard_monomials(gb: GroebnerBasis, degree: int):
-    """Exponent tuples of the standard monomials of one degree."""
-    unpack = gb._reducers.packing.unpack
+    """The packed standard monomials of one degree, descending."""
     for e, layer in enumerate(_standard_layers(gb)):
         if e == degree:
-            return [unpack(a) for a in layer]
+            return layer
     return []
 
 
@@ -108,7 +119,7 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
     field = ring.field
     p = field.characteristic
     red = gb._reducers
-    units, unpack = red.packing.units, red.packing.unpack
+    units = red.packing.units
     idx = range(ring.nvars) if var_range is None else list(var_range)
     layers = _standard_layers(gb)
     std = next(layers, [])
@@ -136,7 +147,7 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
             for a, c in zip(std, kernel[0]):
                 c = field.raw(int(c)) if p else c
                 if c:
-                    terms[unpack(a)] = c
+                    terms[a] = c
             h = Polynomial(ring, terms)
             for i in idx:
                 if not normal_form(h * ring.variable(i), gb).is_zero():
@@ -150,7 +161,7 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
 
 def _socle_bound(gb: GroebnerBasis) -> int:
     """Default degree bound of a socle search: 2 * (top leading degree) + 4."""
-    return 2 * max((sum(m) for m in gb.leading_monomials), default=1) + 4
+    return 2 * max(map(gb.ring.mono_degree, gb._reducers.lts), default=1) + 4
 
 
 def _candidate_forms(ring: Ring, rng, dense_count=2):

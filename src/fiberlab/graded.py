@@ -5,11 +5,11 @@ Every Macaulay row in the package comes from one builder,
 makes them dense.  The degree-e piece of a free module with generator
 degrees (d_1, ..., d_r) has one block of columns per generator, laid
 out by ``module_basis``: block i starts at the sum of the widths before
-it and is the ``degree_basis(ring, e - d_i)`` index, whose monomials
-run grevlex-descending and are keyed by their packed grevlex form.  An
-ideal is the rank-one case d_1 = 0.  The builder packs each element s
-once and writes the row of m*s for every monomial m of degree
-e - deg s, grevlex-descending, by one lookup per term.  Graded pieces,
+it and is the ``degree_basis(ring, e - d_i)`` index of the packed
+monomials, grevlex-descending.  An ideal is the rank-one case d_1 = 0.
+The builder writes the row of m*s for every monomial m of degree
+e - deg s, grevlex-descending, by one lookup per term of s, on the
+packed keys the polynomials store.  Graded pieces,
 minimal generators, colon pieces and both matrices of the degreewise
 syzygies are made of these rows: the map's rows, collected by codomain
 column, and the multiples of the syzygies already found.
@@ -25,16 +25,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import Echelon, nullspace, rank_of_rows, sparse_rows, zero_vector
-from .polyring import GREVLEX, Polynomial, Ring, _packing
+from .polyring import Polynomial, Ring
 
 
 @lru_cache(maxsize=4096)
 def degree_basis(ring: Ring, degree: int):
-    """(monomials sorted grevlex-descending, column index map keyed by the
-    packed grevlex monomial, ``polyring._packing(GREVLEX, nvars)``)."""
+    """(packed monomials sorted grevlex-descending, their column index)."""
     monos = tuple(ring.monomials_of_degree(degree))
-    pack = _packing(GREVLEX, ring.nvars).pack
-    return monos, {pack(m): i for i, m in enumerate(monos)}
+    return monos, {m: i for i, m in enumerate(monos)}
 
 
 def module_basis(ring: Ring, degree: int, shifts=(0,)):
@@ -76,8 +74,7 @@ def spanning_columns(elements, degree: int, ring: Ring, shifts=(0,)):
     per element, m runs over the monomials of the complementary degree,
     grevlex-descending.  An element is a sequence of polynomials, one
     per generator; a polynomial is an element of the rank-one module.
-    Each element is packed once; zero elements give no rows."""
-    packing = _packing(GREVLEX, ring.nvars)
+    Zero elements give no rows."""
     blocks = module_basis(ring, degree, shifts)[0]
     for s in elements:
         if isinstance(s, Polynomial):
@@ -87,7 +84,7 @@ def spanning_columns(elements, degree: int, ring: Ring, shifts=(0,)):
             continue
         terms, coeffs = [], []
         for (offset, _, index), p in zip(blocks, s):
-            for t, c in packing.pack_terms(p.terms).items():
+            for t, c in p.terms.items():
                 terms.append((offset, index, t))
                 coeffs.append(c)
         for m in degree_basis(ring, degree - d)[1]:
@@ -262,18 +259,8 @@ def linear_rank(pres: PresentationMatrix, field, seeds=(11, 12, 13, 14, 15)) -> 
         for i in range(pres.nrows):
             row = []
             for k in linear_cols:
-                row.append(_evaluate(pres.matrix[i][k], point, field))
+                row.append(pres.matrix[i][k].evaluate(point))
             rows.append(row)
         best = max(best, rank_of_rows(rows, field, len(linear_cols)))
     return best
 
-
-def _evaluate(p: Polynomial, point, field):
-    total = field.zero
-    for m, c in p.terms.items():
-        v = c
-        for e, x in zip(m, point):
-            for _ in range(e):
-                v = field.mul(v, x)
-        total = field.add(total, v)
-    return total

@@ -2,12 +2,14 @@
 
 Pair management follows Gebauer-Moeller (criteria M, F and the coprime
 criterion, plus pruning of old pairs), with the normal selection
-strategy: minimal lcm degree, ties broken by the lcm monomial and then
-by insertion index, so runs are deterministic for a fixed input.
+strategy: minimal lcm degree, ties broken by the lcm monomial in the
+basis order and then by insertion index, so runs are deterministic for
+a fixed input.
 
-Inside the engine a monomial is one int (``polyring._Packing``, after
-Monagan and Pearce, "Sparse polynomial division using a heap", 2011):
-comparison, product and divisibility are single integer operations.
+Inside the engine a monomial is one int packed for the basis order
+(``polyring._Packing``): comparison, product and divisibility are single
+integer operations.  For grevlex that is the packing the polynomials
+store; any other order converts on entry and exit (``polyring.repack``).
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .polyring import (_OVERFLOW, GREVLEX, Elimination, Polynomial, Ring, RingError,
-                       TermOrder, _Packing, _packing, mono_lcm)
+from .polyring import (_OVERFLOW, EXPONENT_LIMIT, GREVLEX, Elimination, Polynomial, Ring,
+                       RingError, TermOrder, _Packing, _packing, repack)
 
 
 class _Reducers:
@@ -165,17 +167,13 @@ class GroebnerBasis:
 
     @cached_property
     def _reducers(self) -> _Reducers:
-        """Packed reducer index of the elements, built once."""
+        """Reducer index of the elements, packed for the order, built once."""
         packing = _packing(self.order, self.ring.nvars)
         red = _Reducers(packing)
         for i, g in enumerate(self.elements):
-            red.append(i, *_monic_parts(packing.pack_terms(g.terms), self.ring.field))
+            terms = repack(g.terms, self.ring.packing, packing)
+            red.append(i, *_monic_parts(terms, self.ring.field))
         return red
-
-    @cached_property
-    def leading_monomials(self):
-        unpack = self._reducers.packing.unpack
-        return tuple(unpack(lt) for lt in self._reducers.lts)
 
     def contains(self, f: Polynomial) -> bool:
         return normal_form(f, self).is_zero()
@@ -187,9 +185,9 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
         raise RingError("polynomial not in the basis ring")
     if not f.terms:
         return f
-    red = gb._reducers
-    rem = _nf_terms(red.packing.pack_terms(f.terms), red, f.ring.field.characteristic)
-    return Polynomial(f.ring, red.packing.unpack_terms(rem))
+    red, packing = gb._reducers, f.ring.packing
+    rem = _nf_terms(repack(f.terms, packing, red.packing), red, f.ring.field.characteristic)
+    return Polynomial(f.ring, repack(rem, red.packing, packing))
 
 
 def buchberger(generators, order: TermOrder = GREVLEX, *,
@@ -207,8 +205,7 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     basis through degree D).  The result carries ``degree_bound`` and
     must not be treated as a full basis.
 
-    Monomials are packed (``_Packing``) on entry and unpacked once on
-    exit; only the pair selection order is kept on exponent tuples.
+    Polynomials enter and leave packed for ``order`` (``polyring.repack``).
     """
     gens = [g for g in generators if g is not None and not g.is_zero()]
     if not gens:
@@ -221,58 +218,43 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
             raise RingError("degree-truncated runs need homogeneous input")
     field = ring.field
     packing = _packing(order, ring.nvars)
-    guard = packing.guard
+    guard, lcm = packing.guard, packing.lcm
     p = field.characteristic
-    work = [packing.pack_terms(g.terms) for g in gens]
+    work = [repack(g.terms, ring.packing, packing) for g in gens]
     if not groebner_prefix:
         work.sort(key=max)      # by leading monomial; stable on ties
-    wdeg = ring.mono_degree     # selection by graded degree: for inputs
-    red = _Reducers(packing)    # homogeneous in the ring weights this is
-    leads = []                  # true degree-by-degree processing
-    lead_tuples = []
+    red = _Reducers(packing)
+    leads = []
     tails = []
     tops = []
     alive = []
-    pairs = []                  # heap of (lcm degree, lcm, i, j, packed lcm)
+    # heap of (weighted lcm degree, packed lcm, i, j): selection by graded
+    # degree, for inputs homogeneous in the ring weights this is true
+    # degree-by-degree processing
+    pairs = []
 
     def push_element(terms):
         lt, tail = _monic_parts(_strip_content(terms, field), field)
-        lt_t = packing.unpack(lt)
         t = len(leads)
-        # Gebauer-Moeller update of the pair set: divisibility tests on
-        # packed lcms, selection order on exponent tuples.
-        cand = []
-        if t >= groebner_prefix:
-            for i in range(t):
-                if alive[i]:
-                    lcm_i = mono_lcm(lead_tuples[i], lt_t)
-                    cand.append((sum(lcm_i), lcm_i, i, packing.pack(lcm_i)))
-        cand.sort()
+        # Gebauer-Moeller update of the pair set, on packed lcms
+        lcms = {} if t < groebner_prefix else \
+            {i: lcm(leads[i], lt) for i in range(t) if alive[i]}
         # criterion M: drop a pair whose lcm is properly divided by another's
-        packed_lcms = [e[3] for e in cand]
-        seen = {}
-        for _, lcm_i, i, a in cand:
-            for b in packed_lcms:
+        groups = {}
+        for i, a in lcms.items():
+            for b in lcms.values():
                 if b != a and not (a - b) & guard:
                     break
             else:
-                seen.setdefault(lcm_i, [a]).append(i)
+                groups.setdefault(a, []).append(i)
         # criterion F: one pair per lcm value; a coprime member kills its group
-        new_pairs = []
-        for lcm_i in sorted(seen, key=lambda m: (sum(m), m)):
-            a, *group = seen[lcm_i]
-            if any(a == leads[i] + lt for i in group):
-                continue
-            new_pairs.append((wdeg(lcm_i), lcm_i, group[0], t, a))
+        new_pairs = [(packing.degree(a, ring.weights), a, group[0], t)
+                     for a, group in groups.items()
+                     if not any(a == leads[i] + lt for i in group)]
         # criterion B: prune old pairs via the new leading term
-        survivors = []
-        for entry in pairs:
-            _, lcm_ij, i, j, a = entry
-            if (not (a - lt) & guard
-                    and mono_lcm(lead_tuples[i], lt_t) != lcm_ij
-                    and mono_lcm(lead_tuples[j], lt_t) != lcm_ij):
-                continue
-            survivors.append(entry)
+        survivors = [(d, a, i, j) for d, a, i, j in pairs
+                     if (a - lt) & guard or lcm(leads[i], lt) == a
+                     or lcm(leads[j], lt) == a]
         pairs.clear()
         pairs.extend(survivors)
         pairs.extend(new_pairs)
@@ -282,7 +264,6 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
             alive[i] = False
         red.append(t, lt, tail)
         leads.append(lt)
-        lead_tuples.append(lt_t)
         tails.append(tail)
         tops.append(red.tops[-1])
         alive.append(True)
@@ -294,7 +275,7 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
             push_element(rem)
 
     while pairs:
-        top, _, i, j, lcm_p = heapq.heappop(pairs)
+        top, lcm_p, i, j = heapq.heappop(pairs)
         if degree_bound is not None and top > degree_bound:
             break
         # s-polynomial of two monic elements: their leading terms cancel
@@ -334,10 +315,9 @@ def _final_reduce(red: _Reducers, field, ring):
     """
     out = []
     for lt, tail in sorted(zip(red.lts, red.tails)):
-        rem = _nf_terms(dict(tail), red, field.characteristic)
-        terms = {red.packing.unpack(lt): field.one}
-        terms.update(red.packing.unpack_terms(rem))
-        out.append(Polynomial(ring, terms))
+        terms = {lt: field.one}
+        terms.update(_nf_terms(dict(tail), red, field.characteristic))
+        out.append(Polynomial(ring, repack(terms, red.packing, ring.packing)))
     return out
 
 
@@ -372,6 +352,5 @@ def eliminate(gens, drop_first_k: int, *, degree_bound: int | None = None):
     if k < 0 or k >= ring.nvars:
         raise RingError("elimination block out of range")
     gb = buchberger(gens, Elimination(k), degree_bound=degree_bound)
-    kept = [g for g in gb.elements
-            if all(all(e == 0 for e in m[:k]) for m in g.terms)]
-    return kept
+    dropped = sum(EXPONENT_LIMIT << s for s in ring.packing.shifts[:k])
+    return [g for g in gb.elements if not any(m & dropped for m in g.terms)]

@@ -186,19 +186,18 @@ def divide_exact(g: Polynomial, f: Polynomial) -> Polynomial:
     """Quotient g/f when f divides g exactly."""
     ring = g.ring
     field = ring.field
-    order = GREVLEX
+    guard = ring.packing.guard
     if g.is_zero():
         return g
-    lt_f = f.leading_monomial(order)
+    lt_f = max(f.terms)         # grevlex leading monomials
     lc_f = f.terms[lt_f]
     quotient = {}
     rest = g
     while rest.terms:
-        lt_r = rest.leading_monomial(order)
-        if not all(a <= b for a, b in zip(lt_f, lt_r)):
+        lt_r = max(rest.terms)
+        q = lt_r - lt_f
+        if q & guard:
             raise ArithmeticError("division is not exact")
-        from .polyring import mono_div
-        q = mono_div(lt_r, lt_f)
         c = field.div(rest.terms[lt_r], lc_f)
         quotient[q] = c
         rest = rest - f.mul_term(q, c)

@@ -1,16 +1,20 @@
 """Monomials, term orders, and exact multivariate polynomials.
 
-At the API monomials are plain exponent tuples.  A Polynomial is a map
-from monomial to nonzero raw coefficient (see fields.py) together with
-its Ring.  Values are immutable by convention: nothing mutates ``terms``
-after construction, so rings, orders and polynomials are safe to share
-across threads.
+A monomial is one int (``_Packing``, after Monagan and Pearce, "Sparse
+polynomial division using a heap", 2011): exponent fields, and above
+them the rows of a term order, so that integer comparison is the order
+and the product of two monomials is one integer addition.  A Polynomial
+maps its monomials, packed for grevlex (``Ring.packing``), to nonzero
+raw coefficients (see fields.py), together with its Ring.  Arithmetic,
+the Buchberger engine (groebner.py), the Macaulay rows (graded.py) and
+the Hilbert recursion (hilbert.py) read these keys as stored.  Exponent
+tuples appear only at the edges: ``Ring.monomial`` and
+``Ring.from_terms`` take them, and ``Ring.exponents`` gives them back,
+for printing, ring maps and substitution.
 
-Inside products a monomial is one int (``_Packing``, after Monagan and
-Pearce, "Sparse polynomial division using a heap", 2011), so that the
-product of two monomials is one integer addition.  The same packing
-serves the Buchberger engine (groebner.py) and the Macaulay rows of
-graded pieces (graded.py).
+Values are immutable by convention: nothing mutates ``terms`` after
+construction, so rings, orders and polynomials are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -31,44 +35,26 @@ class RingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# monomial helpers (exponent tuples)
-
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def mono_divides(a, b):
-    """a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(b, a):
-    return tuple(y - x for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
-# ---------------------------------------------------------------------------
 # term orders
 
 class TermOrder:
     """Total multiplicative monomial order with 1 minimal.
 
-    ``key(m)`` returns a tuple that sorts ascending in the order.
-    ``rows(n)`` writes the order on n variables as a nonnegative integer
-    matrix: comparing the row values ``sum(r[i] * m[i])`` lexicographically,
-    first row first, compares monomials in the order.
+    A subclass defines only ``rows(n)``, the order on n variables as a
+    nonnegative integer matrix: comparing the row values
+    ``sum(r[i] * m[i])`` lexicographically, first row first, compares
+    monomials in the order.  ``key`` and ``compare`` follow from it.
     """
 
     name = "order"
 
-    def key(self, m):
-        raise NotImplementedError
-
     def rows(self, nvars: int):
         raise NotImplementedError
+
+    def key(self, m) -> int:
+        """The exponent tuple m packed for this order: keys sort as the
+        monomials do."""
+        return _packing(self, len(m)).pack(m)
 
     def compare(self, a, b) -> int:
         if len(a) != len(b):
@@ -89,18 +75,12 @@ class TermOrder:
 class GrevLex(TermOrder):
     name = "grevlex"
 
-    def key(self, m):
-        return (sum(m), tuple(-e for e in reversed(m)))
-
     def rows(self, nvars):
         return _grevlex_rows(nvars, 0, nvars)
 
 
 class Lex(TermOrder):
     name = "lex"
-
-    def key(self, m):
-        return m
 
     def rows(self, nvars):
         return [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
@@ -118,12 +98,6 @@ class Elimination(TermOrder):
         self.block_size = block_size
         self.name = f"elimination({block_size})"
 
-    def key(self, m):
-        k = self.block_size
-        head, tail = m[:k], m[k:]
-        return (sum(head), tuple(-e for e in reversed(head)),
-                sum(tail), tuple(-e for e in reversed(tail)))
-
     def rows(self, nvars):
         k = min(self.block_size, nvars)
         return _grevlex_rows(nvars, 0, k) + _grevlex_rows(nvars, k, nvars)
@@ -138,9 +112,6 @@ class WeightThen(TermOrder):
             raise RingError("order weights must be positive")
         self.base = base or GrevLex()
         self.name = f"weight_then({list(self.weights)},{self.base.name})"
-
-    def key(self, m):
-        return (sum(w * e for w, e in zip(self.weights, m)), self.base.key(m))
 
     def rows(self, nvars):
         if len(self.weights) != nvars:
@@ -172,13 +143,15 @@ class _Packing:
 
     The low bits hold one EXPONENT_BITS-wide field per variable, each
     with a guard bit above it.  Above them sit the order's key rows
-    (``TermOrder.rows``), first row highest, each wide enough for its
-    value at EXPONENT_LIMIT.  Integer comparison is then the term order,
-    ``a + b`` is the product, and a divides b iff ``(b - a) & guard``
-    is 0.  A guard bit set in a sum means an exponent passed the limit.
+    (``TermOrder.rows``), first row highest (from bit ``first_row``),
+    each wide enough for its value at EXPONENT_LIMIT.  Integer comparison
+    is then the term order, ``a + b`` is the product, and a divides b iff
+    ``(b - a) & guard`` is 0.  A guard bit set in a sum means an exponent
+    passed the limit.  Every packing of n variables puts the exponent
+    fields at the same ``shifts``.
     """
 
-    __slots__ = ("units", "shifts", "guard")
+    __slots__ = ("units", "shifts", "guard", "first_row")
 
     def __init__(self, order: TermOrder, nvars: int):
         step = EXPONENT_BITS + 1
@@ -187,28 +160,23 @@ class _Packing:
         units = [1 << s for s in self.shifts]
         offset = nvars * step
         for row in reversed(order.rows(nvars)):
+            self.first_row = offset
             for i, w in enumerate(row):
                 units[i] += w << offset
             offset += (sum(row) * EXPONENT_LIMIT).bit_length()
         self.units = tuple(units)
 
     def pack(self, m) -> int:
+        """An exponent tuple, packed; RingError when it is malformed or
+        has an exponent past EXPONENT_LIMIT."""
+        if len(m) != len(self.units) or min(m) < 0:
+            raise RingError("bad exponent vector")
         if max(m) > EXPONENT_LIMIT:
             raise RingError(_OVERFLOW)
         return sum(map(mul, m, self.units))
 
-    def pack_terms(self, terms: dict) -> dict:
-        if terms and max(map(max, terms)) > EXPONENT_LIMIT:
-            raise RingError(_OVERFLOW)
-        units = self.units
-        return {sum(map(mul, m, units)): c for m, c in terms.items()}
-
-    def unpack(self, a) -> tuple:
+    def exponents(self, a) -> tuple:
         return tuple([(a >> s) & EXPONENT_LIMIT for s in self.shifts])
-
-    def unpack_terms(self, terms: dict) -> dict:
-        unpack = self.unpack
-        return {unpack(a): c for a, c in terms.items()}
 
     def top(self, monos) -> int:
         """Packed componentwise maximum of packed monomials (0 if none)."""
@@ -217,10 +185,27 @@ class _Packing:
         return sum(max((a >> s) & EXPONENT_LIMIT for a in monos) * u
                    for s, u in zip(self.shifts, self.units))
 
+    def lcm(self, a, b) -> int:
+        exps = self.exponents
+        return sum(map(mul, map(max, exps(a), exps(b)), self.units))
+
+    def degree(self, a, weights) -> int:
+        """Weighted degree, from the exponent fields."""
+        return sum(map(mul, weights, self.exponents(a)))
+
 
 @lru_cache(maxsize=64)
 def _packing(order: TermOrder, nvars: int) -> _Packing:
     return _Packing(order, nvars)
+
+
+def repack(terms: dict, src: _Packing, dst: _Packing) -> dict:
+    """A new coefficient map: the monomials of ``terms``, packed by src,
+    packed by dst instead.  The one conversion between term orders."""
+    if src is dst:
+        return dict(terms)
+    exps, units = src.exponents, dst.units
+    return {sum(map(mul, exps(a), units)): c for a, c in terms.items()}
 
 
 _OVERFLOW = f"exponent above the packing limit {EXPONENT_LIMIT}"
@@ -233,7 +218,8 @@ class Ring:
     """Polynomial ring: field, ordered variable names, positive weights.
 
     Weights define the grading only; term orders are independent of
-    them (block eliminations always compare raw exponents).
+    them (block eliminations always compare raw exponents).  ``packing``
+    is the grevlex packing of the ring's polynomials.
     """
 
     def __init__(self, field: FieldSpec, names, weights=None):
@@ -249,7 +235,9 @@ class Ring:
         if len(self.weights) != self.nvars or any(w <= 0 for w in self.weights):
             raise RingError("need one positive weight per variable")
         self._index = {n: i for i, n in enumerate(names)}
-        self._zero_mono = (0,) * self.nvars
+        self.packing = _packing(GREVLEX, self.nvars)
+        # in the standard grading the first grevlex row is the degree
+        self._standard = all(w == 1 for w in self.weights)
 
     def __eq__(self, other):
         return (isinstance(other, Ring) and self.field == other.field
@@ -268,50 +256,55 @@ class Ring:
         except KeyError:
             raise RingError(f"unknown variable {name!r}") from None
 
-    def mono_degree(self, m) -> int:
-        return sum(map(mul, self.weights, m))
+    def exponents(self, a) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return self.packing.exponents(a)
+
+    def mono_degree(self, a) -> int:
+        """Weighted degree of a packed monomial."""
+        if self._standard:
+            return a >> self.packing.first_row
+        return self.packing.degree(a, self.weights)
 
     # -- polynomial constructors ------------------------------------
     def zero(self) -> "Polynomial":
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return Polynomial(self, {self._zero_mono: self.field.one})
+        return Polynomial(self, {0: self.field.one})
 
     def constant(self, c) -> "Polynomial":
         c = self.field.raw(c)
-        return Polynomial(self, {self._zero_mono: c} if c else {})
+        return Polynomial(self, {0: c} if c else {})
 
     def variable(self, name_or_index) -> "Polynomial":
         i = name_or_index if isinstance(name_or_index, int) else self.index(name_or_index)
-        m = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {m: self.field.one})
+        return Polynomial(self, {self.packing.units[i]: self.field.one})
 
     def monomial(self, expo, coeff=1) -> "Polynomial":
         c = self.field.raw(coeff)
-        expo = tuple(int(e) for e in expo)
-        if len(expo) != self.nvars or any(e < 0 for e in expo):
-            raise RingError("bad exponent vector")
-        return Polynomial(self, {expo: c} if c else {})
+        a = self.packing.pack(tuple(int(e) for e in expo))
+        return Polynomial(self, {a: c} if c else {})
 
     def from_terms(self, terms: dict) -> "Polynomial":
-        clean = {m: c for m, c in terms.items() if c}
-        return Polynomial(self, clean)
+        """The polynomial of a map from exponent tuple to coefficient."""
+        pack = self.packing.pack
+        return Polynomial(self, {pack(m): c for m, c in terms.items() if c})
 
     def linear_form(self, coeffs) -> "Polynomial":
         """sum coeffs[i] * x_i."""
         terms = {}
-        for i, c in enumerate(coeffs):
+        for u, c in zip(self.packing.units, coeffs):
             c = self.field.raw(c)
             if c:
-                m = tuple(1 if j == i else 0 for j in range(self.nvars))
-                terms[m] = c
+                terms[u] = c
         return Polynomial(self, terms)
 
     def monomials_of_degree(self, degree: int):
-        """All exponent tuples of weighted degree ``degree``, grevlex-descending."""
-        monos = _weighted_monomials(self.weights, degree)
-        return sorted(monos, key=GREVLEX.key, reverse=True)
+        """The packed monomials of weighted degree ``degree``, grevlex-descending."""
+        units = self.packing.units
+        return sorted((sum(map(mul, m, units))
+                       for m in _weighted_monomials(self.weights, degree)), reverse=True)
 
     def dim_of_degree(self, degree: int) -> int:
         return len(_weighted_monomials(self.weights, degree))
@@ -319,30 +312,29 @@ class Ring:
     # -- ring maps ----------------------------------------------------
     def embed(self, poly: "Polynomial", target: "Ring") -> "Polynomial":
         """Rename-preserving inclusion into a ring containing our variables."""
-        idx = [target.index(n) for n in self.names]
-        terms = {}
-        for m, c in poly.terms.items():
-            mm = [0] * target.nvars
-            for i, e in enumerate(m):
-                mm[idx[i]] = e
-            terms[tuple(mm)] = target.field.raw(c)
-        return target.from_terms(terms)
+        return self._move(poly, target, [target.index(n) for n in self.names])
 
     def restrict(self, poly: "Polynomial", target: "Ring") -> "Polynomial":
         """Project onto a subring; variables outside it must not occur."""
-        idx = []
-        for i, n in enumerate(self.names):
-            idx.append(target._index.get(n, -1))
+        return self._move(poly, target, [target._index.get(n, -1) for n in self.names])
+
+    def _move(self, poly, target, idx):
+        """poly with our variable i sent to the target's variable idx[i];
+        -1 marks a variable the target lacks."""
+        units = [target.packing.units[j] if j >= 0 else None for j in idx]
+        raw = target.field.raw
         terms = {}
         for m, c in poly.terms.items():
-            mm = [0] * target.nvars
-            for i, e in enumerate(m):
+            a = 0
+            for i, e in enumerate(self.exponents(m)):
                 if e:
-                    if idx[i] < 0:
+                    if units[i] is None:
                         raise RingError(f"variable {self.names[i]} not in target ring")
-                    mm[idx[i]] = e
-            terms[tuple(mm)] = target.field.raw(c)
-        return target.from_terms(terms)
+                    a += e * units[i]
+            c = raw(c)
+            if c:
+                terms[a] = c
+        return Polynomial(target, terms)
 
 
 @lru_cache(maxsize=4096)
@@ -395,12 +387,6 @@ class Polynomial:
         if self.ring != other.ring:
             raise RingError("mixed rings")
 
-    def coefficient(self, mono):
-        return self.terms.get(tuple(mono), self.ring.field.zero)
-
-    def num_terms(self) -> int:
-        return len(self.terms)
-
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
         self._check(other)
@@ -431,30 +417,27 @@ class Polynomial:
         return Polynomial(self.ring, {m: f.neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other):
-        """Product on packed monomials: each operand is packed once, every
-        monomial product is one int addition, and F_p coefficients are
-        reduced once per result term."""
+        """Every monomial product is one int addition, and F_p
+        coefficients are reduced once per result term."""
         if not isinstance(other, Polynomial):
             return self.scale(other)
         self._check(other)
-        packing = _packing(GREVLEX, self.ring.nvars)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        b = list(packing.pack_terms(b).items())
+        b = list(b.items())
         res = {}
         get = res.get
-        for m1, c1 in packing.pack_terms(a).items():
+        for m1, c1 in a.items():
             for m2, c2 in b:
                 mm = m1 + m2
                 res[mm] = get(mm, 0) + c1 * c2
-        if reduce(or_, res, 0) & packing.guard:
+        if reduce(or_, res, 0) & self.ring.packing.guard:
             raise RingError(_OVERFLOW)
         p = self.ring.field.characteristic
         if p:
             res = {m: c % p for m, c in res.items()}
-        unpack = packing.unpack
-        return Polynomial(self.ring, {unpack(m): c for m, c in res.items() if c})
+        return Polynomial(self.ring, {m: c for m, c in res.items() if c})
 
     def scale(self, c):
         f = self.ring.field
@@ -464,12 +447,15 @@ class Polynomial:
         return Polynomial(self.ring, {m: f.mul(v, c) for m, v in self.terms.items()})
 
     def mul_term(self, mono, coeff):
+        """self * coeff * mono, for a packed monomial mono."""
         f = self.ring.field
         coeff = f.raw(coeff)
         if not coeff:
             return self.ring.zero()
-        return Polynomial(self.ring,
-                          {mono_mul(m, mono): f.mul(v, coeff) for m, v in self.terms.items()})
+        terms = {m + mono: f.mul(v, coeff) for m, v in self.terms.items()}
+        if reduce(or_, terms, 0) & self.ring.packing.guard:
+            raise RingError(_OVERFLOW)
+        return Polynomial(self.ring, terms)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -484,62 +470,45 @@ class Polynomial:
         return result
 
     # -- grading --------------------------------------------------------
+    def _degree_range(self):
+        """(least, greatest) weighted degree of the terms; in the standard
+        grading grevlex keys sort by degree first."""
+        md = self.ring.mono_degree
+        if self.ring._standard:
+            return md(min(self.terms)), md(max(self.terms))
+        degs = list(map(md, self.terms))
+        return min(degs), max(degs)
+
     def degree(self) -> int:
         """Max weighted degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        md = self.ring.mono_degree
-        return max(md(m) for m in self.terms)
+        return self._degree_range()[1] if self.terms else -1
 
     def is_homogeneous(self) -> bool:
         if not self.terms:
             return True
-        md = self.ring.mono_degree
-        it = iter(self.terms)
-        d = md(next(it))
-        return all(md(m) == d for m in it)
+        lo, hi = self._degree_range()
+        return lo == hi
 
     def homogeneous_degree(self) -> int:
         """The weighted degree of every term; -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        md = self.ring.mono_degree
-        it = iter(self.terms)
-        d = md(next(it))
-        for m in it:
-            if md(m) != d:
-                raise RingError("polynomial is not homogeneous")
-        return d
-
-    # -- leading data -----------------------------------------------------
-    def leading_monomial(self, order: TermOrder):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=order.key)
-
-    def leading_coefficient(self, order: TermOrder):
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: TermOrder) -> "Polynomial":
-        lc = self.leading_coefficient(order)
-        f = self.ring.field
-        if lc == f.one:
-            return self
-        inv = f.inv(lc)
-        return Polynomial(self.ring, {m: f.mul(c, inv) for m, c in self.terms.items()})
+        lo, hi = self._degree_range()
+        if lo != hi:
+            raise RingError("polynomial is not homogeneous")
+        return hi
 
     def derivative(self, var_index: int) -> "Polynomial":
         f = self.ring.field
+        unit = self.ring.packing.units[var_index]
+        shift = self.ring.packing.shifts[var_index]
         terms = {}
         for m, c in self.terms.items():
-            e = m[var_index]
+            e = (m >> shift) & EXPONENT_LIMIT
             if e:
-                mm = m[:var_index] + (e - 1,) + m[var_index + 1:]
-                v = f.add(terms.get(mm, f.zero), f.mul(c, f.raw(e)))
+                v = f.mul(c, f.raw(e))
                 if v:
-                    terms[mm] = v
-                else:
-                    terms.pop(mm, None)
+                    terms[m - unit] = v
         return Polynomial(self.ring, terms)
 
     # -- substitution ------------------------------------------------------
@@ -559,11 +528,23 @@ class Polynomial:
         result = tgt.zero()
         for m, c in self.terms.items():
             part = tgt.constant(c)
-            for i, e in enumerate(m):
+            for i, e in enumerate(self.ring.exponents(m)):
                 if e:
                     part = part * power(i, e)
             result = result + part
         return result
+
+    def evaluate(self, point):
+        """The value at a point given as raw field elements."""
+        f = self.ring.field
+        total = f.zero
+        for m, c in self.terms.items():
+            v = c
+            for e, x in zip(self.ring.exponents(m), point):
+                for _ in range(e):
+                    v = f.mul(v, x)
+            total = f.add(total, v)
+        return total
 
     # -- printing -----------------------------------------------------------
     def __repr__(self):
@@ -576,10 +557,10 @@ def poly_to_string(p: Polynomial) -> str:
         return "0"
     names = p.ring.names
     parts = []
-    for m in sorted(p.terms, key=GREVLEX.key, reverse=True):
+    for m in sorted(p.terms, reverse=True):
         c = p.terms[m]
         factors = []
-        for n, e in zip(names, m):
+        for n, e in zip(names, p.ring.exponents(m)):
             if e == 1:
                 factors.append(n)
             elif e > 1:

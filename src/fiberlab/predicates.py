@@ -20,9 +20,8 @@ import numpy as np
 
 from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
-from .depth import regular_cut
+from .depth import regular_prefix
 from .graded import degree_basis, joint_rank, spanning_rows
-from .hilbert import series_of_basis
 from .ideals import Ideal
 from .linalg import Echelon, nullspace, rank_of_rows
 from .polyring import Ring
@@ -297,20 +296,11 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     split = pres.split
 
     # gr-route: cut gr by the images, demanding regularity at every step
-    gb = pres.gr_ideal.groebner()
-    hs = series_of_basis(gb)
-    regular_all = True
-    failed_at_step = None
-    for i, row in enumerate(fs_prefix.coefficients):
-        coeffs = [big.field.zero] * big.nvars
-        for j, c in enumerate(row):
-            coeffs[split + j] = c
-        theta = big.linear_form(coeffs)
-        ok, gb, hs = regular_cut(gb, hs, theta)
-        if not ok:
-            regular_all = False
-            failed_at_step = i + 1
-            break
+    images = [big.linear_form([big.field.zero] * split + list(row))
+              for row in fs_prefix.coefficients]
+    regular = regular_prefix(pres.gr_ideal.groebner(), images)
+    regular_all = regular == len(images)
+    failed_at_step = None if regular_all else regular + 1
 
     per_n = {}
     first_failure = None
@@ -518,15 +508,8 @@ def map_degree_via_formula(ideal) -> PredicateReport:
 def regular_sequence_on_fiber(fp: FiberPresentation, coeff_rows) -> bool:
     """Are the forms with the given generator coordinates a regular
     sequence on the fiber cone?  Exact, via numerator identities."""
-    gb = fp.relations.groebner()
-    hs = series_of_basis(gb)
-    ring = fp.fiber_ring
-    for row in coeff_rows:
-        theta = ring.linear_form(list(row))
-        ok, gb, hs = regular_cut(gb, hs, theta)
-        if not ok:
-            return False
-    return True
+    forms = [fp.fiber_ring.linear_form(list(row)) for row in coeff_rows]
+    return regular_prefix(fp.relations.groebner(), forms) == len(forms)
 
 
 def theorem_crosschecks(bundles) -> list:
@@ -583,23 +566,21 @@ def theorem_crosschecks(bundles) -> list:
                     ok = regular_sequence_on_fiber(fp, fs.coefficients[:ht])
                     emit("vv-regular-on-fiber", ident, ok, {"seed": seed})
 
+            adj = analytically_adjusted(ideal, fs)
             # CM fiber makes minimal-reduction generators adjusted
             if fiber_cm is not None and fiber_cm.is_cm and red.verified:
-                adj = analytically_adjusted(ideal, fs)
                 emit("cm-reduction-adjusted", ident, adj.is_true,
                      {"seed": seed, "mu_JI": adj.certificate["mu_JI"],
                       "bound": adj.certificate["bound"]})
 
             # mu(JI) never exceeds l*mu - C(l,2) (asserted inside adjusted)
-            adj_any = analytically_adjusted(ideal, fs)
             emit("mu-JI-bound", ident,
-                 adj_any.certificate["mu_JI"] <= adj_any.certificate["bound"],
+                 adj.certificate["mu_JI"] <= adj.certificate["bound"],
                  {"seed": seed})
 
         indeg = b.get("indeg")
         if indeg is not None and isinstance(indeg.certificate["indeg"], int) \
                 and indeg.certificate["indeg"] >= 3:
-            import random as _random
             gens = ideal.minimal_generators()
             for l in (2, min(3, len(gens))):
                 fs = generic_forms(ideal, l, f"noquad:{b['id']}:{l}")

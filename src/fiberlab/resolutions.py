@@ -17,9 +17,8 @@ from .graded import PresentationMatrix, minimal_generators, syzygies_degreewise
 
 
 class IncompleteResolutionError(RuntimeError):
-    def __init__(self, message, depth_lower_bound=None, table=None):
+    def __init__(self, message, table=None):
         super().__init__(message)
-        self.depth_lower_bound = depth_lower_bound
         self.table = table
 
 
@@ -61,7 +60,6 @@ class BettiTable:
 class Resolution:
     table: BettiTable
     presentation: PresentationMatrix | None
-    steps: list                   # steps[i]: (columns, degrees) of map F_{i+1} -> F_i
 
 
 DEFAULT_CEILING = 60
@@ -91,7 +89,7 @@ def minimal_resolution(ideal, cutoff: int | None = None,
     if not gens:
         table = BettiTable({(0, 0): 1}, 0, True, ring.nvars, 0,
                            ideal.hilbert_series().numerator_dict())
-        return Resolution(table, None, [])
+        return Resolution(table, None)
     if ideal.is_unit():
         raise ValueError("resolution of the zero module is not meaningful here")
     numerator = ideal.hilbert_series().numerator_dict()
@@ -113,10 +111,10 @@ def _resolve_once(ideal, gens, numerator, cutoff) -> Resolution:
     for d in gen_degs:
         entries[(1, d)] = entries.get((1, d), 0) + 1
 
-    steps = [([[g] for g in gens], gen_degs)]
     cod_degs = [0]
     cols = [[g] for g in gens]
     dom_degs = gen_degs
+    pres_cols, pres_degs = [], []
     i = 1
     exhausted = False
     while True:
@@ -131,29 +129,18 @@ def _resolve_once(ideal, gens, numerator, cutoff) -> Resolution:
             break
         for d in syz_degs:
             entries[(i, d)] = entries.get((i, d), 0) + 1
-        steps.append((syz, syz_degs))
+        if i == 2:
+            pres_cols, pres_degs = syz, syz_degs
         cod_degs, cols, dom_degs = dom_degs, syz, syz_degs
 
     pd = max(h for (h, _) in entries)
     table = BettiTable(entries, pd, False, ring.nvars, cutoff, dict(numerator))
     table.complete = (not exhausted) and table.euler_ok()
-    pres_cols, pres_degs = steps[1] if len(steps) > 1 else ([], [])
     presentation = PresentationMatrix(
         matrix=[[s[k] for s in pres_cols] for k in range(len(gens))],
         row_degrees=gen_degs,
-        column_degrees=list(pres_degs),
-    ) if pres_cols else PresentationMatrix(
-        matrix=[[] for _ in gens], row_degrees=gen_degs, column_degrees=[])
-    return Resolution(table, presentation, steps)
-
-
-def presentation_matrix(ideal) -> PresentationMatrix:
-    """Minimal presentation (rows = generators, columns = first syzygies)."""
-    res = minimal_resolution(ideal)
-    if not res.table.complete:
-        raise IncompleteResolutionError("presentation not certified complete",
-                                        table=res.table)
-    return res.presentation
+        column_degrees=list(pres_degs))
+    return Resolution(table, presentation)
 
 
 def depth_via_resolution(ideal, cutoff=None, ceiling=DEFAULT_CEILING) -> int:
@@ -163,9 +150,5 @@ def depth_via_resolution(ideal, cutoff=None, ceiling=DEFAULT_CEILING) -> int:
         bound = ideal.ring.nvars - res.table.projective_dimension
         raise IncompleteResolutionError(
             f"resolution incomplete at cutoff {res.table.cutoff}; depth unknown, "
-            f"<= {bound}", depth_lower_bound=None, table=res.table)
+            f"<= {bound}", table=res.table)
     return ideal.ring.nvars - res.table.projective_dimension
-
-
-def regularity(table: BettiTable) -> int:
-    return table.regularity()

@@ -52,8 +52,19 @@ def random_poly(ring, degree, rng, terms=4):
     monos = ring.monomials_of_degree(degree)
     for _ in range(terms):
         c = ring.field.random_raw(rng)
-        out = out + ring.monomial(monos[rng.randrange(len(monos))], c)
+        out = out + ring.one().mul_term(monos[rng.randrange(len(monos))], c)
     return out
+
+
+def exponent_terms(p):
+    """The terms of p keyed by exponent tuples."""
+    return {p.ring.exponents(m): c for m, c in p.terms.items()}
+
+
+def leading_exponents(gb):
+    """Exponent tuples of the leading monomials of a basis, in its order."""
+    exps = gb.ring.exponents
+    return [max(map(exps, g.terms), key=gb.order.key) for g in gb.elements]
 
 
 @pytest.fixture(scope="session")

@@ -7,46 +7,66 @@ from fiberlab.groebner import (GroebnerBasis, buchberger, eliminate, extend_basi
                                normal_form)
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import (EXPONENT_LIMIT, GREVLEX, LEX, MAX_EXPONENT, Elimination,
-                               Polynomial, Ring, RingError, WeightThen,
-                               mono_div, mono_lcm)
+                               Polynomial, Ring, RingError, WeightThen)
+
+from conftest import exponent_terms, leading_exponents
+
+
+def _lead(f, order):
+    """(exponent tuple, coefficient) of the leading term of f in order."""
+    terms = exponent_terms(f)
+    m = max(terms, key=order.key)
+    return m, terms[m]
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _quo(b, a):
+    return tuple(y - x for x, y in zip(a, b))
+
+
+def _shift(g, m, c):
+    """c * x^m * g, for an exponent tuple m."""
+    return g * g.ring.monomial(m, c)
 
 
 def naive_buchberger(gens, order):
     """Textbook pair-by-pair Buchberger without any criteria, followed by
-    interreduction; the differential oracle for the production engine."""
+    interreduction, on exponent tuples; the differential oracle for the
+    production engine."""
     ring = gens[0].ring
     field = ring.field
-    basis = [g.monic(order) for g in gens if not g.is_zero()]
+
+    def monic(f):
+        return f.scale(field.inv(_lead(f, order)[1]))
+
+    basis = [monic(g) for g in gens if not g.is_zero()]
 
     def reduce_full(f):
         rem = ring.zero()
         while not f.is_zero():
-            lt = f.leading_monomial(order)
-            hit = None
-            for g in basis:
-                glt = g.leading_monomial(order)
-                if all(a <= b for a, b in zip(glt, lt)):
-                    hit = g
-                    break
+            lt, c = _lead(f, order)
+            hit = next((g for g in basis if _divides(_lead(g, order)[0], lt)), None)
             if hit is None:
-                t = Polynomial(ring, {lt: f.terms[lt]})
+                t = ring.monomial(lt, c)
                 rem = rem + t
                 f = f - t
             else:
-                q = mono_div(lt, hit.leading_monomial(order))
-                f = f - hit.mul_term(q, f.terms[lt])
+                f = f - _shift(hit, _quo(lt, _lead(hit, order)[0]), c)
         return rem
 
     pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
     while pairs:
         i, j = pairs.pop(0)
         gi, gj = basis[i], basis[j]
-        lcm_ij = mono_lcm(gi.leading_monomial(order), gj.leading_monomial(order))
-        s = gi.mul_term(mono_div(lcm_ij, gi.leading_monomial(order)), field.one) \
-            - gj.mul_term(mono_div(lcm_ij, gj.leading_monomial(order)), field.one)
+        li, lj = _lead(gi, order)[0], _lead(gj, order)[0]
+        lcm_ij = tuple(map(max, li, lj))
+        s = _shift(gi, _quo(lcm_ij, li), field.one) - _shift(gj, _quo(lcm_ij, lj), field.one)
         r = reduce_full(s)
         if not r.is_zero():
-            basis.append(r.monic(order))
+            basis.append(monic(r))
             pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
     # interreduce
     changed = True
@@ -57,33 +77,30 @@ def naive_buchberger(gens, order):
                 continue
             others = [g for k, g in enumerate(basis) if k != i and not g.is_zero()]
             saved = basis[i]
-            basis[i] = saved  # reduce against the others
-            rem = saved
+            rem = saved     # reduce against the others
             while True:
                 step = rem
                 for g in others:
-                    glt = g.leading_monomial(order)
-                    for m in sorted(step.terms, key=order.key, reverse=True):
-                        if all(a <= b for a, b in zip(glt, m)):
-                            step = step - g.mul_term(mono_div(m, glt),
-                                                     step.terms[m])
+                    glt = _lead(g, order)[0]
+                    terms = exponent_terms(step)
+                    for m in sorted(terms, key=order.key, reverse=True):
+                        if _divides(glt, m):
+                            step = step - _shift(g, _quo(m, glt), terms[m])
                             break
                 if step == rem:
                     break
                 rem = step
             if rem != saved:
                 changed = True
-            basis[i] = rem.monic(order) if not rem.is_zero() else rem
+            basis[i] = monic(rem) if not rem.is_zero() else rem
     out = [g for g in basis if not g.is_zero()]
     # drop elements whose lead is divisible by another's
     final = []
     for g in out:
-        lt = g.leading_monomial(order)
-        if not any(h is not g
-                   and all(a <= b for a, b in
-                           zip(h.leading_monomial(order), lt)) for h in out):
+        lt = _lead(g, order)[0]
+        if not any(h is not g and _divides(_lead(h, order)[0], lt) for h in out):
             final.append(g)
-    final.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    final.sort(key=lambda g: order.key(_lead(g, order)[0]))
     return final
 
 
@@ -113,7 +130,7 @@ def test_normal_form_membership(R3):
     g = x * x * y * y
     r = normal_form(g, gb)
     assert gb.contains(g - r)
-    assert not any(m[0] >= 2 for m in r.terms)   # no term divisible by x^2
+    assert not any(m[0] >= 2 for m in exponent_terms(r))   # no term divisible by x^2
 
 
 def test_membership_soundness_random_combinations(sixgen, rng):
@@ -147,11 +164,10 @@ def test_spolys_reduce_to_zero(binomial4):
     field = gb.ring.field
     for i, gi in enumerate(gb.elements):
         for gj in gb.elements[i + 1:]:
-            li = gi.leading_monomial(order)
-            lj = gj.leading_monomial(order)
-            lcm_ij = mono_lcm(li, lj)
-            s = gi.mul_term(mono_div(lcm_ij, li), field.one) \
-                - gj.mul_term(mono_div(lcm_ij, lj), field.one)
+            li, lj = _lead(gi, order)[0], _lead(gj, order)[0]
+            lcm_ij = tuple(map(max, li, lj))
+            s = _shift(gi, _quo(lcm_ij, li), field.one) \
+                - _shift(gj, _quo(lcm_ij, lj), field.one)
             assert normal_form(s, gb).is_zero()
 
 
@@ -159,13 +175,13 @@ def test_autoreduced_and_monic(sevengen):
     gb = sevengen.groebner()
     order = gb.order
     one = gb.ring.field.one
-    leads = [g.leading_monomial(order) for g in gb.elements]
+    leads = leading_exponents(gb)
     for i, g in enumerate(gb.elements):
-        assert g.terms[leads[i]] == one
+        assert exponent_terms(g)[leads[i]] == one
         for j, lead in enumerate(leads):
             if i == j:
                 continue
-            for m in g.terms:
+            for m in exponent_terms(g):
                 assert not all(a <= b for a, b in zip(lead, m))
 
 
@@ -198,7 +214,7 @@ def test_differential_against_naive(seed, order, field_name):
         terms = {}
         for _ in range(rng.randrange(1, 4)):
             terms[pool[rng.randrange(len(pool))]] = ring.field.random_raw(rng, nonzero=True)
-        gens.append(ring.from_terms(terms))
+        gens.append(Polynomial(ring, terms))
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         pytest.skip("empty draw")
@@ -234,7 +250,7 @@ def test_divisor_memo_survives_retired_reducers(monkeypatch, field_name):
             for _ in range(rng.randrange(2, 4)):
                 monos = ring.monomials_of_degree(rng.randrange(1, 4))
                 terms[rng.choice(monos)] = field.random_raw(rng, nonzero=True)
-            gens.append(ring.from_terms(terms))
+            gens.append(Polynomial(ring, terms))
         events.clear()
         fast = buchberger(gens, GREVLEX)
         assert events, "no reducer retired while the memo held entries"
@@ -312,10 +328,11 @@ def test_source_generators_recorded(monomial4):
 
 def test_qq_and_fp_leads_agree(sixgen, R3q):
     """Lead ideals over Q and F_32003 coincide on the corpus ideal."""
-    gens_q = [R3q.monomial(next(iter(g.terms))) for g in sixgen.generators]
+    exps = sixgen.ring.exponents
+    gens_q = [R3q.monomial(exps(next(iter(g.terms)))) for g in sixgen.generators]
     gb_q = buchberger(gens_q, GREVLEX)
     gb_p = sixgen.groebner()
-    assert gb_q.leading_monomials == gb_p.leading_monomials
+    assert leading_exponents(gb_q) == leading_exponents(gb_p)
 
 
 @pytest.mark.parametrize("nvars", [5, 6, 7, 8])
@@ -332,11 +349,11 @@ def test_reduced_basis_matches_sympy(nvars):
         monos = ring.monomials_of_degree(rng.choice((2, 2, 3)))
         terms = {monos[rng.randrange(len(monos))]: ring.field.random_raw(rng, nonzero=True)
                  for _ in range(3)}
-        gens.append(ring.from_terms(terms))
+        gens.append(Polynomial(ring, terms))
 
     def to_sympy(g):
         return sum(c * sympy.prod([s ** e for s, e in zip(symbols, m)])
-                   for m, c in g.terms.items())
+                   for m, c in exponent_terms(g).items())
 
     def monic_terms(poly):
         terms = {m: int(c) % p for m, c in poly.terms()}
@@ -348,7 +365,7 @@ def test_reduced_basis_matches_sympy(nvars):
                             modulus=p, order="grevlex")
     want = sorted((monic_terms(sympy.Poly(g, *symbols, modulus=p)) for g in theirs),
                   key=lambda t: GREVLEX.key(max(t, key=GREVLEX.key)))
-    have = [g.terms for g in buchberger(gens, GREVLEX).elements]
+    have = [exponent_terms(g) for g in buchberger(gens, GREVLEX).elements]
     assert have == want
 
 

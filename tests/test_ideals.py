@@ -44,8 +44,8 @@ def test_intersection_fat_lines(R3):
     mingens = I.minimal_generators()
     assert len(mingens) == 4
     # oracle: pairwise lcms of the monomial generators, minimalized
-    from fiberlab.polyring import mono_lcm
-    lcms = {mono_lcm(next(iter(f.terms)), next(iter(g.terms)))
+    exps = R3.exponents
+    lcms = {tuple(map(max, exps(next(iter(f.terms))), exps(next(iter(g.terms)))))
             for f in A.generators for g in B.generators}
     oracle = Ideal(R3, tuple(R3.monomial(m) for m in lcms))
     assert I == oracle

@@ -29,7 +29,7 @@ def localization_gs_oracle(ideal, s):
     <= s-1.  Monomial ideals have monomial associated primes, so
     checking all coordinate primes that contain I is exhaustive."""
     ring = ideal.ring
-    gens = [next(iter(g.terms)) for g in ideal.generators]
+    gens = [ring.exponents(next(iter(g.terms))) for g in ideal.generators]
     n = ring.nvars
     for size in range(1, min(s - 1, n) + 1):
         for subset in combinations(range(n), size):

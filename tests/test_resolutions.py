@@ -5,7 +5,7 @@ from fiberlab.fields import GF
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
 from fiberlab.resolutions import (IncompleteResolutionError, depth_via_resolution,
-                                  minimal_resolution, regularity)
+                                  minimal_resolution)
 
 
 def test_koszul_complex(R3):
@@ -16,7 +16,7 @@ def test_koszul_complex(R3):
     assert [t.total(i) for i in range(4)] == [1, 3, 3, 1]
     assert t.projective_dimension == 3
     assert t.betti(2, 2) == 3
-    assert regularity(t) == 0
+    assert t.regularity() == 0
     assert depth_via_resolution(Ideal(R3, (x, y, z))) == 0
 
 
@@ -24,7 +24,7 @@ def test_polynomial_ring_itself(R3):
     res = minimal_resolution(Ideal(R3, ()))
     assert res.table.complete
     assert res.table.projective_dimension == 0
-    assert regularity(res.table) == 0
+    assert res.table.regularity() == 0
 
 
 def test_hypersurface_depth(R3):
@@ -59,7 +59,7 @@ def test_fiber_resolution_depths(sixgen, sevengen):
     res7 = minimal_resolution(fp7.relations)
     assert res7.table.complete
     assert 7 - res7.table.projective_dimension == 2
-    assert regularity(res7.table) == 2
+    assert res7.table.regularity() == 2
 
 
 def test_depth_le_dim(sixgen, monomial4):
