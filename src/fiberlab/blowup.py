@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from math import comb
 
 from .graded import GradedPieceBasis, joint_rank, piece_span_of_polys
 from .groebner import GREVLEX, GroebnerBasis, eliminate, extend_basis
@@ -172,6 +173,19 @@ class IdealContext:
                                                        self.piece(key[1], degree))
         return rank
 
+    def relation_dim(self, n: int) -> int:
+        """dim_k [Q]_n.  The fiber is k[I_d], whose degree-n piece is
+        [I^n]_{nd}, so this is C(mu+n-1, n) - dim_k [I^n]_{nd}; checked
+        against the eliminated presentation when the plan builds one."""
+        gens, d = equigenerated_data(self)
+        dim = comb(len(gens) + n - 1, n) - self.piece(self.power_gens(n), n * d).dim
+        if self.fp is not None:
+            eliminated = self.fp.relation_piece_dim(n)
+            if dim != eliminated:
+                raise AssertionError(f"fiber piece mismatch at n={n}: "
+                                     f"formula {dim} vs eliminated {eliminated}")
+        return dim
+
     def forget(self):
         """Drop the memoized powers, pieces and joint ranks.  A report
         calls this between stages that share none of them, so that one
@@ -245,10 +259,9 @@ def equigenerated_data(ideal):
     return ctx.mingens, ctx.degree
 
 
-def _fiber_relations(ideal, degree_bound: int | None = None):
-    """(generators, degree, fiber ring, relations): the kernel of
-    w_i -> f_i, by eliminating the x-variables (through w-degree
-    ``degree_bound`` when one is given)."""
+def fiber_presentation(ideal) -> FiberPresentation:
+    """Relations Q of the fiber cone: the kernel of w_i -> f_i, by
+    eliminating the x-variables."""
     ring = ideal.ring
     gens, d = equigenerated_data(ideal)
     m = len(gens)
@@ -259,49 +272,24 @@ def _fiber_relations(ideal, degree_bound: int | None = None):
     for i, f in enumerate(gens):
         w = elim_ring.variable(ring.nvars + i)
         work.append(w - ring.embed(f, elim_ring))
-    kept = eliminate(work, ring.nvars, degree_bound=None if degree_bound is None
-                     else degree_bound * d)
     fiber_ring = Ring(ring.field, tuple(wnames))
-    rels = tuple(elim_ring.restrict(g, fiber_ring) for g in kept)
-    for q in rels:
+    rel_polys = tuple(elim_ring.restrict(g, fiber_ring)
+                      for g in eliminate(work, ring.nvars))
+    for q in rel_polys:
         if not q.substitute(list(gens), ring).is_zero():
             raise AssertionError("fiber relation does not vanish on the generators")
-    return gens, d, fiber_ring, rels
-
-
-def fiber_presentation(ideal) -> FiberPresentation:
-    """Relations Q of the fiber cone, by eliminating the x-variables."""
-    gens, d, fiber_ring, rel_polys = _fiber_relations(ideal)
     relations = Ideal(fiber_ring, rel_polys)
     relations._gb_cache[repr(GREVLEX)] = GroebnerBasis(
         fiber_ring, GREVLEX, rel_polys, rel_polys)
     return FiberPresentation(fiber_ring, relations, tuple(gens), d)
 
 
-@dataclass
-class TruncatedFiber:
-    """Fiber relations known only through a w-degree bound, from a
-    degree-truncated elimination."""
-
-    fiber_ring: Ring
-    partial_relations: tuple
-    degree_bound: int            # w-degree through which Q is presented
-    relation_dims: dict          # n -> dim_k [Q]_n for n <= degree_bound
-
-
-def fiber_truncated(ideal, n_max: int) -> TruncatedFiber:
-    """Q through w-degree n_max via a degree-truncated elimination.
-
-    X-free elements of the truncated block basis present Q through the
-    bound (reductions of x-free elements stay x-free under the block
-    order), and they are a reduced grevlex basis there, so the relation
-    dimensions come from the Hilbert function of their leading monomials.
-    """
-    _, _, fiber_ring, rels = _fiber_relations(ideal, n_max)
-    hs = series_of_basis(GroebnerBasis(fiber_ring, GREVLEX, rels, rels, degree_bound=n_max))
-    values = hs.coefficients(n_max)
-    dims = {nn: fiber_ring.dim_of_degree(nn) - values[nn] for nn in range(1, n_max + 1)}
-    return TruncatedFiber(fiber_ring, rels, n_max, dims)
+def fiber_truncated(ideal, n_max: int) -> dict:
+    """{n: dim_k [Q]_n for 1 <= n <= n_max}, the fiber relations known
+    through degree n_max, read off the pieces [I^n]_{nd}
+    (``IdealContext.relation_dim``) without an elimination."""
+    ctx = IdealContext.of(ideal)
+    return {n: ctx.relation_dim(n) for n in range(1, n_max + 1)}
 
 
 def spread_via_jacobian(ideal, trials: int = 5, seed="jac") -> tuple:
@@ -411,6 +399,8 @@ def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm",
                  max_retries: int = 4) -> CMReport:
     """Colength-versus-multiplicity test with a random linear system of
     parameters; equality certifies CM, excess certifies NOT_CM."""
+    if trials < 1:
+        raise ValueError(f"CM test needs at least one trial, got {trials}")
     ring, ideal = ring_and_ideal
     if any(w != 1 for w in ring.weights):
         raise ValueError("CM test needs the standard grading")
@@ -520,36 +510,3 @@ def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
 
 def fiber_multiplicity(ideal) -> int:
     return IdealContext.of(ideal).fp.multiplicity()
-
-
-def free_basis_over_reduction(ideal, red: ReductionData):
-    """Lifted module basis of the fiber over its Noether normalization.
-
-    Returns [(n, B_n)] for 1 <= n <= r with B_n a lift of a basis of
-    [I^n / J I^{n-1}]_{nd}; total rank 1 + sum |B_n| must equal the
-    fiber multiplicity.  Refuses when the fiber is not CM.
-    """
-    ctx = IdealContext.of(ideal)
-    if not ctx.fiber_cm.is_cm:
-        raise ValueError("fiber is not Cohen-Macaulay: no free basis")
-    if red.reduction_number is None:
-        raise ValueError("unverified reduction")
-    from .graded import vector_to_poly
-    d = red.degree
-    J_forms = red.reduction_generators
-    out = []
-    for n in range(1, red.reduction_number + 1):
-        jproducts = [a * b for a in J_forms for b in ctx.power_gens(n - 1)]
-        ech = ctx.piece(jproducts, n * d).echelon.copy()
-        ipiece = ctx.piece(ctx.power_gens(n), n * d)
-        lifts = []
-        rows = ipiece.echelon.rows
-        for row, grew in zip(rows, ech.extend(rows)):
-            if grew:
-                lifts.append(vector_to_poly(row, ipiece.ambient_monomials, ctx.ring))
-        out.append((n, lifts))
-    total = 1 + sum(len(b) for _, b in out)
-    if total != ctx.fp.multiplicity():
-        raise AssertionError(
-            f"free-basis bookkeeping {total} != fiber multiplicity {ctx.fp.multiplicity()}")
-    return out

@@ -124,7 +124,10 @@ def _load_ideal(path: str, field_char):
 
 
 def _seeds(args):
-    return [int(s) for s in args.seed.split(",") if s.strip()]
+    seeds = [int(s) for s in args.seed.split(",") if s.strip()]
+    if not seeds:
+        raise ValueError("--seed needs at least one seed")
+    return seeds
 
 
 def cmd_invariants(args) -> int:

@@ -3,9 +3,9 @@ pipeline they share with ``fiberlab invariants``.
 
 Each entry carries an input file, a per-entry computation plan (see
 ``entry_report``; the 6x5-matrix entry runs the bounded plan: its full
-fiber/Rees eliminations are out of budget, so relation dimensions come
-from a degree-truncated elimination and the analytic spread from the
-Jacobian squeeze), and a golden record whose values are tagged
+fiber/Rees eliminations are out of budget, so the analytic spread comes
+from the Jacobian squeeze; every plan reads the relation dimensions off
+the pieces [I^n]_{nd}), and a golden record whose values are tagged
 literature / trivial / derived.
 """
 
@@ -113,14 +113,15 @@ def entry_report(entry: CorpusEntry, ideal: Ideal, seeds=DEFAULT_SEEDS,
     predicates).  For an equigenerated ideal the plan then adds:
 
     - ``basic``: the invariants read off the fiber and Rees presentations
-      (analytic spread, fiber multiplicity, relation dimensions, indeg,
-      reduction numbers, fiber and Rees CM verdicts);
+      (analytic spread, fiber multiplicity, reduction numbers, fiber and
+      Rees CM verdicts), and the relation dimensions and indeg read off
+      the pieces [I^n]_{nd} and checked against the fiber presentation;
     - ``full``: basic, plus the fiber resolution, the depth, grade and
       codimension values, the seeded tight / VV / adjusted predicates and
       the formula checks;
-    - ``bounded-blowup``: relation dimensions from a degree-truncated
-      elimination, the Jacobian spread, a capped reduction search, the
-      seeded tight / adjusted predicates and the formula checks.
+    - ``bounded-blowup``: relation dimensions and indeg from the pieces
+      [I^n]_{nd} alone, the Jacobian spread, a capped reduction search,
+      the seeded tight / adjusted predicates and the formula checks.
     """
     ctx = IdealContext(ideal, entry.id, trials=trials, cutoff=cutoff,
                        bounded=entry.plan == "bounded-blowup")
@@ -192,7 +193,7 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
     inv["analytic_spread"] = ctx.spread
     inv["analytic_spread_method"] = "fiber-dimension"
     inv["fiber_multiplicity"] = fp.multiplicity()
-    inv["relation_dims"] = {str(n): fp.relation_piece_dim(n) for n in range(1, 5)}
+    inv["relation_dims"] = {str(n): v for n, v in fiber_truncated(ctx, 4).items()}
     indeg = fiber_indeg(ctx)
     preds["indeg"] = indeg.to_json()
     inv["indeg_Q"] = indeg.certificate["indeg"]
@@ -280,22 +281,19 @@ def crosscheck_bundles(reports) -> list:
 
 
 def _bounded_blowup(ctx, report, seeds, n_max, r_max):
-    """Matrix entry whose full eliminations exceed the budget: truncated
-    fiber data, Jacobian-squeezed spread, piece-level reductions."""
+    """Matrix entry whose full eliminations exceed the budget: fiber
+    relation dimensions through degree 4, Jacobian-squeezed spread,
+    piece-level reductions."""
     inv = report["invariants"]
     preds = report["predicates"]
     skipped = report["skipped"]
 
-    trunc = fiber_truncated(ctx, 4)
-    inv["relation_dims"] = {str(n): trunc.relation_dims[n] for n in range(1, 5)}
-    indeg = fiber_indeg(ctx, up_to=4)
-    for k, v in indeg.certificate["relation_piece_dims"].items():
-        if trunc.relation_dims[int(k)] != v:
-            raise AssertionError(
-                "truncated elimination disagrees with the piece formula")
+    known = 4
+    inv["relation_dims"] = {str(n): v for n, v in fiber_truncated(ctx, known).items()}
+    indeg = fiber_indeg(ctx, up_to=known)
     preds["indeg"] = indeg.to_json()
     inv["indeg_Q"] = indeg.certificate["indeg"]
-    inv["fiber_relations_known_through"] = trunc.degree_bound
+    inv["fiber_relations_known_through"] = known
 
     lower, exact = ctx.jacobian_spread
     if exact:

@@ -153,17 +153,12 @@ def _strip_content(terms: dict, field):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis: monic, auto-reduced, sorted by leading term.
-
-    ``degree_bound`` is None for a complete basis; otherwise the
-    elements only present the ideal in weighted degrees <= the bound.
-    """
+    """Reduced Groebner basis: monic, auto-reduced, sorted by leading term."""
 
     ring: Ring
     order: TermOrder
     elements: tuple
     source_generators: tuple
-    degree_bound: int | None = None
 
     @cached_property
     def _reducers(self) -> _Reducers:
@@ -191,19 +186,12 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def buchberger(generators, order: TermOrder = GREVLEX, *,
-               groebner_prefix: int = 0,
-               degree_bound: int | None = None) -> GroebnerBasis:
+               groebner_prefix: int = 0) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
     ``groebner_prefix=k`` promises that the first k generators already
     form a reduced Groebner basis for this order, so they enter the basis
     without reduction and pairs among them are skipped.
-
-    ``degree_bound=D`` truncates the run: only S-pairs of weighted lcm
-    degree <= D are processed.  Inputs must be homogeneous in the ring
-    weights (pair degrees are then nondecreasing, so the truncation is a
-    basis through degree D).  The result carries ``degree_bound`` and
-    must not be treated as a full basis.
 
     Polynomials enter and leave packed for ``order`` (``polyring.repack``).
     """
@@ -213,9 +201,6 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingError("generators live in different rings")
-    if degree_bound is not None:
-        if not all(g.is_homogeneous() for g in gens):
-            raise RingError("degree-truncated runs need homogeneous input")
     field = ring.field
     packing = _packing(order, ring.nvars)
     guard, lcm = packing.guard, packing.lcm
@@ -275,9 +260,7 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
             push_element(rem)
 
     while pairs:
-        top, lcm_p, i, j = heapq.heappop(pairs)
-        if degree_bound is not None and top > degree_bound:
-            break
+        _, lcm_p, i, j = heapq.heappop(pairs)
         # s-polynomial of two monic elements: their leading terms cancel
         qi = lcm_p - leads[i]
         qj = lcm_p - leads[j]
@@ -298,8 +281,7 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
             push_element(rem)
 
     elements = _final_reduce(red, field, ring)
-    gb = GroebnerBasis(ring, order, tuple(elements), tuple(gens),
-                       degree_bound=degree_bound)
+    gb = GroebnerBasis(ring, order, tuple(elements), tuple(gens))
     for g in gens:
         if not gb.contains(g):
             raise AssertionError("source generator does not reduce to zero")
@@ -335,14 +317,13 @@ def extend_basis(gb: GroebnerBasis, extra) -> GroebnerBasis:
 # ---------------------------------------------------------------------------
 # elimination
 
-def eliminate(gens, drop_first_k: int, *, degree_bound: int | None = None):
+def eliminate(gens, drop_first_k: int):
     """Generators of ideal(gens) intersected with the subring that omits
     the first ``drop_first_k`` variables.
 
     Returns the Groebner basis elements free of the dropped variables,
     still expressed in the full ring; they form a reduced grevlex basis
-    of the elimination ideal (through weighted degree ``degree_bound``
-    when one is given; see ``buchberger``).
+    of the elimination ideal.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -351,6 +332,6 @@ def eliminate(gens, drop_first_k: int, *, degree_bound: int | None = None):
     k = drop_first_k
     if k < 0 or k >= ring.nvars:
         raise RingError("elimination block out of range")
-    gb = buchberger(gens, Elimination(k), degree_bound=degree_bound)
+    gb = buchberger(gens, Elimination(k))
     dropped = sum(EXPONENT_LIMIT << s for s in ring.packing.shifts[:k])
     return [g for g in gb.elements if not any(m & dropped for m in g.terms)]

@@ -145,24 +145,15 @@ def valla_dimension(ideal) -> PredicateReport:
 
 
 def fiber_indeg(ideal, up_to: int = 6) -> PredicateReport:
-    """Least degree of a fiber relation, with the binomial-count formula
-    cross-checked against the eliminated presentation (unless the
-    context's eliminations are out of budget)."""
+    """Least degree of a fiber relation, from the relation dimensions
+    ``IdealContext.relation_dim`` (cross-checked against the eliminated
+    presentation unless the context's eliminations are out of budget)."""
     ctx = IdealContext.of(ideal)
-    gens, d = equigenerated_data(ctx)
-    m = len(gens)
     found = None
     dims = {}
     for n in range(1, up_to + 1):
-        formula = comb(m + n - 1, n) - ctx.piece(ctx.power_gens(n), n * d).dim
-        if ctx.fp is not None:
-            cross = ctx.fp.relation_piece_dim(n)
-            if formula != cross:
-                raise AssertionError(
-                    f"fiber piece mismatch at n={n}: "
-                    f"formula {formula} vs eliminated {cross}")
-        dims[str(n)] = formula
-        if formula > 0 and found is None:
+        dims[str(n)] = ctx.relation_dim(n)
+        if dims[str(n)] > 0:
             found = n
             break
     verdict = "true" if found is not None else "unknown"

@@ -2,9 +2,9 @@ from math import comb
 
 import pytest
 
-from fiberlab.blowup import (IdealContext, equigenerated_data, fiber_presentation,
-                             fiber_truncated, fiber_multiplicity,
-                             free_basis_over_reduction, is_cm_graded,
+from fiberlab.blowup import (FiberPresentation, IdealContext, equigenerated_data,
+                             fiber_presentation, fiber_truncated,
+                             fiber_multiplicity, is_cm_graded,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
 from fiberlab.depth import graded_depth
@@ -110,6 +110,15 @@ def test_is_cm_examples(R3, monomial4, binomial4):
     assert all(c > rep.multiplicity for c in rep.colengths)
 
 
+def test_is_cm_needs_a_trial(binomial4):
+    """No trial means no colength, and no verdict: ``all`` over none
+    would read CM for the non-CM Rees algebra of binomial4."""
+    presb = rees_and_gr(binomial4)
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="at least one trial"):
+            is_cm_graded((presb.big_ring, presb.rees_ideal), trials=trials)
+
+
 def test_minimal_reductions(R3, monomial4, binomial4):
     x, y, z = (R3.variable(i) for i in range(3))
     ci = minimal_reduction(Ideal(R3, (x, y)), seed="t")
@@ -127,34 +136,26 @@ def test_reduction_number_invariance_cm_fiber(binomial4):
     assert values == {2}
 
 
-def test_free_basis_examples(R3, binomial4, monomial4):
-    x, y, z = (R3.variable(i) for i in range(3))
-    ci = Ideal(R3, (x, y))
-    red = minimal_reduction(ci, seed="t")
-    fb = free_basis_over_reduction(ci, red)
-    assert fb == []                      # basis is {1}; rank 1 = e(F)
-    redb = minimal_reduction(binomial4, seed="t")
-    fbb = free_basis_over_reduction(binomial4, redb)
-    assert [(n, len(b)) for n, b in fbb] == [(1, 1), (2, 1)]
-    # total rank 1 + |B_1| + |B_2| = 3 = e(F), checked internally
-    ctx = IdealContext(monomial4)
-    redm = minimal_reduction(ctx, seed="t")
-    fbm = free_basis_over_reduction(ctx, redm)
-    assert [(n, len(b)) for n, b in fbm] == [(1, 1)]
+def test_truncated_fiber_agrees_with_full(binomial4, sixgen, sevengen):
+    """Relation dimensions read off [I^n]_{nd} are the same with and
+    without the eliminations, and equal the eliminated presentation's."""
+    for ideal in (binomial4, sixgen, sevengen):
+        full = IdealContext(ideal)
+        dims = fiber_truncated(full, 4)
+        assert dims == fiber_truncated(IdealContext(ideal, bounded=True), 4)
+        assert dims == {n: full.fp.relation_piece_dim(n) for n in range(1, 5)}
 
 
-def test_free_basis_refuses_non_cm_fiber(sevengen):
-    red = minimal_reduction(sevengen, seed="t")
-    with pytest.raises(ValueError):
-        free_basis_over_reduction(sevengen, red)
-
-
-def test_truncated_fiber_agrees_with_full(binomial4, sixgen):
-    for ideal in (binomial4, sixgen):
-        fp = fiber_presentation(ideal)
-        tr = fiber_truncated(ideal, 4)
-        for n in range(1, 5):
-            assert tr.relation_dims[n] == fp.relation_piece_dim(n)
+def test_relation_dim_cross_check_raises(binomial4):
+    """A presentation that disagrees with the pieces is a failed
+    self-check, raised also under ``python -O``."""
+    ctx = IdealContext(binomial4)
+    fp = ctx.fp
+    ctx.fp = FiberPresentation(fp.fiber_ring, Ideal(fp.fiber_ring, ()),
+                               fp.source, fp.degree)
+    assert ctx.relation_dim(2) == 0
+    with pytest.raises(AssertionError, match="fiber piece mismatch at n=3"):
+        ctx.relation_dim(3)
 
 
 def test_jacobian_spread(monomial4, sevengen):

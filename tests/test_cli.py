@@ -51,6 +51,23 @@ def test_check_exit_codes(simple_file):
         assert run_cli(["check", "indeg", name]).returncode == 4
     finally:
         os.unlink(name)
+    # an empty seed list is an input error, not a false verdict
+    for args in (["check", "tight", simple_file], ["invariants", simple_file],
+                 ["reproduce", "ex-3-monomial4"]):
+        out = run_cli([*args, "--seed", ""])
+        assert out.returncode == 2 and "input error" in out.stderr
+        assert "Traceback" not in out.stderr
+
+
+def test_invariants_needs_a_cm_trial(tmp_path):
+    """``--trials 0`` would give no colength to test; it is an input error,
+    not a CM verdict."""
+    entry = CORPUS_BY_ID["ex-3-binomial4"]
+    p = tmp_path / entry.filename
+    p.write_text(read_entry_text(entry))
+    out = run_cli(["invariants", str(p), "--trials", "0"])
+    assert out.returncode == 2
+    assert "at least one trial" in out.stderr and not out.stdout
 
 
 def test_invariants_non_equigenerated_exits_zero(tmp_path):

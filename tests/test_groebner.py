@@ -304,15 +304,6 @@ def test_extend_basis_matches_scratch(binomial4):
     assert ext.elements == scratch.elements
 
 
-def test_degree_truncation_prefix_of_full(binomial4):
-    full = binomial4.groebner()
-    truncated = buchberger(list(binomial4.generators), GREVLEX, degree_bound=3)
-    assert truncated.degree_bound == 3
-    want = [g for g in full.elements if g.degree() <= 3]
-    have = [g for g in truncated.elements if g.degree() <= 3]
-    assert want == have
-
-
 def test_determinism(sevengen):
     a = buchberger(list(sevengen.generators), GREVLEX)
     b = buchberger(list(sevengen.generators), GREVLEX)

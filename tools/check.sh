@@ -1,9 +1,9 @@
 #!/bin/sh
 # Full local check, in order, stopping at the first failure:
 #   1. the tier-1 suite;
-#   2. the depth, Hilbert, Groebner, polynomial, graded-piece and ideal
-#      tests under `python -O`, where a bare `assert` in the package would
-#      check nothing;
+#   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
+#      blow-up and predicate tests under `python -O`, where a bare
+#      `assert` in the package would check nothing;
 #   3. the benchmark's self-test (tracer, oracles, host-speed probe).
 #
 #     sh tools/check.sh
@@ -16,5 +16,6 @@ PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
 python -m pytest -q --continue-on-collection-errors
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
-    tests/test_polyring.py tests/test_graded.py tests/test_ideals.py
+    tests/test_polyring.py tests/test_graded.py tests/test_ideals.py \
+    tests/test_blowup.py tests/test_predicates.py
 python3 perfbench/selftest.py
