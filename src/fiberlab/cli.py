@@ -55,16 +55,28 @@ CHECK_NAMES = ("gs", "valla-dim", "indeg", "tight", "adjusted", "vv",
                "reg-in-gr", "gen-ci", "perfect", "mult-formulas", "map-degree")
 
 
+def _at_least(low: int):
+    """argparse type: an int >= ``low``; anything else exits with code 2."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"      # argparse names the type in its message
+    return parse
+
+
 def _common_flags(p):
     p.add_argument("--field", type=int, default=None,
                    help="override the characteristic (0 for the rationals)")
     p.add_argument("--seed", type=str, default="1,2,3",
                    help="comma-separated seed list")
-    p.add_argument("--cutoff", type=int, default=corpus_mod.DEFAULT_CUTOFF_CEILING,
-                   help="resolution degree ceiling")
+    p.add_argument("--cutoff", type=_at_least(1),
+                   default=corpus_mod.DEFAULT_CUTOFF_CEILING,
+                   help="ceiling on the certified regularity bound m of a resolution")
     p.add_argument("--trials", type=int, default=corpus_mod.DEFAULT_TRIALS,
                    help="CM test trials")
-    p.add_argument("--rmax", type=int, default=corpus_mod.DEFAULT_RMAX,
+    p.add_argument("--rmax", type=_at_least(0), default=corpus_mod.DEFAULT_RMAX,
                    help="reduction-number search bound")
     p.add_argument("--markdown", action="store_true", help="render a human table")
     p.add_argument("--timings", action="store_true",
@@ -82,16 +94,19 @@ def build_parser():
     p_chk = sub.add_parser("check", help="run one named predicate")
     p_chk.add_argument("predicate", choices=CHECK_NAMES)
     p_chk.add_argument("file")
-    p_chk.add_argument("--s", type=int, default=3, help="s for the gs predicate")
-    p_chk.add_argument("--n", type=int, default=1, help="power for tight")
-    p_chk.add_argument("--l", type=int, default=None, help="forms for adjusted")
-    p_chk.add_argument("--nmax", type=int, default=None, help="power bound for per-n checks")
+    p_chk.add_argument("--s", type=_at_least(1), default=3, help="s for the gs predicate")
+    p_chk.add_argument("--n", type=_at_least(0), default=1,
+                       help="power for tight (0: the whole profile)")
+    p_chk.add_argument("--l", type=_at_least(1), default=None, help="forms for adjusted")
+    p_chk.add_argument("--nmax", type=_at_least(1), default=None,
+                       help="power bound for per-n checks")
     _common_flags(p_chk)
 
     p_rep = sub.add_parser("reproduce", help="rerun corpus entries against goldens")
     p_rep.add_argument("target", nargs="?", default="all")
-    p_rep.add_argument("--jobs", type=int, default=1)
-    p_rep.add_argument("--nmax", type=int, default=None, help="power bound for per-n checks")
+    p_rep.add_argument("--jobs", type=_at_least(1), default=1)
+    p_rep.add_argument("--nmax", type=_at_least(1), default=None,
+                       help="power bound for per-n checks")
     _common_flags(p_rep)
     return ap
 
@@ -148,7 +163,7 @@ def cmd_invariants(args) -> int:
 def cmd_check(args) -> int:
     ctx = IdealContext(_load_ideal(args.file, args.field))
     seeds = _seeds(args)
-    nmax = args.nmax or corpus_mod.DEFAULT_NMAX_FLOOR
+    nmax = corpus_mod.DEFAULT_NMAX_FLOOR if args.nmax is None else args.nmax
     name = args.predicate
     if name == "gs":
         rep = check_gs(ctx, args.s)
@@ -171,7 +186,8 @@ def cmd_check(args) -> int:
         else:
             rep = analytically_tight(ctx, fs, args.n)
     elif name == "adjusted":
-        fs = generic_forms(ctx, args.l or ctx.spread, f"forms:{seeds[0]}")
+        fs = generic_forms(ctx, ctx.spread if args.l is None else args.l,
+                           f"forms:{seeds[0]}")
         rep = analytically_adjusted(ctx, fs)
     elif name in ("vv", "reg-in-gr"):
         fs = generic_forms(ctx, ctx.ideal.height(), f"forms:{seeds[0]}")

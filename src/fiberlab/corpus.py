@@ -175,7 +175,7 @@ def _ideal_block(ctx, entry, report):
         if ctx.degree is not None:
             inv["linear_rank"] = linear_rank(res.presentation, ideal.ring.field)
     else:
-        report["skipped"]["resolution"] = f"incomplete at cutoff {res.table.cutoff}"
+        report["skipped"]["resolution"] = f"incomplete at cutoff {res.table.ceiling}"
 
     for s in entry.gs_values:
         preds[f"gs-{s}"] = check_gs(ctx, s).to_json()
@@ -214,6 +214,10 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
     inv["reduction_numbers"] = red_numbers
     inv["reduction_number"] = red_numbers[0] if len(set(red_numbers)) == 1 else None
     inv["reduction_stable"] = len(set(red_numbers)) == 1
+    unfound = [seed for seed, r in zip(seeds, red_numbers) if r is None]
+    if unfound:
+        report["skipped"]["reduction_number"] = \
+            f"not found <= {r_max} for seeds {unfound}"
     if entry.plan != "full":
         return
 
@@ -252,7 +256,7 @@ def _depth_block(ctx, report):
                 g.homogeneous_degree() for g in fp.relations.minimal_generators())
         else:
             report["skipped"]["fiber_resolution"] = \
-                f"incomplete at cutoff {fres.table.cutoff}"
+                f"incomplete at cutoff {fres.table.ceiling}"
     else:
         dfib = graded_depth(fp.relations, seed=f"depthF:{ctx.label}")
         inv["depth_fiber"] = dfib.value if dfib.exact else None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyring import EXPONENT_BITS, EXPONENT_LIMIT, GREVLEX, _packing
+from .polyring import EXPONENT_BITS, EXPONENT_LIMIT
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -43,28 +43,12 @@ def _poly_add(a: dict, b: dict) -> dict:
     return res
 
 
-def monomial_numerator(gens, weights, packing=None) -> dict:
-    """Numerator (degree -> coefficient) for the quotient by a monomial ideal.
-
-    ``gens`` are exponent tuples; with ``packing`` they are instead that
-    ``polyring._Packing``'s ints and must generate minimally, as the
-    leading monomials of a reduced basis do.
-    """
-    weights = tuple(weights)
-    if packing is None:
-        packing = _packing(GREVLEX, len(weights))
-        gens = _minimalize(set(map(packing.pack, gens)), packing.guard)
-    return _PackedRecursion(packing, weights).numerator(tuple(sorted(gens)))
-
-
-def _minimalize(gens, guard) -> list:
-    """Minimal generators among grevlex-packed monomials: a proper
-    divisor has lower degree, so it sorts first."""
-    out = []
-    for g in sorted(gens):
-        if all((g - h) & guard for h in out):
-            out.append(g)
-    return out
+def monomial_numerator(gens, weights, packing) -> dict:
+    """Numerator (degree -> coefficient) for the quotient by a monomial
+    ideal.  ``gens`` are ``packing``'s ints (a ``polyring._Packing``) and
+    must generate minimally, as the leading monomials of a reduced basis
+    do."""
+    return _PackedRecursion(packing, tuple(weights)).numerator(tuple(sorted(gens)))
 
 
 class _PackedRecursion:

@@ -43,7 +43,7 @@ class TermOrder:
     A subclass defines only ``rows(n)``, the order on n variables as a
     nonnegative integer matrix: comparing the row values
     ``sum(r[i] * m[i])`` lexicographically, first row first, compares
-    monomials in the order.  ``key`` and ``compare`` follow from it.
+    monomials in the order.  ``key`` follows from it.
     """
 
     name = "order"
@@ -55,12 +55,6 @@ class TermOrder:
         """The exponent tuple m packed for this order: keys sort as the
         monomials do."""
         return _packing(self, len(m)).pack(m)
-
-    def compare(self, a, b) -> int:
-        if len(a) != len(b):
-            raise RingError("monomial length mismatch")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
     def __repr__(self):
         return self.name
@@ -128,11 +122,6 @@ def _grevlex_rows(nvars, lo, hi):
 
 GREVLEX = GrevLex()
 LEX = Lex()
-
-
-def compare_monomials(a, b, order: TermOrder) -> str:
-    c = order.compare(a, b)
-    return "LT" if c < 0 else ("GT" if c > 0 else "EQ")
 
 
 # ---------------------------------------------------------------------------

@@ -371,7 +371,7 @@ def is_perfect(ideal) -> PredicateReport:
     if not res.table.complete:
         return PredicateReport(
             "perfect", {"ideal": ideal_fingerprint(ideal)}, "unknown",
-            bounds_used={"cutoff": res.table.cutoff},
+            bounds_used={"cutoff": res.table.ceiling},
             certificate={"reason": "resolution incomplete"})
     pd = res.table.projective_dimension
     ht = ideal.height()

@@ -1,25 +1,49 @@
-"""Minimal graded free resolutions by degreewise kernels, with the
-Euler-characteristic completeness certificate.
+"""Minimal graded free resolutions by degreewise kernels, cut on the
+diagonal that a regularity certificate proves.
 
-A table is accepted as complete only when (a) the last computed step has
-no syzygies through the cutoff, (b) the homological length respects the
-ambient variable count, and (c) the alternating Betti sums reproduce the
-Hilbert-series numerator degree by degree.  Cutoffs grow until the
-certificate holds or a hard ceiling is reached; a partial table is
-returned flagged, never silently truncated.
+The certificate is the criterion of Bayer and Stillman ("A criterion
+for detecting m-regularity", Invent. Math. 87, 1987, Thm 1.10).  Let J
+be generated in degrees <= m in S = k[x_1..x_n], standard graded.  J is
+m-regular when there are linear forms h_1..h_j such that multiplication
+by h_i is injective from degree m to degree m+1 of S/(J, h_1..h_{i-1})
+for each i, and (S/(J, h_1..h_j))_m = 0.  Any forms that pass prove the
+bound; generic ones pass exactly when J is m-regular.
+``certified_regularity`` tries seeded random forms for m = the top
+generator degree, m + 1, ... up to a ceiling, on the echelons of J_m and
+J_{m+1}, which each form only extends.
+
+An m-regular J has beta_{i,j}(S/J) = 0 for j > i + m - 1, so step i + 1
+of the resolution is computed through degree i + m and no further.  A
+table is complete when the certificate holds and a step comes back
+empty; it then also must have pd <= n and alternating Betti sums equal
+to the Hilbert numerator, cross-checks that raise ``AssertionError``.
+When no m up to the ceiling is certified, the steps are cut at
+m = ceiling and the table is flagged incomplete, never silently
+truncated.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import random
+from dataclasses import dataclass
 
-from .graded import PresentationMatrix, minimal_generators, syzygies_degreewise
+from .graded import (PresentationMatrix, minimal_generators, piece_span_of_polys,
+                     spanning_rows, syzygies_degreewise)
 
 
 class IncompleteResolutionError(RuntimeError):
     def __init__(self, message, table=None):
         super().__init__(message)
         self.table = table
+
+
+@dataclass(frozen=True)
+class RegularityCertificate:
+    """Linear forms h_1..h_j that pass the Bayer-Stillman criterion at m:
+    the ideal is m-regular, so reg(S/J) <= m - 1."""
+
+    m: int
+    forms: tuple
 
 
 @dataclass
@@ -30,8 +54,9 @@ class BettiTable:
     projective_dimension: int
     complete: bool
     nvars: int
-    cutoff: int
-    numerator: dict = dc_field(default_factory=dict)
+    ceiling: int                  # the bound on m given to the certificate search
+    numerator: dict               # Hilbert numerator of R/I, degree -> coefficient
+    certificate: RegularityCertificate | None
 
     def betti(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
@@ -59,96 +84,102 @@ class BettiTable:
 @dataclass
 class Resolution:
     table: BettiTable
-    presentation: PresentationMatrix | None
+    presentation: PresentationMatrix
 
 
 DEFAULT_CEILING = 60
 
 
-def _cutoff_ladder(start: int, nvars: int, ceiling: int):
-    cuts = []
-    for inc in (2, 4, nvars):
-        cuts.append(start + inc)
-    c = cuts[-1]
-    while c < ceiling:
-        c = min(2 * c, ceiling)
-        cuts.append(c)
-    out = []
-    for c in cuts:
-        c = min(c, ceiling)
-        if not out or c > out[-1]:
-            out.append(c)
-    return out
+def certified_regularity(gens, ring, ceiling: int,
+                         seed: str) -> RegularityCertificate | None:
+    """The least m <= ``ceiling``, from the top degree of ``gens`` up, at
+    which seeded random linear forms certify that (gens) is m-regular,
+    with those forms; None when no m up to the ceiling is certified."""
+    if any(w != 1 for w in ring.weights):
+        raise ValueError("the regularity criterion needs the standard grading")
+    rng = random.Random(f"regularity:{seed}")
+    m = max([1] + [g.homogeneous_degree() for g in gens])
+    low = piece_span_of_polys(gens, m, ring).echelon
+    while m <= ceiling:
+        high = piece_span_of_polys(gens, m + 1, ring).echelon
+        forms = _regular_forms(low.copy(), high.copy(), m, ring, rng)
+        if forms is not None:
+            return RegularityCertificate(m, forms)
+        low, m = high, m + 1
+    return None
 
 
-def minimal_resolution(ideal, cutoff: int | None = None,
-                       ceiling: int = DEFAULT_CEILING) -> Resolution:
-    """Minimal free resolution data of R/ideal, adaptively cut off."""
+def _regular_forms(low, high, m, ring, rng):
+    """Random linear forms that pass the criterion at m, extending the
+    echelons ``low`` = J'_m and ``high`` = J'_{m+1} of J' = (J, forms so
+    far) in place; None once a form is not injective from degree m.
+
+    h is injective there iff rank(J'_{m+1} + h S_m) - rank J'_{m+1}
+    = dim S_m - rank J'_m.  With n independent forms (S/J')_m = 0, so
+    n forms that do not get there were dependent: None as well."""
+    forms = []
+    while low.rank < low.width:
+        if len(forms) == ring.nvars:
+            return None
+        h = ring.linear_form([ring.field.random_raw(rng) for _ in range(ring.nvars)])
+        if sum(high.extend(spanning_rows([h], m + 1, ring))) != low.width - low.rank:
+            return None
+        low.extend(spanning_rows([h], m, ring))
+        forms.append(h)
+    return tuple(forms)
+
+
+def minimal_resolution(ideal, ceiling: int = DEFAULT_CEILING) -> Resolution:
+    """Minimal free resolution data of R/ideal, each step cut on the
+    diagonal that ``certified_regularity`` proves.  Its forms have one
+    fixed seed: any forms that pass prove the same bound, and Betti
+    numbers are unique, so no seed can change the table."""
     ring = ideal.ring
     gens = minimal_generators(ideal)
-    if not gens:
-        table = BettiTable({(0, 0): 1}, 0, True, ring.nvars, 0,
-                           ideal.hilbert_series().numerator_dict())
-        return Resolution(table, None)
-    if ideal.is_unit():
+    if gens and ideal.is_unit():
         raise ValueError("resolution of the zero module is not meaningful here")
-    numerator = ideal.hilbert_series().numerator_dict()
-    ladder = [cutoff] if cutoff is not None else \
-        _cutoff_ladder(max(g.homogeneous_degree() for g in gens), ring.nvars, ceiling)
-    best = None
-    for cut in ladder:
-        res = _resolve_once(ideal, gens, numerator, cut)
-        best = res
-        if res.table.complete:
-            return res
-    return best
+    cert = certified_regularity(gens, ring, ceiling, "resolution")
+    m = cert.m if cert else ceiling
 
-
-def _resolve_once(ideal, gens, numerator, cutoff) -> Resolution:
-    ring = ideal.ring
-    entries = {(0, 0): 1}
     gen_degs = [g.homogeneous_degree() for g in gens]
+    entries = {(0, 0): 1}
     for d in gen_degs:
         entries[(1, d)] = entries.get((1, d), 0) + 1
-
-    cod_degs = [0]
-    cols = [[g] for g in gens]
-    dom_degs = gen_degs
-    pres_cols, pres_degs = [], []
+    cod_degs, cols, dom_degs = [0], [[g] for g in gens], gen_degs
     i = 1
-    exhausted = False
     while True:
-        syz, syz_degs = syzygies_degreewise(cols, cod_degs, ring, cutoff)
+        syz, syz_degs = syzygies_degreewise(cols, cod_degs, ring, i + m)
+        if i == 1:
+            presentation = PresentationMatrix(
+                matrix=[[s[k] for s in syz] for k in range(len(gens))],
+                row_degrees=gen_degs, column_degrees=list(syz_degs))
         if not syz:
             break
         i += 1
         if i > ring.nvars:
-            # Hilbert syzygy bound: anything deeper means the cutoff
-            # produced a non-exact truncation, so report incomplete.
-            exhausted = True
-            break
+            if cert:
+                raise AssertionError(f"certified resolution has pd {i} > "
+                                     f"{ring.nvars} variables")
+            break       # a cut below the regularity: not exact, incomplete
         for d in syz_degs:
             entries[(i, d)] = entries.get((i, d), 0) + 1
-        if i == 2:
-            pres_cols, pres_degs = syz, syz_degs
         cod_degs, cols, dom_degs = dom_degs, syz, syz_degs
 
     pd = max(h for (h, _) in entries)
-    table = BettiTable(entries, pd, False, ring.nvars, cutoff, dict(numerator))
-    table.complete = (not exhausted) and table.euler_ok()
-    presentation = PresentationMatrix(
-        matrix=[[s[k] for s in pres_cols] for k in range(len(gens))],
-        row_degrees=gen_degs,
-        column_degrees=list(pres_degs))
+    table = BettiTable(entries, pd, cert is not None, ring.nvars, ceiling,
+                       ideal.hilbert_series().numerator_dict(), cert)
+    if cert and not table.euler_ok():
+        raise AssertionError("certified Betti table does not reproduce the "
+                             "Hilbert numerator")
     return Resolution(table, presentation)
 
 
-def depth_via_resolution(ideal, cutoff=None, ceiling=DEFAULT_CEILING) -> int:
+def depth_via_resolution(ideal, ceiling=DEFAULT_CEILING) -> int:
     """depth of R/ideal over the polynomial ambient (Auslander-Buchsbaum)."""
-    res = minimal_resolution(ideal, cutoff, ceiling)
+    res = minimal_resolution(ideal, ceiling)
     if not res.table.complete:
         bound = ideal.ring.nvars - res.table.projective_dimension
         raise IncompleteResolutionError(
-            f"resolution incomplete at cutoff {res.table.cutoff}; depth unknown, "
+            f"resolution incomplete at cutoff {res.table.ceiling}; depth unknown, "
             f"<= {bound}", table=res.table)
     return ideal.ring.nvars - res.table.projective_dimension

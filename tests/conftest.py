@@ -70,3 +70,26 @@ def leading_exponents(gb):
 @pytest.fixture(scope="session")
 def rng():
     return random.Random("fiberlab-tests")
+
+
+def recheck_regularity(gens, ring, certificate):
+    """The Bayer-Stillman criterion for ``certificate`` = (m, forms), read
+    off Hilbert functions of Groebner quotients instead of the echelons
+    ``resolutions.certified_regularity`` extends: h is injective from
+    degree m to m+1 on S/K iff HF(S/(K,h), m+1) = HF(S/K, m+1) - HF(S/K, m),
+    by the exact sequence 0 -> (0:h)_m -> (S/K)_m -> (S/K)_{m+1} ->
+    (S/(K,h))_{m+1} -> 0."""
+    m, forms = certificate.m, certificate.forms
+
+    def hf(polys):
+        return Ideal(ring, tuple(polys)).hilbert_series().coefficients(m + 1)[m:]
+
+    if any(g.homogeneous_degree() > m for g in gens):
+        return False
+    if any(h.homogeneous_degree() != 1 for h in forms):
+        return False
+    for i, h in enumerate(forms):
+        (low, high), (_, cut) = hf([*gens, *forms[:i]]), hf([*gens, *forms[:i + 1]])
+        if cut != high - low:
+            return False
+    return hf([*gens, *forms])[0] == 0

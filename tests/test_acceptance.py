@@ -22,7 +22,7 @@ from fiberlab.corpus import (CORPUS, CORPUS_BY_ID, compute_entry,
                              strip_objects)
 from fiberlab.depth import graded_depth
 from fiberlab.fields import GF
-from fiberlab.graded import joint_rank, piece_span_of_polys
+from fiberlab.graded import joint_rank, minimal_generators, piece_span_of_polys
 from fiberlab.groebner import normal_form
 from fiberlab.ideals import Ideal
 from fiberlab.parse import maximal_minors
@@ -31,6 +31,8 @@ from fiberlab.predicates import (generic_forms, is_perfect,
                                  multiplicity_formula_checks,
                                  theorem_crosschecks)
 from fiberlab.resolutions import minimal_resolution
+
+from conftest import recheck_regularity
 
 
 def _verdict(name, clauses):
@@ -234,44 +236,37 @@ def test_criterion_10_kernel_oracles():
             failures += 1
     clauses.append(("membership 1000 trials", failures == 0))
 
-    # (b) dim [Q]_n by elimination vs the binomial formula, n <= 4, all entries
+    # (b) the reported dim [Q]_n, read off [I^n]_{nd}, against the
+    # eliminated presentation on every entry whose plan builds one
     piece_ok = True
     for e in CORPUS:
+        if e.plan == "bounded-blowup":
+            continue
         r = compute_entry(e.id)
         dims = r["invariants"].get("relation_dims")
         if dims is None:
             piece_ok &= e.id == "ex-1-intersection"   # not equigenerated
             continue
-        ideal = load_entry_ideal(e)
-        gens = ideal.minimal_generators()
-        d = gens[0].homogeneous_degree()
-        m = len(gens)
-        powers = [[ring.one()], list(gens)] if False else \
-            [[ideal.ring.one()], list(gens)]
-        for n in range(1, 5):
-            while len(powers) <= n:
-                prev = Ideal(ideal.ring,
-                             tuple(a * b for a in powers[-1] for b in gens))
-                powers.append(prev.minimal_generators())
-            formula = comb(m + n - 1, n) - piece_span_of_polys(
-                powers[n], n * d, ideal.ring).dim
-            piece_ok &= dims[str(n)] == formula
-    clauses.append(("relation dims elimination vs formula", piece_ok))
+        fp = fiber_presentation(load_entry_ideal(e))
+        piece_ok &= dims == {str(n): fp.relation_piece_dim(n) for n in range(1, 5)}
+    clauses.append(("relation dims report vs eliminated presentation", piece_ok))
 
-    # (c) Euler certificate on every complete resolution
-    euler_ok = True
+    # (c) Euler sums and the regularity certificate, rechecked on Groebner
+    # quotients, of every complete resolution
+    certified = True
     for e in CORPUS:
         ideal = load_entry_ideal(e)
-        res = minimal_resolution(ideal)
-        if res.table.complete:
-            euler_ok &= res.table.euler_ok()
+        ideals = [ideal]
         if e.plan == "full":
             fp = fiber_presentation(ideal)
             if not fp.relations.is_zero() and fp.fiber_ring.nvars <= 7:
-                fres = minimal_resolution(fp.relations)
-                if fres.table.complete:
-                    euler_ok &= fres.table.euler_ok()
-    clauses.append(("Euler certificates", euler_ok))
+                ideals.append(fp.relations)
+        for j in ideals:
+            table = minimal_resolution(j).table
+            if table.complete:
+                certified &= table.euler_ok() and recheck_regularity(
+                    minimal_generators(j), j.ring, table.certificate)
+    clauses.append(("Euler sums and regularity certificates", certified))
 
     # (d) rational cross-check of criteria 1, 3, 5, 6
     qq_ok = _rational_crosscheck()

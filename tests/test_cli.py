@@ -59,6 +59,39 @@ def test_check_exit_codes(simple_file):
         assert "Traceback" not in out.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["check", "tight", "FILE", "--n", "-1"],
+    ["check", "gs", "FILE", "--s", "-2"],
+    ["check", "vv", "FILE", "--nmax", "-2"],
+    ["check", "vv", "FILE", "--nmax", "0"],
+    ["check", "adjusted", "FILE", "--l", "0"],
+    ["invariants", "FILE", "--rmax", "-1"],
+    ["invariants", "FILE", "--cutoff", "0"],
+    ["reproduce", "ex-3-monomial4", "--jobs", "0"],
+])
+def test_out_of_range_flags_exit_two(simple_file, capsys, args):
+    """An integer flag outside its range is an input error, before any
+    computation, not a verdict or an exceeded bound."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([simple_file if a == "FILE" else a for a in args])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "must be >=" in capsys.readouterr().err
+
+
+def test_reduction_search_past_rmax_exits_three(tmp_path):
+    """A reduction number not found within --rmax is a skipped item, so
+    ``invariants`` exits with the bound code."""
+    entry = CORPUS_BY_ID["ex-3-binomial4"]      # reduction number two
+    p = tmp_path / entry.filename
+    p.write_text(read_entry_text(entry))
+    out = run_cli(["invariants", str(p), "--rmax", "1"])
+    assert out.returncode == cli.EXIT_BOUND
+    tree = json.loads(out.stdout)
+    assert tree["invariants"]["reduction_numbers"] == [None, None, None]
+    assert set(tree["skipped"]) == {"reduction_number"}
+    assert run_cli(["invariants", str(p), "--rmax", "2"]).returncode == cli.EXIT_OK
+
+
 def test_invariants_needs_a_cm_trial(tmp_path):
     """``--trials 0`` would give no colength to test; it is an input error,
     not a CM verdict."""

@@ -1,11 +1,16 @@
 import pytest
 
 from fiberlab.blowup import fiber_presentation
+from fiberlab.corpus import CORPUS, CORPUS_BY_ID, load_entry_ideal
 from fiberlab.fields import GF
+from fiberlab.graded import minimal_generators
+from fiberlab.hilbert import HilbertSeries
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
-from fiberlab.resolutions import (IncompleteResolutionError, depth_via_resolution,
-                                  minimal_resolution)
+from fiberlab.resolutions import (IncompleteResolutionError, certified_regularity,
+                                  depth_via_resolution, minimal_resolution)
+
+from conftest import recheck_regularity
 
 
 def test_koszul_complex(R3):
@@ -69,10 +74,10 @@ def test_depth_le_dim(sixgen, monomial4):
 
 
 def test_incomplete_cutoff_is_flagged(sixgen):
-    res = minimal_resolution(sixgen, cutoff=5)   # generators live in degree 6
+    res = minimal_resolution(sixgen, ceiling=5)   # generators live in degree 6
     assert not res.table.complete
     with pytest.raises(IncompleteResolutionError):
-        depth_via_resolution(sixgen, cutoff=5)
+        depth_via_resolution(sixgen, ceiling=5)
 
 
 def test_resolution_agrees_with_descent(sixgen, monomial4, binomial4):
@@ -86,3 +91,114 @@ def test_resolution_agrees_with_descent(sixgen, monomial4, binomial4):
     a = 6 - minimal_resolution(fp.relations).table.projective_dimension
     b = graded_depth(fp.relations, seed="xcheck")
     assert b.exact and a == b.value
+
+
+# Betti tables (i, j, beta_ij) of R/I for the corpus ideals and of k[w]/Q
+# for the fibers of the full-plan entries, as the reports give them.
+PINNED = {
+    "ex-1-intersection": [(0, 0, 1), (1, 3, 1), (1, 4, 1), (1, 5, 1), (1, 6, 1),
+                          (2, 5, 1), (2, 6, 1), (2, 7, 1)],
+    "ex-1-matrix6x5": [(0, 0, 1), (1, 6, 6), (2, 7, 4), (2, 8, 1)],
+    "ex-2.1-sixgen": [(0, 0, 1), (1, 6, 6), (2, 7, 4), (2, 8, 1)],
+    "ex-2.2-sevengen": [(0, 0, 1), (1, 6, 7), (2, 7, 6)],
+    "ex-3-monomial4": [(0, 0, 1), (1, 2, 4), (2, 3, 4), (3, 4, 1)],
+    "ex-3-binomial4": [(0, 0, 1), (1, 2, 4), (2, 3, 3), (2, 4, 1), (3, 5, 1)],
+    "ex-3-matrix5x4": [(0, 0, 1), (1, 6, 5), (2, 7, 2), (2, 8, 2)],
+}
+PINNED_FIBERS = {
+    "ex-2.1-sixgen": [(0, 0, 1), (1, 2, 3), (1, 3, 2), (2, 4, 9), (3, 5, 6),
+                      (4, 6, 1)],
+    "ex-2.2-sevengen": [(0, 0, 1), (1, 2, 7), (1, 3, 1), (2, 3, 8), (2, 4, 7),
+                        (3, 5, 14), (4, 6, 7), (5, 7, 1)],
+    "ex-3-monomial4": [(0, 0, 1), (1, 2, 1)],
+    "ex-3-binomial4": [(0, 0, 1), (1, 3, 1)],
+    "ex-3-matrix5x4": [(0, 0, 1), (1, 3, 3), (2, 4, 1), (2, 5, 1)],
+}
+
+
+@pytest.fixture(scope="module")
+def corpus_ideals():
+    """(label, ideal) for every corpus ideal and every full-plan fiber."""
+    out = []
+    for e in CORPUS:
+        ideal = load_entry_ideal(e)
+        out.append((e.id, ideal))
+        if e.plan == "full":
+            out.append((f"{e.id}:fiber", fiber_presentation(ideal).relations))
+    return out
+
+
+def test_pinned_betti_tables(corpus_ideals):
+    pinned = {**PINNED, **{f"{k}:fiber": v for k, v in PINNED_FIBERS.items()}}
+    assert sorted(pinned) == sorted(label for label, _ in corpus_ideals)
+    for label, ideal in corpus_ideals:
+        table = minimal_resolution(ideal).table
+        assert table.complete, label
+        assert table.rows() == pinned[label], label
+
+
+def test_certificate_rechecked_independently(corpus_ideals, R3):
+    """Every complete table carries (m, forms) that pass the criterion on
+    Groebner quotients, and m = reg(J) = reg(R/J) + 1."""
+    x, y, z = (R3.variable(i) for i in range(3))
+    cases = corpus_ideals + [("koszul", Ideal(R3, (x, y, z))), ("zero", Ideal(R3, ()))]
+    for label, ideal in cases:
+        table = minimal_resolution(ideal).table
+        cert = table.certificate
+        assert table.complete and cert is not None, label
+        assert recheck_regularity(minimal_generators(ideal), ideal.ring, cert), label
+        assert cert.m == table.regularity() + 1, label
+
+
+def test_recheck_refuses_a_wrong_certificate(sixgen):
+    cert = minimal_resolution(sixgen).table.certificate
+    assert recheck_regularity(sixgen.generators, sixgen.ring, cert)
+    short = type(cert)(cert.m - 1, cert.forms)
+    assert not recheck_regularity(sixgen.generators, sixgen.ring, short)
+
+
+def test_below_regularity_is_refused(corpus_ideals):
+    """The criterion is an iff: at m = reg(J) - 1 no forms pass, whatever
+    the seed, so a ceiling there certifies nothing."""
+    tried = 0
+    for label, ideal in corpus_ideals:
+        gens = minimal_generators(ideal)
+        reg = minimal_resolution(ideal).table.regularity() + 1
+        if reg - 1 < max(g.homogeneous_degree() for g in gens):
+            continue        # the criterion needs generators in degrees <= m
+        tried += 1
+        for seed in ("a", "b", "c", "d"):
+            assert certified_regularity(gens, ideal.ring, reg - 1, seed) is None, label
+            assert certified_regularity(gens, ideal.ring, reg, seed).m == reg, label
+    assert tried >= 4
+
+
+def test_weighted_ring_is_refused():
+    """Bayer-Stillman needs linear forms of a standard graded ring."""
+    ring = Ring(GF(32003), ["x", "w"], weights=(1, 2))
+    with pytest.raises(ValueError, match="standard grading"):
+        minimal_resolution(Ideal(ring, (ring.variable(1),)))
+
+
+def test_rationals_agree_on_sixgen_fiber():
+    entry = CORPUS_BY_ID["ex-2.1-sixgen"]
+    tables = [minimal_resolution(fiber_presentation(
+        load_entry_ideal(entry, field_char=p)).relations).table for p in (32003, 0)]
+    assert all(t.complete for t in tables)
+    assert tables[0].rows() == tables[1].rows() == PINNED_FIBERS[entry.id]
+    assert tables[1].certificate.m == tables[0].certificate.m == 3
+
+
+def test_euler_mismatch_raises(sixgen, monkeypatch):
+    """The alternating Betti sums are a cross-check of a certified table:
+    a numerator they do not reproduce is an internal error."""
+    numerator = HilbertSeries.numerator_dict
+
+    def patched(self):
+        num = numerator(self)
+        num[7] = num.get(7, 0) + 1
+        return num
+
+    monkeypatch.setattr(HilbertSeries, "numerator_dict", patched)
+    with pytest.raises(AssertionError, match="Hilbert numerator"):
+        minimal_resolution(Ideal(sixgen.ring, sixgen.generators))
