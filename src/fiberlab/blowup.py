@@ -151,6 +151,11 @@ class IdealContext:
             self._powers.append(Ideal(self.ring, prod).minimal_generators())
         return self._powers[n]
 
+    def products(self, forms, r: int) -> list:
+        """The products f*g of the forms with the minimal generators g of
+        I^r: they generate the ideal (forms)·I^r."""
+        return [a * b for a in forms for b in self.power_gens(r)]
+
     def piece(self, polys, degree: int) -> GradedPieceBasis:
         """Degree piece of the ideal the polynomials generate, memoized on
         (polynomials, degree).  The result is shared: copy its echelon
@@ -463,6 +468,9 @@ def random_forms_in_degree(ideal, count: int, seed) -> tuple:
     """Seeded k-linear combinations of the minimal generators, with a
     linear-independence recheck: (forms, their coefficient rows)."""
     gens = IdealContext.of(ideal).mingens
+    if count > len(gens):
+        raise ValueError(f"cannot draw {count} independent forms "
+                         f"from mu = {len(gens)}")
     ring = ideal.ring
     field = ring.field
     rng = random.Random(str(seed))
@@ -501,7 +509,7 @@ def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
     for r in range(0, r_max + 1):
         degree = (r + 1) * d
         target = ctx.piece(ctx.power_gens(r + 1), degree)
-        jpart = ctx.piece([a * b for a in forms for b in ctx.power_gens(r)], degree)
+        jpart = ctx.piece(ctx.products(forms, r), degree)
         dims.append((r, jpart.dim, target.dim))
         if jpart.dim == target.dim:
             return ReductionData(forms, str(seed), r, True, spread, d, dims)

@@ -74,7 +74,7 @@ def _common_flags(p):
     p.add_argument("--cutoff", type=_at_least(1),
                    default=corpus_mod.DEFAULT_CUTOFF_CEILING,
                    help="ceiling on the certified regularity bound m of a resolution")
-    p.add_argument("--trials", type=int, default=corpus_mod.DEFAULT_TRIALS,
+    p.add_argument("--trials", type=_at_least(1), default=corpus_mod.DEFAULT_TRIALS,
                    help="CM test trials")
     p.add_argument("--rmax", type=_at_least(0), default=corpus_mod.DEFAULT_RMAX,
                    help="reduction-number search bound")

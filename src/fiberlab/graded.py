@@ -9,10 +9,10 @@ it and is the ``degree_basis(ring, e - d_i)`` index of the packed
 monomials, grevlex-descending.  An ideal is the rank-one case d_1 = 0.
 The builder writes the row of m*s for every monomial m of degree
 e - deg s, grevlex-descending, by one lookup per term of s, on the
-packed keys the polynomials store.  Graded pieces,
-minimal generators, colon pieces and both matrices of the degreewise
-syzygies are made of these rows: the map's rows, collected by codomain
-column, and the multiples of the syzygies already found.
+packed keys the polynomials store.  Graded pieces, minimal generators
+and both matrices of the degreewise syzygies are made of these rows:
+the map's rows, collected by codomain column, and the multiples of the
+syzygies already found.
 
 Graded pieces are represented by canonical reduced row-echelon bases
 over the monomial basis of the ambient degree, so dimensions, piece

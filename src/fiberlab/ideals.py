@@ -8,8 +8,7 @@ grevlex lead-term ideal.
 
 from __future__ import annotations
 
-from .fields import FieldSpec
-from .groebner import GREVLEX, GroebnerBasis, buchberger, eliminate, normal_form
+from .groebner import GREVLEX, GroebnerBasis, buchberger, eliminate
 from .hilbert import HilbertSeries, series_of_basis
 from .polyring import Polynomial, Ring, RingError
 
@@ -83,21 +82,6 @@ class Ideal:
         return Ideal(self.ring, tuple(a * b for a in self.generators
                                       for b in other.generators))
 
-    def power(self, n: int, minimalize: bool = True) -> "Ideal":
-        """I^n; minimalized, its generators are those of
-        ``IdealContext.power_gens``."""
-        if n < 0:
-            raise ValueError("negative power")
-        if minimalize:
-            from .blowup import IdealContext
-            return Ideal(self.ring, tuple(IdealContext(self).power_gens(n)))
-        if n == 0:
-            return Ideal(self.ring, (self.ring.one(),))
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
-
     def _check(self, other):
         if self.ring != other.ring:
             raise RingError("ideals in different rings")
@@ -118,23 +102,15 @@ class Ideal:
         return Ideal(ring, tuple(big.restrict(g, ring) for g in kept))
 
     def colon(self, f: Polynomial) -> "Ideal":
-        """(I : f) = {g : g*f in I}."""
+        """(I : f) = {g : g*f in I}, by Groebner elimination: the
+        independent oracle of the tightness tests, which decide tightness
+        from graded pieces alone."""
         if f.is_zero():
             raise ZeroDivisionError("colon by zero")
         if f.ring != self.ring:
             raise RingError("colon element outside the ring")
         inter = self.intersect(Ideal(self.ring, (f,)))
         return Ideal(self.ring, tuple(divide_exact(g, f) for g in inter.generators))
-
-    def colon_ideal(self, other: "Ideal") -> "Ideal":
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("colon by the zero ideal")
-        result = None
-        for f in other.generators:
-            part = self.colon(f)
-            result = part if result is None else result.intersect(part)
-        return result
 
     # -- numeric invariants ---------------------------------------------------
     def hilbert_series(self) -> HilbertSeries:
@@ -160,16 +136,6 @@ class Ideal:
     def multiplicity(self) -> int:
         """e(R/I) from the Hilbert series."""
         return self.hilbert_series().multiplicity
-
-    def graded_equal(self, other: "Ideal", degree: int) -> bool:
-        """[I]_degree == [J]_degree as subspaces of R_degree."""
-        from .graded import graded_piece, joint_rank
-        self._check(other)
-        a = graded_piece(self, degree)
-        b = graded_piece(other, degree)
-        if a.dim != b.dim:
-            return False
-        return joint_rank(a, b) == a.dim
 
 
 def _aux_name(ring: Ring) -> str:

@@ -7,23 +7,26 @@ with Hilbert-Burch data, and the multiplicity / map-degree formulas.
 
 Each predicate takes an ideal or its ``IdealContext``; called with the
 report's context, it reuses the powers, pieces and presentations that
-the other predicates built.
+the other predicates built, and reads every dimension off its memoized
+pieces and joint ranks.
+
+Tightness in power n compares the colon cap [(P : f) cap I^n]_{nd} with
+the plain cap [P cap I^n]_{nd}, for P the prefix ideal and f the last
+form.  The colon cap is the kernel of g -> f*g from [I^n]_{nd} to
+S_e/[P]_e, e = nd + deg f, so it has dimension dim [I^n]_{nd} + dim [P]_e
+- dim([P]_e + f*[I^n]_{nd}) (D4 in docs/decisions.md).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field as dc_field
-from math import comb, inf
-
-import numpy as np
+from math import comb
 
 from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
 from .depth import regular_prefix
-from .graded import degree_basis, joint_rank, spanning_rows
 from .ideals import Ideal
-from .linalg import Echelon, nullspace, rank_of_rows
 from .polyring import Ring
 
 
@@ -168,42 +171,28 @@ def fiber_indeg(ideal, up_to: int = 6) -> PredicateReport:
 # ---------------------------------------------------------------------------
 # tightness and adjustment
 
-def _colon_piece(ctx: IdealContext, numerators, f, degree: int) -> Echelon:
-    """Echelon basis of [ (numerators) : f ]_degree."""
-    ring = ctx.ring
-    field = ring.field
-    fdeg = f.homogeneous_degree()
-    monos, _ = degree_basis(ring, degree)
-    target = ctx.piece(numerators, degree + fdeg)
-    residual = target.echelon.reduce(spanning_rows([f], degree + fdeg, ring))
-    ech = Echelon(field, len(monos))
-    ech.extend(nullspace(np.transpose(residual), field, len(monos)))
-    return ech
-
-
-def _echelon_to_piece(ech: Echelon, degree: int, ring: Ring):
-    from .graded import GradedPieceBasis
-    monos, _ = degree_basis(ring, degree)
-    return GradedPieceBasis(degree, monos, ech)
-
-
 def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
-    """Graded equality at degree n*d of the colon-capped and plain-capped
-    pieces of the prefix ideal."""
+    """Equality of the colon cap and the plain cap of the prefix ideal in
+    [I^n]_{nd} (module docstring)."""
     ctx = IdealContext.of(ideal)
     ideal = ctx.ideal
-    gens, d = equigenerated_data(ctx)
+    d = equigenerated_data(ctx)[1]
     prefix = fs.forms[:-1]
     last = fs.forms[-1]
-    ipiece = ctx.piece(ctx.power_gens(n), n * d)
-    colon = _colon_piece(ctx, prefix, last, n * d)
-    colon_piece = _echelon_to_piece(colon, n * d, ctx.ring)
-    prefix_piece = ctx.piece(prefix, n * d)
-    lhs = colon_piece.dim + ipiece.dim - joint_rank(colon_piece, ipiece)
-    rhs = (prefix_piece.dim + ipiece.dim
-           - ctx.joint_rank(prefix, ctx.power_gens(n), n * d))
+    if last.is_zero():
+        raise ValueError("the last form must be nonzero")
+    power = ctx.power_gens(n)
+    ipiece = ctx.piece(power, n * d)
+    e = n * d + last.homogeneous_degree()
+    multiples = ctx.products([last], n)
+    if ctx.piece(multiples, e).dim != ipiece.dim:
+        raise AssertionError("multiplication by the last form must be injective")
+    lhs = (ipiece.dim + ctx.piece(prefix, e).dim
+           - ctx.joint_rank(prefix, multiples, e))
+    rhs = (ctx.piece(prefix, n * d).dim + ipiece.dim
+           - ctx.joint_rank(prefix, power, n * d))
     if lhs < rhs:
-        raise AssertionError("colon piece must contain the plain piece")
+        raise AssertionError("colon cap must contain the plain cap")
     return PredicateReport(
         "tight", {"ideal": ideal_fingerprint(ideal), "forms": fs.provenance, "n": n},
         "true" if lhs == rhs else "false",
@@ -239,16 +228,13 @@ def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
     ctx = IdealContext.of(ideal)
     ideal = ctx.ideal
     gens, d = equigenerated_data(ctx)
-    ring = ideal.ring
     if any(f.homogeneous_degree() != d for f in fs.forms):
         raise ValueError(f"forms must be nonzero of the generating degree {d}")
-    rows = spanning_rows(fs.forms, d, ring)
-    if rank_of_rows(rows, ring.field, len(degree_basis(ring, d)[0])) != len(fs.forms):
+    if ctx.piece(fs.forms, d).dim != len(fs.forms):
         raise ValueError("forms are k-linearly dependent")
     l = len(fs.forms)
     mu = len(gens)
-    products = [a * b for a in fs.forms for b in gens]
-    mu_ji = ctx.piece(products, 2 * d).dim
+    mu_ji = ctx.piece(ctx.products(fs.forms, 1), 2 * d).dim
     expected = l * mu - comb(l, 2)
     if mu_ji > expected:
         raise AssertionError("adjustment upper bound violated")
@@ -300,9 +286,7 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
         ipiece = ctx.piece(ctx.power_gens(n), n * d)
         lhs = (prefix_piece.dim + ipiece.dim
                - ctx.joint_rank(fs_prefix.forms, ctx.power_gens(n), n * d))
-        rhs_products = [a * b for a in fs_prefix.forms
-                        for b in ctx.power_gens(n - 1)]
-        rhs = ctx.piece(rhs_products, n * d).dim
+        rhs = ctx.piece(ctx.products(fs_prefix.forms, n - 1), n * d).dim
         if lhs < rhs:
             raise AssertionError(f"VV piece check at n={n}: cap {lhs} below product {rhs}")
         per_n[n] = (lhs == rhs)
@@ -314,8 +298,7 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     gb_checks = {}
     for n in range(1, min(gb_equality_upto, n_max) + 1):
         inter = prefix_ideal.intersect(Ideal(ring, tuple(ctx.power_gens(n))))
-        prod = Ideal(ring, tuple(a * b for a in fs_prefix.forms
-                                 for b in ctx.power_gens(n - 1)))
+        prod = Ideal(ring, tuple(ctx.products(fs_prefix.forms, n - 1)))
         gb_checks[str(n)] = (inter == prod)
         if gb_checks[str(n)] != per_n[n]:
             raise AssertionError("full ideal equality disagrees with piece check")

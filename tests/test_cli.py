@@ -68,6 +68,9 @@ def test_check_exit_codes(simple_file):
     ["invariants", "FILE", "--rmax", "-1"],
     ["invariants", "FILE", "--cutoff", "0"],
     ["reproduce", "ex-3-monomial4", "--jobs", "0"],
+    ["invariants", "FILE", "--trials", "0"],
+    ["check", "gs", "FILE", "--trials", "0"],
+    ["check", "tight", "FILE", "--trials", "-2"],
 ])
 def test_out_of_range_flags_exit_two(simple_file, capsys, args):
     """An integer flag outside its range is an input error, before any
@@ -94,13 +97,22 @@ def test_reduction_search_past_rmax_exits_three(tmp_path):
 
 def test_invariants_needs_a_cm_trial(tmp_path):
     """``--trials 0`` would give no colength to test; it is an input error,
-    not a CM verdict."""
+    not a CM verdict, and it is refused before the ideal block runs."""
     entry = CORPUS_BY_ID["ex-3-binomial4"]
     p = tmp_path / entry.filename
     p.write_text(read_entry_text(entry))
     out = run_cli(["invariants", str(p), "--trials", "0"])
     assert out.returncode == 2
-    assert "at least one trial" in out.stderr and not out.stdout
+    assert "--trials: must be >= 1" in out.stderr and not out.stdout
+    assert "elapsed" not in out.stderr
+
+
+def test_adjusted_more_forms_than_generators_exit_two(simple_file):
+    """``--l`` above mu asks for more independent forms than the
+    generators span: an input error, before any coefficient is drawn."""
+    out = run_cli(["check", "adjusted", simple_file, "--l", "9"])
+    assert out.returncode == 2
+    assert "cannot draw 9 independent forms from mu = 4" in out.stderr
 
 
 def test_invariants_non_equigenerated_exits_zero(tmp_path):

@@ -25,7 +25,7 @@ def test_sixgen_piece_is_mu(sixgen):
 def test_square_piece_against_enumeration(sixgen):
     """dim [I^2]_12 for the monomial ideal, against direct enumeration of
     the degree-12 monomials lying in I^2."""
-    sq = sixgen.power(2)
+    sq = sixgen * sixgen
     dim = graded_piece(sq, 12).dim
     ring = sixgen.ring
     gens = [ring.exponents(next(iter(g.terms))) for g in sixgen.generators]
@@ -122,8 +122,8 @@ def test_minimal_generators_drops_redundant(R3):
 
 def test_minimal_generators_of_intersection(R3):
     x, y, z = (R3.variable(i) for i in range(3))
-    A = Ideal(R3, (x, y)).power(3, minimalize=False)
-    B = Ideal(R3, (x, z)).power(3, minimalize=False)
+    xy, xz = Ideal(R3, (x, y)), Ideal(R3, (x, z))
+    A, B = xy * xy * xy, xz * xz * xz
     assert len(A.intersect(B).minimal_generators()) == 4
 
 

@@ -83,8 +83,8 @@ def test_gs_final_matrix_fails_g3():
 
 def test_valla_intersection_example(R3):
     x, y, z = (R3.variable(i) for i in range(3))
-    I = Ideal(R3, (x, y)).power(3, minimalize=False).intersect(
-        Ideal(R3, (x, z)).power(3, minimalize=False))
+    xy, xz = Ideal(R3, (x, y)), Ideal(R3, (x, z))
+    I = (xy * xy * xy).intersect(xz * xz * xz)
     rep = valla_dimension(I)
     assert rep.certificate["dim_symmetric_algebra"] == 5
     assert rep.certificate["valla_bound"] == 4
@@ -135,33 +135,57 @@ def test_tight_complete_intersection_all_n(R3):
         assert analytically_tight(ci, fs, n).is_true
 
 
-def test_tight_rational_forms_against_colon_oracle():
-    """Over QQ with a non-integral coefficient: f1 = x(x + y/3) and
-    f2 = z(x + y/3) share the factor x + y/3, so (f1) : f2 = (x) and
-    tightness fails.  Both capped dimensions match an oracle that takes
-    the colon ideal from Groebner elimination (``Ideal.colon``).  Rounded
-    to floats, the multiples of f2 lose the common factor, and the colon
-    piece shrinks to the plain one."""
-    from fractions import Fraction
-
+def colon_oracle_caps(ideal, prefix, last, n):
+    """(colon cap, plain cap) in degree 2n, with the colon ideal taken from
+    Groebner elimination (``Ideal.colon``), sharing no code with the
+    kernel route of ``analytically_tight``."""
     from fiberlab.graded import graded_piece, joint_rank
-    ring = Ring(QQ, ["x", "y", "z"])
+    ring = ideal.ring
+    prefix_ideal = Ideal(ring, tuple(prefix))
+    power = Ideal(ring, tuple(IdealContext(ideal).power_gens(n)))
+    ipiece = graded_piece(power, 2 * n)
+    caps = []
+    for sub in (prefix_ideal.colon(last), prefix_ideal):
+        piece = graded_piece(sub, 2 * n)
+        caps.append(piece.dim + ipiece.dim - joint_rank(piece, ipiece))
+    return tuple(caps)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "F32003"])
+def test_tight_rational_forms_against_colon_oracle(field):
+    """With a non-integral coefficient: f1 = x(x + y/3) and f2 = z(x + y/3)
+    share the factor x + y/3, so (f1) : f2 = (x) and tightness fails.
+    Both capped dimensions match the Groebner colon oracle, over QQ and
+    over F_32003.  Over QQ, rounded to floats, the multiples of f2 would
+    lose the common factor, and the colon cap would shrink to the plain
+    one."""
+    ring = Ring(field, ["x", "y", "z"])
     x, y, z = (ring.variable(i) for i in range(3))
     ideal = Ideal(ring, (x * x, x * y, y * y, x * z, y * z))
-    f1 = x * x + (x * y).scale(Fraction(1, 3))
-    f2 = x * z + (y * z).scale(Fraction(1, 3))
-    colon = Ideal(ring, (f1,)).colon(f2)
-    prefix = Ideal(ring, (f1,))
+    third = field.inv(field.raw(3))
+    f1 = x * x + (x * y).scale(third)
+    f2 = x * z + (y * z).scale(third)
     for n, want in ((1, (3, 1)), (2, (9, 6)), (3, (18, 14))):
         rep = analytically_tight(ideal, user_forms([f1, f2]), n)
-        ipiece = graded_piece(ideal.power(n), 2 * n)
-        caps = []
-        for sub in (colon, prefix):
-            piece = graded_piece(sub, 2 * n)
-            caps.append(piece.dim + ipiece.dim - joint_rank(piece, ipiece))
         assert (rep.certificate["colon_cap_dim"], rep.certificate["plain_cap_dim"]) \
-            == tuple(caps) == want
+            == colon_oracle_caps(ideal, [f1], f2, n) == want
         assert rep.verdict == "false"
+
+
+def test_tight_holds_against_colon_oracle():
+    """f1 = x(x + 5y) and f2 = y^2 in I = (x, y)^2 share no factor, so
+    (f1) : f2 = (f1) and tightness holds; the caps match the Groebner
+    colon oracle over F_32003."""
+    ring = Ring(GF(32003), ["x", "y", "z"])
+    x, y, z = (ring.variable(i) for i in range(3))
+    ideal = Ideal(ring, (x * x, x * y, y * y))
+    f1, f2 = x * x + (x * y).scale(5), y * y
+    for n in (1, 2):
+        rep = analytically_tight(ideal, user_forms([f1, f2]), n)
+        caps = (rep.certificate["colon_cap_dim"], rep.certificate["plain_cap_dim"])
+        assert caps == colon_oracle_caps(ideal, [f1], f2, n)
+        assert caps[0] == caps[1] > 0
+        assert rep.is_true
 
 
 def test_adjusted_single_form(monomial4):

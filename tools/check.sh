@@ -1,5 +1,7 @@
 #!/bin/sh
 # Full local check, in order, stopping at the first failure:
+#   0. no bare `assert` statement in the package: its self-checks raise
+#      real errors, which `python -O` does not strip;
 #   1. the tier-1 suite;
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
 #      blow-up, predicate, resolution and CLI tests under `python -O`,
@@ -14,6 +16,15 @@ set -e
 cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
+python - <<'PY'
+import ast, pathlib, sys
+paths = sorted(pathlib.Path("src/fiberlab").rglob("*.py"))
+bare = [f"{path}:{node.lineno}" for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)]
+if bare:
+    sys.exit("bare assert in the package:\n  " + "\n  ".join(bare))
+PY
 python -m pytest -q --continue-on-collection-errors
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
     tests/test_polyring.py tests/test_graded.py tests/test_ideals.py \
