@@ -1,13 +1,14 @@
 """Blow-up algebras of an equigenerated ideal: special fiber, Rees
 algebra, associated graded ring, reductions and Cohen-Macaulay tests.
 
-Presentations are produced by block elimination.  With generators
-f_1..f_m of common degree d, the fiber relations Q live in k[w_1..w_m]
-(kernel of w_i -> f_i) and the Rees relations in k[x.., w..] (kernel of
-w_i -> f_i t).  Both kernels are bigraded, so their generators are
-homogeneous for the standard regrading in which every variable has
-weight one; all dimension, multiplicity and depth computations run in
-that regrading (verified generator by generator).
+Both presentations come from one elimination.  With generators f_1..f_m
+of common degree d, the Rees relations J live in k[x.., w..] (kernel of
+w_i -> f_i t, by eliminating t), and the fiber relations Q in
+k[w_1..w_m] (kernel of w_i -> f_i) are Q = J ∩ k[w], read off J by
+eliminating the x-variables (D5 in docs/decisions.md).  J is bigraded,
+so its generators are homogeneous for the standard regrading in which
+every variable has weight one; all dimension, multiplicity and depth
+computations run in that regrading (verified generator by generator).
 """
 
 from __future__ import annotations
@@ -22,20 +23,9 @@ from .groebner import GREVLEX, GroebnerBasis, eliminate, extend_basis
 from .hilbert import HilbertSeries, series_of_basis
 from .ideals import Ideal
 from .linalg import rank_of_rows
-from .polyring import Polynomial, Ring
+from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
                           minimal_resolution)
-
-
-def _fresh_names(base: str, count: int, taken) -> list:
-    out = []
-    k = 1
-    while len(out) < count:
-        cand = f"{base}{k}"
-        if cand not in taken:
-            out.append(cand)
-        k += 1
-    return out
 
 
 def _is_bihomogeneous(p: Polynomial, split: int) -> bool:
@@ -111,7 +101,7 @@ class IdealContext:
     powers I^n, the graded pieces, the fiber and Rees presentations, the
     resolution of R/I, the CM reports and the analytic spread once.
     ``label`` names the ideal in the seeds of its randomized tests.
-    With ``bounded`` the full eliminations are out of budget: ``fp``,
+    With ``bounded`` the Rees elimination is out of budget: ``fp``,
     ``pres`` and the CM reports are None and the spread comes from the
     Jacobian squeeze (None unless that is exact).
     """
@@ -206,7 +196,7 @@ class IdealContext:
 
     @cached_property
     def pres(self) -> "ReesPresentation | None":
-        return None if self.bounded else rees_and_gr(self, self.fp)
+        return None if self.bounded else rees_and_gr(self)
 
     @cached_property
     def jacobian_spread(self) -> tuple:
@@ -254,39 +244,35 @@ class IdealContext:
 
 
 def equigenerated_data(ideal):
-    """(minimal generators, common degree); rejects mixed degrees."""
+    """(minimal generators, common degree); rejects mixed degrees and the
+    unit ideal."""
     ctx = IdealContext.of(ideal)
     if not ctx.mingens:
         raise ValueError("zero ideal is not equigenerated")
     if ctx.degree is None:
         degs = sorted({g.homogeneous_degree() for g in ctx.mingens})
         raise ValueError(f"ideal is not equigenerated: degrees {degs}")
+    if ctx.degree == 0:
+        raise ValueError("the unit ideal has no blow-up algebras")
     return ctx.mingens, ctx.degree
 
 
 def fiber_presentation(ideal) -> FiberPresentation:
-    """Relations Q of the fiber cone: the kernel of w_i -> f_i, by
-    eliminating the x-variables."""
-    ring = ideal.ring
-    gens, d = equigenerated_data(ideal)
-    m = len(gens)
-    wnames = _fresh_names("w", m, set(ring.names))
-    elim_ring = Ring(ring.field, ring.names + tuple(wnames),
-                     ring.weights + (d,) * m)
-    work = []
-    for i, f in enumerate(gens):
-        w = elim_ring.variable(ring.nvars + i)
-        work.append(w - ring.embed(f, elim_ring))
-    fiber_ring = Ring(ring.field, tuple(wnames))
-    rel_polys = tuple(elim_ring.restrict(g, fiber_ring)
-                      for g in eliminate(work, ring.nvars))
+    """Relations Q of the fiber cone, the kernel of w_i -> f_i: Q = J ∩ k[w]
+    for the Rees ideal J, by eliminating the x-variables from J."""
+    ctx = IdealContext.of(ideal)
+    pres = ctx.pres
+    big_ring, split = pres.big_ring, pres.split
+    fiber_ring = Ring(big_ring.field, big_ring.names[split:])
+    rel_polys = tuple(big_ring.restrict(g, fiber_ring)
+                      for g in eliminate(pres.rees_ideal.generators, split))
     for q in rel_polys:
-        if not q.substitute(list(gens), ring).is_zero():
+        if not q.substitute(list(pres.source), ctx.ring).is_zero():
             raise AssertionError("fiber relation does not vanish on the generators")
     relations = Ideal(fiber_ring, rel_polys)
     relations._gb_cache[repr(GREVLEX)] = GroebnerBasis(
         fiber_ring, GREVLEX, rel_polys, rel_polys)
-    return FiberPresentation(fiber_ring, relations, tuple(gens), d)
+    return FiberPresentation(fiber_ring, relations, pres.source, pres.degree)
 
 
 def fiber_truncated(ideal, n_max: int) -> dict:
@@ -297,19 +283,19 @@ def fiber_truncated(ideal, n_max: int) -> dict:
     return {n: ctx.relation_dim(n) for n in range(1, n_max + 1)}
 
 
-def spread_via_jacobian(ideal, trials: int = 5, seed="jac") -> tuple:
+def spread_via_jacobian(ideal, seed="jac") -> tuple:
     """(lower bound for the analytic spread, exact flag).
 
     The Jacobian rank of the generators at a random point bounds the
     transcendence degree of k[I_d] from below; when the bound meets
-    dim R it is exact.
+    dim R it is exact.  The bound is the best of five points.
     """
     ring = ideal.ring
     field = ring.field
     gens = IdealContext.of(ideal).mingens
     jac = [[g.derivative(j) for j in range(ring.nvars)] for g in gens]
     best = 0
-    for trial in range(trials):
+    for trial in range(5):
         rng = random.Random(f"{seed}:{trial}")
         point = [field.random_raw(rng) for _ in range(ring.nvars)]
         rows = [[entry.evaluate(point) for entry in row] for row in jac]
@@ -317,9 +303,8 @@ def spread_via_jacobian(ideal, trials: int = 5, seed="jac") -> tuple:
     return best, best == ring.nvars
 
 
-def rees_and_gr(ideal, fp: FiberPresentation | None = None) -> ReesPresentation:
-    """Rees and associated graded presentations, by eliminating t; with
-    ``fp``, also checks that the fiber relations lie in the Rees ideal."""
+def rees_and_gr(ideal) -> ReesPresentation:
+    """Rees and associated graded presentations, by eliminating t."""
     ctx = IdealContext.of(ideal)
     ring = ctx.ring
     gens, d = equigenerated_data(ctx)
@@ -327,25 +312,19 @@ def rees_and_gr(ideal, fp: FiberPresentation | None = None) -> ReesPresentation:
         raise ValueError("Rees presentation needs grade >= 1")
     m = len(gens)
     taken = set(ring.names)
-    tname = _fresh_names("t", 1, taken)[0]
-    wnames = _fresh_names("w", m, taken | {tname})
+    tname = fresh_names("t", 1, taken)[0]
+    wnames = fresh_names("w", m, taken | {tname})
     elim_ring = Ring(ring.field, (tname,) + ring.names + tuple(wnames),
                      (1,) + ring.weights + (d + 1,) * m)
     t = elim_ring.variable(0)
-    work = []
-    for i, f in enumerate(gens):
-        w = elim_ring.variable(1 + ring.nvars + i)
-        work.append(w - ring.embed(f, elim_ring) * t)
+    work = [elim_ring.variable(1 + ring.nvars + i) - ring.embed(f, elim_ring) * t
+            for i, f in enumerate(gens)]
     kept = eliminate(work, 1)
     big_ring = Ring(ring.field, ring.names + tuple(wnames))
     split = ring.nvars
-    rees_polys = []
-    for g in kept:
-        h = elim_ring.restrict(g, big_ring)
-        if not _is_bihomogeneous(h, split):
-            raise AssertionError("Rees relation is not bihomogeneous")
-        rees_polys.append(h)
-    rees_polys = tuple(rees_polys)
+    rees_polys = tuple(elim_ring.restrict(g, big_ring) for g in kept)
+    if not all(_is_bihomogeneous(h, split) for h in rees_polys):
+        raise AssertionError("Rees relation is not bihomogeneous")
     rees_ideal = Ideal(big_ring, rees_polys)
     rees_ideal._gb_cache[repr(GREVLEX)] = GroebnerBasis(
         big_ring, GREVLEX, rees_polys, rees_polys)
@@ -356,17 +335,12 @@ def rees_and_gr(ideal, fp: FiberPresentation | None = None) -> ReesPresentation:
     pres = ReesPresentation(big_ring, split, rees_ideal, gr_ideal,
                             tuple(gens), d)
     _verify_rees(pres, elim_ring, ring, t)
-    if fp is not None:
-        _verify_fiber_inside_rees(fp, pres)
     return pres
 
 
 def _verify_rees(pres: ReesPresentation, elim_ring: Ring, ring: Ring, t):
-    images = []
-    for i in range(pres.split):
-        images.append(elim_ring.variable(1 + i))
-    for f in pres.source:
-        images.append(ring.embed(f, elim_ring) * t)
+    images = ([elim_ring.variable(1 + i) for i in range(pres.split)]
+              + [ring.embed(f, elim_ring) * t for f in pres.source])
     for g in pres.rees_ideal.generators:
         if not g.substitute(images, elim_ring).is_zero():
             raise AssertionError("Rees relation does not vanish under w -> f t")
@@ -374,14 +348,6 @@ def _verify_rees(pres: ReesPresentation, elim_ring: Ring, ring: Ring, t):
         raise AssertionError("Rees quotient has unexpected dimension")
     if pres.gr_dimension() != ring.nvars:
         raise AssertionError("gr quotient has unexpected dimension")
-
-
-def _verify_fiber_inside_rees(fp: FiberPresentation, pres: ReesPresentation):
-    gb = pres.rees_ideal.groebner()
-    for q in fp.relations.generators:
-        lifted = fp.fiber_ring.embed(q, pres.big_ring)
-        if not gb.contains(lifted):
-            raise AssertionError("fiber relation missing from the Rees ideal")
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +366,10 @@ class CMReport:
         return self.verdict == "CM"
 
 
-def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm",
-                 max_retries: int = 4) -> CMReport:
+def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm") -> CMReport:
     """Colength-versus-multiplicity test with a random linear system of
-    parameters; equality certifies CM, excess certifies NOT_CM."""
+    parameters (four draws per trial); equality certifies CM, excess
+    certifies NOT_CM."""
     if trials < 1:
         raise ValueError(f"CM test needs at least one trial, got {trials}")
     ring, ideal = ring_and_ideal
@@ -423,7 +389,7 @@ def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm",
     for trial in range(trials):
         seed = f"{base_seed}:{trial}"
         rng = random.Random(seed)
-        for attempt in range(max_retries):
+        for attempt in range(4):
             thetas = [ring.linear_form([ring.field.random_raw(rng)
                                         for _ in range(ring.nvars)])
                       for _ in range(s)]

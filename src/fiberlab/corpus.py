@@ -2,11 +2,11 @@
 pipeline they share with ``fiberlab invariants``.
 
 Each entry carries an input file, a per-entry computation plan (see
-``entry_report``; the 6x5-matrix entry runs the bounded plan: its full
-fiber/Rees eliminations are out of budget, so the analytic spread comes
-from the Jacobian squeeze; every plan reads the relation dimensions off
-the pieces [I^n]_{nd}), and a golden record whose values are tagged
-literature / trivial / derived.
+``entry_report``; the 6x5-matrix entry runs the bounded plan: its Rees
+elimination, from which the fiber presentation is read, is out of
+budget, so the analytic spread comes from the Jacobian squeeze; every
+plan reads the relation dimensions off the pieces [I^n]_{nd}), and a
+golden record whose values are tagged literature / trivial / derived.
 """
 
 from __future__ import annotations
@@ -244,22 +244,20 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
 
 
 def _depth_block(ctx, report):
-    """Depths of the fiber, Rees algebra and gr, grade and codim of gr+."""
+    """Depths of the fiber (Auslander-Buchsbaum on its certified
+    resolution), the Rees algebra and gr (the descent), grade and codim of
+    gr+."""
     inv = report["invariants"]
     fp, pres = ctx.fp, ctx.pres
-    if fp.fiber_ring.nvars <= 7:
-        fres = ctx.fiber_resolution
-        if fres.table.complete:
-            inv["depth_fiber"] = fp.fiber_ring.nvars - fres.table.projective_dimension
-            inv["regularity_fiber"] = fres.table.regularity()
-            inv["fiber_relation_degrees"] = sorted(
-                g.homogeneous_degree() for g in fp.relations.minimal_generators())
-        else:
-            report["skipped"]["fiber_resolution"] = \
-                f"incomplete at cutoff {fres.table.ceiling}"
+    fres = ctx.fiber_resolution
+    if fres.table.complete:
+        inv["depth_fiber"] = fp.fiber_ring.nvars - fres.table.projective_dimension
+        inv["regularity_fiber"] = fres.table.regularity()
+        inv["fiber_relation_degrees"] = sorted(
+            g.homogeneous_degree() for g in fp.relations.minimal_generators())
     else:
-        dfib = graded_depth(fp.relations, seed=f"depthF:{ctx.label}")
-        inv["depth_fiber"] = dfib.value if dfib.exact else None
+        report["skipped"]["fiber_resolution"] = \
+            f"incomplete at cutoff {fres.table.ceiling}"
     if not ctx.rees_cm.is_cm:
         drees = graded_depth(pres.rees_ideal, seed=f"cm:{ctx.label}:rees:depth")
         if drees.exact and drees.value >= ctx.rees_cm.dimension:
@@ -285,7 +283,7 @@ def crosscheck_bundles(reports) -> list:
 
 
 def _bounded_blowup(ctx, report, seeds, n_max, r_max):
-    """Matrix entry whose full eliminations exceed the budget: fiber
+    """Matrix entry whose Rees elimination exceeds the budget: fiber
     relation dimensions through degree 4, Jacobian-squeezed spread,
     piece-level reductions."""
     inv = report["invariants"]

@@ -11,8 +11,10 @@ The same witness, taken relative to a subset of the variables, ends the
 grade search: grade(I, A) = 0 exactly when (0 :_A I) != 0 (Bruns-Herzog,
 Cohen-Macaulay Rings, 1.2.5).
 
-Resolutions stay the depth route for small ambients; this engine covers
-the quotients whose ambient is too large for dense degreewise kernels.
+The reports take the depth of the fiber from its certified resolution
+(Auslander-Buchsbaum) and the depths of the Rees algebra and of gr from
+this engine, whose ambients k[x.., w..] are too large for dense
+degreewise kernels.
 """
 
 from __future__ import annotations
@@ -164,9 +166,9 @@ def _socle_bound(gb: GroebnerBasis) -> int:
     return 2 * max(map(gb.ring.mono_degree, gb._reducers.lts), default=1) + 4
 
 
-def _candidate_forms(ring: Ring, rng, dense_count=2):
+def _candidate_forms(ring: Ring, rng):
     """Deterministic schedule: single variables, then sparse pairs and
-    mid-support forms, then dense forms.  Sparse first keeps the
+    mid-support forms, then two dense forms.  Sparse first keeps the
     incremental bases small; exactness never depends on the choice."""
     n = ring.nvars
     field = ring.field
@@ -184,14 +186,16 @@ def _candidate_forms(ring: Ring, rng, dense_count=2):
         for i in support:
             coeffs[i] = field.random_raw(rng, nonzero=True)
         yield ring.linear_form(coeffs)
-    for _ in range(dense_count):
+    for _ in range(2):
         yield ring.linear_form([field.random_raw(rng, nonzero=True)
                                 for _ in range(n)])
 
 
-def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1",
-                        max_candidate_degree: int = 3,
-                        per_degree: int = 6) -> dict:
+GRADE_CANDIDATE_DEGREE = 3     # highest degree of a grade-search candidate
+GRADE_CANDIDATES_PER_DEGREE = 6
+
+
+def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict:
     """Grade on S/ideal of the ideal generated by the given variables.
 
     Every cut is certified by the numerator identity, so the value is a
@@ -200,7 +204,7 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1",
     socle witness (h not in J', h * x_i in J' for every i in var_range)
     shows that every element of the ideal is a zero-divisor, and the
     value is exact.  Without a witness the stage tries the variables and
-    the other candidates, through degree ``max_candidate_degree``; a stop
+    the other candidates, through degree ``GRADE_CANDIDATE_DEGREE``; a stop
     there is only bounded, and "exact" is False.
     """
     ring = gb.ring
@@ -211,14 +215,14 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1",
     cur_gb, cur_hs = gb, series_of_basis(gb)
 
     def result(witness):
-        return {"value": len(forms), "candidate_degree_bound": max_candidate_degree,
+        return {"value": len(forms), "candidate_degree_bound": GRADE_CANDIDATE_DEGREE,
                 "seed": str(seed), "exact": witness is not None,
                 "regular_forms": forms, "witness": witness}
 
     while True:
         base = [ring.variable(i) for i in var_range]
         linear = []
-        for _ in range(per_degree):
+        for _ in range(GRADE_CANDIDATES_PER_DEGREE):
             coeffs = [field.zero] * ring.nvars
             for i in var_range:
                 coeffs[i] = field.random_raw(rng)
@@ -226,8 +230,8 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1",
             if not lin.is_zero():
                 linear.append(lin)
         higher = []
-        for deg in range(2, max_candidate_degree + 1):
-            for _ in range(per_degree):
+        for deg in range(2, GRADE_CANDIDATE_DEGREE + 1):
+            for _ in range(GRADE_CANDIDATES_PER_DEGREE):
                 f = ring.zero()
                 for _ in range(deg + 2):
                     term = ring.constant(field.random_raw(rng, nonzero=True))
@@ -255,8 +259,7 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1",
             return result(None)
 
 
-def graded_depth(ideal_or_gb, *, seed="depth:1", socle_bound=None,
-                 max_value=None) -> DepthReport:
+def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
     """Depth of S/J for a standard graded quotient, by certified descent."""
     if isinstance(ideal_or_gb, GroebnerBasis):
         gb = ideal_or_gb
@@ -271,15 +274,14 @@ def graded_depth(ideal_or_gb, *, seed="depth:1", socle_bound=None,
     dim_total = hs.dimension
     if dim_total < 0:
         raise ValueError("depth of the zero ring is undefined")
-    limit = dim_total if max_value is None else min(max_value, dim_total)
 
     depth = 0
     forms = []
     cur_gb, cur_hs = gb, hs
     while True:
-        if depth >= limit:
+        if depth >= dim_total:
             return DepthReport(depth, dim_total, True, forms, None, 0, str(seed))
-        bound = socle_bound if socle_bound is not None else _socle_bound(cur_gb)
+        bound = _socle_bound(cur_gb)
         found_regular = False
         if cur_hs.dimension > 0:
             for theta in _candidate_forms(ring, rng):
@@ -293,7 +295,7 @@ def graded_depth(ideal_or_gb, *, seed="depth:1", socle_bound=None,
         if found_regular:
             continue
         w = socle_witness(cur_gb, bound)
-        if w is None and socle_bound is None:
+        if w is None:
             bound *= 2
             w = socle_witness(cur_gb, bound)
         if w is not None:

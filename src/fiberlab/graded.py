@@ -239,7 +239,7 @@ def minors_ideal(pres: PresentationMatrix, size: int, ideal) -> "object":
     return Ideal(ring, tuple(minors(pres.matrix, size, ring)))
 
 
-def linear_rank(pres: PresentationMatrix, field, seeds=(11, 12, 13, 14, 15)) -> int:
+def linear_rank(pres: PresentationMatrix, field) -> int:
     """Generic rank of the linear-column submatrix, by random evaluation.
 
     Five independent evaluations; the maximum observed rank is the
@@ -252,7 +252,7 @@ def linear_rank(pres: PresentationMatrix, field, seeds=(11, 12, 13, 14, 15)) -> 
     import random
     best = 0
     ring0 = pres.matrix[0][linear_cols[0]].ring if pres.nrows else None
-    for seed in seeds:
+    for seed in range(11, 16):
         rng = random.Random(f"linear-rank:{seed}")
         point = [field.random_raw(rng) for _ in range(ring0.nvars)]
         rows = []

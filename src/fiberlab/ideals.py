@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .groebner import GREVLEX, GroebnerBasis, buchberger, eliminate
 from .hilbert import HilbertSeries, series_of_basis
-from .polyring import Polynomial, Ring, RingError
+from .polyring import Polynomial, Ring, RingError, fresh_names
 
 
 class Ideal:
@@ -92,7 +92,7 @@ class Ideal:
         if self.is_zero() or other.is_zero():
             return Ideal(self.ring, ())
         ring = self.ring
-        aux = _aux_name(ring)
+        aux = fresh_names("t", 1, ring.names)[0]
         big = Ring(ring.field, (aux,) + ring.names, (1,) + ring.weights)
         u = big.variable(0)
         one = big.one()
@@ -136,16 +136,6 @@ class Ideal:
     def multiplicity(self) -> int:
         """e(R/I) from the Hilbert series."""
         return self.hilbert_series().multiplicity
-
-
-def _aux_name(ring: Ring) -> str:
-    base = "t"
-    k = 0
-    while True:
-        cand = f"{base}{k}"
-        if cand not in ring.names:
-            return cand
-        k += 1
 
 
 def divide_exact(g: Polynomial, f: Polynomial) -> Polynomial:

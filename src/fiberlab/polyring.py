@@ -326,6 +326,19 @@ class Ring:
         return Polynomial(target, terms)
 
 
+def fresh_names(base: str, count: int, taken) -> list:
+    """``count`` names base1, base2, ... skipping those in ``taken``: the
+    auxiliary variables of an elimination ring."""
+    out = []
+    k = 1
+    while len(out) < count:
+        cand = f"{base}{k}"
+        if cand not in taken:
+            out.append(cand)
+        k += 1
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _weighted_monomials(weights, degree):
     if degree < 0:

@@ -27,7 +27,7 @@ from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
 from .depth import regular_prefix
 from .ideals import Ideal
-from .polyring import Ring
+from .polyring import Ring, fresh_names
 
 
 @dataclass
@@ -124,8 +124,7 @@ def valla_dimension(ideal) -> PredicateReport:
     pres = ctx.presentation
     gens = ctx.mingens
     r = len(gens)
-    from .blowup import _fresh_names
-    ynames = _fresh_names("u", r, set(ring.names))
+    ynames = fresh_names("u", r, ring.names)
     # weight u_i by deg f_i so the linear-in-u relations are homogeneous
     big = Ring(ring.field, ring.names + tuple(ynames),
                ring.weights + tuple(g.homogeneous_degree() for g in gens))

@@ -259,7 +259,7 @@ def test_criterion_10_kernel_oracles():
         ideals = [ideal]
         if e.plan == "full":
             fp = fiber_presentation(ideal)
-            if not fp.relations.is_zero() and fp.fiber_ring.nvars <= 7:
+            if not fp.relations.is_zero():
                 ideals.append(fp.relations)
         for j in ideals:
             table = minimal_resolution(j).table
@@ -303,7 +303,7 @@ def _rational_crosscheck() -> bool:
     fp = fiber_presentation(I)
     dF = graded_depth(fp.relations, seed="qq:depthF")
     ok &= dF.exact and dF.value == 2
-    pres = rees_and_gr(I, fp)
+    pres = rees_and_gr(I)
     dgr = graded_depth(pres.gr_ideal, seed="qq:depthgr")
     ok &= dgr.exact and dgr.value == 2
     gens = I.minimal_generators()

@@ -7,8 +7,10 @@ from fiberlab.blowup import (FiberPresentation, IdealContext, equigenerated_data
                              fiber_multiplicity, is_cm_graded,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
+from fiberlab.corpus import CORPUS, load_entry_ideal
 from fiberlab.depth import graded_depth
 from fiberlab.fields import GF
+from fiberlab.groebner import eliminate
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
 
@@ -62,12 +64,38 @@ def test_rees_and_gr_dimensions(monomial4, sevengen):
 
 
 def test_fiber_relations_inside_rees(monomial4, binomial4, sixgen):
+    """Q is read off J, so this rechecks the restriction to k[w]."""
     for ideal in (monomial4, binomial4, sixgen):
         fp = fiber_presentation(ideal)
-        pres = rees_and_gr(ideal, fp)        # construction verifies Q inside J
+        pres = rees_and_gr(ideal)
         gb = pres.rees_ideal.groebner()
         for q in fp.relations.generators:
             assert gb.contains(fp.fiber_ring.embed(q, pres.big_ring))
+
+
+def direct_fiber_relations(ideal, fiber_ring):
+    """Q by its own elimination: x eliminated from (w_i - f_i) in
+    k[x.., w..], each w_i weighted by d, restricted to ``fiber_ring``."""
+    ring = ideal.ring
+    gens, d = equigenerated_data(ideal)
+    big = Ring(ring.field, ring.names + fiber_ring.names,
+               ring.weights + (d,) * len(gens))
+    work = [big.variable(ring.nvars + i) - ring.embed(f, big)
+            for i, f in enumerate(gens)]
+    return tuple(big.restrict(g, fiber_ring) for g in eliminate(work, ring.nvars))
+
+
+def test_fiber_relations_match_direct_elimination(R3, R3q, monomial4):
+    """Q = J ∩ k[w] is the reduced basis the fiber's own elimination
+    gives, element for element."""
+    x, y, z = (R3.variable(i) for i in range(3))
+    ideals = [Ideal(R3, (x, y)),
+              Ideal(R3q, tuple(R3.embed(g, R3q) for g in monomial4.generators))]
+    ideals += [load_entry_ideal(e) for e in CORPUS if e.plan == "full"]
+    assert len(ideals) == 7
+    for ideal in ideals:
+        fp = fiber_presentation(ideal)
+        assert fp.relations.generators == direct_fiber_relations(ideal, fp.fiber_ring)
 
 
 def test_relation_dims_formula(monomial4, binomial4, sixgen, sevengen):
@@ -100,7 +128,7 @@ def test_is_cm_examples(R3, monomial4, binomial4):
     assert is_cm_graded(poly_ring_quotient).is_cm
     fpm = fiber_presentation(monomial4)
     assert is_cm_graded((fpm.fiber_ring, fpm.relations)).is_cm
-    pres = rees_and_gr(monomial4, fpm)
+    pres = rees_and_gr(monomial4)
     assert is_cm_graded((pres.big_ring, pres.rees_ideal)).is_cm
     presb = rees_and_gr(binomial4)
     rep = is_cm_graded((presb.big_ring, presb.rees_ideal))

@@ -115,6 +115,16 @@ def test_adjusted_more_forms_than_generators_exit_two(simple_file):
     assert "cannot draw 9 independent forms from mu = 4" in out.stderr
 
 
+@pytest.mark.parametrize("predicate", ["indeg", "tight", "adjusted"])
+def test_unit_ideal_is_an_input_error(tmp_path, capsys, predicate):
+    """The unit ideal is equigenerated in degree 0 but has no blow-up
+    algebras: an input error, not an internal one."""
+    p = tmp_path / "unit.ideal"
+    p.write_text("ring x, y, z over 32003; ideal 1;")
+    assert cli.main(["check", predicate, str(p)]) == cli.EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
 def test_invariants_non_equigenerated_exits_zero(tmp_path):
     """No blow-up block for mixed degrees is a fact about the input, not
     an exceeded bound."""

@@ -78,8 +78,8 @@ def test_depth_over_rationals():
 
 
 def test_bounded_grade_full_variable_range(monomial4):
-    from fiberlab.blowup import fiber_presentation, rees_and_gr
-    pres = rees_and_gr(monomial4, fiber_presentation(monomial4))
+    from fiberlab.blowup import rees_and_gr
+    pres = rees_and_gr(monomial4)
     gb = pres.gr_ideal.groebner()
     # gr is CM here, so the irrelevant ideal has grade = ht I = 2
     out = bounded_ideal_grade(gb, range(pres.split, pres.big_ring.nvars),
@@ -132,8 +132,8 @@ def test_relative_socle_witness_none_for_positive_grade():
 
 def test_bounded_grade_is_exact_on_sevengen_gr(sevengen):
     """Example 2.2: grade gr+ = 1, ended by a certified witness."""
-    from fiberlab.blowup import fiber_presentation, rees_and_gr
-    pres = rees_and_gr(sevengen, fiber_presentation(sevengen))
+    from fiberlab.blowup import rees_and_gr
+    pres = rees_and_gr(sevengen)
     gb = pres.gr_ideal.groebner()
     wvars = range(pres.split, pres.big_ring.nvars)
     out = bounded_ideal_grade(gb, wvars, seed="grade:ex-2.2-sevengen")

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Full local check, in order, stopping at the first failure:
 #   0. no bare `assert` statement in the package: its self-checks raise
-#      real errors, which `python -O` does not strip;
+#      real errors, which `python -O` does not strip; and no top-level
+#      function or class of the package that is named nowhere but at its
+#      own definition, in the Python and shell files of src/, tests/,
+#      perfbench/ and tools/;
 #   1. the tier-1 suite;
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
 #      blow-up, predicate, resolution and CLI tests under `python -O`,
@@ -17,13 +20,27 @@ cd "$(dirname "$0")/.."
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export PYTHONPATH
 python - <<'PY'
-import ast, pathlib, sys
+import ast, pathlib, re, sys
 paths = sorted(pathlib.Path("src/fiberlab").rglob("*.py"))
 bare = [f"{path}:{node.lineno}" for path in paths
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)]
 if bare:
     sys.exit("bare assert in the package:\n  " + "\n  ".join(bare))
+files = [p for d in ("src", "tests", "perfbench", "tools")
+         for p in sorted(pathlib.Path(d).rglob("*")) if p.suffix in (".py", ".sh")]
+lines = [(path, k, line) for path in files
+         for k, line in enumerate(path.read_text().splitlines(), 1)]
+dead = []
+for path in paths:
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            word = re.compile(rf"\b{node.name}\b")
+            if not any(word.search(line) for p, k, line in lines
+                       if (p, k) != (path, node.lineno)):
+                dead.append(f"{path}:{node.lineno} {node.name}")
+if dead:
+    sys.exit("named only at its definition:\n  " + "\n  ".join(dead))
 PY
 python -m pytest -q --continue-on-collection-errors
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
