@@ -132,9 +132,13 @@ def _render_markdown(tree, prefix=""):
 
 
 def _load_ideal(path: str, field_char):
+    """The file's ideal; a nonzero constant generator, which makes it the
+    unit ideal, is refused here, once for every command."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     ring, gens = parse_ideal_file(text, characteristic_override=field_char)
+    if any(g.terms.keys() == {0} for g in gens):     # 0 packs the monomial 1
+        raise ValueError("the unit ideal has no blow-up algebras")
     return Ideal(ring, tuple(gens))
 
 

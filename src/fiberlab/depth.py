@@ -7,7 +7,19 @@ depth by exactly one.  So the engine cuts by candidate linear forms
 whose regularity is certified by that numerator identity (no
 genericity needed for soundness), and certifies the final depth-0 stage
 by exhibiting a socle element: a nonzero h with h * x_i in J for all i.
-The same witness, taken relative to a subset of the variables, ends the
+
+A stage whose quotient A has dimension 1 makes one parameter cut by a
+dense linear form theta.  If theta is not regular, K = 0 :_A theta has
+the series (H_{A/theta A} - (1 - t) H_A) / t, read off the two series the
+cut already computed.  When K has dimension 0, theta is a parameter and
+K, nonzero of finite length, lies in H^0_m(A), so depth A = 0; the top
+degree of K is killed by every variable, so the socle search through
+that degree must find a witness.  Only when K has dimension 1 (theta in
+a one-dimensional associated prime) does the stage try the candidate
+schedule.  Searching the socle before any cut costs far more where the
+stage is regular: a failed search runs to its full degree bound.
+
+The socle witness, taken relative to a subset of the variables, ends the
 grade search: grade(I, A) = 0 exactly when (0 :_A I) != 0 (Bruns-Herzog,
 Cohen-Macaulay Rings, 1.2.5).
 
@@ -22,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .groebner import GroebnerBasis, _nf_terms, extend_basis, normal_form
+from .groebner import GroebnerBasis, _MonomialForms, extend_basis, normal_form
 from .hilbert import HilbertSeries, series_of_basis
 from .linalg import nullspace, sparse_rows
 from .polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring
@@ -53,6 +65,23 @@ def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial):
     new_gb = extend_basis(gb, (theta,))
     new_hs = series_of_basis(new_gb)
     return hs.equals_after_cut(new_hs, theta.homogeneous_degree()), new_gb, new_hs
+
+
+def annihilator_series(hs: HilbertSeries, cut_hs: HilbertSeries) -> HilbertSeries:
+    """Series of K = 0 :_A theta for a linear form theta, from the series
+    of A and of A/theta A.
+
+    The exact sequence 0 -> K(-1) -> A(-1) -> A -> A/theta A -> 0 gives
+    H_K = (H_{A/theta A} - (1 - t) H_A) / t: no Groebner work beyond the
+    cut itself.
+    """
+    num = cut_hs.numerator_dict()
+    for d, c in (hs * {0: 1, 1: -1}).numerator:
+        num[d] = num.get(d, 0) - c
+    if num.get(0):
+        raise AssertionError("a cut changed the series in degree 0")
+    return HilbertSeries.from_numerator({d - 1: c for d, c in num.items() if c},
+                                        hs.num_ring_vars, hs.weights)
 
 
 def regular_prefix(gb: GroebnerBasis, forms) -> int:
@@ -122,6 +151,7 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
     p = field.characteristic
     red = gb._reducers
     units = red.packing.units
+    nf = _MonomialForms(red, field)
     idx = range(ring.nvars) if var_range is None else list(var_range)
     layers = _standard_layers(gb)
     std = next(layers, [])
@@ -141,8 +171,9 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
                 if k is not None:
                     entries[r * width + k].append((col, field.one))
                     continue
-                for m, c in _nf_terms({prod: field.one}, red, p).items():
+                for m, c in nf(prod).items():
                     entries[r * width + up_index[m]].append((col, c))
+        nf.clear()      # the next degree's products meet none of these forms
         kernel = nullspace(sparse_rows(entries, len(std), field), field, len(std))
         if len(kernel):
             terms = {}
@@ -187,8 +218,13 @@ def _candidate_forms(ring: Ring, rng):
             coeffs[i] = field.random_raw(rng, nonzero=True)
         yield ring.linear_form(coeffs)
     for _ in range(2):
-        yield ring.linear_form([field.random_raw(rng, nonzero=True)
-                                for _ in range(n)])
+        yield _dense_form(ring, rng)
+
+
+def _dense_form(ring: Ring, rng) -> Polynomial:
+    """A linear form with every coefficient drawn nonzero."""
+    return ring.linear_form([ring.field.random_raw(rng, nonzero=True)
+                             for _ in range(ring.nvars)])
 
 
 GRADE_CANDIDATE_DEGREE = 3     # highest degree of a grade-search candidate
@@ -281,6 +317,23 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
     while True:
         if depth >= dim_total:
             return DepthReport(depth, dim_total, True, forms, None, 0, str(seed))
+        if cur_hs.dimension == 1:
+            # one parameter cut: regular, or its annihilator ends the descent
+            theta = _dense_form(ring, rng)
+            ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta)
+            if ok:
+                forms.append(theta)
+                cur_gb, cur_hs = new_gb, new_hs
+                depth += 1
+                continue
+            kernel = annihilator_series(cur_hs, new_hs)
+            if kernel.dimension == 0:
+                top = max(kernel.reduced()[0])
+                w = socle_witness(cur_gb, top)
+                if w is None:
+                    raise AssertionError(f"no socle element through degree {top}, "
+                                         "the top degree of a finite-length 0 :_A theta")
+                return DepthReport(depth, dim_total, True, forms, w, top, str(seed))
         bound = _socle_bound(cur_gb)
         found_regular = False
         if cur_hs.dimension > 0:

@@ -29,9 +29,9 @@ class _Reducers:
     coefficient) pairs, and the componentwise maximum of the tail
     monomials, which bounds every product in one overflow test.
 
-    ``first`` memoizes the divisor search of ``_nf_terms``: packed
-    monomial -> index of the first reducer whose leading monomial divides
-    it, or -1.  Any change to the reducer list clears it.
+    ``first`` memoizes ``divisor``: packed monomial -> index of the first
+    reducer whose leading monomial divides it, or -1.  Any change to the
+    reducer list clears it.
     """
 
     __slots__ = ("packing", "lts", "tails", "tops", "ids", "first")
@@ -50,6 +50,15 @@ class _Reducers:
         self.tops.append(self.packing.top([m for m, _ in tail]))
         self.ids.append(ident)
         self.first.clear()
+
+    def divisor(self, m) -> int:
+        """Index of the first reducer whose leading monomial divides m, or
+        -1; the value ``first`` memoizes."""
+        guard = self.packing.guard
+        for k, lt in enumerate(self.lts):
+            if not (m - lt) & guard:
+                return k
+        return -1
 
     def retire_multiples(self, lt) -> list:
         """Drop the reducers whose leading monomial lt divides; returns
@@ -88,12 +97,7 @@ def _nf_terms(cur: dict, red: _Reducers, p: int) -> dict:
             continue
         k = first.get(m)
         if k is None:
-            for k, lt in enumerate(lts):
-                if not (m - lt) & guard:
-                    break
-            else:
-                k = -1
-            first[m] = k
+            k = first[m] = red.divisor(m)
         if k < 0:
             rem[m] = c
             continue
@@ -131,6 +135,69 @@ def _nf_terms(cur: dict, red: _Reducers, p: int) -> dict:
                     else:
                         del cur[mm]
     return rem
+
+
+class _MonomialForms:
+    """Normal forms of single packed monomials, each monomial reduced once.
+
+    Calling it on a monomial returns its normal form as a packed map,
+    shared between calls: read it, do not change it.  A monomial m that
+    the first reducer lt + tail with lt | m rewrites is
+    nf(m) = -sum c * nf((m / lt) * t) over the tail terms c * t, so each
+    monomial met on the way, the called ones and every one their
+    reductions pass through, is reduced once and stored.  The divisor
+    search shares the reducers' ``first`` memo, and every step checks the
+    exponent-overflow guard.  ``clear`` drops the stored forms; a caller
+    that works degree by degree clears between degrees, so only one
+    degree's forms are held at a time.
+    """
+
+    __slots__ = ("red", "one", "p", "forms")
+
+    def __init__(self, red: _Reducers, field):
+        self.red = red
+        self.one = field.one
+        self.p = field.characteristic
+        self.forms = {}
+
+    def __call__(self, m: int) -> dict:
+        forms = self.forms
+        red, p, one = self.red, self.p, self.one
+        guard, lts, tails, tops, first = red.packing.guard, red.lts, red.tails, red.tops, red.first
+        stack = [m]
+        while stack:
+            a = stack[-1]
+            if a in forms:
+                stack.pop()
+                continue
+            k = first.get(a)
+            if k is None:
+                k = first[a] = red.divisor(a)
+            if k < 0:
+                forms[a] = {a: one}
+                stack.pop()
+                continue
+            q = a - lts[k]
+            if (q + tops[k]) & guard:
+                raise RingError(_OVERFLOW)
+            todo = [q + tm for tm, _ in tails[k] if q + tm not in forms]
+            if todo:
+                stack += todo   # tail monomials are smaller: no cycle
+                continue
+            stack.pop()
+            acc = {}
+            for tm, tc in tails[k]:
+                for b, c in forms[q + tm].items():
+                    acc[b] = acc.get(b, 0) - tc * c
+            if p:
+                acc = {b: c % p for b, c in acc.items() if c % p}
+            else:
+                acc = {b: c for b, c in acc.items() if c}
+            forms[a] = acc
+        return forms[m]
+
+    def clear(self):
+        self.forms.clear()
 
 
 def _strip_content(terms: dict, field):

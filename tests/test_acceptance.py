@@ -15,8 +15,8 @@ from math import comb
 
 import pytest
 
-from fiberlab.blowup import (fiber_presentation, is_cm_graded,
-                             minimal_reduction, rees_and_gr)
+from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
+                             minimal_reduction)
 from fiberlab.corpus import (CORPUS, CORPUS_BY_ID, compute_entry,
                              crosscheck_bundles, load_entry_ideal, lookup_path,
                              strip_objects)
@@ -300,10 +300,11 @@ def _rational_crosscheck() -> bool:
     I = load_entry_ideal(CORPUS_BY_ID["ex-2.1-sixgen"], field_char=0)
     ok &= I.height() == 2
     ok &= is_perfect(I).is_true
-    fp = fiber_presentation(I)
+    ctx = IdealContext(I)               # one Rees elimination for both
+    fp = ctx.fp
     dF = graded_depth(fp.relations, seed="qq:depthF")
     ok &= dF.exact and dF.value == 2
-    pres = rees_and_gr(I)
+    pres = ctx.pres
     dgr = graded_depth(pres.gr_ideal, seed="qq:depthgr")
     ok &= dgr.exact and dgr.value == 2
     gens = I.minimal_generators()

@@ -66,8 +66,8 @@ def test_rees_and_gr_dimensions(monomial4, sevengen):
 def test_fiber_relations_inside_rees(monomial4, binomial4, sixgen):
     """Q is read off J, so this rechecks the restriction to k[w]."""
     for ideal in (monomial4, binomial4, sixgen):
-        fp = fiber_presentation(ideal)
-        pres = rees_and_gr(ideal)
+        ctx = IdealContext(ideal)
+        fp, pres = ctx.fp, ctx.pres
         gb = pres.rees_ideal.groebner()
         for q in fp.relations.generators:
             assert gb.contains(fp.fiber_ring.embed(q, pres.big_ring))
@@ -126,9 +126,9 @@ def test_is_cm_examples(R3, monomial4, binomial4):
     x, y, z = (R3.variable(i) for i in range(3))
     poly_ring_quotient = (R3, Ideal(R3, ()))
     assert is_cm_graded(poly_ring_quotient).is_cm
-    fpm = fiber_presentation(monomial4)
+    ctx = IdealContext(monomial4)
+    fpm, pres = ctx.fp, ctx.pres
     assert is_cm_graded((fpm.fiber_ring, fpm.relations)).is_cm
-    pres = rees_and_gr(monomial4)
     assert is_cm_graded((pres.big_ring, pres.rees_ideal)).is_cm
     presb = rees_and_gr(binomial4)
     rep = is_cm_graded((presb.big_ring, presb.rees_ideal))

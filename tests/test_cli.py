@@ -115,14 +115,18 @@ def test_adjusted_more_forms_than_generators_exit_two(simple_file):
     assert "cannot draw 9 independent forms from mu = 4" in out.stderr
 
 
-@pytest.mark.parametrize("predicate", ["indeg", "tight", "adjusted"])
+@pytest.mark.parametrize("predicate", cli.CHECK_NAMES + ("invariants",))
 def test_unit_ideal_is_an_input_error(tmp_path, capsys, predicate):
     """The unit ideal is equigenerated in degree 0 but has no blow-up
-    algebras: an input error, not an internal one."""
+    algebras: every command refuses it the same way, as an input error,
+    before any predicate runs."""
     p = tmp_path / "unit.ideal"
     p.write_text("ring x, y, z over 32003; ideal 1;")
-    assert cli.main(["check", predicate, str(p)]) == cli.EXIT_INPUT
-    assert "input error" in capsys.readouterr().err
+    argv = [predicate, str(p)] if predicate == "invariants" else ["check", predicate, str(p)]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out = capsys.readouterr()
+    assert out.err == "input error: the unit ideal has no blow-up algebras\n"
+    assert not out.out
 
 
 def test_invariants_non_equigenerated_exits_zero(tmp_path):

@@ -3,15 +3,17 @@ import random
 import numpy as np
 import pytest
 
-from fiberlab.depth import (bounded_ideal_grade, graded_depth, regular_cut,
-                            series_of_basis, socle_witness, standard_monomials)
+from fiberlab import depth as depth_mod
+from fiberlab.depth import (annihilator_series, bounded_ideal_grade, graded_depth,
+                            regular_cut, series_of_basis, socle_witness,
+                            standard_monomials)
 from fiberlab.fields import GF, QQ
-from fiberlab.groebner import buchberger, normal_form
+from fiberlab.groebner import _MonomialForms, _nf_terms, buchberger, normal_form
 from fiberlab.ideals import Ideal
 from fiberlab.linalg import nullspace
-from fiberlab.polyring import GREVLEX, Polynomial, Ring
+from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError
 
-from conftest import leading_exponents
+from conftest import leading_exponents, random_poly
 
 
 def test_polynomial_ring_is_cm(R3):
@@ -168,3 +170,130 @@ def test_standard_monomials_match_brute_force(field):
             assert standard_monomials(gb, e) == brute
     unit = Ideal(ring, (ring.one(),)).groebner()
     assert standard_monomials(unit, 0) == []
+
+
+def _sub_numerators(a, b):
+    """The numerator of a minus that of b, over the same denominator."""
+    out = a.numerator_dict()
+    for d, c in b.numerator:
+        out[d] = out.get(d, 0) - c
+    return {d: c for d, c in out.items() if c}
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_annihilator_series_matches_colon(field):
+    """H of 0 :_A theta, read off H_A and H_{A/theta A}, against
+    H_A - H_{S/(J : theta)} with the colon from Groebner elimination."""
+    ring = Ring(field, ["x", "y", "z", "w"])
+    x, y, z, w = (ring.variable(i) for i in range(4))
+    rng = random.Random("annihilator-series")
+    cases = [(Ideal(ring, (x * y, x * z, y * z)), x)]   # K = (y, z): dimension 1
+    for _ in range(5):
+        theta = ring.linear_form([field.random_raw(rng) for _ in range(4)])
+        # x times the maximal ideal: K = (x), of finite length
+        cases.append((Ideal(ring, (x * x, x * y, x * z, x * w)), theta))
+        f, g, h = (random_poly(ring, d, rng) for d in (1, 2, 2))
+        cases.append((Ideal(ring, (theta * f, g, h)), theta))
+        cases.append((Ideal(ring, (g, h)), theta))
+    dims = set()
+    for ideal, theta in cases:
+        hs = ideal.hilbert_series()
+        cut_hs = (ideal + Ideal(ring, (theta,))).hilbert_series()
+        kernel = annihilator_series(hs, cut_hs)
+        oracle = ideal.colon(theta).hilbert_series()
+        assert kernel.numerator_dict() == _sub_numerators(hs, oracle)
+        dims.add(kernel.dimension)
+    assert {-1, 0, 1} <= dims
+
+
+def _counting_cuts(monkeypatch):
+    calls = []
+
+    def counted(gb, hs, theta):
+        calls.append(theta)
+        return regular_cut(gb, hs, theta)
+
+    monkeypatch.setattr(depth_mod, "regular_cut", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_dimension_one_complete_intersection_takes_one_cut(field, monkeypatch):
+    """A dimension-one complete intersection is CM: its one stage is
+    decided by one parameter cut."""
+    ring = Ring(field, ["a", "b", "c", "d"])
+    rng = random.Random("ci-dim-1")
+    ideal = Ideal(ring, tuple(random_poly(ring, d, rng) for d in (2, 2, 3)))
+    assert ideal.krull_dimension() == 1
+    calls = _counting_cuts(monkeypatch)
+    rep = graded_depth(ideal, seed="t")
+    assert rep.exact and rep.value == rep.dimension == 1
+    assert len(calls) == 1 and rep.regular_forms == calls
+    assert len(calls[0].terms) == ring.nvars        # the dense parameter
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_embedded_point_socle_in_annihilator_top_degree(field, monkeypatch):
+    """k[x,y]/(x^2, xy): the parameter cut kills x, so 0 :_A theta = (x)
+    has top degree 1, and the witness sits there."""
+    ring = Ring(field, ["x", "y"])
+    x, y = ring.variable(0), ring.variable(1)
+    gb = Ideal(ring, (x * x, x * y)).groebner()
+    calls = _counting_cuts(monkeypatch)
+    rep = graded_depth(gb, seed="t")
+    assert rep.exact and rep.value == 0 and rep.dimension == 1
+    assert len(calls) == 1 and rep.socle_bound_used == 1
+    assert rep.witness.homogeneous_degree() == 1
+    assert normal_form(rep.witness * x, gb).is_zero()
+    assert normal_form(rep.witness * y, gb).is_zero()
+    assert not normal_form(rep.witness, gb).is_zero()
+
+
+def test_non_parameter_probe_falls_back(monkeypatch):
+    """On the three coordinate lines, theta = x lies in the associated
+    prime (x, y): 0 :_A x = (y, z) has dimension 1, so the stage goes on
+    to the candidate schedule, which finds a regular form."""
+    ring = Ring(GF(32003), ["x", "y", "z"])
+    x, y, z = (ring.variable(i) for i in range(3))
+    draws = []
+    dense = depth_mod._dense_form
+
+    def first_x(ring, rng):
+        draws.append(None)
+        return x if len(draws) == 1 else dense(ring, rng)
+
+    monkeypatch.setattr(depth_mod, "_dense_form", first_x)
+    calls = _counting_cuts(monkeypatch)
+    rep = graded_depth(Ideal(ring, (x * y, x * z, y * z)), seed="t")
+    assert rep.exact and rep.value == rep.dimension == 1
+    assert calls[0] == x and len(calls) > 1
+    assert rep.regular_forms == calls[-1:]
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_monomial_forms_match_nf_terms(field):
+    """Each monomial reduced once equals a fresh reduction, on every
+    monomial through degree 6, for seeded bases; one instance serves all
+    degrees here, and clearing it changes nothing."""
+    ring = Ring(field, ["a", "b", "c", "d"])
+    rng = random.Random("monomial-forms")
+    p = field.characteristic
+    for _ in range(3):
+        gens = tuple(random_poly(ring, rng.randrange(2, 4), rng) for _ in range(3))
+        red = Ideal(ring, gens).groebner()._reducers
+        forms = _MonomialForms(red, field)
+        for e in range(7):
+            for m in ring.monomials_of_degree(e):
+                assert forms(m) == _nf_terms({m: field.one}, red, p)
+            forms.clear()
+            assert not forms.forms
+
+
+def test_monomial_forms_overflow_raises():
+    """x*y*z^(LIMIT-1) rewrites to z^(LIMIT+1) by x*y - z^2: RingError."""
+    ring = Ring(GF(32003), ["x", "y", "z"])
+    x, y, z = (ring.variable(i) for i in range(3))
+    red = buchberger([x * y - z * z], GREVLEX)._reducers
+    forms = _MonomialForms(red, ring.field)
+    with pytest.raises(RingError):
+        forms(ring.packing.pack((1, 1, EXPONENT_LIMIT - 1)))

@@ -5,7 +5,8 @@
 #      function or class of the package that is named nowhere but at its
 #      own definition, in the Python and shell files of src/, tests/,
 #      perfbench/ and tools/;
-#   1. the tier-1 suite;
+#   1. the tier-1 suite, printing its ten slowest tests (ROADMAP's target
+#      is the whole suite under 120 s);
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
 #      blow-up, predicate, resolution and CLI tests under `python -O`,
 #      where a bare `assert` in the package would check nothing;
@@ -42,7 +43,7 @@ for path in paths:
 if dead:
     sys.exit("named only at its definition:\n  " + "\n  ".join(dead))
 PY
-python -m pytest -q --continue-on-collection-errors
+python -m pytest -q --continue-on-collection-errors --durations=10
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
     tests/test_polyring.py tests/test_graded.py tests/test_ideals.py \
     tests/test_blowup.py tests/test_predicates.py tests/test_resolutions.py \
