@@ -18,11 +18,12 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from math import comb
 
-from .graded import GradedPieceBasis, joint_rank, piece_span_of_polys
-from .groebner import GREVLEX, GroebnerBasis, eliminate, extend_basis
+from .graded import GradedPieceBasis, piece_span_of_polys, spanning_rows
+from .groebner import (GREVLEX, GroebnerBasis, eliminate, extend_basis,
+                       normal_form_matrix)
 from .hilbert import HilbertSeries, series_of_basis
 from .ideals import Ideal
-from .linalg import rank_of_rows
+from .linalg import negated_product, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
                           minimal_resolution)
@@ -98,7 +99,8 @@ class IdealContext:
     Every routine below that takes an ideal also takes its context
     (``IdealContext.of`` wraps a bare ideal in a fresh one), so a report
     that passes one context around builds the minimal generators, the
-    powers I^n, the graded pieces, the fiber and Rees presentations, the
+    powers I^n, the graded pieces, the ideals of prefix forms with their
+    normal-form matrices, the fiber and Rees presentations, the
     resolution of R/I, the CM reports and the analytic spread once.
     ``label`` names the ideal in the seeds of its randomized tests.
     With ``bounded`` the Rees elimination is out of budget: ``fp``,
@@ -116,7 +118,9 @@ class IdealContext:
         self.bounded = bounded
         self._powers = None
         self._pieces = {}
-        self._joint_ranks = {}
+        self._forms_ideals = {}
+        self._nf_matrices = {}
+        self._quotient_ranks = {}
 
     @classmethod
     def of(cls, ideal) -> "IdealContext":
@@ -157,15 +161,36 @@ class IdealContext:
                                                             self.ring)
         return piece
 
-    def joint_rank(self, polys_a, polys_b, degree: int) -> int:
-        """dim of the sum of the two memoized degree pieces, memoized on the
-        pair: tightness and Valabrega-Valla ask for the same one when the
-        tightness prefix is the VV prefix."""
-        key = (tuple(polys_a), tuple(polys_b), degree)
-        rank = self._joint_ranks.get(key)
+    def forms_ideal(self, forms) -> Ideal:
+        """The ideal the forms generate, memoized on the forms with its
+        Groebner basis: the prefix ideal P of tightness and
+        Valabrega-Valla."""
+        key = tuple(forms)
+        ideal = self._forms_ideals.get(key)
+        if ideal is None:
+            ideal = self._forms_ideals[key] = Ideal(self.ring, key)
+        return ideal
+
+    def quotient_rank(self, forms, polys, degree: int) -> int:
+        """Rank of the images of ``polys``, each of degree ``degree``, in
+        S_e / [P]_e for P the ideal of ``forms`` and e = ``degree``: the
+        rank of their coefficient rows times the normal-form matrix of
+        P's basis in that degree (``groebner.normal_form_matrix``), so no
+        piece of P is built.  Memoized on (forms, polys, degree), the
+        matrix on (forms, degree)."""
+        key = (tuple(forms), tuple(polys), degree)
+        rank = self._quotient_ranks.get(key)
         if rank is None:
-            rank = self._joint_ranks[key] = joint_rank(self.piece(key[0], degree),
-                                                       self.piece(key[1], degree))
+            if any(f.homogeneous_degree() != degree for f in key[1]):
+                raise ValueError(f"quotient rank needs forms of degree {degree}")
+            nf = self._nf_matrices.get((key[0], degree))
+            if nf is None:
+                nf = self._nf_matrices[key[0], degree] = normal_form_matrix(
+                    self.forms_ideal(key[0]).groebner(), degree)
+            field, width = self.ring.field, len(nf[1])
+            rows = list(spanning_rows(key[1], degree, self.ring))
+            images = negated_product(rows, nf[0], field, width)
+            rank = self._quotient_ranks[key] = rank_of_rows(images, field, width)
         return rank
 
     def relation_dim(self, n: int) -> int:
@@ -182,13 +207,16 @@ class IdealContext:
         return dim
 
     def forget(self):
-        """Drop the memoized powers, pieces and joint ranks.  A report
-        calls this between stages that share none of them, so that one
-        seed's pieces and the high powers of a reduction search do not stay
-        in memory while the next stage runs; all are cheap to build again."""
+        """Drop the memoized powers, pieces, forms ideals, normal-form
+        matrices and quotient ranks.  A report calls this between stages
+        that share none of them, so that one seed's pieces and the high
+        powers of a reduction search do not stay in memory while the next
+        stage runs; all are cheap to build again."""
         self._powers = None
         self._pieces.clear()
-        self._joint_ranks.clear()
+        self._forms_ideals.clear()
+        self._nf_matrices.clear()
+        self._quotient_ranks.clear()
 
     @cached_property
     def fp(self) -> "FiberPresentation | None":

@@ -125,15 +125,6 @@ def piece_span_of_polys(polys, degree: int, ring: Ring) -> GradedPieceBasis:
     return GradedPieceBasis(degree, monos, ech)
 
 
-def joint_rank(a: GradedPieceBasis, b: GradedPieceBasis) -> int:
-    """dim of the sum of two pieces of the same degree."""
-    if a.degree != b.degree:
-        raise ValueError(f"pieces of degrees {a.degree} and {b.degree}")
-    residuals = (row for block in b.echelon.row_blocks()
-                 for row in a.echelon.reduce(block))
-    return a.dim + rank_of_rows(residuals, a.echelon.field, a.echelon.width)
-
-
 def minimal_generators(ideal):
     """Minimal homogeneous generating set, degree by degree.
 

@@ -18,6 +18,11 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
+from .graded import degree_basis
+from .hilbert import series_of_basis
+from .linalg import negated_product
 from .polyring import (_OVERFLOW, EXPONENT_LIMIT, GREVLEX, Elimination, Polynomial, Ring,
                        RingError, TermOrder, _Packing, _packing, repack)
 
@@ -198,6 +203,64 @@ class _MonomialForms:
 
     def clear(self):
         self.forms.clear()
+
+
+def normal_form_matrix(gb: GroebnerBasis, degree: int):
+    """(N, standard): row j of N is the normal form of the j-th monomial of
+    ``graded.degree_basis(ring, degree)``, written over ``standard``, the
+    standard monomials of that degree, grevlex-descending.
+
+    Rows are built in ascending monomial order: a standard monomial's row
+    is a unit vector, and a monomial m whose first reducer is lt + sum
+    c * t has N[m] = -sum c * N[(m / lt) * t], one gathered product of
+    rows already built (``linalg.negated_product``: float64 residues over
+    F_p, ``Fraction`` rows over Q).  The divisor search shares the
+    reducers' ``first`` memo and every step checks the exponent-overflow
+    guard, as in ``_MonomialForms``.  The number of standard monomials
+    is checked against the Hilbert function of S/ideal.
+    """
+    if gb.order != GREVLEX:
+        raise ValueError("normal-form matrices need a grevlex basis")
+    ring = gb.ring
+    field = ring.field
+    red = gb._reducers
+    guard, lts, tails, tops, first = red.packing.guard, red.lts, red.tails, red.tops, red.first
+    monos, index = degree_basis(ring, degree)
+    firsts = []
+    for m in monos:
+        k = first.get(m)
+        if k is None:
+            k = first[m] = red.divisor(m)
+        firsts.append(k)
+    standard = tuple(m for m, k in zip(monos, firsts) if k < 0)
+    width = len(standard)
+    column = {m: j for j, m in enumerate(standard)}
+    if field.characteristic:
+        nf = np.zeros((len(monos), width))
+    else:
+        nf = [None] * len(monos)
+    for j in range(len(monos) - 1, -1, -1):
+        m, k = monos[j], firsts[j]
+        if k < 0:
+            if field.characteristic:
+                nf[j, column[m]] = 1
+            else:
+                nf[j] = [field.zero] * width
+                nf[j][column[m]] = field.one
+            continue
+        q = m - lts[k]
+        if (q + tops[k]) & guard:
+            raise RingError(_OVERFLOW)
+        try:
+            rows = [index[q + tm] for tm, _ in tails[k]]
+        except KeyError:
+            raise ValueError("normal-form matrices need a homogeneous basis") from None
+        below = nf[rows] if field.characteristic else [nf[i] for i in rows]
+        nf[j] = negated_product([[tc for _, tc in tails[k]]], below, field, width)[0]
+    if width != series_of_basis(gb).coefficients(degree)[degree]:
+        raise AssertionError(f"{width} standard monomials in degree {degree} "
+                             "against the Hilbert function")
+    return nf, standard
 
 
 def _strip_content(terms: dict, field):

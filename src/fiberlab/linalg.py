@@ -258,6 +258,25 @@ def zero_vector(field: FieldSpec, n: int):
     return np.zeros(n) if field.characteristic else [field.zero] * n
 
 
+def negated_product(a, b, field: FieldSpec, width: int):
+    """-(a @ b) for raw matrices a (r x k) and b (k x ``width``): float64
+    residues over F_p, exact for every p up to ``fields.MAX_PRIME`` (one
+    ``_submul``), lists of ``Fraction`` rows over Q."""
+    p = field.characteristic
+    if p:
+        a = np.asarray(a, dtype=np.float64)
+        out = np.zeros((len(a), width))
+        return _submul(out, [(a, b)], p) if a.size else out
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * width
+        for c, brow in zip(row, b):
+            if c:
+                acc = [x - c * y for x, y in zip(acc, brow)]
+        out.append(acc)
+    return out
+
+
 def sparse_rows(entries, ncols: int, field: FieldSpec):
     """Dense rows from per-row lists of (column, raw value) pairs, made one
     at a time, so that no sparse matrix is ever held dense; values at the

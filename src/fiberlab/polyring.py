@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul, or_
 
-from .fields import FieldSpec, FieldError
+from .fields import FieldSpec
 
 MAX_EXPONENT = 10**6
 EXPONENT_BITS = 21

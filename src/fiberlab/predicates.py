@@ -6,15 +6,18 @@ associated graded ring), generic complete intersections, perfectness
 with Hilbert-Burch data, and the multiplicity / map-degree formulas.
 
 Each predicate takes an ideal or its ``IdealContext``; called with the
-report's context, it reuses the powers, pieces and presentations that
-the other predicates built, and reads every dimension off its memoized
-pieces and joint ranks.
+report's context, it reuses the powers, pieces, presentations and
+quotient ranks that the other predicates built.
 
 Tightness in power n compares the colon cap [(P : f) cap I^n]_{nd} with
 the plain cap [P cap I^n]_{nd}, for P the prefix ideal and f the last
-form.  The colon cap is the kernel of g -> f*g from [I^n]_{nd} to
-S_e/[P]_e, e = nd + deg f, so it has dimension dim [I^n]_{nd} + dim [P]_e
-- dim([P]_e + f*[I^n]_{nd}) (D4 in docs/decisions.md).
+form.  Both are kernels of maps out of V = [I^n]_{nd} into the quotient
+A = S/P: the colon cap of g -> f*g into A_{nd+e}, e = deg f, the plain
+cap of the projection into A_{nd}.  So each is dim V minus a rank read
+in A (``IdealContext.quotient_rank``, from one Groebner basis of P and
+one normal-form matrix per degree), and no piece of P is built; the
+Valabrega-Valla cap [P cap I^n]_{nd} is the plain cap of its own prefix
+(D4 and D7 in docs/decisions.md).
 """
 
 from __future__ import annotations
@@ -181,15 +184,13 @@ def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     if last.is_zero():
         raise ValueError("the last form must be nonzero")
     power = ctx.power_gens(n)
-    ipiece = ctx.piece(power, n * d)
+    dim = ctx.piece(power, n * d).dim
     e = n * d + last.homogeneous_degree()
     multiples = ctx.products([last], n)
-    if ctx.piece(multiples, e).dim != ipiece.dim:
+    if ctx.piece(multiples, e).dim != dim:
         raise AssertionError("multiplication by the last form must be injective")
-    lhs = (ipiece.dim + ctx.piece(prefix, e).dim
-           - ctx.joint_rank(prefix, multiples, e))
-    rhs = (ctx.piece(prefix, n * d).dim + ipiece.dim
-           - ctx.joint_rank(prefix, power, n * d))
+    lhs = dim - ctx.quotient_rank(prefix, multiples, e)
+    rhs = dim - ctx.quotient_rank(prefix, power, n * d)
     if lhs < rhs:
         raise AssertionError("colon cap must contain the plain cap")
     return PredicateReport(
@@ -262,7 +263,7 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     gens, d = equigenerated_data(ctx)
     ring = ideal.ring
     g = len(fs_prefix.forms)
-    prefix_ideal = Ideal(ring, tuple(fs_prefix.forms))
+    prefix_ideal = ctx.forms_ideal(fs_prefix.forms)
     if prefix_ideal.height() != g:
         raise ValueError("prefix is not a regular sequence (height drop)")
     if fs_prefix.coefficients is None:
@@ -281,10 +282,9 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     per_n = {}
     first_failure = None
     for n in range(1, n_max + 1):
-        prefix_piece = ctx.piece(fs_prefix.forms, n * d)
-        ipiece = ctx.piece(ctx.power_gens(n), n * d)
-        lhs = (prefix_piece.dim + ipiece.dim
-               - ctx.joint_rank(fs_prefix.forms, ctx.power_gens(n), n * d))
+        power = ctx.power_gens(n)
+        lhs = (ctx.piece(power, n * d).dim
+               - ctx.quotient_rank(fs_prefix.forms, power, n * d))
         rhs = ctx.piece(ctx.products(fs_prefix.forms, n - 1), n * d).dim
         if lhs < rhs:
             raise AssertionError(f"VV piece check at n={n}: cap {lhs} below product {rhs}")

@@ -4,6 +4,7 @@ import pytest
 
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
+from fiberlab.linalg import rank_of_rows
 from fiberlab.polyring import Ring
 
 
@@ -93,3 +94,14 @@ def recheck_regularity(gens, ring, certificate):
         if cut != high - low:
             return False
     return hf([*gens, *forms])[0] == 0
+
+
+def joint_rank(a, b):
+    """dim of the sum of two graded pieces of one degree, from their
+    echelons: the piece route that the tightness and Valabrega-Valla tests
+    hold the quotient ranks of ``IdealContext.quotient_rank`` against."""
+    if a.degree != b.degree:
+        raise ValueError(f"pieces of degrees {a.degree} and {b.degree}")
+    residuals = (row for block in b.echelon.row_blocks()
+                 for row in a.echelon.reduce(block))
+    return a.dim + rank_of_rows(residuals, a.echelon.field, a.echelon.width)

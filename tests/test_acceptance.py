@@ -9,20 +9,15 @@ gr at its maximal homogeneous ideal is 2, checked as "depth gr=2
 docs/decisions.md, records the analysis.
 """
 
-import json
 import random
 from math import comb
 
-import pytest
-
-from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
-                             minimal_reduction)
+from fiberlab.blowup import IdealContext, fiber_presentation
 from fiberlab.corpus import (CORPUS, CORPUS_BY_ID, compute_entry,
-                             crosscheck_bundles, load_entry_ideal, lookup_path,
-                             strip_objects)
+                             crosscheck_bundles, load_entry_ideal, lookup_path)
 from fiberlab.depth import graded_depth
 from fiberlab.fields import GF
-from fiberlab.graded import joint_rank, minimal_generators, piece_span_of_polys
+from fiberlab.graded import minimal_generators, piece_span_of_polys
 from fiberlab.groebner import normal_form
 from fiberlab.ideals import Ideal
 from fiberlab.parse import maximal_minors
@@ -32,7 +27,7 @@ from fiberlab.predicates import (generic_forms, is_perfect,
                                  theorem_crosschecks)
 from fiberlab.resolutions import minimal_resolution
 
-from conftest import recheck_regularity
+from conftest import joint_rank, recheck_regularity
 
 
 def _verdict(name, clauses):

@@ -9,7 +9,6 @@ from fiberlab.blowup import (FiberPresentation, IdealContext, equigenerated_data
                              spread_via_jacobian)
 from fiberlab.corpus import CORPUS, load_entry_ideal
 from fiberlab.depth import graded_depth
-from fiberlab.fields import GF
 from fiberlab.groebner import eliminate
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring

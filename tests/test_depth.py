@@ -1,6 +1,5 @@
 import random
 
-import numpy as np
 import pytest
 
 from fiberlab import depth as depth_mod
@@ -10,7 +9,6 @@ from fiberlab.depth import (annihilator_series, bounded_ideal_grade, graded_dept
 from fiberlab.fields import GF, QQ
 from fiberlab.groebner import _MonomialForms, _nf_terms, buchberger, normal_form
 from fiberlab.ideals import Ideal
-from fiberlab.linalg import nullspace
 from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError
 
 from conftest import leading_exponents, random_poly

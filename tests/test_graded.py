@@ -6,7 +6,7 @@ import pytest
 from fiberlab.blowup import IdealContext
 from fiberlab.fields import GF, QQ
 from fiberlab.graded import (graded_piece, linear_rank, minimal_generators,
-                             minors_ideal, piece_span_of_polys, spanning_rows,
+                             minors_ideal, spanning_rows,
                              syzygies_degreewise)
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring

@@ -1,15 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
+from fiberlab import groebner as groebner_mod
 from fiberlab.fields import GF, QQ
-from fiberlab.groebner import (GroebnerBasis, buchberger, eliminate, extend_basis,
-                               normal_form)
+from fiberlab.graded import degree_basis, vector_to_poly
+from fiberlab.groebner import (buchberger, eliminate, extend_basis, normal_form,
+                               normal_form_matrix)
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import (EXPONENT_LIMIT, GREVLEX, LEX, MAX_EXPONENT, Elimination,
                                Polynomial, Ring, RingError, WeightThen)
 
-from conftest import exponent_terms, leading_exponents
+from conftest import exponent_terms, leading_exponents, random_poly
 
 
 def _lead(f, order):
@@ -387,3 +390,72 @@ def test_exponents_at_parse_limit():
     assert list(buchberger(gens, GREVLEX).elements) == naive_buchberger(gens, GREVLEX)
     gb = buchberger([x - big_y], LEX)
     assert normal_form(x * big_y, gb) == ring.monomial((0, 2 * MAX_EXPONENT, 0))
+
+
+# ---------------------------------------------------------------------------
+# normal-form matrices
+
+@pytest.mark.parametrize("field", [GF(32003), GF(67108859), QQ],
+                         ids=["F32003", "F67108859", "QQ"])
+def test_normal_form_matrix_rows_are_normal_forms(field):
+    """Row j, read over the standard monomials, is the normal form of the
+    j-th monomial of the degree, in degrees 0-8, on seeded bases; at
+    p = 67108859 every gathered product runs in chunks of two terms."""
+    ring = Ring(field, ["a", "b", "c", "d"])
+    rng = random.Random("normal-form-matrix")
+    for _ in range(2):
+        gens = tuple(random_poly(ring, rng.randrange(2, 4), rng) for _ in range(3))
+        ideal = Ideal(ring, gens)
+        gb = ideal.groebner()
+        for e in range(9):
+            nf, standard = normal_form_matrix(gb, e)
+            monos = degree_basis(ring, e)[0]
+            assert len(nf) == len(monos)
+            assert len(standard) == ideal.hilbert_series().coefficients(e)[e]
+            for m, row in zip(monos, nf):
+                assert vector_to_poly(row, standard, ring) == \
+                    normal_form(ring.one().mul_term(m, field.one), gb)
+
+
+def test_normal_form_matrix_edges(R3):
+    """The zero ideal gives the identity over every monomial; an ideal
+    that contains a whole degree gives a matrix of width zero there."""
+    nf, standard = normal_form_matrix(Ideal(R3, ()).groebner(), 4)
+    assert standard == degree_basis(R3, 4)[0]
+    assert (nf == np.eye(len(standard))).all()
+    x, y, z = (R3.variable(i) for i in range(3))
+    gb = Ideal(R3, (x * x, y * y, z * z, x * y, x * z, y * z)).groebner()
+    nf, standard = normal_form_matrix(gb, 3)
+    assert standard == () and nf.shape == (10, 0)
+    assert len(normal_form_matrix(gb, 1)[1]) == 3
+
+
+def test_normal_form_matrix_refuses_other_bases(R3):
+    x, y, z = (R3.variable(i) for i in range(3))
+    with pytest.raises(ValueError, match="grevlex"):
+        normal_form_matrix(buchberger([x * y - z * z], LEX), 2)
+    with pytest.raises(ValueError, match="homogeneous"):
+        normal_form_matrix(buchberger([x * y - z]), 2)
+
+
+def test_normal_form_matrix_hilbert_crosscheck(R3, monkeypatch):
+    """A standard-monomial count the Hilbert function does not confirm
+    raises."""
+    x, y, z = (R3.variable(i) for i in range(3))
+    gb = buchberger([x * y - z * z])
+    wrong = Ideal(R3, (x, y * y)).hilbert_series()
+    monkeypatch.setattr(groebner_mod, "series_of_basis", lambda _: wrong)
+    with pytest.raises(AssertionError, match="Hilbert function"):
+        normal_form_matrix(gb, 3)
+
+
+def test_normal_form_matrix_overflow_raises():
+    """Weights (W, W + 1) keep the degree (W + 1)(LIMIT + 1) down to a few
+    hundred monomials; x^(W+1) y^(LIMIT+1-W) rewrites by x^(W+1) - y^W to
+    y^(LIMIT+1), past the packing limit: RingError."""
+    w = 1 << 12
+    ring = Ring(GF(32003), ["x", "y"], (w, w + 1))
+    x, y = ring.variable(0), ring.variable(1)
+    gb = buchberger([x ** (w + 1) - y ** w])
+    with pytest.raises(RingError):
+        normal_form_matrix(gb, (w + 1) * (EXPONENT_LIMIT + 1))

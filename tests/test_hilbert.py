@@ -1,9 +1,7 @@
 import random
-from itertools import product
 
 from fiberlab.fields import GF
 from fiberlab.hilbert import HilbertSeries, monomial_numerator
-from fiberlab.ideals import Ideal
 from fiberlab.polyring import GREVLEX, Polynomial, Ring, _packing
 
 from conftest import leading_exponents

@@ -1,11 +1,8 @@
-import random
-
 import pytest
 
 from fiberlab.blowup import IdealContext
-from fiberlab.fields import GF
 from fiberlab.ideals import Ideal, divide_exact
-from fiberlab.polyring import Ring, RingError
+from fiberlab.polyring import RingError
 
 
 def test_sum_product_power(R3):

@@ -4,11 +4,11 @@ from math import comb
 
 import pytest
 
-from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
-                             minimal_reduction)
+from fiberlab.blowup import IdealContext, fiber_presentation, is_cm_graded
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
-from fiberlab.parse import maximal_minors, parse_ideal_file
+from fiberlab.graded import piece_span_of_polys
+from fiberlab.parse import maximal_minors
 from fiberlab.polyring import Ring
 from fiberlab.predicates import (FormSequence, analytically_adjusted,
                                  analytically_tight, check_gs, fiber_indeg,
@@ -18,6 +18,8 @@ from fiberlab.predicates import (FormSequence, analytically_adjusted,
                                  regular_in_gr, regular_sequence_on_fiber,
                                  theorem_crosschecks, tight_profile,
                                  user_forms, valabrega_valla, valla_dimension)
+
+from conftest import joint_rank
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def colon_oracle_caps(ideal, prefix, last, n):
     """(colon cap, plain cap) in degree 2n, with the colon ideal taken from
     Groebner elimination (``Ideal.colon``), sharing no code with the
     kernel route of ``analytically_tight``."""
-    from fiberlab.graded import graded_piece, joint_rank
+    from fiberlab.graded import graded_piece
     ring = ideal.ring
     prefix_ideal = Ideal(ring, tuple(prefix))
     power = Ideal(ring, tuple(IdealContext(ideal).power_gens(n)))
@@ -302,6 +304,90 @@ def test_vv_implies_regular_on_fiber(monomial4):
     assert rep.is_true
     fp = fiber_presentation(monomial4)
     assert regular_sequence_on_fiber(fp, fs.coefficients)
+
+
+# ---------------------------------------------------------------------------
+# the caps in S/P: quotient ranks against the piece route
+
+def _cap_ideals(field):
+    ring = Ring(field, ["x", "y", "z"])
+    x, y, z = (ring.variable(i) for i in range(3))
+    six = tuple(ring.monomial(e) for e in ((0, 0, 6), (0, 1, 5), (0, 2, 4),
+                                           (1, 2, 3), (2, 2, 2), (3, 3, 0)))
+    return (Ideal(ring, (x * x - y * y, x * y, x * z, y * z)),
+            Ideal(ring, (x ** 3, y ** 3, x * y * z, x * x * z - y * y * z + z ** 3)),
+            Ideal(ring, six))
+
+
+def piece_route_caps(ideal, prefix, last, n):
+    """(colon cap, plain cap) of tightness in power n by the D4 formulas on
+    echelons of [P]_e and [I^n]_{nd} and their joint rank."""
+    ctx = IdealContext(ideal)
+    d = ctx.degree
+    power = ctx.power_gens(n)
+    ipiece = piece_span_of_polys(power, n * d, ideal.ring)
+    e = n * d + last.homogeneous_degree()
+    multiples = piece_span_of_polys([last * g for g in power], e, ideal.ring)
+    high = piece_span_of_polys(prefix, e, ideal.ring)
+    low = piece_span_of_polys(prefix, n * d, ideal.ring)
+    return (ipiece.dim + high.dim - joint_rank(high, multiples),
+            low.dim + ipiece.dim - joint_rank(low, ipiece))
+
+
+@pytest.mark.parametrize("field,count,n_max", [(GF(32003), 3, 3), (QQ, 2, 2)],
+                         ids=["F32003", "QQ"])
+def test_caps_match_piece_route(field, count, n_max):
+    """Tightness caps, the Valabrega-Valla per-power verdicts and the
+    quotient ranks themselves equal the piece route on seeded forms: the
+    rank of V in S_E/[P]_E is dim([P]_E + V) - dim [P]_E.  Over QQ the
+    sextics and the third power are left out: the piece route's echelons
+    of [P]_E take minutes there."""
+    for ideal in _cap_ideals(field)[:count]:
+        ctx = IdealContext(ideal)
+        d, g = ctx.degree, ideal.height()
+        for seed in (1, 2):
+            fs = generic_forms(ctx, ctx.spread, f"caps:{seed}")
+            prefix, last = fs.forms[:-1], fs.forms[-1]
+            for n in range(1, n_max + 1):
+                cert = analytically_tight(ctx, fs, n).certificate
+                assert (cert["colon_cap_dim"], cert["plain_cap_dim"]) == \
+                    piece_route_caps(ideal, prefix, last, n)
+            vv = valabrega_valla(ctx, FormSequence(fs.forms[:g], fs.provenance,
+                                                   fs.coefficients[:g]), n_max)
+            for n in range(1, n_max + 1):
+                power = ctx.power_gens(n)
+                ppiece = piece_span_of_polys(fs.forms[:g], n * d, ideal.ring)
+                ipiece = piece_span_of_polys(power, n * d, ideal.ring)
+                rank = joint_rank(ppiece, ipiece) - ppiece.dim
+                assert ctx.quotient_rank(fs.forms[:g], power, n * d) == rank
+                lhs = ipiece.dim - rank
+                rhs = piece_span_of_polys(ctx.products(fs.forms[:g], n - 1), n * d,
+                                          ideal.ring).dim
+                assert vv.certificate["per_power"][str(n)] == (lhs == rhs)
+
+
+def test_caps_of_empty_prefix(binomial4):
+    """One form: P = 0, so both tightness caps are 0 and tightness holds;
+    an empty Valabrega-Valla prefix holds in every power."""
+    f = binomial4.generators[0]
+    for n in (1, 2):
+        rep = analytically_tight(binomial4, user_forms([f]), n)
+        assert rep.certificate["colon_cap_dim"] == rep.certificate["plain_cap_dim"] == 0
+        assert rep.is_true
+    rep = valabrega_valla(binomial4, FormSequence([], "user", []), 2)
+    assert rep.is_true and all(rep.certificate["per_power"].values())
+
+
+def test_forget_clears_quotient_memos(binomial4):
+    ctx = IdealContext(binomial4)
+    fs = generic_forms(ctx, 3, "forget:1")
+    tight_profile(ctx, fs, 2)
+    valabrega_valla(ctx, FormSequence(fs.forms[:2], fs.provenance, fs.coefficients[:2]), 2)
+    assert ctx.forms_ideal(fs.forms[:2]) is ctx.forms_ideal(fs.forms[:2])
+    memos = (ctx._forms_ideals, ctx._nf_matrices, ctx._quotient_ranks)
+    assert all(memos)
+    ctx.forget()
+    assert not any(memos)
 
 
 # ---------------------------------------------------------------------------

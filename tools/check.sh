@@ -1,10 +1,12 @@
 #!/bin/sh
 # Full local check, in order, stopping at the first failure:
 #   0. no bare `assert` statement in the package: its self-checks raise
-#      real errors, which `python -O` does not strip; and no top-level
+#      real errors, which `python -O` does not strip; no top-level
 #      function or class of the package that is named nowhere but at its
 #      own definition, in the Python and shell files of src/, tests/,
-#      perfbench/ and tools/;
+#      perfbench/ and tools/; and no imported name that its module in
+#      src/ or tests/ never reads (a name in `__all__` or in a quoted
+#      annotation counts as read);
 #   1. the tier-1 suite, printing its ten slowest tests (ROADMAP's target
 #      is the whole suite under 120 s);
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
@@ -42,6 +44,26 @@ for path in paths:
                 dead.append(f"{path}:{node.lineno} {node.name}")
 if dead:
     sys.exit("named only at its definition:\n  " + "\n  ".join(dead))
+unused = []
+for path in [p for p in files if p.suffix == ".py" and p.parts[0] in ("src", "tests")]:
+    tree = ast.parse(path.read_text(), str(path))
+    notes = [n.returns if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+             else n.annotation for n in ast.walk(tree)
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.arg, ast.AnnAssign))]
+    quoted = [ast.parse(n.value, mode="eval") for n in notes
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    read = {n.id for t in (tree, *quoted) for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    read |= {e.value for n in tree.body if isinstance(n, ast.Assign)
+             and any(isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets)
+             for e in n.value.elts}
+    unused += [f"{path}:{node.lineno} {name}" for node in ast.walk(tree)
+               if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                   and node.module != "__future__")
+               for name in (a.asname or a.name.split(".")[0] for a in node.names)
+               if name not in read]
+if unused:
+    sys.exit("imported but never read:\n  " + "\n  ".join(unused))
 PY
 python -m pytest -q --continue-on-collection-errors --durations=10
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
