@@ -246,9 +246,13 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
 def _depth_block(ctx, report):
     """Depths of the fiber (Auslander-Buchsbaum on its certified
     resolution), the Rees algebra and gr (the descent), grade and codim of
-    gr+."""
+    gr+.  The descents and the grade search run on the w-first copies of
+    the Rees and gr ideals (``ReesPresentation.w_first``), where gr+ is
+    generated by the first m variables; every value is certified, so the
+    order changes none of them."""
     inv = report["invariants"]
     fp, pres = ctx.fp, ctx.pres
+    wring, wrees, wgr = pres.w_first
     fres = ctx.fiber_resolution
     if fres.table.complete:
         inv["depth_fiber"] = fp.fiber_ring.nvars - fres.table.projective_dimension
@@ -259,18 +263,19 @@ def _depth_block(ctx, report):
         report["skipped"]["fiber_resolution"] = \
             f"incomplete at cutoff {fres.table.ceiling}"
     if not ctx.rees_cm.is_cm:
-        drees = graded_depth(pres.rees_ideal, seed=f"cm:{ctx.label}:rees:depth")
+        drees = graded_depth(wrees, seed=f"cm:{ctx.label}:rees:depth")
         if drees.exact and drees.value >= ctx.rees_cm.dimension:
             raise AssertionError("Rees depth contradicts the NOT_CM verdict")
         if drees.exact:
             inv["depth_rees"] = drees.value
-    dgr = graded_depth(pres.gr_ideal, seed=f"depthgr:{ctx.label}")
+        else:
+            report["skipped"]["depth_rees"] = "descent inconclusive within bounds"
+    dgr = graded_depth(wgr, seed=f"depthgr:{ctx.label}")
     if dgr.exact:
         inv["depth_gr"] = dgr.value
     else:
         report["skipped"]["depth_gr"] = "descent inconclusive within bounds"
-    grade = bounded_ideal_grade(pres.gr_ideal.groebner(),
-                                range(pres.split, pres.big_ring.nvars),
+    grade = bounded_ideal_grade(wgr.groebner(), range(wring.nvars - pres.split),
                                 seed=f"grade:{ctx.label}")
     inv["grade_gr_plus"] = grade["value"]
     inv["grade_gr_plus_bound"] = grade["candidate_degree_bound"]

@@ -25,8 +25,11 @@ Cohen-Macaulay Rings, 1.2.5).
 
 The reports take the depth of the fiber from its certified resolution
 (Auslander-Buchsbaum) and the depths of the Rees algebra and of gr from
-this engine, whose ambients k[x.., w..] are too large for dense
-degreewise kernels.
+this engine, whose ambients are too large for dense degreewise kernels.
+They cut the copies of the two presentations in k[w.., x..]
+(``blowup.ReesPresentation.w_first``): no value depends on the order of
+the variables, but with w first the grevlex bases of the cuts stay
+smaller.
 """
 
 from __future__ import annotations
@@ -52,12 +55,6 @@ class DepthReport:
     witness: Polynomial | None = None
     socle_bound_used: int = 0
     seed: str = ""
-
-    @property
-    def is_cohen_macaulay(self) -> bool | None:
-        if not self.exact:
-            return None
-        return self.value == self.dimension
 
 
 def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial):
@@ -127,14 +124,6 @@ def _standard_layers(gb: GroebnerBasis):
                 if all((prod - lt) & guard for lt in by_last[i]):
                     grown.append((prod, i))
         layer = grown
-
-
-def standard_monomials(gb: GroebnerBasis, degree: int):
-    """The packed standard monomials of one degree, descending."""
-    for e, layer in enumerate(_standard_layers(gb)):
-        if e == degree:
-            return layer
-    return []
 
 
 def socle_witness(gb: GroebnerBasis, max_degree: int,

@@ -1,9 +1,8 @@
 """Ideal-level operations, each reducible to Groebner or graded data.
 
 Intersections go through a single auxiliary variable and block
-elimination; colons divide the intersection with a principal ideal;
-dimension, height and multiplicity come from the Hilbert series of the
-grevlex lead-term ideal.
+elimination; dimension, height and multiplicity come from the Hilbert
+series of the grevlex lead-term ideal.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class Ideal:
         if self.ring != other.ring:
             raise RingError("ideals in different rings")
 
-    # -- intersection / colon -----------------------------------------------
+    # -- intersection ------------------------------------------------------
     def intersect(self, other: "Ideal") -> "Ideal":
         self._check(other)
         if self.is_zero() or other.is_zero():
@@ -100,17 +99,6 @@ class Ideal:
         gens += [(one - u) * ring.embed(g, big) for g in other.generators]
         kept = eliminate(gens, 1)
         return Ideal(ring, tuple(big.restrict(g, ring) for g in kept))
-
-    def colon(self, f: Polynomial) -> "Ideal":
-        """(I : f) = {g : g*f in I}, by Groebner elimination: the
-        independent oracle of the tightness tests, which decide tightness
-        from graded pieces alone."""
-        if f.is_zero():
-            raise ZeroDivisionError("colon by zero")
-        if f.ring != self.ring:
-            raise RingError("colon element outside the ring")
-        inter = self.intersect(Ideal(self.ring, (f,)))
-        return Ideal(self.ring, tuple(divide_exact(g, f) for g in inter.generators))
 
     # -- numeric invariants ---------------------------------------------------
     def hilbert_series(self) -> HilbertSeries:
@@ -136,25 +124,3 @@ class Ideal:
     def multiplicity(self) -> int:
         """e(R/I) from the Hilbert series."""
         return self.hilbert_series().multiplicity
-
-
-def divide_exact(g: Polynomial, f: Polynomial) -> Polynomial:
-    """Quotient g/f when f divides g exactly."""
-    ring = g.ring
-    field = ring.field
-    guard = ring.packing.guard
-    if g.is_zero():
-        return g
-    lt_f = max(f.terms)         # grevlex leading monomials
-    lc_f = f.terms[lt_f]
-    quotient = {}
-    rest = g
-    while rest.terms:
-        lt_r = max(rest.terms)
-        q = lt_r - lt_f
-        if q & guard:
-            raise ArithmeticError("division is not exact")
-        c = field.div(rest.terms[lt_r], lc_f)
-        quotient[q] = c
-        rest = rest - f.mul_term(q, c)
-    return Polynomial(ring, quotient)

@@ -29,7 +29,9 @@ from math import comb
 from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
 from .depth import regular_prefix
+from .graded import spanning_rows
 from .ideals import Ideal
+from .linalg import rank_of_rows
 from .polyring import Ring, fresh_names
 
 
@@ -77,10 +79,6 @@ def ideal_fingerprint(ideal: Ideal) -> str:
 def generic_forms(ideal, count: int, seed) -> FormSequence:
     forms, coeffs = random_forms_in_degree(ideal, count, seed)
     return FormSequence(forms, f"generic({seed})", coeffs)
-
-
-def user_forms(forms) -> FormSequence:
-    return FormSequence(list(forms), "user")
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +185,10 @@ def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     dim = ctx.piece(power, n * d).dim
     e = n * d + last.homogeneous_degree()
     multiples = ctx.products([last], n)
-    if ctx.piece(multiples, e).dim != dim:
+    rows = list(spanning_rows(multiples, e, ctx.ring))
+    if rank_of_rows(rows, ctx.ring.field, ctx.ring.dim_of_degree(e)) != dim:
         raise AssertionError("multiplication by the last form must be injective")
-    lhs = dim - ctx.quotient_rank(prefix, multiples, e)
+    lhs = dim - ctx.quotient_rank(prefix, multiples, e, rows)
     rhs = dim - ctx.quotient_rank(prefix, power, n * d)
     if lhs < rhs:
         raise AssertionError("colon cap must contain the plain cap")

@@ -172,14 +172,3 @@ def minimal_resolution(ideal, ceiling: int = DEFAULT_CEILING) -> Resolution:
         raise AssertionError("certified Betti table does not reproduce the "
                              "Hilbert numerator")
     return Resolution(table, presentation)
-
-
-def depth_via_resolution(ideal, ceiling=DEFAULT_CEILING) -> int:
-    """depth of R/ideal over the polynomial ambient (Auslander-Buchsbaum)."""
-    res = minimal_resolution(ideal, ceiling)
-    if not res.table.complete:
-        bound = ideal.ring.nvars - res.table.projective_dimension
-        raise IncompleteResolutionError(
-            f"resolution incomplete at cutoff {res.table.ceiling}; depth unknown, "
-            f"<= {bound}", table=res.table)
-    return ideal.ring.nvars - res.table.projective_dimension

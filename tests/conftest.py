@@ -5,7 +5,7 @@ import pytest
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
 from fiberlab.linalg import rank_of_rows
-from fiberlab.polyring import Ring
+from fiberlab.polyring import Polynomial, Ring, RingError
 
 
 @pytest.fixture(scope="session")
@@ -105,3 +105,38 @@ def joint_rank(a, b):
     residuals = (row for block in b.echelon.row_blocks()
                  for row in a.echelon.reduce(block))
     return a.dim + rank_of_rows(residuals, a.echelon.field, a.echelon.width)
+
+
+def divide_exact(g, f):
+    """Quotient g/f when f divides g exactly."""
+    ring = g.ring
+    field = ring.field
+    guard = ring.packing.guard
+    if g.is_zero():
+        return g
+    lt_f = max(f.terms)         # grevlex leading monomials
+    lc_f = f.terms[lt_f]
+    quotient = {}
+    rest = g
+    while rest.terms:
+        lt_r = max(rest.terms)
+        q = lt_r - lt_f
+        if q & guard:
+            raise ArithmeticError("division is not exact")
+        c = field.div(rest.terms[lt_r], lc_f)
+        quotient[q] = c
+        rest = rest - f.mul_term(q, c)
+    return Polynomial(ring, quotient)
+
+
+def colon(ideal, f):
+    """(I : f) = {g : g*f in I}, by Groebner elimination: I cap (f),
+    divided by f.  The independent oracle of the tightness tests and of
+    ``depth.annihilator_series``, which read the colon off graded pieces
+    and Hilbert series."""
+    if f.is_zero():
+        raise ZeroDivisionError("colon by zero")
+    if f.ring != ideal.ring:
+        raise RingError("colon element outside the ring")
+    inter = ideal.intersect(Ideal(ideal.ring, (f,)))
+    return Ideal(ideal.ring, tuple(divide_exact(g, f) for g in inter.generators))

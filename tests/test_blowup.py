@@ -62,6 +62,25 @@ def test_rees_and_gr_dimensions(monomial4, sevengen):
         assert pres.gr_dimension() == 3       # dim R
 
 
+def test_w_first_copies_keep_hilbert_series(monomial4, binomial4, sixgen, sevengen):
+    """The w-first copies that the depth block cuts present the same
+    algebras: their bases, rebuilt in the new order, give the Hilbert
+    series of the x-first presentations, and their generators map back
+    onto the x-first ones."""
+    for ideal in (monomial4, binomial4, sixgen, sevengen):
+        pres = rees_and_gr(ideal)
+        big, split = pres.big_ring, pres.split
+        ring, rees, gr = pres.w_first
+        assert pres.w_first[0] is ring
+        assert ring.names == big.names[split:] + big.names[:split]
+        for copy, orig in ((rees, pres.rees_ideal), (gr, pres.gr_ideal)):
+            assert copy.ring is ring
+            assert [ring.embed(g, big) for g in copy.generators] == \
+                list(orig.generators)
+            assert copy.hilbert_series().numerator_dict() == \
+                orig.hilbert_series().numerator_dict()
+
+
 def test_fiber_relations_inside_rees(monomial4, binomial4, sixgen):
     """Q is read off J, so this rechecks the restriction to k[w]."""
     for ideal in (monomial4, binomial4, sixgen):

@@ -3,22 +3,31 @@ import random
 import pytest
 
 from fiberlab import depth as depth_mod
-from fiberlab.depth import (annihilator_series, bounded_ideal_grade, graded_depth,
-                            regular_cut, series_of_basis, socle_witness,
-                            standard_monomials)
+from fiberlab.blowup import IdealContext, rees_and_gr
+from fiberlab.depth import (DepthReport, annihilator_series, bounded_ideal_grade,
+                            graded_depth, regular_cut, series_of_basis,
+                            socle_witness)
 from fiberlab.fields import GF, QQ
-from fiberlab.groebner import _MonomialForms, _nf_terms, buchberger, normal_form
+from fiberlab.groebner import (_MonomialForms, _nf_terms, buchberger, extend_basis,
+                               normal_form)
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError
 
-from conftest import leading_exponents, random_poly
+from conftest import colon, leading_exponents, random_poly
+
+
+def standard_monomials(gb, degree):
+    """The packed standard monomials of one degree, descending."""
+    for e, layer in enumerate(depth_mod._standard_layers(gb)):
+        if e == degree:
+            return layer
+    return []
 
 
 def test_polynomial_ring_is_cm(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     rep = graded_depth(Ideal(R3, (x * y,)), seed="t")
     assert rep.exact and rep.value == 2 and rep.dimension == 2
-    assert rep.is_cohen_macaulay
 
 
 def test_classic_depth_one_example():
@@ -32,7 +41,6 @@ def test_classic_depth_one_example():
     assert rep.value == 1
     assert rep.witness is not None
     # the witness genuinely sits in the socle of the quotient by the cuts
-    from fiberlab.groebner import extend_basis
     gb = extend_basis(a.groebner(), tuple(rep.regular_forms))
     w = rep.witness
     assert not normal_form(w, gb).is_zero()
@@ -43,8 +51,7 @@ def test_classic_depth_one_example():
 def test_artinian_depth_zero(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     rep = graded_depth(Ideal(R3, (x, y, z * z)), seed="t")
-    assert rep.exact and rep.value == 0 and rep.dimension == 0
-    assert rep.is_cohen_macaulay     # zero-dimensional rings are CM
+    assert rep.exact and rep.value == rep.dimension == 0   # Artinian: CM
 
 
 def test_regular_cut_matches_brute_kernel(R3):
@@ -78,7 +85,6 @@ def test_depth_over_rationals():
 
 
 def test_bounded_grade_full_variable_range(monomial4):
-    from fiberlab.blowup import rees_and_gr
     pres = rees_and_gr(monomial4)
     gb = pres.gr_ideal.groebner()
     # gr is CM here, so the irrelevant ideal has grade = ht I = 2
@@ -131,19 +137,74 @@ def test_relative_socle_witness_none_for_positive_grade():
 
 
 def test_bounded_grade_is_exact_on_sevengen_gr(sevengen):
-    """Example 2.2: grade gr+ = 1, ended by a certified witness."""
-    from fiberlab.blowup import rees_and_gr
+    """Example 2.2: grade gr+ = 1, ended by a certified witness, on the
+    w-first copy of gr that the report cuts (gr+ = the first 7 variables)."""
     pres = rees_and_gr(sevengen)
-    gb = pres.gr_ideal.groebner()
-    wvars = range(pres.split, pres.big_ring.nvars)
+    ring, _, gr = pres.w_first
+    gb = gr.groebner()
+    wvars = range(ring.nvars - pres.split)
+    assert all(ring.names[i].startswith("w") for i in wvars)
     out = bounded_ideal_grade(gb, wvars, seed="grade:ex-2.2-sevengen")
     assert out["value"] == 1 and out["exact"]
-    from fiberlab.groebner import extend_basis
     cut = extend_basis(gb, tuple(out["regular_forms"]))
     h = out["witness"]
     assert not normal_form(h, cut).is_zero()
     for i in wvars:
-        assert normal_form(h * pres.big_ring.variable(i), cut).is_zero()
+        assert normal_form(h * ring.variable(i), cut).is_zero()
+
+
+def test_depth_is_exact_on_sevengen_w_first_gr(sevengen):
+    """Example 2.2: depth gr = 2 on the w-first copy, with the report's
+    seed: two certified regular forms, then a witness in the socle of
+    gr modulo both, rechecked by normal forms in the copy."""
+    pres = rees_and_gr(sevengen)
+    ring, _, gr = pres.w_first
+    rep = graded_depth(gr, seed="depthgr:ex-2.2-sevengen")
+    assert rep.exact and rep.value == 2 and rep.dimension == 3
+    cut = extend_basis(gr.groebner(), tuple(rep.regular_forms))
+    assert not normal_form(rep.witness, cut).is_zero()
+    for i in range(ring.nvars):
+        assert normal_form(rep.witness * ring.variable(i), cut).is_zero()
+
+
+def test_depth_and_grade_do_not_depend_on_variable_order(monomial4, binomial4,
+                                                          sixgen):
+    """The descents and the grade search give the same exact values on the
+    x-first presentations and on their w-first copies."""
+    for ideal in (monomial4, binomial4, sixgen):
+        pres = rees_and_gr(ideal)
+        ring, wrees, wgr = pres.w_first
+        m = ring.nvars - pres.split
+        for xfirst, wfirst in ((pres.rees_ideal, wrees), (pres.gr_ideal, wgr)):
+            a = graded_depth(xfirst, seed="order")
+            b = graded_depth(wfirst, seed="order")
+            assert a.exact and b.exact and a.value == b.value
+        a = bounded_ideal_grade(pres.gr_ideal.groebner(),
+                                range(pres.split, pres.big_ring.nvars), seed="order")
+        b = bounded_ideal_grade(wgr.groebner(), range(m), seed="order")
+        assert a["exact"] and b["exact"] and a["value"] == b["value"]
+
+
+def test_inexact_rees_descent_is_skipped_with_reason(binomial4, monkeypatch):
+    """binomial4 has a non-CM Rees algebra, so the depth block runs the
+    Rees descent; an inexact outcome leaves depth_rees out and records
+    why, as an inexact gr descent does for depth_gr."""
+    from fiberlab import corpus
+    real = corpus.graded_depth
+
+    def inexact_rees(ideal, *, seed):
+        if ":rees:" in seed:
+            return DepthReport(0, ideal.krull_dimension(), False, seed=seed)
+        return real(ideal, seed=seed)
+
+    monkeypatch.setattr(corpus, "graded_depth", inexact_rees)
+    ctx = IdealContext(binomial4, "ex-3-binomial4")
+    assert not ctx.rees_cm.is_cm
+    report = {"invariants": {}, "skipped": {}}
+    corpus._depth_block(ctx, report)
+    assert "depth_rees" not in report["invariants"]
+    assert report["skipped"] == {"depth_rees": "descent inconclusive within bounds"}
+    assert report["invariants"]["depth_gr"] == 2
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
@@ -198,7 +259,7 @@ def test_annihilator_series_matches_colon(field):
         hs = ideal.hilbert_series()
         cut_hs = (ideal + Ideal(ring, (theta,))).hilbert_series()
         kernel = annihilator_series(hs, cut_hs)
-        oracle = ideal.colon(theta).hilbert_series()
+        oracle = colon(ideal, theta).hilbert_series()
         assert kernel.numerator_dict() == _sub_numerators(hs, oracle)
         dims.add(kernel.dimension)
     assert {-1, 0, 1} <= dims

@@ -1,8 +1,10 @@
 import pytest
 
 from fiberlab.blowup import IdealContext
-from fiberlab.ideals import Ideal, divide_exact
+from fiberlab.ideals import Ideal
 from fiberlab.polyring import RingError
+
+from conftest import colon, divide_exact
 
 
 def test_sum_product_power(R3):
@@ -52,11 +54,11 @@ def test_intersection_fat_lines(R3):
 def test_colon_examples(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     a = Ideal(R3, (x * y,))
-    assert a.colon(x) == Ideal(R3, (y,))
+    assert colon(a, x) == Ideal(R3, (y,))
     b = Ideal(R3, (x * x, y))
-    assert b.colon(R3.one()) == b
+    assert colon(b, R3.one()) == b
     with pytest.raises(ZeroDivisionError):
-        b.colon(R3.zero())
+        colon(b, R3.zero())
 
 
 def test_colon_properties_random(R3, rng):
@@ -69,7 +71,7 @@ def test_colon_properties_random(R3, rng):
         f = random_poly(R3, 1, rng, terms=2)
         if f.is_zero():
             continue
-        q = a.colon(f)
+        q = colon(a, f)
         # (a : f) * f inside a, and a inside (a : f)
         for g in q.generators:
             assert a.contains(g * f)
@@ -82,7 +84,7 @@ def test_colon_intersect_duality(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     a = Ideal(R3, (x * x, x * y))
     f = z
-    lhs = Ideal(R3, tuple(f * g for g in a.colon(f).generators))
+    lhs = Ideal(R3, tuple(f * g for g in colon(a, f).generators))
     rhs = a.intersect(Ideal(R3, (f,)))
     assert lhs == rhs
 

@@ -17,9 +17,14 @@ from fiberlab.predicates import (FormSequence, analytically_adjusted,
                                  multiplicity_formula_checks,
                                  regular_in_gr, regular_sequence_on_fiber,
                                  theorem_crosschecks, tight_profile,
-                                 user_forms, valabrega_valla, valla_dimension)
+                                 valabrega_valla, valla_dimension)
 
-from conftest import joint_rank
+from conftest import colon, joint_rank
+
+
+def user_forms(forms) -> FormSequence:
+    """Forms given by hand, without generator coordinates."""
+    return FormSequence(list(forms), "user")
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +144,7 @@ def test_tight_complete_intersection_all_n(R3):
 
 def colon_oracle_caps(ideal, prefix, last, n):
     """(colon cap, plain cap) in degree 2n, with the colon ideal taken from
-    Groebner elimination (``Ideal.colon``), sharing no code with the
+    Groebner elimination (``conftest.colon``), sharing no code with the
     kernel route of ``analytically_tight``."""
     from fiberlab.graded import graded_piece
     ring = ideal.ring
@@ -147,7 +152,7 @@ def colon_oracle_caps(ideal, prefix, last, n):
     power = Ideal(ring, tuple(IdealContext(ideal).power_gens(n)))
     ipiece = graded_piece(power, 2 * n)
     caps = []
-    for sub in (prefix_ideal.colon(last), prefix_ideal):
+    for sub in (colon(prefix_ideal, last), prefix_ideal):
         piece = graded_piece(sub, 2 * n)
         caps.append(piece.dim + ipiece.dim - joint_rank(piece, ipiece))
     return tuple(caps)

@@ -7,10 +7,21 @@ from fiberlab.graded import minimal_generators
 from fiberlab.hilbert import HilbertSeries
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
-from fiberlab.resolutions import (IncompleteResolutionError, certified_regularity,
-                                  depth_via_resolution, minimal_resolution)
+from fiberlab.resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
+                                  certified_regularity, minimal_resolution)
 
 from conftest import recheck_regularity
+
+
+def depth_via_resolution(ideal, ceiling=DEFAULT_CEILING) -> int:
+    """depth of R/ideal over the polynomial ambient (Auslander-Buchsbaum)."""
+    res = minimal_resolution(ideal, ceiling)
+    if not res.table.complete:
+        bound = ideal.ring.nvars - res.table.projective_dimension
+        raise IncompleteResolutionError(
+            f"resolution incomplete at cutoff {res.table.ceiling}; depth unknown, "
+            f"<= {bound}", table=res.table)
+    return ideal.ring.nvars - res.table.projective_dimension
 
 
 def test_koszul_complex(R3):

@@ -8,10 +8,11 @@
 #      src/ or tests/ never reads (a name in `__all__` or in a quoted
 #      annotation counts as read);
 #   1. the tier-1 suite, printing its ten slowest tests (ROADMAP's target
-#      is the whole suite under 120 s);
+#      is the whole suite under 60 s);
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
-#      blow-up, predicate, resolution and CLI tests under `python -O`,
-#      where a bare `assert` in the package would check nothing;
+#      blow-up, predicate, resolution and CLI tests and the 7 report
+#      digests under `python -O`, where a bare `assert` in the package
+#      would check nothing;
 #   3. the benchmark's self-test (tracer, oracles, host-speed probe).
 #
 #     sh tools/check.sh
@@ -69,5 +70,5 @@ python -m pytest -q --continue-on-collection-errors --durations=10
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
     tests/test_polyring.py tests/test_graded.py tests/test_ideals.py \
     tests/test_blowup.py tests/test_predicates.py tests/test_resolutions.py \
-    tests/test_cli.py
+    tests/test_cli.py tests/test_report_digests.py
 python3 perfbench/selftest.py
