@@ -14,16 +14,16 @@ computations run in that regrading (verified generator by generator).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .graded import GradedPieceBasis, piece_span_of_polys, spanning_rows
+from .graded import piece_span_of_polys, spanning_rows
 from .groebner import (GREVLEX, GroebnerBasis, eliminate, extend_basis,
                        normal_form_matrix)
 from .hilbert import HilbertSeries, series_of_basis
 from .ideals import Ideal
-from .linalg import negated_product, rank_of_rows
+from .linalg import Echelon, negated_product, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
                           minimal_resolution)
@@ -95,11 +95,11 @@ class ReesPresentation:
     @cached_property
     def w_first(self) -> tuple:
         """(ring, Rees ideal, gr ideal) copied into k[w.., x..], where the
-        depth descents and the grade search cut: in grevlex with the w
-        variables first the bases of their cuts stay smaller (sevengen's gr
-        descent takes half the time).  The eliminations stay x-first, where
-        their own bases are the smaller ones.  The copies' bases are built
-        on first use."""
+        depth descents, the grade search and the Valabrega-Valla gr route
+        cut: in grevlex with the w variables first the bases of their cuts
+        stay smaller (sevengen's gr descent takes half the time).  The
+        eliminations stay x-first, where their own bases are the smaller
+        ones.  The copies' bases are built on first use."""
         big, split = self.big_ring, self.split
         ring = Ring(big.field, big.names[split:] + big.names[:split])
         return (ring, *(Ideal(ring, tuple(big.embed(g, ring) for g in ideal.generators))
@@ -163,10 +163,10 @@ class IdealContext:
         I^r: they generate the ideal (forms)·I^r."""
         return [a * b for a in forms for b in self.power_gens(r)]
 
-    def piece(self, polys, degree: int) -> GradedPieceBasis:
+    def piece(self, polys, degree: int) -> Echelon:
         """Degree piece of the ideal the polynomials generate, memoized on
-        (polynomials, degree).  The result is shared: copy its echelon
-        before changing it."""
+        (polynomials, degree), as its echelon.  The result is shared: copy
+        it before changing it."""
         key = (tuple(polys), degree)
         piece = self._pieces.get(key)
         if piece is None:
@@ -201,11 +201,11 @@ class IdealContext:
             if nf is None:
                 nf = self._nf_matrices[key[0], degree] = normal_form_matrix(
                     self.forms_ideal(key[0]).groebner(), degree)
-            field, width = self.ring.field, len(nf[1])
+            field = self.ring.field
             if rows is None:
                 rows = list(spanning_rows(key[1], degree, self.ring))
-            images = negated_product(rows, nf[0], field, width)
-            rank = self._quotient_ranks[key] = rank_of_rows(images, field, width)
+            images = negated_product(rows, nf[0], field)
+            rank = self._quotient_ranks[key] = rank_of_rows(images, field, len(nf[1]))
         return rank
 
     def relation_dim(self, n: int) -> int:
@@ -213,7 +213,7 @@ class IdealContext:
         [I^n]_{nd}, so this is C(mu+n-1, n) - dim_k [I^n]_{nd}; checked
         against the eliminated presentation when the plan builds one."""
         gens, d = equigenerated_data(self)
-        dim = comb(len(gens) + n - 1, n) - self.piece(self.power_gens(n), n * d).dim
+        dim = comb(len(gens) + n - 1, n) - self.piece(self.power_gens(n), n * d).rank
         if self.fp is not None:
             eliminated = self.fp.relation_piece_dim(n)
             if dim != eliminated:
@@ -465,12 +465,6 @@ class ReductionData:
     verified: bool
     spread: int
     degree: int
-    piece_dims: list = dc_field(default_factory=list)
-
-    @property
-    def ideal(self) -> Ideal:
-        ring = self.reduction_generators[0].ring
-        return Ideal(ring, tuple(self.reduction_generators))
 
 
 def random_forms_in_degree(ideal, count: int, seed) -> tuple:
@@ -514,15 +508,13 @@ def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
         forms = random_forms_in_degree(ctx, spread, seed)[0]
     elif len(forms) != spread:
         raise ValueError("a minimal reduction needs analytic-spread many forms")
-    dims = []
     for r in range(0, r_max + 1):
         degree = (r + 1) * d
         target = ctx.piece(ctx.power_gens(r + 1), degree)
         jpart = ctx.piece(ctx.products(forms, r), degree)
-        dims.append((r, jpart.dim, target.dim))
-        if jpart.dim == target.dim:
-            return ReductionData(forms, str(seed), r, True, spread, d, dims)
-    return ReductionData(forms, str(seed), None, False, spread, d, dims)
+        if jpart.rank == target.rank:
+            return ReductionData(forms, str(seed), r, True, spread, d)
+    return ReductionData(forms, str(seed), None, False, spread, d)
 
 
 def fiber_multiplicity(ideal) -> int:

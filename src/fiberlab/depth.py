@@ -137,7 +137,6 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
     """
     ring = gb.ring
     field = ring.field
-    p = field.characteristic
     red = gb._reducers
     units = red.packing.units
     nf = _MonomialForms(red, field)
@@ -167,7 +166,7 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
         if len(kernel):
             terms = {}
             for a, c in zip(std, kernel[0]):
-                c = field.raw(int(c)) if p else c
+                c = field.raw(c)
                 if c:
                     terms[a] = c
             h = Polynomial(ring, terms)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Echelon, nullspace, rank_of_rows, sparse_rows, zero_vector
+from .linalg import Echelon, nullspace, rank_of_rows, sparse_rows, zeros
 from .polyring import Polynomial, Ring
 
 
@@ -52,7 +52,7 @@ def vector_to_poly(vec, monos, ring: Ring) -> Polynomial:
     field = ring.field
     terms = {}
     for m, v in zip(monos, vec):
-        c = field.raw(int(v)) if field.characteristic else v
+        c = field.raw(v)
         if c:
             terms[m] = c
     return Polynomial(ring, terms)
@@ -95,34 +95,23 @@ def spanning_rows(elements, degree: int, ring: Ring, shifts=(0,)):
     """The rows of ``spanning_columns``, dense, made one at a time."""
     width = module_basis(ring, degree, shifts)[1]
     for columns, coeffs in spanning_columns(elements, degree, ring, shifts):
-        vec = zero_vector(ring.field, width)
+        vec = zeros(ring.field, width)
         for j, c in zip(columns, coeffs):
             vec[j] = c
         yield vec
 
 
-@dataclass
-class GradedPieceBasis:
-    """Echelonized basis of the degree-d piece of a homogeneous ideal."""
-
-    degree: int
-    ambient_monomials: tuple
-    echelon: Echelon
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.rank
-
-
-def graded_piece(ideal, degree: int) -> GradedPieceBasis:
+def graded_piece(ideal, degree: int) -> Echelon:
     return piece_span_of_polys(ideal.generators, degree, ideal.ring)
 
 
-def piece_span_of_polys(polys, degree: int, ring: Ring) -> GradedPieceBasis:
-    monos, _ = degree_basis(ring, degree)
-    ech = Echelon(ring.field, len(monos))
+def piece_span_of_polys(polys, degree: int, ring: Ring) -> Echelon:
+    """Echelonized basis of the degree piece of the ideal the polynomials
+    generate, over ``degree_basis(ring, degree)``; its rank is the
+    dimension."""
+    ech = Echelon(ring.field, len(degree_basis(ring, degree)[0]))
     ech.extend(spanning_rows(polys, degree, ring))
-    return GradedPieceBasis(degree, monos, ech)
+    return ech
 
 
 def minimal_generators(ideal):

@@ -18,11 +18,9 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .graded import degree_basis
 from .hilbert import series_of_basis
-from .linalg import negated_product
+from .linalg import negated_product, zeros
 from .polyring import (_OVERFLOW, EXPONENT_LIMIT, GREVLEX, Elimination, Polynomial, Ring,
                        RingError, TermOrder, _Packing, _packing, repack)
 
@@ -213,11 +211,11 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
     Rows are built in ascending monomial order: a standard monomial's row
     is a unit vector, and a monomial m whose first reducer is lt + sum
     c * t has N[m] = -sum c * N[(m / lt) * t], one gathered product of
-    rows already built (``linalg.negated_product``: float64 residues over
-    F_p, ``Fraction`` rows over Q).  The divisor search shares the
-    reducers' ``first`` memo and every step checks the exponent-overflow
-    guard, as in ``_MonomialForms``.  The number of standard monomials
-    is checked against the Hilbert function of S/ideal.
+    rows already built (``linalg.negated_product``).  The divisor search
+    shares the reducers' ``first`` memo and every step checks the
+    exponent-overflow guard, as in ``_MonomialForms``.  The number of
+    standard monomials is checked against the Hilbert function of
+    S/ideal.
     """
     if gb.order != GREVLEX:
         raise ValueError("normal-form matrices need a grevlex basis")
@@ -235,18 +233,11 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
     standard = tuple(m for m, k in zip(monos, firsts) if k < 0)
     width = len(standard)
     column = {m: j for j, m in enumerate(standard)}
-    if field.characteristic:
-        nf = np.zeros((len(monos), width))
-    else:
-        nf = [None] * len(monos)
+    nf = zeros(field, (len(monos), width))
     for j in range(len(monos) - 1, -1, -1):
         m, k = monos[j], firsts[j]
         if k < 0:
-            if field.characteristic:
-                nf[j, column[m]] = 1
-            else:
-                nf[j] = [field.zero] * width
-                nf[j][column[m]] = field.one
+            nf[j, column[m]] = 1
             continue
         q = m - lts[k]
         if (q + tops[k]) & guard:
@@ -255,8 +246,7 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
             rows = [index[q + tm] for tm, _ in tails[k]]
         except KeyError:
             raise ValueError("normal-form matrices need a homogeneous basis") from None
-        below = nf[rows] if field.characteristic else [nf[i] for i in rows]
-        nf[j] = negated_product([[tc for _, tc in tails[k]]], below, field, width)[0]
+        nf[j] = negated_product([[tc for _, tc in tails[k]]], nf[rows], field)[0]
     if width != series_of_basis(gb).coefficients(degree)[degree]:
         raise AssertionError(f"{width} standard monomials in degree {degree} "
                              "against the Hilbert function")

@@ -1,20 +1,31 @@
-"""Exact dense linear algebra over F_p (numpy float64) and Q (Fraction).
+"""Exact dense linear algebra over F_p and Q, on numpy rows.
 
 Everything returns canonical reduced row-echelon data so that callers
 (graded pieces, resolutions, kernels) are deterministic.
 
-Over F_p one block kernel does the work, after Dumas, Giorgi and Pernet
-(FFLAS-FFPACK, 2008): residues in [0, p) sit in float64 arrays, a block
-of rows is reduced against the basis with a matrix product, eliminated
-within the block, and back-substituted into the basis with another, and
-reduction mod p waits until a product is complete.  This is exact: a
-product sums nonnegative terms, so while the total is an integer below
-2**53 every partial sum is too.  The inner dimension of a product is
-therefore cut into chunks of (2**53 - p) // (p - 1)**2 terms: 8.6M at
-p = 32003, 2 at p = 67108859, the largest prime below
-``fields.MAX_PRIME`` = 2**26.  Residues are x - p*floor(x/p), exact for
-integers |x| <= 2**53 - p (see ``_residues``).  Over Q rows stay lists
-of ``Fraction`` reduced one at a time.
+One block kernel does the work over both fields, after Dumas, Giorgi and
+Pernet (FFLAS-FFPACK, 2008): a block of rows is reduced against the
+basis with a matrix product, eliminated within the block, and
+back-substituted into the basis with another.  Rows are numpy arrays
+of dtype ``_dtype(p)`` everywhere; this module alone knows the field,
+in four places: that dtype, ``_residues``, ``_submul`` and the pivot
+steps of ``_gauss_jordan``.
+
+Over F_p residues in [0, p) sit in float64 arrays, and reduction mod p
+waits until a product is complete.  This is exact: a product sums
+nonnegative terms, so while the total is an integer below 2**53 every
+partial sum is too.  The inner dimension of a product is therefore cut
+into chunks of (2**53 - p) // (p - 1)**2 terms: 8.6M at p = 32003, 2 at
+p = 67108859, the largest prime below ``fields.MAX_PRIME`` = 2**26.
+Residues are x - p*floor(x/p), exact for integers |x| <= 2**53 - p (see
+``_residues``).
+
+Over Q rows are ``object`` arrays of ``Fraction`` (and the exact integer
+zeros of ``zeros``).  An operation on an entry costs a Python call
+whether the entry is zero or not, so a product skips the zero
+coefficients of each row and an elimination step touches only the
+nonzero columns of its pivot row: with dense products instead, the
+QQ oracle tests take four times as long (``docs/decisions.md`` D8).
 """
 
 from __future__ import annotations
@@ -31,24 +42,42 @@ _BLOCK = 64             # rows per block in ``Echelon.extend`` and ``reduce``
 _BLAS_MIN = 8           # thinner products run as einsum, off the BLAS thread pool
 
 
+def _dtype(p: int):
+    """The row dtype: float64 residues over F_p, ``Fraction`` objects over Q."""
+    return np.float64 if p else object
+
+
 def _residues(x: np.ndarray, p: int) -> np.ndarray:
     """``x`` mod p in [0, p), in place; exact for integers |x| <= 2**53 - p.
+    Over Q (p = 0) ``x`` itself.
 
     x/p is rounded by at most half an ulp, which is below 1/p, while a
     quotient that is not an integer lies at least 1/p from every integer;
     so floor(x/p) is exact, and so are p*floor(x/p) and the difference."""
+    if not p:
+        return x
     q = np.divide(x, p)
     x -= np.multiply(np.floor(q, out=q), p, out=q)
     return x
 
 
 def _submul(b: np.ndarray, terms, p: int) -> np.ndarray:
-    """Residues of b - sum(c @ m for c, m in terms), for residues b, c, m.
+    """Residues of b - sum(c @ m for c, m in terms), for residues b, c, m;
+    ``b`` is left as it is.
 
-    Products add up unreduced while they hold at most (2**53 - p) //
-    (p - 1)**2 inner terms; thin ones go through einsum, because OpenBLAS
-    wakes its thread pool for them too, at a cost of milliseconds on a
-    busy host."""
+    Over F_p products add up unreduced while they hold at most
+    (2**53 - p) // (p - 1)**2 inner terms; thin ones go through einsum,
+    because OpenBLAS wakes its thread pool for them too, at a cost of
+    milliseconds on a busy host.  Over Q each row of c meets only the
+    rows of m at its nonzero coefficients."""
+    if not p:
+        b = b.copy()
+        for c, m in terms:
+            for i, row in enumerate(c):
+                nz = np.flatnonzero(row)
+                if nz.size:
+                    b[i] -= row[nz] @ m[nz]
+        return b
     step = (_EXACT - p) // (p - 1) ** 2
     acc, count = None, 0
     for c, m in terms:
@@ -70,8 +99,9 @@ def _gauss_jordan(block: np.ndarray, p: int):
     in row order; rows dependent on earlier ones end zero.  Returns a
     flag per row, True where it was independent, and the new pivots.
 
-    A pivot subtracts at most (p - 1)**2 from each other row, so the
-    block is reduced only every (2**53 - p) // (p - 1)**2 pivots."""
+    Over F_p a pivot subtracts at most (p - 1)**2 from each other row, so
+    the block is reduced only every (2**53 - p) // (p - 1)**2 pivots.
+    Over Q a step changes only the pivot row's nonzero columns."""
     step = (_EXACT - p) // (p - 1) ** 2
     grew = np.zeros(len(block), dtype=bool)
     pivots = []
@@ -80,13 +110,18 @@ def _gauss_jordan(block: np.ndarray, p: int):
         if not nz.size:
             continue
         c = int(nz[0])
-        _residues(np.multiply(row, pow(int(row[c]), -1, p), out=row), p)
+        inv = pow(int(row[c]), -1, p) if p else 1 / Fraction(row[c])
+        _residues(np.multiply(row, inv, out=row), p)
         if pivots and len(pivots) % step == 0:
             _residues(block, p)
         col = _residues(block[:, c].copy(), p)
         col[i] = 0
         hit = np.flatnonzero(col)
-        block[hit] -= np.outer(col[hit], row)
+        if p:
+            block[hit] -= np.outer(col[hit], row)
+        else:
+            nz = np.flatnonzero(row)
+            block[np.ix_(hit, nz)] -= np.outer(col[hit], row[nz])
         grew[i] = True
         pivots.append(c)
     _residues(block, p)
@@ -98,45 +133,35 @@ class Echelon:
 
     Rows are kept fully reduced (RREF), so the row set is a canonical
     invariant of the subspace and ``reduce`` is a normal form.  ``rows``
-    and ``pivots`` list them in pivot order.  Over F_p the rows are kept
-    in insertion order as float64 panels of at most ``_BLOCK`` rows:
-    growth appends a panel instead of copying the basis, and an update
-    replaces a panel instead of changing it, so copies share panels.
+    and ``pivots`` list them in pivot order.  The rows are kept in
+    insertion order as panels of at most ``_BLOCK`` rows: growth appends
+    a panel instead of copying the basis, and an update replaces a panel
+    instead of changing it, so copies share panels.
     """
 
     def __init__(self, field: FieldSpec, width: int):
         self.field = field
         self.width = width
-        if field.characteristic:
-            self._panels = []
-            self._panel_pivots = []
-        else:
-            self._rows = []
-            self._pivots = []
+        self._panels = []
+        self._panel_pivots = []
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     @property
-    def pivots(self):
+    def pivots(self) -> np.ndarray:
         """Pivot columns, ascending."""
-        if self.field.characteristic:
-            return np.sort(self._insertion_pivots())
-        return self._pivots
+        return np.sort(self._insertion_pivots())
 
     @property
-    def rows(self):
-        """Basis rows in pivot order; over F_p a new float64 array."""
-        if self.field.characteristic:
-            return self._ordered(np.arange(self.width))
-        return self._rows
+    def rows(self) -> np.ndarray:
+        """Basis rows in pivot order, as a new array."""
+        return self._ordered(np.arange(self.width))
 
     def row_blocks(self):
         """The basis rows in blocks, in no fixed order; shared, not copied."""
-        if self.field.characteristic:
-            return iter(self._panels)
-        return iter([self._rows] if self._rows else [])
+        return iter(self._panels)
 
     def _insertion_pivots(self) -> np.ndarray:
         return np.concatenate([np.zeros(0, dtype=np.intp), *self._panel_pivots])
@@ -144,12 +169,16 @@ class Echelon:
     def _ordered(self, cols) -> np.ndarray:
         """Columns ``cols`` of the basis rows in pivot order, as a new array."""
         at = np.argsort(np.argsort(self._insertion_pivots()))
-        out = np.empty((len(at), len(cols)))
+        out = np.empty((len(at), len(cols)), dtype=_dtype(self.field.characteristic))
         start = 0
         for panel in self._panels:
             out[at[start:start + len(panel)]] = panel[:, cols]
             start += len(panel)
         return out
+
+    def _block(self, rows) -> np.ndarray:
+        p = self.field.characteristic
+        return _residues(np.array(rows, dtype=_dtype(p)), p)
 
     def _reduce_block(self, block: np.ndarray) -> np.ndarray:
         # In RREF the coefficient of basis row i in a residual is the
@@ -175,46 +204,19 @@ class Echelon:
             self._panels.append(rows[s:s + _BLOCK])
             self._panel_pivots.append(pivots[s:s + _BLOCK])
 
-    def _reduce_qq(self, vec):
-        vec = [Fraction(v) for v in vec]
-        for pos, row in zip(self._pivots, self._rows):
-            c = vec[pos]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-        return vec
-
-    def _add_qq(self, vec) -> bool:
-        vec = self._reduce_qq(vec)
-        pos = next((i for i, v in enumerate(vec) if v != 0), None)
-        if pos is None:
-            return False
-        inv = 1 / vec[pos]
-        vec = [v * inv for v in vec]
-        for i, row in enumerate(self._rows):
-            c = row[pos]
-            if c:
-                self._rows[i] = [a - c * b for a, b in zip(row, vec)]
-        at = next((i for i, q in enumerate(self._pivots) if q > pos), len(self._pivots))
-        self._rows.insert(at, vec)
-        self._pivots.insert(at, pos)
-        return True
-
-    def reduce(self, vec):
+    def reduce(self, vec) -> np.ndarray:
         """Residual of the vector ``vec`` modulo the current row space.
         Given a 2-D array or any other iterable of rows, the residuals of
-        the rows, read one block at a time as in ``extend``: one array
-        over F_p, a list of rows over Q."""
-        p = self.field.characteristic
+        the rows as one array, read one block at a time as in ``extend``."""
         if np.ndim(vec) == 1:
             return self.reduce([vec])[0]
-        if not p:
-            return [self._reduce_qq(v) for v in vec]
         blocks = []
         vec = iter(vec)
         while rows := list(islice(vec, _BLOCK)):
-            blocks.append(self._reduce_block(
-                _residues(np.array(rows, dtype=np.float64), p)))
-        return np.concatenate(blocks) if blocks else np.zeros((0, self.width))
+            blocks.append(self._reduce_block(self._block(rows)))
+        if not blocks:
+            return zeros(self.field, (0, self.width))
+        return np.concatenate(blocks)
 
     def contains(self, vec) -> bool:
         return not np.any(self.reduce(vec))
@@ -227,14 +229,11 @@ class Echelon:
         """Insert the rows of ``vectors`` (any iterable) in order; one flag
         per row, True where the rank grew (as for a sequence of ``add``
         calls).  Rows are read one block at a time."""
-        p = self.field.characteristic
-        if not p:
-            return [self._add_qq(v) for v in vectors]
         flags = []
         vectors = iter(vectors)
         while rows := list(islice(vectors, _BLOCK)):
-            block = self._reduce_block(_residues(np.array(rows, dtype=np.float64), p))
-            grew, pivots = _gauss_jordan(block, p)
+            block = self._reduce_block(self._block(rows))
+            grew, pivots = _gauss_jordan(block, self.field.characteristic)
             if pivots:
                 self._insert(block[grew], np.array(pivots, dtype=np.intp))
             flags.extend(grew.tolist())
@@ -244,37 +243,23 @@ class Echelon:
         """Independent copy; rows are shared, since they are replaced
         instead of changed."""
         other = Echelon(self.field, self.width)
-        if self.field.characteristic:
-            other._panels = list(self._panels)
-            other._panel_pivots = list(self._panel_pivots)
-        else:
-            other._rows = list(self._rows)
-            other._pivots = list(self._pivots)
+        other._panels = list(self._panels)
+        other._panel_pivots = list(self._panel_pivots)
         return other
 
 
-def zero_vector(field: FieldSpec, n: int):
-    """Zero vector to fill with raw values: float64 over F_p, a list over Q."""
-    return np.zeros(n) if field.characteristic else [field.zero] * n
+def zeros(field: FieldSpec, shape) -> np.ndarray:
+    """Zero rows of the field's dtype, to fill with raw values."""
+    return np.zeros(shape, dtype=_dtype(field.characteristic))
 
 
-def negated_product(a, b, field: FieldSpec, width: int):
-    """-(a @ b) for raw matrices a (r x k) and b (k x ``width``): float64
-    residues over F_p, exact for every p up to ``fields.MAX_PRIME`` (one
-    ``_submul``), lists of ``Fraction`` rows over Q."""
-    p = field.characteristic
-    if p:
-        a = np.asarray(a, dtype=np.float64)
-        out = np.zeros((len(a), width))
-        return _submul(out, [(a, b)], p) if a.size else out
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * width
-        for c, brow in zip(row, b):
-            if c:
-                acc = [x - c * y for x, y in zip(acc, brow)]
-        out.append(acc)
-    return out
+def negated_product(a, b: np.ndarray, field: FieldSpec) -> np.ndarray:
+    """-(a @ b) for raw matrices a (r x k, any nested sequence) and b
+    (a k x n array), exact over both fields: one ``_submul``, which over
+    F_p holds for every p up to ``fields.MAX_PRIME``."""
+    a = np.asarray(a, dtype=_dtype(field.characteristic))
+    out = zeros(field, (len(a), b.shape[1]))
+    return _submul(out, [(a, b)], field.characteristic) if a.size else out
 
 
 def sparse_rows(entries, ncols: int, field: FieldSpec):
@@ -282,7 +267,7 @@ def sparse_rows(entries, ncols: int, field: FieldSpec):
     at a time, so that no sparse matrix is ever held dense; values at the
     same column add up."""
     for pairs in entries:
-        vec = zero_vector(field, ncols)
+        vec = zeros(field, ncols)
         for j, v in pairs:
             vec[j] += v
         yield vec
@@ -298,30 +283,18 @@ def rank_of_rows(rows, field: FieldSpec, width: int) -> int:
     return echelon_from_rows(rows, field, width).rank
 
 
-def nullspace(rows, field: FieldSpec, width: int):
+def nullspace(rows, field: FieldSpec, width: int) -> np.ndarray:
     """Canonical kernel basis of the linear map with the given matrix rows.
 
     Solves A x = 0 where A has ``width`` columns; each basis vector has a
-    1 in its defining free coordinate.  Over F_p the basis is the rows of
-    a float64 array of residues (test it with ``len``); over Q a list.
-    """
+    1 in its defining free coordinate.  The basis is the rows of an array
+    (test it with ``len``)."""
     e = echelon_from_rows(rows, field, width)
     pivots = e.pivots
     free = np.setdiff1d(np.arange(width), pivots)
-    p = field.characteristic
-    if not p:
-        basis = []
-        for j in free:
-            vec = [field.zero] * width
-            vec[j] = field.one
-            for pc, row in zip(pivots, e.rows):
-                if row[j]:
-                    vec[pc] = -row[j]
-            basis.append(vec)
-        return basis
     r_free = e._ordered(free)
     del e   # the basis goes before the kernel is allocated: a lower peak
-    kernel = np.zeros((len(free), width))
+    kernel = zeros(field, (len(free), width))
     kernel[np.arange(len(free)), free] = 1
-    kernel[:, pivots] = _residues(np.negative(r_free, out=r_free), p).T
+    kernel[:, pivots] = _residues(np.negative(r_free, out=r_free), field.characteristic).T
     return kernel

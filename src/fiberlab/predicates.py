@@ -182,7 +182,7 @@ def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     if last.is_zero():
         raise ValueError("the last form must be nonzero")
     power = ctx.power_gens(n)
-    dim = ctx.piece(power, n * d).dim
+    dim = ctx.piece(power, n * d).rank
     e = n * d + last.homogeneous_degree()
     multiples = ctx.products([last], n)
     rows = list(spanning_rows(multiples, e, ctx.ring))
@@ -229,11 +229,11 @@ def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
     gens, d = equigenerated_data(ctx)
     if any(f.homogeneous_degree() != d for f in fs.forms):
         raise ValueError(f"forms must be nonzero of the generating degree {d}")
-    if ctx.piece(fs.forms, d).dim != len(fs.forms):
+    if ctx.piece(fs.forms, d).rank != len(fs.forms):
         raise ValueError("forms are k-linearly dependent")
     l = len(fs.forms)
     mu = len(gens)
-    mu_ji = ctx.piece(ctx.products(fs.forms, 1), 2 * d).dim
+    mu_ji = ctx.piece(ctx.products(fs.forms, 1), 2 * d).rank
     expected = l * mu - comb(l, 2)
     if mu_ji > expected:
         raise AssertionError("adjustment upper bound violated")
@@ -253,7 +253,9 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
 
     The all-n verdict tests whether the images of the prefix (w-linear
     forms in the gr presentation) are a regular sequence on gr, each
-    step certified by the Hilbert-numerator identity; per-power piece
+    step certified by the Hilbert-numerator identity and cut on gr's
+    w-first copy (``ReesPresentation.w_first``), where the cuts are
+    cheaper and regularity is the same; per-power piece
     comparisons at degree n*d give explicit failure witnesses, and full
     ideal equality via elimination can be requested for small powers.
     """
@@ -268,13 +270,12 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     if fs_prefix.coefficients is None:
         raise ValueError("prefix forms must come with generator coordinates")
     pres = ctx.pres
-    big = pres.big_ring
-    split = pres.split
+    wring, _, wgr = pres.w_first
 
     # gr-route: cut gr by the images, demanding regularity at every step
-    images = [big.linear_form([big.field.zero] * split + list(row))
+    images = [wring.linear_form(list(row) + [wring.field.zero] * pres.split)
               for row in fs_prefix.coefficients]
-    regular = regular_prefix(pres.gr_ideal.groebner(), images)
+    regular = regular_prefix(wgr.groebner(), images)
     regular_all = regular == len(images)
     failed_at_step = None if regular_all else regular + 1
 
@@ -282,9 +283,9 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     first_failure = None
     for n in range(1, n_max + 1):
         power = ctx.power_gens(n)
-        lhs = (ctx.piece(power, n * d).dim
+        lhs = (ctx.piece(power, n * d).rank
                - ctx.quotient_rank(fs_prefix.forms, power, n * d))
-        rhs = ctx.piece(ctx.products(fs_prefix.forms, n - 1), n * d).dim
+        rhs = ctx.piece(ctx.products(fs_prefix.forms, n - 1), n * d).rank
         if lhs < rhs:
             raise AssertionError(f"VV piece check at n={n}: cap {lhs} below product {rhs}")
         per_n[n] = (lhs == rhs)

@@ -99,9 +99,9 @@ def certified_regularity(gens, ring, ceiling: int,
         raise ValueError("the regularity criterion needs the standard grading")
     rng = random.Random(f"regularity:{seed}")
     m = max([1] + [g.homogeneous_degree() for g in gens])
-    low = piece_span_of_polys(gens, m, ring).echelon
+    low = piece_span_of_polys(gens, m, ring)
     while m <= ceiling:
-        high = piece_span_of_polys(gens, m + 1, ring).echelon
+        high = piece_span_of_polys(gens, m + 1, ring)
         forms = _regular_forms(low.copy(), high.copy(), m, ring, rng)
         if forms is not None:
             return RegularityCertificate(m, forms)

@@ -100,11 +100,10 @@ def joint_rank(a, b):
     """dim of the sum of two graded pieces of one degree, from their
     echelons: the piece route that the tightness and Valabrega-Valla tests
     hold the quotient ranks of ``IdealContext.quotient_rank`` against."""
-    if a.degree != b.degree:
-        raise ValueError(f"pieces of degrees {a.degree} and {b.degree}")
-    residuals = (row for block in b.echelon.row_blocks()
-                 for row in a.echelon.reduce(block))
-    return a.dim + rank_of_rows(residuals, a.echelon.field, a.echelon.width)
+    if a.width != b.width:
+        raise ValueError(f"pieces of widths {a.width} and {b.width}")
+    residuals = (row for block in b.row_blocks() for row in a.reduce(block))
+    return a.rank + rank_of_rows(residuals, a.field, a.width)
 
 
 def divide_exact(g, f):

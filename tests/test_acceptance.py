@@ -309,8 +309,8 @@ def _rational_crosscheck() -> bool:
         fs = generic_forms(I, 2, f"qq:forms:{seed}")
         prefix_piece = piece_span_of_polys(fs.forms, 12, I.ring)
         ipiece = piece_span_of_polys(I2.generators, 12, I.ring)
-        lhs = prefix_piece.dim + ipiece.dim - joint_rank(prefix_piece, ipiece)
+        lhs = prefix_piece.rank + ipiece.rank - joint_rank(prefix_piece, ipiece)
         rhs = piece_span_of_polys([a * b for a in fs.forms for b in gens],
-                                  12, I.ring).dim
+                                  12, I.ring).rank
         ok &= lhs != rhs                 # VV fails at n=2 over QQ as well
     return ok

@@ -130,7 +130,7 @@ def test_relation_dims_formula(monomial4, binomial4, sixgen, sevengen):
                              tuple(a * b for a in powers[-1] for b in gens))
                 powers.append(prev.minimal_generators())
             formula = comb(m + n - 1, n) - piece_span_of_polys(
-                powers[n], n * d, ideal.ring).dim
+                powers[n], n * d, ideal.ring).rank
             assert fp.relation_piece_dim(n) == formula
 
 

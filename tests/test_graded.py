@@ -14,19 +14,19 @@ from fiberlab.polyring import Ring
 
 def test_piece_dims_basic(R3):
     x, y, z = (R3.variable(i) for i in range(3))
-    assert graded_piece(Ideal(R3, (x, y)), 1).dim == 2
-    assert graded_piece(Ideal(R3, (x, y)), 2).dim == 5
+    assert graded_piece(Ideal(R3, (x, y)), 1).rank == 2
+    assert graded_piece(Ideal(R3, (x, y)), 2).rank == 5
 
 
 def test_sixgen_piece_is_mu(sixgen):
-    assert graded_piece(sixgen, 6).dim == 6
+    assert graded_piece(sixgen, 6).rank == 6
 
 
 def test_square_piece_against_enumeration(sixgen):
     """dim [I^2]_12 for the monomial ideal, against direct enumeration of
     the degree-12 monomials lying in I^2."""
     sq = sixgen * sixgen
-    dim = graded_piece(sq, 12).dim
+    dim = graded_piece(sq, 12).rank
     ring = sixgen.ring
     gens = [ring.exponents(next(iter(g.terms))) for g in sixgen.generators]
     products = {tuple(a + b for a, b in zip(u, v)) for u in gens for v in gens}
@@ -147,9 +147,9 @@ def test_piece_monotone_and_subadditive(R3, rng):
         a = Ideal(R3, (f,))
         b = Ideal(R3, (f, g))
         for e in (3, 4):
-            da, db = graded_piece(a, e).dim, graded_piece(b, e).dim
+            da, db = graded_piece(a, e).rank, graded_piece(b, e).rank
             assert da <= db
-            dg = graded_piece(Ideal(R3, (g,)), e).dim
+            dg = graded_piece(Ideal(R3, (g,)), e).rank
             assert db <= da + dg
 
 

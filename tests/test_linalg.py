@@ -9,7 +9,15 @@ from fiberlab.linalg import Echelon, echelon_from_rows, nullspace, rank_of_rows
 
 
 def rref_rows(e):
-    return e.rows.astype(np.int64).tolist()
+    """The basis rows as lists: ints over F_p; over Q the exact entries
+    themselves, which must be Fractions or integer zeros, never floats."""
+    rows = e.rows
+    if e.field.characteristic:
+        return rows.astype(np.int64).tolist()
+    assert rows.dtype == object
+    assert all(type(v) is Fraction or v == 0 and type(v) is int
+               for row in rows for v in row)
+    return rows.tolist()
 
 
 def random_matrix(rng, rows, cols, p=None):
@@ -86,28 +94,34 @@ def test_membership_and_reduce():
 
 
 # ---------------------------------------------------------------------------
-# the block F_p kernel against plain Python Gauss-Jordan
+# the block kernel against plain Python Gauss-Jordan, over F_p and Q
 
 PRIMES = (5, 32003, 67108859)   # 67108859 is the largest prime below 2**26
+FIELDS = (*PRIMES, 0)           # 0: the rationals
+
+
+def field_of(p):
+    return GF(p) if p else QQ
 
 
 def oracle_insert(basis, row, p):
     """Insert ``row`` into ``basis`` (dict pivot -> RREF row) with Python
-    ints; True if the rank grew."""
-    row = [v % p for v in row]
+    ints mod p, or with Fractions over Q (p = 0); True if the rank grew."""
+    exact = (lambda v: v % p) if p else Fraction
+    row = [exact(v) for v in row]
     for pos, b in basis.items():
         c = row[pos]
         if c:
-            row = [(x - c * y) % p for x, y in zip(row, b)]
+            row = [exact(x - c * y) for x, y in zip(row, b)]
     pos = next((j for j, v in enumerate(row) if v), None)
     if pos is None:
         return False
-    inv = pow(row[pos], -1, p)
-    row = [v * inv % p for v in row]
+    inv = pow(row[pos], -1, p) if p else 1 / row[pos]
+    row = [exact(v * inv) for v in row]
     for q, b in basis.items():
         c = b[pos]
         if c:
-            basis[q] = [(x - c * y) % p for x, y in zip(b, row)]
+            basis[q] = [exact(x - c * y) for x, y in zip(b, row)]
     basis[pos] = row
     return True
 
@@ -119,25 +133,42 @@ def oracle_rref(rows, p):
     return [basis[q] for q in sorted(basis)], sorted(basis), flags
 
 
+def random_entry(rng, p):
+    return rng.randrange(p) if p else Fraction(rng.randrange(-9, 10), rng.randrange(1, 4))
+
+
 def low_rank_rows(rng, nrows, ncols, rank, p, zero_rows=0):
     """Rows of a random nrows x ncols matrix of rank <= rank, with some
-    rows replaced by zeros and some entries pushed to p - 1."""
-    left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
-    right = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(ncols)]
-             for _ in range(rank)]
-    rows = [[sum(a * b for a, b in zip(lr, col)) % p for col in zip(*right)]
+    rows replaced by zeros.  Over F_p some entries are pushed to p - 1.
+    Over Q (p = 0) both factors are Fractions with half their entries
+    zero, so that pivot rows have zero columns, and the rank is at most
+    12: RREF entries over Q grow with the rank (to 200 digits at rank 60),
+    and so does the oracle's time."""
+    if p:
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.choice((rng.randrange(p), p - 1)) for _ in range(ncols)]
+                 for _ in range(rank)]
+    else:
+        rank = min(rank, 12)
+        left = [[rng.choice((random_entry(rng, 0), 0)) for _ in range(rank)]
+                for _ in range(nrows)]
+        right = [[rng.choice((random_entry(rng, 0), 0)) for _ in range(ncols)]
+                 for _ in range(rank)]
+    rows = [[sum(a * b for a, b in zip(lr, col)) for col in zip(*right)]
             for lr in left]
+    if p:
+        rows = [[v % p for v in row] for row in rows]
     for i in rng.sample(range(nrows), zero_rows):
         rows[i] = [0] * ncols
     return rows
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", FIELDS)
 def test_block_kernel_matches_oracle(p):
     rng = random.Random(f"block-kernel:{p}")
-    field = GF(p)
+    field = field_of(p)
     # more rows than one block, rank-deficient, with zero rows; and a
-    # full-rank square case
+    # square case, of full rank over F_p
     for nrows, ncols, rank, zeros in ((150, 40, 23, 9), (70, 90, 60, 3), (30, 30, 30, 0)):
         rows = low_rank_rows(rng, nrows, ncols, rank, p, zeros)
         want_rows, want_pivots, want_flags = oracle_rref(rows, p)
@@ -150,15 +181,15 @@ def test_block_kernel_matches_oracle(p):
         for row in rows[:5]:
             assert e.contains(row)
             assert not e.reduce(row).any()
-        residual = e.reduce([[rng.randrange(p) for _ in range(ncols)]])
+        residual = e.reduce([[random_entry(rng, p) for _ in range(ncols)]])
         assert residual.shape == (1, ncols)
         assert all(residual[0, q] == 0 for q in want_pivots)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", FIELDS)
 def test_single_adds_mixed_with_extend(p):
     rng = random.Random(f"mixed:{p}")
-    field = GF(p)
+    field = field_of(p)
     rows = low_rank_rows(rng, 140, 50, 35, p, zero_rows=6)
     want_rows, want_pivots, want_flags = oracle_rref(rows, p)
     e = Echelon(field, 50)
@@ -177,33 +208,34 @@ def test_single_adds_mixed_with_extend(p):
 
 
 def test_copy_is_independent():
-    rng = random.Random("copy")
-    p = 32003
-    field = GF(p)
-    rows = low_rank_rows(rng, 100, 30, 20, p)
-    e = echelon_from_rows(rows[:70], field, 30)
-    before_rows, before_pivots = rref_rows(e), list(e.pivots)
-    other = e.copy()
-    assert other.extend(rows[70:]) == oracle_rref(rows, p)[2][70:]
-    other.add([rng.randrange(p) for _ in range(30)])
-    assert rref_rows(e) == before_rows
-    assert list(e.pivots) == before_pivots
-    assert rref_rows(other) == oracle_rref(rref_rows(other), p)[0]
+    for p in (32003, 0):
+        rng = random.Random("copy")
+        field = field_of(p)
+        rows = low_rank_rows(rng, 100, 30, 20, p)
+        e = echelon_from_rows(rows[:70], field, 30)
+        before_rows, before_pivots = rref_rows(e), list(e.pivots)
+        other = e.copy()
+        assert other.extend(rows[70:]) == oracle_rref(rows, p)[2][70:]
+        other.add([random_entry(rng, p) for _ in range(30)])
+        assert rref_rows(e) == before_rows
+        assert list(e.pivots) == before_pivots
+        assert rref_rows(other) == oracle_rref(rref_rows(other), p)[0]
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", FIELDS)
 def test_nullspace_of_transpose_view(p):
     rng = random.Random(f"kernel-view:{p}")
-    field = GF(p)
-    a = np.array(low_rank_rows(rng, 90, 45, 30, p, zero_rows=4), dtype=np.float64)
+    field = field_of(p)
+    rows = low_rank_rows(rng, 90, 45, 30, p, zero_rows=4)
+    a = np.array(rows, dtype=np.float64 if p else object)
     kernel = nullspace(a.T, field, 90)      # left kernel of a, from a view
-    rref, pivots, _ = oracle_rref(a.astype(np.int64).T.tolist(), p)
+    rref, pivots, _ = oracle_rref([list(col) for col in zip(*rows)], p)
     want = []
     for j in (j for j in range(90) if j not in pivots):
         vec = [0] * 90
         vec[j] = 1
         for q, row in zip(pivots, rref):
-            vec[q] = -row[j] % p
+            vec[q] = -row[j] % p if p else -row[j]
         want.append(vec)
-    assert kernel.astype(np.int64).tolist() == want
+    assert (kernel.astype(np.int64) if p else kernel).tolist() == want
     assert len(want) == 90 - len(pivots)

@@ -154,7 +154,7 @@ def colon_oracle_caps(ideal, prefix, last, n):
     caps = []
     for sub in (colon(prefix_ideal, last), prefix_ideal):
         piece = graded_piece(sub, 2 * n)
-        caps.append(piece.dim + ipiece.dim - joint_rank(piece, ipiece))
+        caps.append(piece.rank + ipiece.rank - joint_rank(piece, ipiece))
     return tuple(caps)
 
 
@@ -211,7 +211,7 @@ def test_adjusted_monomial4_triple_with_oracle(monomial4):
     # brute oracle: dim of the span of the 12 products in degree 4
     from fiberlab.graded import piece_span_of_polys
     prods = [a * b for a in fs.forms for b in monomial4.generators]
-    assert piece_span_of_polys(prods, 4, monomial4.ring).dim == 9
+    assert piece_span_of_polys(prods, 4, monomial4.ring).rank == 9
     # consistent with the theory: the fiber is a CM hypersurface and the
     # triple generates a minimal reduction, which forces adjustment
     fp = fiber_presentation(monomial4)
@@ -335,8 +335,8 @@ def piece_route_caps(ideal, prefix, last, n):
     multiples = piece_span_of_polys([last * g for g in power], e, ideal.ring)
     high = piece_span_of_polys(prefix, e, ideal.ring)
     low = piece_span_of_polys(prefix, n * d, ideal.ring)
-    return (ipiece.dim + high.dim - joint_rank(high, multiples),
-            low.dim + ipiece.dim - joint_rank(low, ipiece))
+    return (ipiece.rank + high.rank - joint_rank(high, multiples),
+            low.rank + ipiece.rank - joint_rank(low, ipiece))
 
 
 @pytest.mark.parametrize("field,count,n_max", [(GF(32003), 3, 3), (QQ, 2, 2)],
@@ -363,11 +363,11 @@ def test_caps_match_piece_route(field, count, n_max):
                 power = ctx.power_gens(n)
                 ppiece = piece_span_of_polys(fs.forms[:g], n * d, ideal.ring)
                 ipiece = piece_span_of_polys(power, n * d, ideal.ring)
-                rank = joint_rank(ppiece, ipiece) - ppiece.dim
+                rank = joint_rank(ppiece, ipiece) - ppiece.rank
                 assert ctx.quotient_rank(fs.forms[:g], power, n * d) == rank
-                lhs = ipiece.dim - rank
+                lhs = ipiece.rank - rank
                 rhs = piece_span_of_polys(ctx.products(fs.forms[:g], n - 1), n * d,
-                                          ideal.ring).dim
+                                          ideal.ring).rank
                 assert vv.certificate["per_power"][str(n)] == (lhs == rhs)
 
 

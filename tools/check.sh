@@ -4,9 +4,11 @@
 #      real errors, which `python -O` does not strip; no top-level
 #      function or class of the package that is named nowhere but at its
 #      own definition, in the Python and shell files of src/, tests/,
-#      perfbench/ and tools/; and no imported name that its module in
-#      src/ or tests/ never reads (a name in `__all__` or in a quoted
-#      annotation counts as read);
+#      perfbench/ and tools/; no imported name that its module in src/
+#      or tests/ never reads (a name in `__all__` or in a quoted
+#      annotation counts as read); and no module of the package but
+#      linalg.py that imports numpy, so that the rows of both fields stay
+#      behind that one module;
 #   1. the tier-1 suite, printing its ten slowest tests (ROADMAP's target
 #      is the whole suite under 60 s);
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
@@ -31,6 +33,15 @@ bare = [f"{path}:{node.lineno}" for path in paths
         if isinstance(node, ast.Assert)]
 if bare:
     sys.exit("bare assert in the package:\n  " + "\n  ".join(bare))
+numpy_users = [f"{path}:{node.lineno}" for path in paths
+               if path != pathlib.Path("src/fiberlab/linalg.py")
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if any(name.split(".")[0] == "numpy" for name in
+                      ([a.name for a in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                       else []))]
+if numpy_users:
+    sys.exit("numpy imported outside linalg.py:\n  " + "\n  ".join(numpy_users))
 files = [p for d in ("src", "tests", "perfbench", "tools")
          for p in sorted(pathlib.Path(d).rglob("*")) if p.suffix in (".py", ".sh")]
 lines = [(path, k, line) for path in files
