@@ -23,7 +23,7 @@ from .groebner import (GREVLEX, GroebnerBasis, eliminate, extend_basis,
                        normal_form_matrix)
 from .hilbert import HilbertSeries, series_of_basis
 from .ideals import Ideal
-from .linalg import Echelon, negated_product, rank_of_rows
+from .linalg import negated_product, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
                           minimal_resolution)
@@ -112,9 +112,11 @@ class IdealContext:
     Every routine below that takes an ideal also takes its context
     (``IdealContext.of`` wraps a bare ideal in a fresh one), so a report
     that passes one context around builds the minimal generators, the
-    powers I^n, the graded pieces, the ideals of prefix forms with their
-    normal-form matrices, the fiber and Rees presentations, the
-    resolution of R/I, the CM reports and the analytic spread once.
+    powers I^n, the ideals of prefix forms with their normal-form
+    matrices, the ranks of degree pieces (``rank``), the fiber and Rees
+    presentations, the resolution of R/I, the CM reports and the analytic
+    spread once.  It keeps ranks, not pieces: dim_k [I^n]_{nd} is
+    ``len(power_gens(n))``.
     ``label`` names the ideal in the seeds of its randomized tests.
     With ``bounded`` the Rees elimination is out of budget: ``fp``,
     ``pres`` and the CM reports are None and the spread comes from the
@@ -130,10 +132,9 @@ class IdealContext:
         self.cutoff = cutoff
         self.bounded = bounded
         self._powers = None
-        self._pieces = {}
         self._forms_ideals = {}
         self._nf_matrices = {}
-        self._quotient_ranks = {}
+        self._ranks = {}
 
     @classmethod
     def of(cls, ideal) -> "IdealContext":
@@ -163,17 +164,6 @@ class IdealContext:
         I^r: they generate the ideal (forms)·I^r."""
         return [a * b for a in forms for b in self.power_gens(r)]
 
-    def piece(self, polys, degree: int) -> Echelon:
-        """Degree piece of the ideal the polynomials generate, memoized on
-        (polynomials, degree), as its echelon.  The result is shared: copy
-        it before changing it."""
-        key = (tuple(polys), degree)
-        piece = self._pieces.get(key)
-        if piece is None:
-            piece = self._pieces[key] = piece_span_of_polys(key[0], degree,
-                                                            self.ring)
-        return piece
-
     def forms_ideal(self, forms) -> Ideal:
         """The ideal the forms generate, memoized on the forms with its
         Groebner basis: the prefix ideal P of tightness and
@@ -184,36 +174,42 @@ class IdealContext:
             ideal = self._forms_ideals[key] = Ideal(self.ring, key)
         return ideal
 
-    def quotient_rank(self, forms, polys, degree: int, rows=None) -> int:
-        """Rank of the images of ``polys``, each of degree ``degree``, in
-        S_e / [P]_e for P the ideal of ``forms`` and e = ``degree``: the
-        rank of their coefficient rows times the normal-form matrix of
-        P's basis in that degree (``groebner.normal_form_matrix``), so no
-        piece of P is built.  A caller that already holds the rows
-        (``graded.spanning_rows`` of ``polys``) passes them.  Memoized on
-        (forms, polys, degree), the matrix on (forms, degree)."""
-        key = (tuple(forms), tuple(polys), degree)
-        rank = self._quotient_ranks.get(key)
+    def rank(self, polys, degree: int, modulo=()) -> int:
+        """Rank of the coefficient rows of ``polys``, each of degree e =
+        ``degree``, in S_e / [P]_e for P the ideal of the forms ``modulo``:
+        with no forms, the rank in S_e (``graded.piece_span_of_polys``);
+        otherwise the rank of the rows times the normal-form matrix of P's
+        basis in that degree (``groebner.normal_form_matrix``), so no piece
+        of P is built.  Memoized on (polys, degree, modulo), the matrix on
+        (modulo, degree)."""
+        polys, modulo = tuple(polys), tuple(modulo)
+        key = (polys, degree, modulo)
+        rank = self._ranks.get(key)
         if rank is None:
-            if any(f.homogeneous_degree() != degree for f in key[1]):
-                raise ValueError(f"quotient rank needs forms of degree {degree}")
-            nf = self._nf_matrices.get((key[0], degree))
-            if nf is None:
-                nf = self._nf_matrices[key[0], degree] = normal_form_matrix(
-                    self.forms_ideal(key[0]).groebner(), degree)
-            field = self.ring.field
-            if rows is None:
-                rows = list(spanning_rows(key[1], degree, self.ring))
-            images = negated_product(rows, nf[0], field)
-            rank = self._quotient_ranks[key] = rank_of_rows(images, field, len(nf[1]))
+            if any(f.homogeneous_degree() != degree for f in polys):
+                raise ValueError(f"rank needs polynomials of degree {degree}")
+            if modulo:
+                nf = self._nf_matrices.get((modulo, degree))
+                if nf is None:
+                    nf = self._nf_matrices[modulo, degree] = normal_form_matrix(
+                        self.forms_ideal(modulo).groebner(), degree)
+                field = self.ring.field
+                images = negated_product(list(spanning_rows(polys, degree, self.ring)),
+                                         nf[0], field)
+                rank = rank_of_rows(images, field, len(nf[1]))
+            else:
+                rank = piece_span_of_polys(polys, degree, self.ring).rank
+            self._ranks[key] = rank
         return rank
 
     def relation_dim(self, n: int) -> int:
         """dim_k [Q]_n.  The fiber is k[I_d], whose degree-n piece is
-        [I^n]_{nd}, so this is C(mu+n-1, n) - dim_k [I^n]_{nd}; checked
-        against the eliminated presentation when the plan builds one."""
-        gens, d = equigenerated_data(self)
-        dim = comb(len(gens) + n - 1, n) - self.piece(self.power_gens(n), n * d).rank
+        [I^n]_{nd}, so this is C(mu+n-1, n) - mu(I^n): the minimal
+        generators of I^n, all of degree nd, are a basis of [I^n]_{nd}.
+        Checked against the eliminated presentation when the plan builds
+        one."""
+        gens = equigenerated_data(self)[0]
+        dim = comb(len(gens) + n - 1, n) - len(self.power_gens(n))
         if self.fp is not None:
             eliminated = self.fp.relation_piece_dim(n)
             if dim != eliminated:
@@ -222,16 +218,15 @@ class IdealContext:
         return dim
 
     def forget(self):
-        """Drop the memoized powers, pieces, forms ideals, normal-form
-        matrices and quotient ranks.  A report calls this between stages
-        that share none of them, so that one seed's pieces and the high
-        powers of a reduction search do not stay in memory while the next
-        stage runs; all are cheap to build again."""
+        """Drop the memoized powers, forms ideals, normal-form matrices and
+        ranks.  A report calls this between stages that share none of
+        them, so that one seed's prefix ideals and the high powers of a
+        reduction search do not stay in memory while the next stage runs;
+        all are cheap to build again."""
         self._powers = None
-        self._pieces.clear()
         self._forms_ideals.clear()
         self._nf_matrices.clear()
-        self._quotient_ranks.clear()
+        self._ranks.clear()
 
     @cached_property
     def fp(self) -> "FiberPresentation | None":
@@ -320,7 +315,7 @@ def fiber_presentation(ideal) -> FiberPresentation:
 
 def fiber_truncated(ideal, n_max: int) -> dict:
     """{n: dim_k [Q]_n for 1 <= n <= n_max}, the fiber relations known
-    through degree n_max, read off the pieces [I^n]_{nd}
+    through degree n_max, read off mu(I^n) = dim_k [I^n]_{nd}
     (``IdealContext.relation_dim``) without an elimination."""
     ctx = IdealContext.of(ideal)
     return {n: ctx.relation_dim(n) for n in range(1, n_max + 1)}
@@ -509,13 +504,7 @@ def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
     elif len(forms) != spread:
         raise ValueError("a minimal reduction needs analytic-spread many forms")
     for r in range(0, r_max + 1):
-        degree = (r + 1) * d
-        target = ctx.piece(ctx.power_gens(r + 1), degree)
-        jpart = ctx.piece(ctx.products(forms, r), degree)
-        if jpart.rank == target.rank:
+        if ctx.rank(ctx.products(forms, r), (r + 1) * d) == len(ctx.power_gens(r + 1)):
             return ReductionData(forms, str(seed), r, True, spread, d)
     return ReductionData(forms, str(seed), None, False, spread, d)
 
-
-def fiber_multiplicity(ideal) -> int:
-    return IdealContext.of(ideal).fp.multiplicity()

@@ -5,7 +5,7 @@ Each entry carries an input file, a per-entry computation plan (see
 ``entry_report``; the 6x5-matrix entry runs the bounded plan: its Rees
 elimination, from which the fiber presentation is read, is out of
 budget, so the analytic spread comes from the Jacobian squeeze; every
-plan reads the relation dimensions off the pieces [I^n]_{nd}), and a
+plan reads the relation dimensions off mu(I^n) = dim_k [I^n]_{nd}), and a
 golden record whose values are tagged literature / trivial / derived.
 """
 
@@ -115,12 +115,13 @@ def entry_report(entry: CorpusEntry, ideal: Ideal, seeds=DEFAULT_SEEDS,
     - ``basic``: the invariants read off the fiber and Rees presentations
       (analytic spread, fiber multiplicity, reduction numbers, fiber and
       Rees CM verdicts), and the relation dimensions and indeg read off
-      the pieces [I^n]_{nd} and checked against the fiber presentation;
+      mu(I^n) = dim_k [I^n]_{nd} and checked against the fiber
+      presentation;
     - ``full``: basic, plus the fiber resolution, the depth, grade and
       codimension values, the seeded tight / VV / adjusted predicates and
       the formula checks;
-    - ``bounded-blowup``: relation dimensions and indeg from the pieces
-      [I^n]_{nd} alone, the Jacobian spread, a capped reduction search,
+    - ``bounded-blowup``: relation dimensions and indeg from mu(I^n)
+      alone, the Jacobian spread, a capped reduction search,
       the seeded tight / adjusted predicates and the formula checks.
     """
     ctx = IdealContext(ideal, entry.id, trials=trials, cutoff=cutoff,

@@ -157,9 +157,6 @@ class PresentationMatrix:
     def ncols(self):
         return len(self.column_degrees)
 
-    def column(self, k):
-        return [self.matrix[i][k] for i in range(self.nrows)]
-
 
 def syzygies_degreewise(columns, codomain_degrees, ring: Ring, max_degree: int):
     """Minimal generating syzygies among module elements, up to max_degree.

@@ -159,10 +159,6 @@ class Echelon:
         """Basis rows in pivot order, as a new array."""
         return self._ordered(np.arange(self.width))
 
-    def row_blocks(self):
-        """The basis rows in blocks, in no fixed order; shared, not copied."""
-        return iter(self._panels)
-
     def _insertion_pivots(self) -> np.ndarray:
         return np.concatenate([np.zeros(0, dtype=np.intp), *self._panel_pivots])
 
@@ -217,9 +213,6 @@ class Echelon:
         if not blocks:
             return zeros(self.field, (0, self.width))
         return np.concatenate(blocks)
-
-    def contains(self, vec) -> bool:
-        return not np.any(self.reduce(vec))
 
     def add(self, vec) -> bool:
         """Insert ``vec``; returns True if the rank grew."""

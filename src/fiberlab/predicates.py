@@ -6,18 +6,19 @@ associated graded ring), generic complete intersections, perfectness
 with Hilbert-Burch data, and the multiplicity / map-degree formulas.
 
 Each predicate takes an ideal or its ``IdealContext``; called with the
-report's context, it reuses the powers, pieces, presentations and
-quotient ranks that the other predicates built.
+report's context, it reuses the powers, presentations and ranks that the
+other predicates built.
 
 Tightness in power n compares the colon cap [(P : f) cap I^n]_{nd} with
 the plain cap [P cap I^n]_{nd}, for P the prefix ideal and f the last
 form.  Both are kernels of maps out of V = [I^n]_{nd} into the quotient
 A = S/P: the colon cap of g -> f*g into A_{nd+e}, e = deg f, the plain
 cap of the projection into A_{nd}.  So each is dim V minus a rank read
-in A (``IdealContext.quotient_rank``, from one Groebner basis of P and
-one normal-form matrix per degree), and no piece of P is built; the
+in A (``IdealContext.rank`` modulo P, from one Groebner basis of P and
+one normal-form matrix per degree), and no piece of P is built; dim V
+is mu(I^n), the number of minimal generators of I^n.  The
 Valabrega-Valla cap [P cap I^n]_{nd} is the plain cap of its own prefix
-(D4 and D7 in docs/decisions.md).
+(D4, D7 and D9 in docs/decisions.md).
 """
 
 from __future__ import annotations
@@ -29,9 +30,7 @@ from math import comb
 from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
                      minimal_reduction, random_forms_in_degree)
 from .depth import regular_prefix
-from .graded import spanning_rows
 from .ideals import Ideal
-from .linalg import rank_of_rows
 from .polyring import Ring, fresh_names
 
 
@@ -182,14 +181,13 @@ def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     if last.is_zero():
         raise ValueError("the last form must be nonzero")
     power = ctx.power_gens(n)
-    dim = ctx.piece(power, n * d).rank
+    dim = len(power)
     e = n * d + last.homogeneous_degree()
     multiples = ctx.products([last], n)
-    rows = list(spanning_rows(multiples, e, ctx.ring))
-    if rank_of_rows(rows, ctx.ring.field, ctx.ring.dim_of_degree(e)) != dim:
+    if ctx.rank(multiples, e) != dim:
         raise AssertionError("multiplication by the last form must be injective")
-    lhs = dim - ctx.quotient_rank(prefix, multiples, e, rows)
-    rhs = dim - ctx.quotient_rank(prefix, power, n * d)
+    lhs = dim - ctx.rank(multiples, e, prefix)
+    rhs = dim - ctx.rank(power, n * d, prefix)
     if lhs < rhs:
         raise AssertionError("colon cap must contain the plain cap")
     return PredicateReport(
@@ -229,11 +227,11 @@ def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
     gens, d = equigenerated_data(ctx)
     if any(f.homogeneous_degree() != d for f in fs.forms):
         raise ValueError(f"forms must be nonzero of the generating degree {d}")
-    if ctx.piece(fs.forms, d).rank != len(fs.forms):
+    if ctx.rank(fs.forms, d) != len(fs.forms):
         raise ValueError("forms are k-linearly dependent")
     l = len(fs.forms)
     mu = len(gens)
-    mu_ji = ctx.piece(ctx.products(fs.forms, 1), 2 * d).rank
+    mu_ji = ctx.rank(ctx.products(fs.forms, 1), 2 * d)
     expected = l * mu - comb(l, 2)
     if mu_ji > expected:
         raise AssertionError("adjustment upper bound violated")
@@ -283,9 +281,8 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     first_failure = None
     for n in range(1, n_max + 1):
         power = ctx.power_gens(n)
-        lhs = (ctx.piece(power, n * d).rank
-               - ctx.quotient_rank(fs_prefix.forms, power, n * d))
-        rhs = ctx.piece(ctx.products(fs_prefix.forms, n - 1), n * d).rank
+        lhs = len(power) - ctx.rank(power, n * d, fs_prefix.forms)
+        rhs = ctx.rank(ctx.products(fs_prefix.forms, n - 1), n * d)
         if lhs < rhs:
             raise AssertionError(f"VV piece check at n={n}: cap {lhs} below product {rhs}")
         per_n[n] = (lhs == rhs)

@@ -99,11 +99,10 @@ def recheck_regularity(gens, ring, certificate):
 def joint_rank(a, b):
     """dim of the sum of two graded pieces of one degree, from their
     echelons: the piece route that the tightness and Valabrega-Valla tests
-    hold the quotient ranks of ``IdealContext.quotient_rank`` against."""
+    hold the ranks of ``IdealContext.rank`` modulo a prefix against."""
     if a.width != b.width:
         raise ValueError(f"pieces of widths {a.width} and {b.width}")
-    residuals = (row for block in b.row_blocks() for row in a.reduce(block))
-    return a.rank + rank_of_rows(residuals, a.field, a.width)
+    return a.rank + rank_of_rows(a.reduce(b.rows), a.field, a.width)
 
 
 def divide_exact(g, f):

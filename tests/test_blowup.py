@@ -1,14 +1,15 @@
-from math import comb
+from itertools import combinations_with_replacement
+from math import comb, prod
 
 import pytest
 
 from fiberlab.blowup import (FiberPresentation, IdealContext, equigenerated_data,
-                             fiber_presentation, fiber_truncated,
-                             fiber_multiplicity, is_cm_graded,
+                             fiber_presentation, fiber_truncated, is_cm_graded,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
 from fiberlab.corpus import CORPUS, load_entry_ideal
 from fiberlab.depth import graded_depth
+from fiberlab.graded import piece_span_of_polys
 from fiberlab.groebner import eliminate
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
@@ -19,7 +20,7 @@ def test_complete_intersection_fiber(R3):
     fp = fiber_presentation(Ideal(R3, (x, y)))
     assert fp.relations.is_zero()
     assert fp.analytic_spread() == 2
-    assert fiber_multiplicity(Ideal(R3, (x, y))) == 1
+    assert IdealContext(Ideal(R3, (x, y))).fp.multiplicity() == 1
 
 
 def test_monomial4_quadric(monomial4):
@@ -132,6 +133,26 @@ def test_relation_dims_formula(monomial4, binomial4, sixgen, sevengen):
             formula = comb(m + n - 1, n) - piece_span_of_polys(
                 powers[n], n * d, ideal.ring).rank
             assert fp.relation_piece_dim(n) == formula
+
+
+def test_power_gens_count_is_piece_dimension(R3, R3q, binomial4):
+    """mu(I^n) = dim_k [I^n]_{nd} for equigenerated I, the identity every
+    read of that dimension relies on: the rank of all raw products
+    f_{i1}...f_{in} of the generators, which span [I^n]_{nd}, against the
+    number of minimal generators of I^n; on the six equigenerated corpus
+    ideals and binomial4 over QQ."""
+    ctxs = [IdealContext(load_entry_ideal(e)) for e in CORPUS]
+    ctxs = [ctx for ctx in ctxs if ctx.degree is not None]
+    assert len(ctxs) == 6
+    ctxs.append(IdealContext(Ideal(R3q, tuple(R3.embed(g, R3q)
+                                              for g in binomial4.generators))))
+    for ctx in ctxs:
+        ring = ctx.ring
+        for n in range(1, 4):
+            raw = [prod(c, start=ring.one())
+                   for c in combinations_with_replacement(ctx.ideal.generators, n)]
+            assert len(ctx.power_gens(n)) == piece_span_of_polys(
+                raw, n * ctx.degree, ring).rank
 
 
 def test_spread_bounds(monomial4, sixgen, sevengen):

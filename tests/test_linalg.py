@@ -88,8 +88,8 @@ def test_membership_and_reduce():
     e = Echelon(field, 3)
     e.add([1, 2, 3])
     e.add([0, 1, 1])
-    assert e.contains([1, 3, 4])
-    assert not e.contains([0, 0, 1])
+    assert not e.reduce([1, 3, 4]).any()
+    assert e.reduce([0, 0, 1]).any()
     assert e.rank == 2
 
 
@@ -179,7 +179,6 @@ def test_block_kernel_matches_oracle(p):
         assert list(e.pivots) == want_pivots
         assert rank_of_rows(np.array(rows), field, ncols) == len(want_pivots)
         for row in rows[:5]:
-            assert e.contains(row)
             assert not e.reduce(row).any()
         residual = e.reduce([[random_entry(rng, p) for _ in range(ncols)]])
         assert residual.shape == (1, ncols)

@@ -4,7 +4,8 @@ from math import comb
 
 import pytest
 
-from fiberlab.blowup import IdealContext, fiber_presentation, is_cm_graded
+from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
+                             minimal_reduction)
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
 from fiberlab.graded import piece_span_of_polys
@@ -364,11 +365,15 @@ def test_caps_match_piece_route(field, count, n_max):
                 ppiece = piece_span_of_polys(fs.forms[:g], n * d, ideal.ring)
                 ipiece = piece_span_of_polys(power, n * d, ideal.ring)
                 rank = joint_rank(ppiece, ipiece) - ppiece.rank
-                assert ctx.quotient_rank(fs.forms[:g], power, n * d) == rank
+                assert ctx.rank(power, n * d, fs.forms[:g]) == rank
                 lhs = ipiece.rank - rank
-                rhs = piece_span_of_polys(ctx.products(fs.forms[:g], n - 1), n * d,
-                                          ideal.ring).rank
+                products = ctx.products(fs.forms[:g], n - 1)
+                rhs = piece_span_of_polys(products, n * d, ideal.ring).rank
+                assert ctx.rank(products, n * d) == rhs
                 assert vv.certificate["per_power"][str(n)] == (lhs == rhs)
+                for modulo in ((), fs.forms[:g]):
+                    with pytest.raises(ValueError, match="degree"):
+                        ctx.rank(power, n * d + 1, modulo)
 
 
 def test_caps_of_empty_prefix(binomial4):
@@ -384,15 +389,25 @@ def test_caps_of_empty_prefix(binomial4):
 
 
 def test_forget_clears_quotient_memos(binomial4):
+    """Every memo of the context, each dict-valued private attribute and
+    the powers, is filled by tightness, Valabrega-Valla and a reduction
+    search and emptied by ``forget()``: a memo added later cannot escape
+    it."""
     ctx = IdealContext(binomial4)
     fs = generic_forms(ctx, 3, "forget:1")
     tight_profile(ctx, fs, 2)
     valabrega_valla(ctx, FormSequence(fs.forms[:2], fs.provenance, fs.coefficients[:2]), 2)
+    minimal_reduction(ctx, seed="forget:red")
     assert ctx.forms_ideal(fs.forms[:2]) is ctx.forms_ideal(fs.forms[:2])
-    memos = (ctx._forms_ideals, ctx._nf_matrices, ctx._quotient_ranks)
-    assert all(memos)
+
+    def memos():
+        return {name: value for name, value in vars(ctx).items()
+                if name == "_powers" or (name.startswith("_") and isinstance(value, dict))}
+
+    assert {"_powers", "_ranks"} <= memos().keys()
+    assert all(memos().values())
     ctx.forget()
-    assert not any(memos)
+    assert not any(memos().values())
 
 
 # ---------------------------------------------------------------------------

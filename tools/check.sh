@@ -3,12 +3,13 @@
 #   0. no bare `assert` statement in the package: its self-checks raise
 #      real errors, which `python -O` does not strip; no top-level
 #      function or class of the package that is named nowhere but at its
-#      own definition, in the Python and shell files of src/, tests/,
-#      perfbench/ and tools/; no imported name that its module in src/
-#      or tests/ never reads (a name in `__all__` or in a quoted
-#      annotation counts as read); and no module of the package but
-#      linalg.py that imports numpy, so that the rows of both fields stay
-#      behind that one module;
+#      own definition, and no method (dunder names aside) of a package
+#      class that is never read as an attribute (`.name`), in the Python
+#      and shell files of src/, tests/, perfbench/ and tools/; no imported
+#      name that its module in src/ or tests/ never reads (a name in
+#      `__all__` or in a quoted annotation counts as read); and no module
+#      of the package but linalg.py that imports numpy, so that the rows
+#      of both fields stay behind that one module;
 #   1. the tier-1 suite, printing its ten slowest tests (ROADMAP's target
 #      is the whole suite under 60 s);
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
@@ -46,6 +47,7 @@ files = [p for d in ("src", "tests", "perfbench", "tools")
          for p in sorted(pathlib.Path(d).rglob("*")) if p.suffix in (".py", ".sh")]
 lines = [(path, k, line) for path in files
          for k, line in enumerate(path.read_text().splitlines(), 1)]
+text = "\n".join(line for p, k, line in lines)
 dead = []
 for path in paths:
     for node in ast.parse(path.read_text(), str(path)).body:
@@ -54,6 +56,12 @@ for path in paths:
             if not any(word.search(line) for p, k, line in lines
                        if (p, k) != (path, node.lineno)):
                 dead.append(f"{path}:{node.lineno} {node.name}")
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not re.fullmatch(r"__\w+__", item.name)
+                        and not re.search(rf"\.{item.name}\b", text)):
+                    dead.append(f"{path}:{item.lineno} {node.name}.{item.name}")
 if dead:
     sys.exit("named only at its definition:\n  " + "\n  ".join(dead))
 unused = []
