@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .graded import piece_span_of_polys, spanning_rows
+from .graded import degree_basis, product_rows
 from .groebner import (GREVLEX, GroebnerBasis, eliminate, extend_basis,
                        normal_form_matrix)
 from .hilbert import HilbertSeries, series_of_basis
 from .ideals import Ideal
-from .linalg import negated_product, rank_of_rows
+from .linalg import independent_rows, negated_product, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
                           minimal_resolution)
@@ -113,10 +113,10 @@ class IdealContext:
     (``IdealContext.of`` wraps a bare ideal in a fresh one), so a report
     that passes one context around builds the minimal generators, the
     powers I^n, the ideals of prefix forms with their normal-form
-    matrices, the ranks of degree pieces (``rank``), the fiber and Rees
+    matrices, the ranks of product pieces (``rank``), the fiber and Rees
     presentations, the resolution of R/I, the CM reports and the analytic
-    spread once.  It keeps ranks, not pieces: dim_k [I^n]_{nd} is
-    ``len(power_gens(n))``.
+    spread once.  It keeps I^n as coefficient rows (``power_rows``) and
+    product pieces as ranks: dim_k [I^n]_{nd} is ``len(power_rows(n))``.
     ``label`` names the ideal in the seeds of its randomized tests.
     With ``bounded`` the Rees elimination is out of budget: ``fp``,
     ``pres`` and the CM reports are None and the spread comes from the
@@ -135,6 +135,7 @@ class IdealContext:
         self._forms_ideals = {}
         self._nf_matrices = {}
         self._ranks = {}
+        self._rows = {}
 
     @classmethod
     def of(cls, ideal) -> "IdealContext":
@@ -150,19 +151,23 @@ class IdealContext:
         degs = {g.homogeneous_degree() for g in self.mingens}
         return degs.pop() if len(degs) == 1 else None
 
-    def power_gens(self, n: int) -> list:
-        """Minimal generators of I^n (I^0 = (1)), built incrementally."""
-        if self._powers is None:
-            self._powers = [[self.ring.one()], list(self.mingens)]
+    def power_rows(self, n: int):
+        """A basis of [I^n]_{nd} as coefficient rows over
+        ``degree_basis(ring, nd)`` (I^0 = (1)), built incrementally: the
+        rows among g*b, for the minimal generators g and the rows b of
+        I^{n-1}, that are independent of those before them.  The minimal
+        generators of the equigenerated I^n are a basis of [I^n]_{nd}, so
+        mu(I^n) is their count."""
+        d = equigenerated_data(self)[1]
+        ring = self.ring
+        if self._powers is None:    # I^0: the row of 1 in S_0
+            self._powers = [product_rows([ring.one()], [[ring.field.one]], 0, ring)]
         while len(self._powers) <= n:
-            prod = tuple(a * b for a in self._powers[-1] for b in self.mingens)
-            self._powers.append(Ideal(self.ring, prod).minimal_generators())
+            r = len(self._powers) - 1
+            blocks = (product_rows([g], self._powers[r], r * d, ring) for g in self.mingens)
+            self._powers.append(independent_rows(
+                blocks, ring.field, len(degree_basis(ring, (r + 1) * d)[0])))
         return self._powers[n]
-
-    def products(self, forms, r: int) -> list:
-        """The products f*g of the forms with the minimal generators g of
-        I^r: they generate the ideal (forms)·I^r."""
-        return [a * b for a in forms for b in self.power_gens(r)]
 
     def forms_ideal(self, forms) -> Ideal:
         """The ideal the forms generate, memoized on the forms with its
@@ -174,31 +179,40 @@ class IdealContext:
             ideal = self._forms_ideals[key] = Ideal(self.ring, key)
         return ideal
 
-    def rank(self, polys, degree: int, modulo=()) -> int:
-        """Rank of the coefficient rows of ``polys``, each of degree e =
-        ``degree``, in S_e / [P]_e for P the ideal of the forms ``modulo``:
-        with no forms, the rank in S_e (``graded.piece_span_of_polys``);
-        otherwise the rank of the rows times the normal-form matrix of P's
-        basis in that degree (``groebner.normal_form_matrix``), so no piece
-        of P is built.  Memoized on (polys, degree, modulo), the matrix on
-        (modulo, degree)."""
-        polys, modulo = tuple(polys), tuple(modulo)
-        key = (polys, degree, modulo)
+    def rank(self, forms, r: int, modulo=()) -> int:
+        """Rank of the coefficient rows of (forms)·[I^r], the products of
+        the forms, nonzero of one degree, with ``power_rows(r)``
+        (``graded.product_rows``), in S_e / [P]_e for e the degree of the
+        products and P the ideal of the forms ``modulo``: with no such
+        forms, the rank in S_e; otherwise the rank of the rows times the
+        normal-form matrix of P's basis in degree e
+        (``groebner.normal_form_matrix``), so no piece of P is built.
+        (1)·[I^r] is [I^r] itself, and no forms give rank 0.  Memoized on
+        (forms, r, modulo), the matrix on (modulo, e), and the rows of the
+        last (forms, r): tightness ranks them with and without its
+        prefix."""
+        forms, modulo = tuple(forms), tuple(modulo)
+        if not forms:
+            return 0
+        key = (forms, r, modulo)
         rank = self._ranks.get(key)
         if rank is None:
-            if any(f.homogeneous_degree() != degree for f in polys):
-                raise ValueError(f"rank needs polynomials of degree {degree}")
+            ring, field = self.ring, self.ring.field
+            d = equigenerated_data(self)[1]
+            rows = self._rows.get((forms, r))
+            if rows is None:
+                self._rows.clear()
+                rows = self._rows[forms, r] = product_rows(
+                    forms, self.power_rows(r), r * d, ring)
+            e = r * d + forms[0].homogeneous_degree()
             if modulo:
-                nf = self._nf_matrices.get((modulo, degree))
+                nf = self._nf_matrices.get((modulo, e))
                 if nf is None:
-                    nf = self._nf_matrices[modulo, degree] = normal_form_matrix(
-                        self.forms_ideal(modulo).groebner(), degree)
-                field = self.ring.field
-                images = negated_product(list(spanning_rows(polys, degree, self.ring)),
-                                         nf[0], field)
-                rank = rank_of_rows(images, field, len(nf[1]))
+                    nf = self._nf_matrices[modulo, e] = normal_form_matrix(
+                        self.forms_ideal(modulo).groebner(), e)
+                rank = rank_of_rows(negated_product(rows, nf[0], field), field, len(nf[1]))
             else:
-                rank = piece_span_of_polys(polys, degree, self.ring).rank
+                rank = rank_of_rows(rows, field, len(degree_basis(ring, e)[0]))
             self._ranks[key] = rank
         return rank
 
@@ -209,7 +223,7 @@ class IdealContext:
         Checked against the eliminated presentation when the plan builds
         one."""
         gens = equigenerated_data(self)[0]
-        dim = comb(len(gens) + n - 1, n) - len(self.power_gens(n))
+        dim = comb(len(gens) + n - 1, n) - len(self.power_rows(n))
         if self.fp is not None:
             eliminated = self.fp.relation_piece_dim(n)
             if dim != eliminated:
@@ -218,15 +232,16 @@ class IdealContext:
         return dim
 
     def forget(self):
-        """Drop the memoized powers, forms ideals, normal-form matrices and
-        ranks.  A report calls this between stages that share none of
-        them, so that one seed's prefix ideals and the high powers of a
-        reduction search do not stay in memory while the next stage runs;
-        all are cheap to build again."""
+        """Drop the memoized power rows, product rows, forms ideals,
+        normal-form matrices and ranks.  A report calls this between
+        stages that share none of them, so that one seed's prefix ideals
+        and the high powers of a reduction search do not stay in memory
+        while the next stage runs; all are cheap to build again."""
         self._powers = None
         self._forms_ideals.clear()
         self._nf_matrices.clear()
         self._ranks.clear()
+        self._rows.clear()
 
     @cached_property
     def fp(self) -> "FiberPresentation | None":
@@ -503,8 +518,10 @@ def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
         forms = random_forms_in_degree(ctx, spread, seed)[0]
     elif len(forms) != spread:
         raise ValueError("a minimal reduction needs analytic-spread many forms")
+    elif any(f.homogeneous_degree() != d for f in forms):
+        raise ValueError(f"forms must be nonzero of the generating degree {d}")
     for r in range(0, r_max + 1):
-        if ctx.rank(ctx.products(forms, r), (r + 1) * d) == len(ctx.power_gens(r + 1)):
+        if ctx.rank(forms, r) == len(ctx.power_rows(r + 1)):
             return ReductionData(forms, str(seed), r, True, spread, d)
     return ReductionData(forms, str(seed), None, False, spread, d)
 

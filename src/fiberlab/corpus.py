@@ -283,11 +283,6 @@ def _depth_block(ctx, report):
     inv["gr_plus_codim"] = pres.gr_plus_codimension()
 
 
-def crosscheck_bundles(reports) -> list:
-    """Bundles for the theorem crosscheck suite, from full-plan reports."""
-    return [r["_objects"] for r in reports if "_objects" in r]
-
-
 def _bounded_blowup(ctx, report, seeds, n_max, r_max):
     """Matrix entry whose Rees elimination exceeds the budget: fiber
     relation dimensions through degree 4, Jacobian-squeezed spread,

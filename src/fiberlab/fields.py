@@ -98,9 +98,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, -1, self.characteristic)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def random_raw(self, rng, nonzero=False):
         """Uniform raw element; over Q a small integer (keeps GB coefficients tame)."""
         if self.characteristic == 0:

@@ -1,18 +1,24 @@
 """Degreewise exact linear algebra on ideals and free-module maps.
 
-Every Macaulay row in the package comes from one builder,
-``spanning_columns``, as its columns and coefficients; ``spanning_rows``
-makes them dense.  The degree-e piece of a free module with generator
-degrees (d_1, ..., d_r) has one block of columns per generator, laid
-out by ``module_basis``: block i starts at the sum of the widths before
-it and is the ``degree_basis(ring, e - d_i)`` index of the packed
-monomials, grevlex-descending.  An ideal is the rank-one case d_1 = 0.
-The builder writes the row of m*s for every monomial m of degree
-e - deg s, grevlex-descending, by one lookup per term of s, on the
-packed keys the polynomials store.  Graded pieces, minimal generators
-and both matrices of the degreewise syzygies are made of these rows:
-the map's rows, collected by codomain column, and the multiples of the
-syzygies already found.
+Macaulay rows come from two builders.  ``spanning_columns`` writes the
+rows of polynomials, as their columns and coefficients (``spanning_rows``
+makes them dense); ``product_rows`` writes the rows of f*b for a form f
+and rows b already built, the products of the powers I^n and of the
+product pieces (forms)·I^r, without building f*b as a polynomial.
+
+The degree-e piece of a free module with generator degrees
+(d_1, ..., d_r) has one block of columns per generator, laid out by
+``module_basis``: block i starts at the sum of the widths before it and
+is the ``degree_basis(ring, e - d_i)`` index of the packed monomials,
+grevlex-descending.  An ideal is the rank-one case d_1 = 0.
+``spanning_columns`` writes the row of m*s for every monomial m of
+degree e - deg s, grevlex-descending, by one lookup per term of s, on
+the packed keys the polynomials store.  Graded pieces, minimal
+generators and both matrices of the degreewise syzygies are made of
+these rows: the map's rows, collected by codomain column, and the
+multiples of the syzygies already found.  ``product_rows`` moves each
+entry of b at monomial m to the column of t*m for each term c*t of f,
+from one cached index array per (ring, degree, t) (``shifted_columns``).
 
 Graded pieces are represented by canonical reduced row-echelon bases
 over the monomial basis of the ambient degree, so dimensions, piece
@@ -24,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .linalg import Echelon, nullspace, rank_of_rows, sparse_rows, zeros
+from .linalg import (Echelon, index_array, multiply_rows, nullspace, rank_of_rows,
+                     sparse_rows, zeros)
 from .polyring import Polynomial, Ring
 
 
@@ -33,6 +40,16 @@ def degree_basis(ring: Ring, degree: int):
     """(packed monomials sorted grevlex-descending, their column index)."""
     monos = tuple(ring.monomials_of_degree(degree))
     return monos, {m: i for i, m in enumerate(monos)}
+
+
+@lru_cache(maxsize=4096)
+def shifted_columns(ring: Ring, degree: int, mono: int):
+    """The column of mono*m in the degree piece of mono*m, for each
+    monomial m of ``degree_basis(ring, degree)`` in order: the columns of
+    one term of a form's multiplication matrix (``product_rows``)."""
+    monos = degree_basis(ring, degree)[0]
+    index = degree_basis(ring, degree + ring.mono_degree(mono))[1]
+    return index_array([index[mono + m] for m in monos])
 
 
 def module_basis(ring: Ring, degree: int, shifts=(0,)):
@@ -99,6 +116,21 @@ def spanning_rows(elements, degree: int, ring: Ring, shifts=(0,)):
         for j, c in zip(columns, coeffs):
             vec[j] = c
         yield vec
+
+
+def product_rows(forms, rows, degree: int, ring: Ring):
+    """The rows of f*b over ``degree_basis(ring, degree + deg f)`` for each
+    of the forms f, all nonzero of one degree, and each of the rows b over
+    ``degree_basis(ring, degree)``, form after form: each term c*t of f
+    adds c*b at the columns of t times b's monomials
+    (``linalg.multiply_rows``), so no product is built as a polynomial."""
+    degrees = {f.homogeneous_degree() for f in forms}
+    if len(degrees) != 1 or -1 in degrees:
+        raise ValueError(f"products need nonzero forms of one degree, not {sorted(degrees)}")
+    width = len(degree_basis(ring, degree + degrees.pop())[0])
+    terms = [[(shifted_columns(ring, degree, t), c) for t, c in f.terms.items()]
+             for f in forms]
+    return multiply_rows(rows, terms, width, ring.field)
 
 
 def graded_piece(ideal, degree: int) -> Echelon:

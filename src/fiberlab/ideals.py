@@ -1,15 +1,14 @@
 """Ideal-level operations, each reducible to Groebner or graded data.
 
-Intersections go through a single auxiliary variable and block
-elimination; dimension, height and multiplicity come from the Hilbert
-series of the grevlex lead-term ideal.
+Dimension, height and multiplicity come from the Hilbert series of the
+grevlex lead-term ideal.
 """
 
 from __future__ import annotations
 
-from .groebner import GREVLEX, GroebnerBasis, buchberger, eliminate
+from .groebner import GREVLEX, GroebnerBasis, buchberger
 from .hilbert import HilbertSeries, series_of_basis
-from .polyring import Polynomial, Ring, RingError, fresh_names
+from .polyring import Polynomial, Ring, RingError
 
 
 class Ideal:
@@ -84,21 +83,6 @@ class Ideal:
     def _check(self, other):
         if self.ring != other.ring:
             raise RingError("ideals in different rings")
-
-    # -- intersection ------------------------------------------------------
-    def intersect(self, other: "Ideal") -> "Ideal":
-        self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Ideal(self.ring, ())
-        ring = self.ring
-        aux = fresh_names("t", 1, ring.names)[0]
-        big = Ring(ring.field, (aux,) + ring.names, (1,) + ring.weights)
-        u = big.variable(0)
-        one = big.one()
-        gens = [u * ring.embed(g, big) for g in self.generators]
-        gens += [(one - u) * ring.embed(g, big) for g in other.generators]
-        kept = eliminate(gens, 1)
-        return Ideal(ring, tuple(big.restrict(g, ring) for g in kept))
 
     # -- numeric invariants ---------------------------------------------------
     def hilbert_series(self) -> HilbertSeries:

@@ -8,8 +8,9 @@ Pernet (FFLAS-FFPACK, 2008): a block of rows is reduced against the
 basis with a matrix product, eliminated within the block, and
 back-substituted into the basis with another.  Rows are numpy arrays
 of dtype ``_dtype(p)`` everywhere; this module alone knows the field,
-in four places: that dtype, ``_residues``, ``_submul`` and the pivot
-steps of ``_gauss_jordan``.
+in five places: that dtype, ``_residues``, ``_submul``, the pivot steps
+of ``_gauss_jordan`` and the reduction steps of ``multiply_rows``,
+which builds the rows of products from the rows of their factors.
 
 Over F_p residues in [0, p) sit in float64 arrays, and reduction mod p
 waits until a product is complete.  This is exact: a product sums
@@ -253,6 +254,51 @@ def negated_product(a, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     a = np.asarray(a, dtype=_dtype(field.characteristic))
     out = zeros(field, (len(a), b.shape[1]))
     return _submul(out, [(a, b)], field.characteristic) if a.size else out
+
+
+def index_array(columns) -> np.ndarray:
+    """A sequence of column indices as the index array ``multiply_rows``
+    takes, to be made once and cached by the caller."""
+    return np.asarray(columns, dtype=np.intp)
+
+
+def multiply_rows(rows, forms, width: int, field: FieldSpec) -> np.ndarray:
+    """The rows (residues, or any nested sequence of them) times the
+    multiplication matrix of each form, stacked form after form, as rows
+    of ``width`` columns.  A form is given as one (columns, raw
+    coefficient) pair per term c*t: entry k of a row lands at
+    ``columns[k]`` times c.  The columns of one term are distinct, so each
+    term is one vectorized scatter-add; it runs on the transposes, where
+    it moves whole rows, three times as fast as moving columns.
+
+    Over F_p a term adds at most (p - 1)**2 to an entry, so the sums are
+    reduced once they hold (2**53 - p) // (p - 1)**2 such terms, a
+    residue counting as one: the bound of ``_submul``.  Over Q the rows
+    are ``Fraction`` objects."""
+    p = field.characteristic
+    by_column = np.asarray(rows, dtype=_dtype(p)).T.copy()
+    term = np.empty_like(by_column)
+    step = (_EXACT - p) // (p - 1) ** 2 if p else None
+    blocks = []
+    for terms in forms:
+        block, load = zeros(field, (width, by_column.shape[1])), 0
+        for columns, c in terms:
+            if load == step:    # never over Q
+                _residues(block, p)
+                load = 1
+            block[columns] += np.multiply(by_column, c, out=term)
+            load += 1
+        blocks.append(_residues(block, p).T)
+    return np.concatenate(blocks) if blocks else zeros(field, (0, width))
+
+
+def independent_rows(blocks, field: FieldSpec, width: int) -> np.ndarray:
+    """The rows of the blocks (arrays of rows, read in order) that are
+    independent of the rows before them, as one array: a basis of their
+    span made of their own rows."""
+    e = Echelon(field, width)
+    kept = [block[e.extend(block)] for block in blocks]
+    return np.concatenate(kept) if kept else zeros(field, (0, width))
 
 
 def sparse_rows(entries, ncols: int, field: FieldSpec):

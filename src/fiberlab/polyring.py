@@ -43,18 +43,14 @@ class TermOrder:
     A subclass defines only ``rows(n)``, the order on n variables as a
     nonnegative integer matrix: comparing the row values
     ``sum(r[i] * m[i])`` lexicographically, first row first, compares
-    monomials in the order.  ``key`` follows from it.
+    monomials in the order.  The packed monomials of ``_Packing`` compare
+    as these rows do.
     """
 
     name = "order"
 
     def rows(self, nvars: int):
         raise NotImplementedError
-
-    def key(self, m) -> int:
-        """The exponent tuple m packed for this order: keys sort as the
-        monomials do."""
-        return _packing(self, len(m)).pack(m)
 
     def __repr__(self):
         return self.name
@@ -447,17 +443,6 @@ class Polynomial:
         if not c:
             return self.ring.zero()
         return Polynomial(self.ring, {m: f.mul(v, c) for m, v in self.terms.items()})
-
-    def mul_term(self, mono, coeff):
-        """self * coeff * mono, for a packed monomial mono."""
-        f = self.ring.field
-        coeff = f.raw(coeff)
-        if not coeff:
-            return self.ring.zero()
-        terms = {m + mono: f.mul(v, coeff) for m, v in self.terms.items()}
-        if reduce(or_, terms, 0) & self.ring.packing.guard:
-            raise RingError(_OVERFLOW)
-        return Polynomial(self.ring, terms)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -27,8 +27,8 @@ import hashlib
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
-from .blowup import (FiberPresentation, IdealContext, equigenerated_data,
-                     minimal_reduction, random_forms_in_degree)
+from .blowup import (IdealContext, equigenerated_data, minimal_reduction,
+                     random_forms_in_degree)
 from .depth import regular_prefix
 from .ideals import Ideal
 from .polyring import Ring, fresh_names
@@ -180,14 +180,11 @@ def analytically_tight(ideal, fs: FormSequence, n: int) -> PredicateReport:
     last = fs.forms[-1]
     if last.is_zero():
         raise ValueError("the last form must be nonzero")
-    power = ctx.power_gens(n)
-    dim = len(power)
-    e = n * d + last.homogeneous_degree()
-    multiples = ctx.products([last], n)
-    if ctx.rank(multiples, e) != dim:
+    dim = len(ctx.power_rows(n))
+    if ctx.rank([last], n) != dim:
         raise AssertionError("multiplication by the last form must be injective")
-    lhs = dim - ctx.rank(multiples, e, prefix)
-    rhs = dim - ctx.rank(power, n * d, prefix)
+    lhs = dim - ctx.rank([last], n, prefix)
+    rhs = dim - ctx.rank([ctx.ring.one()], n, prefix)
     if lhs < rhs:
         raise AssertionError("colon cap must contain the plain cap")
     return PredicateReport(
@@ -227,11 +224,11 @@ def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
     gens, d = equigenerated_data(ctx)
     if any(f.homogeneous_degree() != d for f in fs.forms):
         raise ValueError(f"forms must be nonzero of the generating degree {d}")
-    if ctx.rank(fs.forms, d) != len(fs.forms):
+    if ctx.rank(fs.forms, 0) != len(fs.forms):
         raise ValueError("forms are k-linearly dependent")
     l = len(fs.forms)
     mu = len(gens)
-    mu_ji = ctx.rank(ctx.products(fs.forms, 1), 2 * d)
+    mu_ji = ctx.rank(fs.forms, 1)
     expected = l * mu - comb(l, 2)
     if mu_ji > expected:
         raise AssertionError("adjustment upper bound violated")
@@ -245,8 +242,7 @@ def analytically_adjusted(ideal, fs: FormSequence) -> PredicateReport:
 # ---------------------------------------------------------------------------
 # Valabrega-Valla via the associated graded ring
 
-def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
-                    gb_equality_upto: int = 0) -> PredicateReport:
+def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5) -> PredicateReport:
     """(f_1..f_g) cap I^n = (f_1..f_g) I^{n-1} for all n.
 
     The all-n verdict tests whether the images of the prefix (w-linear
@@ -254,13 +250,11 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     step certified by the Hilbert-numerator identity and cut on gr's
     w-first copy (``ReesPresentation.w_first``), where the cuts are
     cheaper and regularity is the same; per-power piece
-    comparisons at degree n*d give explicit failure witnesses, and full
-    ideal equality via elimination can be requested for small powers.
+    comparisons at degree n*d give explicit failure witnesses.
     """
     ctx = IdealContext.of(ideal)
     ideal = ctx.ideal
-    gens, d = equigenerated_data(ctx)
-    ring = ideal.ring
+    equigenerated_data(ctx)
     g = len(fs_prefix.forms)
     prefix_ideal = ctx.forms_ideal(fs_prefix.forms)
     if prefix_ideal.height() != g:
@@ -280,9 +274,8 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
     per_n = {}
     first_failure = None
     for n in range(1, n_max + 1):
-        power = ctx.power_gens(n)
-        lhs = len(power) - ctx.rank(power, n * d, fs_prefix.forms)
-        rhs = ctx.rank(ctx.products(fs_prefix.forms, n - 1), n * d)
+        lhs = len(ctx.power_rows(n)) - ctx.rank([ctx.ring.one()], n, fs_prefix.forms)
+        rhs = ctx.rank(fs_prefix.forms, n - 1)
         if lhs < rhs:
             raise AssertionError(f"VV piece check at n={n}: cap {lhs} below product {rhs}")
         per_n[n] = (lhs == rhs)
@@ -291,23 +284,18 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5,
 
     if regular_all and first_failure is not None:
         raise AssertionError("gr-route and piece route disagree on VV")
-    gb_checks = {}
-    for n in range(1, min(gb_equality_upto, n_max) + 1):
-        inter = prefix_ideal.intersect(Ideal(ring, tuple(ctx.power_gens(n))))
-        prod = Ideal(ring, tuple(ctx.products(fs_prefix.forms, n - 1)))
-        gb_checks[str(n)] = (inter == prod)
-        if gb_checks[str(n)] != per_n[n]:
-            raise AssertionError("full ideal equality disagrees with piece check")
+    # "gb_equality_upto" and "full_ideal_equality" keep the values every
+    # report has had since their option went, until the schema changes
     return PredicateReport(
         "vv", {"ideal": ideal_fingerprint(ideal), "forms": fs_prefix.provenance,
                "g": g},
         "true" if regular_all else "false",
         bounds_used={"n_max": n_max, "all_n": "regular sequence on gr",
-                     "gb_equality_upto": gb_equality_upto},
+                     "gb_equality_upto": 0},
         certificate={"per_power": {str(n): v for n, v in per_n.items()},
                      "first_failure": first_failure,
                      "gr_regular_failed_at": failed_at_step,
-                     "full_ideal_equality": gb_checks})
+                     "full_ideal_equality": {}})
 
 
 def regular_in_gr(ideal, fs_prefix: FormSequence, n_max: int = 5) -> PredicateReport:
@@ -470,91 +458,3 @@ def map_degree_via_formula(ideal) -> PredicateReport:
     return PredicateReport(
         "map-degree", {"ideal": ideal_fingerprint(ideal)},
         "true" if verdict else "false", certificate=cert)
-
-
-# ---------------------------------------------------------------------------
-# cross-theorem consistency suite
-
-def regular_sequence_on_fiber(fp: FiberPresentation, coeff_rows) -> bool:
-    """Are the forms with the given generator coordinates a regular
-    sequence on the fiber cone?  Exact, via numerator identities."""
-    forms = [fp.fiber_ring.linear_form(list(row)) for row in coeff_rows]
-    return regular_prefix(fp.relations.groebner(), forms) == len(forms)
-
-
-def theorem_crosschecks(bundles) -> list:
-    """Evaluate proved implications on prepared corpus bundles; any
-    'false' verdict is a correctness bug in the artifact, not a finding
-    about the mathematics."""
-    reports = []
-
-    def emit(name, ident, ok, cert):
-        reports.append(PredicateReport(
-            f"crosscheck:{name}", {"id": ident},
-            "true" if ok else "false", certificate=cert))
-
-    for b in bundles:
-        ident = b["id"]
-        ideal = b["ideal"]
-        fp = b.get("fp")
-        pres = b.get("rees")
-        fiber_cm = b.get("fiber_cm")
-        ht = ideal.height()
-
-        if fp is not None and pres is not None:
-            # irrelevant-ideal codimension never exceeds the height
-            codim = pres.gr_plus_codimension()
-            emit("ht-gr-plus", ident, codim <= ht, {"codim": codim, "ht": ht})
-            # fiber relations embed into the Rees relations
-            gb = pres.rees_ideal.groebner()
-            ok = all(gb.contains(fp.fiber_ring.embed(q, pres.big_ring))
-                     for q in fp.relations.generators)
-            emit("Q-inside-rees", ident, ok, {"relations": len(fp.relations.generators)})
-
-        for seed in b.get("seeds", []):
-            fs = b["forms"][seed]
-            red = b["reductions"][seed]
-            tight = b["tight"][seed]
-            vv = b["vv_prefix"][seed]
-
-            # tightness is monotone across powers
-            per = [tight.certificate["per_power"][k]
-                   for k in sorted(tight.certificate["per_power"], key=int)]
-            mono = all(per[i] <= per[i + 1] for i in range(len(per) - 1))
-            emit("tight-monotone", ident, mono, {"seed": seed, "profile": per})
-
-            # deviation one + (a) VV prefix + (b) reduction: tight <=> fiber CM
-            if fp is not None and fiber_cm is not None \
-                    and fp.analytic_spread() == ht + 1:
-                if vv.is_true and red.verified and red.reduction_number is not None:
-                    agree = tight.is_true == fiber_cm.is_cm
-                    emit("fiber-cm-equivalence", ident, agree,
-                         {"seed": seed, "tight": tight.verdict,
-                          "fiber_cm": fiber_cm.verdict})
-                # VV prefix regular on the fiber cone
-                if vv.is_true and fs.coefficients is not None:
-                    ok = regular_sequence_on_fiber(fp, fs.coefficients[:ht])
-                    emit("vv-regular-on-fiber", ident, ok, {"seed": seed})
-
-            adj = analytically_adjusted(ideal, fs)
-            # CM fiber makes minimal-reduction generators adjusted
-            if fiber_cm is not None and fiber_cm.is_cm and red.verified:
-                emit("cm-reduction-adjusted", ident, adj.is_true,
-                     {"seed": seed, "mu_JI": adj.certificate["mu_JI"],
-                      "bound": adj.certificate["bound"]})
-
-            # mu(JI) never exceeds l*mu - C(l,2) (asserted inside adjusted)
-            emit("mu-JI-bound", ident,
-                 adj.certificate["mu_JI"] <= adj.certificate["bound"],
-                 {"seed": seed})
-
-        indeg = b.get("indeg")
-        if indeg is not None and isinstance(indeg.certificate["indeg"], int) \
-                and indeg.certificate["indeg"] >= 3:
-            gens = ideal.minimal_generators()
-            for l in (2, min(3, len(gens))):
-                fs = generic_forms(ideal, l, f"noquad:{b['id']}:{l}")
-                adj = analytically_adjusted(ideal, fs)
-                emit("no-quadratics-adjusted", ident, adj.is_true,
-                     {"l": l, "mu_JI": adj.certificate["mu_JI"]})
-    return reports

@@ -58,12 +58,6 @@ class BettiTable:
     numerator: dict               # Hilbert numerator of R/I, degree -> coefficient
     certificate: RegularityCertificate | None
 
-    def betti(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
-
-    def total(self, i: int) -> int:
-        return sum(c for (h, _), c in self.entries.items() if h == i)
-
     def euler_ok(self) -> bool:
         sums = {}
         for (i, j), c in self.entries.items():

@@ -13,8 +13,8 @@ import random
 from math import comb
 
 from fiberlab.blowup import IdealContext, fiber_presentation
-from fiberlab.corpus import (CORPUS, CORPUS_BY_ID, compute_entry,
-                             crosscheck_bundles, load_entry_ideal, lookup_path)
+from fiberlab.corpus import (CORPUS, CORPUS_BY_ID, compute_entry, load_entry_ideal,
+                             lookup_path)
 from fiberlab.depth import graded_depth
 from fiberlab.fields import GF
 from fiberlab.graded import minimal_generators, piece_span_of_polys
@@ -22,12 +22,11 @@ from fiberlab.groebner import normal_form
 from fiberlab.ideals import Ideal
 from fiberlab.parse import maximal_minors
 from fiberlab.polyring import Ring
-from fiberlab.predicates import (generic_forms, is_perfect,
-                                 multiplicity_formula_checks,
-                                 theorem_crosschecks)
+from fiberlab.predicates import generic_forms, is_perfect, multiplicity_formula_checks
 from fiberlab.resolutions import minimal_resolution
 
-from conftest import joint_rank, recheck_regularity
+from conftest import (crosscheck_bundles, joint_rank, mul_term, recheck_regularity,
+                      theorem_crosschecks)
 
 
 def _verdict(name, clauses):
@@ -225,8 +224,8 @@ def test_criterion_10_kernel_oracles():
     for _ in range(1000):
         h = ring.zero()
         for g in sixgen.generators:
-            h = h + g.mul_term(monos[rng.randrange(len(monos))],
-                               ring.field.random_raw(rng))
+            h = h + mul_term(g, monos[rng.randrange(len(monos))],
+                             ring.field.random_raw(rng))
         if not normal_form(h, gb).is_zero():
             failures += 1
     clauses.append(("membership 1000 trials", failures == 0))

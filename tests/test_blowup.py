@@ -14,6 +14,8 @@ from fiberlab.groebner import eliminate
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
 
+from conftest import power_gens
+
 
 def test_complete_intersection_fiber(R3):
     x, y, z = (R3.variable(i) for i in range(3))
@@ -139,7 +141,9 @@ def test_power_gens_count_is_piece_dimension(R3, R3q, binomial4):
     """mu(I^n) = dim_k [I^n]_{nd} for equigenerated I, the identity every
     read of that dimension relies on: the rank of all raw products
     f_{i1}...f_{in} of the generators, which span [I^n]_{nd}, against the
-    number of minimal generators of I^n; on the six equigenerated corpus
+    number of rows of I^n that ``power_rows`` keeps and the number of
+    minimal generators of the polynomial products (``conftest.power_gens``),
+    whose span holds every kept row; on the six equigenerated corpus
     ideals and binomial4 over QQ."""
     ctxs = [IdealContext(load_entry_ideal(e)) for e in CORPUS]
     ctxs = [ctx for ctx in ctxs if ctx.degree is not None]
@@ -151,8 +155,10 @@ def test_power_gens_count_is_piece_dimension(R3, R3q, binomial4):
         for n in range(1, 4):
             raw = [prod(c, start=ring.one())
                    for c in combinations_with_replacement(ctx.ideal.generators, n)]
-            assert len(ctx.power_gens(n)) == piece_span_of_polys(
+            rows, gens = ctx.power_rows(n), power_gens(ctx.ideal, n)
+            assert len(rows) == len(gens) == piece_span_of_polys(
                 raw, n * ctx.degree, ring).rank
+            assert not piece_span_of_polys(gens, n * ctx.degree, ring).reduce(rows).any()
 
 
 def test_spread_bounds(monomial4, sixgen, sevengen):

@@ -13,7 +13,7 @@ from fiberlab.groebner import (_MonomialForms, _nf_terms, buchberger, extend_bas
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError
 
-from conftest import colon, leading_exponents, random_poly
+from conftest import colon, intersect, leading_exponents, random_poly
 
 
 def standard_monomials(gb, degree):
@@ -34,7 +34,7 @@ def test_classic_depth_one_example():
     """(x1,x2) cap (x3,x4): dimension 2, depth 1."""
     ring = Ring(GF(32003), ["x1", "x2", "x3", "x4"])
     x1, x2, x3, x4 = (ring.variable(i) for i in range(4))
-    a = Ideal(ring, (x1, x2)).intersect(Ideal(ring, (x3, x4)))
+    a = intersect(Ideal(ring, (x1, x2)), Ideal(ring, (x3, x4)))
     rep = graded_depth(a, seed="t")
     assert rep.exact
     assert rep.dimension == 2
@@ -79,7 +79,7 @@ def test_socle_witness_none_for_positive_depth(R3):
 def test_depth_over_rationals():
     ring = Ring(QQ, ["x1", "x2", "x3", "x4"])
     x1, x2, x3, x4 = (ring.variable(i) for i in range(4))
-    a = Ideal(ring, (x1, x2)).intersect(Ideal(ring, (x3, x4)))
+    a = intersect(Ideal(ring, (x1, x2)), Ideal(ring, (x3, x4)))
     rep = graded_depth(a, seed="t")
     assert rep.exact and rep.value == 1
 

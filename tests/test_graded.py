@@ -6,10 +6,12 @@ import pytest
 from fiberlab.blowup import IdealContext
 from fiberlab.fields import GF, QQ
 from fiberlab.graded import (graded_piece, linear_rank, minimal_generators,
-                             minors_ideal, spanning_rows,
+                             minors_ideal, product_rows, spanning_rows,
                              syzygies_degreewise)
 from fiberlab.ideals import Ideal
-from fiberlab.polyring import Ring
+from fiberlab.polyring import Polynomial, Ring
+
+from conftest import intersect, mul_term, total_betti
 
 
 def test_piece_dims_basic(R3):
@@ -47,7 +49,7 @@ def term_multiples(elements, target, ring, shifts):
         for m in ring.monomials_of_degree(target - ds):
             row = []
             for d, p in zip(shifts, s):
-                prod = p.mul_term(m, ring.field.one)
+                prod = mul_term(p, m, ring.field.one)
                 row += [prod.terms.get(mono, 0)
                         for mono in ring.monomials_of_degree(target - d)]
             rows.append(row)
@@ -75,6 +77,34 @@ def test_spanning_rows_match_term_multiples(field, weights):
     at_target = [(g,) for g in gens if g.homogeneous_degree() == target]
     assert [list(v) for v in spanning_rows([g for g, in at_target], target, ring)] \
         == term_multiples(at_target, target, ring, (0,))
+
+
+@pytest.mark.parametrize("field", [GF(32003), GF(67108859), QQ],
+                         ids=["F32003", "F67108859", "QQ"])
+@pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 1, 3)])
+def test_product_rows_match_polynomial_products(field, weights):
+    """The rows of f*b that ``product_rows`` builds from the rows b of
+    polynomials g equal the rows of the polynomial products f*g
+    (``spanning_rows``), row for row, form after form.  The forms have
+    up to eight terms, and one form and one g have every monomial of
+    their degree with coefficient -2, so that at p = 67108859 the sums at
+    a column pass 2**53 unless reduced, by odd amounts that float64
+    cannot hold."""
+    from conftest import random_poly
+    ring = Ring(field, ["x", "y", "z", "w"], weights=weights)
+    rng = random.Random(f"product-rows:{field.characteristic}:{weights}")
+    gens = [g for g in (random_poly(ring, 3, rng, terms=6) for _ in range(5))
+            if not g.is_zero()]
+    forms = [f for f in (random_poly(ring, 2, rng, terms=8) for _ in range(3))
+             if not f.is_zero()]
+    gens.append(Polynomial(ring, dict.fromkeys(ring.monomials_of_degree(3), field.raw(-2))))
+    forms.append(Polynomial(ring, dict.fromkeys(ring.monomials_of_degree(2), field.raw(-2))))
+    got = product_rows(forms, list(spanning_rows(gens, 3, ring)), 3, ring)
+    want = spanning_rows([f * g for f in forms for g in gens], 5, ring)
+    assert got.tolist() == [list(v) for v in want]
+    for bad in ([], [forms[0], gens[0]], [ring.zero()]):
+        with pytest.raises(ValueError, match="one degree"):
+            product_rows(bad, [], 3, ring)
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
@@ -124,7 +154,7 @@ def test_minimal_generators_of_intersection(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     xy, xz = Ideal(R3, (x, y)), Ideal(R3, (x, z))
     A, B = xy * xy * xy, xz * xz * xz
-    assert len(A.intersect(B).minimal_generators()) == 4
+    assert len(intersect(A, B).minimal_generators()) == 4
 
 
 def test_reduction_product_generator_count(monomial4):
@@ -172,7 +202,7 @@ def test_minimal_generator_count_matches_betti(sixgen, binomial4):
     from fiberlab.resolutions import minimal_resolution
     for ideal in (sixgen, binomial4):
         res = minimal_resolution(ideal)
-        assert res.table.total(1) == len(ideal.minimal_generators())
+        assert total_betti(res.table, 1) == len(ideal.minimal_generators())
 
 
 def test_koszul_presentation_linear_rank(R3):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fiberlab.fields import GF, QQ
-from fiberlab.linalg import Echelon, echelon_from_rows, nullspace, rank_of_rows
+from fiberlab.linalg import (Echelon, echelon_from_rows, index_array, multiply_rows,
+                             nullspace, rank_of_rows)
 
 
 def rref_rows(e):
@@ -238,3 +239,34 @@ def test_nullspace_of_transpose_view(p):
         want.append(vec)
     assert (kernel.astype(np.int64) if p else kernel).tolist() == want
     assert len(want) == 90 - len(pivots)
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_multiply_rows_matches_oracle(p):
+    """Each term (columns, c) of a form adds c times every row at its
+    columns, form after form, against sums of Python ints (Fractions over
+    Q).  The columns of different terms overlap, and over F_p half the
+    entries and coefficients are p - 1, so that at p = 67108859 nine
+    unreduced terms would pass 2**53 at a shared column."""
+    rng = random.Random(f"multiply-rows:{p}")
+    field = field_of(p)
+    nrows, ncols, width = 5, 7, 12
+
+    def entry():
+        return rng.choice((p - 1, random_entry(rng, p))) if p else random_entry(rng, 0)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    forms = [[(rng.sample(range(width), ncols), entry()) for _ in range(count)]
+             for count in (1, 3, 9)]
+    got = multiply_rows(rows, [[(index_array(cols), c) for cols, c in terms]
+                               for terms in forms], width, field)
+    want = []
+    for terms in forms:
+        for row in rows:
+            out = [0] * width
+            for cols, c in terms:
+                for j, v in zip(cols, row):
+                    out[j] += c * v
+            want.append([v % p for v in out] if p else out)
+    assert got.tolist() == want
+    assert multiply_rows(rows, [], width, field).shape == (0, width)

@@ -16,11 +16,11 @@ from fiberlab.predicates import (FormSequence, analytically_adjusted,
                                  generic_forms, generically_ci, is_perfect,
                                  map_degree_via_formula,
                                  multiplicity_formula_checks,
-                                 regular_in_gr, regular_sequence_on_fiber,
-                                 theorem_crosschecks, tight_profile,
-                                 valabrega_valla, valla_dimension)
+                                 regular_in_gr, tight_profile, valabrega_valla,
+                                 valla_dimension)
 
-from conftest import colon, joint_rank
+from conftest import (colon, crosscheck_bundles, intersect, joint_rank, power_gens,
+                      products, regular_sequence_on_fiber, theorem_crosschecks)
 
 
 def user_forms(forms) -> FormSequence:
@@ -92,7 +92,7 @@ def test_gs_final_matrix_fails_g3():
 def test_valla_intersection_example(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     xy, xz = Ideal(R3, (x, y)), Ideal(R3, (x, z))
-    I = (xy * xy * xy).intersect(xz * xz * xz)
+    I = intersect(xy * xy * xy, xz * xz * xz)
     rep = valla_dimension(I)
     assert rep.certificate["dim_symmetric_algebra"] == 5
     assert rep.certificate["valla_bound"] == 4
@@ -150,7 +150,7 @@ def colon_oracle_caps(ideal, prefix, last, n):
     from fiberlab.graded import graded_piece
     ring = ideal.ring
     prefix_ideal = Ideal(ring, tuple(prefix))
-    power = Ideal(ring, tuple(IdealContext(ideal).power_gens(n)))
+    power = Ideal(ring, tuple(power_gens(ideal, n)))
     ipiece = graded_piece(power, 2 * n)
     caps = []
     for sub in (colon(prefix_ideal, last), prefix_ideal):
@@ -254,27 +254,36 @@ def test_no_quadratics_implies_adjusted(binomial4):
 # ---------------------------------------------------------------------------
 # Valabrega-Valla
 
+def full_ideal_equality(ideal, prefix, n):
+    """(prefix) cap I^n = (prefix) I^{n-1} as ideals, by Groebner
+    elimination and polynomial products (``conftest``), independently of
+    the per-power rank comparison of ``valabrega_valla``."""
+    ring = ideal.ring
+    cap = intersect(Ideal(ring, tuple(prefix)), Ideal(ring, tuple(power_gens(ideal, n))))
+    return cap == Ideal(ring, tuple(products(ideal, prefix, n - 1)))
+
+
 def test_vv_complete_intersection(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     ci = Ideal(R3, (x, y))
     fs = generic_forms(ci, 2, "vv:ci")
-    rep = valabrega_valla(ci, fs, n_max=3, gb_equality_upto=2)
+    rep = valabrega_valla(ci, fs, n_max=3)
     assert rep.is_true
     assert all(rep.certificate["per_power"].values())
-    assert all(rep.certificate["full_ideal_equality"].values())
+    assert all(full_ideal_equality(ci, fs.forms, n) for n in (1, 2))
 
 
 def test_vv_sixgen_fails_at_two(sixgen):
     ctx = IdealContext(sixgen)
     for seed in (1, 2, 3):
         fs = generic_forms(ctx, 2, f"vv:{seed}")
-        rep = valabrega_valla(ctx, fs, n_max=3,
-                              gb_equality_upto=2 if seed == 1 else 0)
+        rep = valabrega_valla(ctx, fs, n_max=3)
         assert not rep.is_true
         assert rep.certificate["first_failure"] == 2
         assert rep.certificate["per_power"]["1"] is True
         if seed == 1:
-            assert rep.certificate["full_ideal_equality"] == {"1": True, "2": False}
+            assert [full_ideal_equality(sixgen, fs.forms, n) for n in (1, 2)] == \
+                [True, False]
 
 
 def test_vv_sevengen_pair_fails(sevengen):
@@ -328,9 +337,8 @@ def _cap_ideals(field):
 def piece_route_caps(ideal, prefix, last, n):
     """(colon cap, plain cap) of tightness in power n by the D4 formulas on
     echelons of [P]_e and [I^n]_{nd} and their joint rank."""
-    ctx = IdealContext(ideal)
-    d = ctx.degree
-    power = ctx.power_gens(n)
+    d = IdealContext(ideal).degree
+    power = power_gens(ideal, n)
     ipiece = piece_span_of_polys(power, n * d, ideal.ring)
     e = n * d + last.homogeneous_degree()
     multiples = piece_span_of_polys([last * g for g in power], e, ideal.ring)
@@ -360,20 +368,22 @@ def test_caps_match_piece_route(field, count, n_max):
                     piece_route_caps(ideal, prefix, last, n)
             vv = valabrega_valla(ctx, FormSequence(fs.forms[:g], fs.provenance,
                                                    fs.coefficients[:g]), n_max)
+            ring = ideal.ring
+            mixed = [fs.forms[0], fs.forms[0] * ring.variable(0)]
             for n in range(1, n_max + 1):
-                power = ctx.power_gens(n)
-                ppiece = piece_span_of_polys(fs.forms[:g], n * d, ideal.ring)
-                ipiece = piece_span_of_polys(power, n * d, ideal.ring)
+                ppiece = piece_span_of_polys(fs.forms[:g], n * d, ring)
+                ipiece = piece_span_of_polys(power_gens(ideal, n), n * d, ring)
                 rank = joint_rank(ppiece, ipiece) - ppiece.rank
-                assert ctx.rank(power, n * d, fs.forms[:g]) == rank
+                assert ctx.rank([ring.one()], n, fs.forms[:g]) == rank
                 lhs = ipiece.rank - rank
-                products = ctx.products(fs.forms[:g], n - 1)
-                rhs = piece_span_of_polys(products, n * d, ideal.ring).rank
-                assert ctx.rank(products, n * d) == rhs
+                rhs = piece_span_of_polys(products(ideal, fs.forms[:g], n - 1),
+                                          n * d, ring).rank
+                assert ctx.rank(fs.forms[:g], n - 1) == rhs
                 assert vv.certificate["per_power"][str(n)] == (lhs == rhs)
                 for modulo in ((), fs.forms[:g]):
+                    assert ctx.rank((), n, modulo) == 0
                     with pytest.raises(ValueError, match="degree"):
-                        ctx.rank(power, n * d + 1, modulo)
+                        ctx.rank(mixed, n, modulo)
 
 
 def test_caps_of_empty_prefix(binomial4):
@@ -389,10 +399,10 @@ def test_caps_of_empty_prefix(binomial4):
 
 
 def test_forget_clears_quotient_memos(binomial4):
-    """Every memo of the context, each dict-valued private attribute and
-    the powers, is filled by tightness, Valabrega-Valla and a reduction
-    search and emptied by ``forget()``: a memo added later cannot escape
-    it."""
+    """Every memo of the context, each dict-valued private attribute (the
+    ranks and the product rows among them) and the power rows, is filled
+    by tightness, Valabrega-Valla and a reduction search and emptied by
+    ``forget()``: a memo added later cannot escape it."""
     ctx = IdealContext(binomial4)
     fs = generic_forms(ctx, 3, "forget:1")
     tight_profile(ctx, fs, 2)
@@ -404,7 +414,7 @@ def test_forget_clears_quotient_memos(binomial4):
         return {name: value for name, value in vars(ctx).items()
                 if name == "_powers" or (name.startswith("_") and isinstance(value, dict))}
 
-    assert {"_powers", "_ranks"} <= memos().keys()
+    assert {"_powers", "_ranks", "_rows"} <= memos().keys()
     assert all(memos().values())
     ctx.forget()
     assert not any(memos().values())
@@ -498,7 +508,7 @@ def test_map_degree_sixgen_integral(sixgen):
 # crosschecks
 
 def test_theorem_crosschecks_small():
-    from fiberlab.corpus import compute_entry, crosscheck_bundles
+    from fiberlab.corpus import compute_entry
     reports = [compute_entry(i) for i in ("ex-3-monomial4", "ex-3-binomial4")]
     out = theorem_crosschecks(crosscheck_bundles(reports))
     assert out, "expected some applicable checks"
