@@ -14,14 +14,18 @@ the series (H_{A/theta A} - (1 - t) H_A) / t, read off the two series the
 cut already computed.  When K has dimension 0, theta is a parameter and
 K, nonzero of finite length, lies in H^0_m(A), so depth A = 0; the top
 degree of K is killed by every variable, so the socle search through
-that degree must find a witness.  Only when K has dimension 1 (theta in
-a one-dimensional associated prime) does the stage try the candidate
-schedule.  Searching the socle before any cut costs far more where the
-stage is regular: a failed search runs to its full degree bound.
+that degree must find a witness.  The socle lies in K (h * x_i = 0 for
+every i gives h * theta = 0), so the search skips the degrees where K
+is 0.  Only when K has dimension 1 (theta in a one-dimensional
+associated prime) does the stage try the candidate schedule.  Searching
+the socle before any cut costs far more where the stage is regular: a
+failed search runs to its full degree bound.
 
 The socle witness, taken relative to a subset of the variables, ends the
 grade search: grade(I, A) = 0 exactly when (0 :_A I) != 0 (Bruns-Herzog,
-Cohen-Macaulay Rings, 1.2.5).
+Cohen-Macaulay Rings, 1.2.5).  The search follows a failed cut by a
+linear form in those variables, and skips the degrees where that form's
+annihilator is 0, for the same reason.
 
 The reports take the depth of the fiber from its certified resolution
 (Auslander-Buchsbaum) and the depths of the Rees algebra and of gr from
@@ -126,14 +130,20 @@ def _standard_layers(gb: GroebnerBasis):
         layer = grown
 
 
-def socle_witness(gb: GroebnerBasis, max_degree: int,
-                  var_range=None) -> Polynomial | None:
+def socle_witness(gb: GroebnerBasis, max_degree: int, var_range=None,
+                  within: HilbertSeries | None = None) -> Polynomial | None:
     """Nonzero h of degree <= max_degree in S/ideal with h * x_i = 0 for
     every variable x_i, or only for i in ``var_range`` when given.
 
     Such an h certifies depth 0; relative to ``var_range`` it certifies
     that the ideal of those variables lies in ann(h), so it has grade 0.
     None only means no witness below the bound.
+
+    ``within`` is the series of a graded module that contains that socle,
+    such as K = 0 :_A theta of a failed cut by a linear form theta in the
+    variables of ``var_range``: h * theta = 0 puts h in K.  The search
+    skips the degrees where it is 0, so it finds the same first degree
+    and there the same witness.
     """
     ring = gb.ring
     field = ring.field
@@ -141,12 +151,16 @@ def socle_witness(gb: GroebnerBasis, max_degree: int,
     units = red.packing.units
     nf = _MonomialForms(red, field)
     idx = range(ring.nvars) if var_range is None else list(var_range)
+    sizes = None if within is None else within.coefficients(max_degree)
     layers = _standard_layers(gb)
     std = next(layers, [])
-    for _ in range(max_degree + 1):
+    for e in range(max_degree + 1):
         if not std:
             return None     # every higher degree is empty too
         std_up = next(layers, [])
+        if sizes is not None and not sizes[e]:
+            std = std_up
+            continue
         up_index = {a: k for k, a in enumerate(std_up)}
         width = len(std_up)
         # multiplication by the variables, one row per (variable, standard
@@ -225,7 +239,8 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict
     Every cut is certified by the numerator identity, so the value is a
     lower bound.  Each stage draws its seeded candidates, then tries the
     first random linear form.  When that form is not regular, a relative
-    socle witness (h not in J', h * x_i in J' for every i in var_range)
+    socle witness (h not in J', h * x_i in J' for every i in var_range),
+    searched in the degrees where the form's annihilator is nonzero,
     shows that every element of the ideal is a zero-divisor, and the
     value is exact.  Without a witness the stage tries the variables and
     the other candidates, through degree ``GRADE_CANDIDATE_DEGREE``; a stop
@@ -270,7 +285,8 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict
                 forms.append(linear[0])
                 cur_gb, cur_hs = ngb, nhs
                 continue
-            w = socle_witness(cur_gb, _socle_bound(cur_gb), var_range=var_range)
+            w = socle_witness(cur_gb, _socle_bound(cur_gb), var_range=var_range,
+                              within=annihilator_series(cur_hs, nhs))
             if w is not None:
                 return result(w)
         for theta in base + linear[1:] + higher:
@@ -317,7 +333,7 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
             kernel = annihilator_series(cur_hs, new_hs)
             if kernel.dimension == 0:
                 top = max(kernel.reduced()[0])
-                w = socle_witness(cur_gb, top)
+                w = socle_witness(cur_gb, top, within=kernel)
                 if w is None:
                     raise AssertionError(f"no socle element through degree {top}, "
                                          "the top degree of a finite-length 0 :_A theta")

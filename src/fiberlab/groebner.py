@@ -10,13 +10,21 @@ Inside the engine a monomial is one int packed for the basis order
 (``polyring._Packing``): comparison, product and divisibility are single
 integer operations.  For grevlex that is the packing the polynomials
 store; any other order converts on entry and exit (``polyring.repack``).
+
+The pair criteria read the exponent fields only (``_PairSet``):
+divisibility, coprimality and lcm equality do not look at the order
+rows, so each lcm is a SWAR field maximum (``_Packing.field_max``), and
+the packed lcm with its rows and degree is built only for the pairs that
+enter the heap.  The overflow bounds of the reducers are field maxima
+too.  See D11 in docs/decisions.md.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import mul
 
 from .graded import degree_basis
 from .hilbert import series_of_basis
@@ -30,7 +38,8 @@ class _Reducers:
 
     Per reducer: its leading monomial, its monic tail as (monomial,
     coefficient) pairs, and the componentwise maximum of the tail
-    monomials, which bounds every product in one overflow test.
+    monomials' exponent fields, which bounds every product in one
+    overflow test (``(q + top) & guard`` reads no order row).
 
     ``first`` memoizes ``divisor``: packed monomial -> index of the first
     reducer whose leading monomial divides it, or -1.  Any change to the
@@ -50,7 +59,7 @@ class _Reducers:
     def append(self, ident, lt, tail):
         self.lts.append(lt)
         self.tails.append(tail)
-        self.tops.append(self.packing.top([m for m, _ in tail]))
+        self.tops.append(reduce(self.packing.field_max, (m for m, _ in tail), 0))
         self.ids.append(ident)
         self.first.clear()
 
@@ -73,6 +82,76 @@ class _Reducers:
         for k in reversed(gone):
             del self.lts[k], self.tails[k], self.tops[k]
         return [self.ids.pop(k) for k in reversed(gone)]
+
+
+class _PairSet:
+    """The critical pairs still to reduce, under Gebauer-Moeller
+    bookkeeping, in a heap of (weighted lcm degree, packed lcm, i, j),
+    i < j: ``pop`` takes the pairs by the normal selection strategy.
+
+    Element t is known by the exponent fields of its leading monomial,
+    ``fields[t]``, and whether it is still live.  Every criterion reads
+    those fields only, so a pair's lcm is ``field_max`` of two of them;
+    the packed lcm, its order rows and its degree are built only for the
+    pairs that enter the heap.
+    """
+
+    __slots__ = ("packing", "weights", "fields", "alive", "heap")
+
+    def __init__(self, packing: _Packing, weights):
+        self.packing = packing
+        self.weights = weights
+        self.fields = []
+        self.alive = []
+        self.heap = []
+
+    def __bool__(self):
+        return bool(self.heap)
+
+    def add(self, lt, pair: bool):
+        """Enter lt as the next element; with ``pair``, update the pairs."""
+        packing, fields = self.packing, self.fields
+        guard, mask, field_max = packing.guard, packing.fields, packing.field_max
+        b = lt & mask
+        t = len(fields)
+        if pair:
+            groups = {}
+            for i in range(t):
+                if self.alive[i]:
+                    groups.setdefault(field_max(fields[i], b), []).append(i)
+            # criterion M: keep the minimal lcms.  A proper divisor is a
+            # smaller int on the fields, so in ascending order each value
+            # meets the minimal ones below it before it is kept.
+            minimal = []
+            for a in sorted(groups):
+                if all((a - m) & guard for m in minimal):
+                    minimal.append(a)
+            # criterion F: one pair per lcm; a coprime member kills its group
+            new = []
+            for a in minimal:
+                group = groups[a]
+                if not any(a == fields[i] + b for i in group):
+                    exps = packing.exponents(a)
+                    new.append((sum(map(mul, exps, self.weights)),
+                                sum(map(mul, exps, packing.units)), group[0], t))
+            # criterion B: prune old pairs via the new leading term
+            heap = [(d, a, i, j) for d, a, i, j in self.heap
+                    if (a - lt) & guard or field_max(fields[i], b) == a & mask
+                    or field_max(fields[j], b) == a & mask]
+            heap += new
+            heapq.heapify(heap)
+            self.heap = heap
+        fields.append(b)
+        self.alive.append(True)
+
+    def retire(self, ids):
+        for i in ids:
+            self.alive[i] = False
+
+    def pop(self):
+        """(packed lcm, i, j) of the next pair."""
+        _, a, i, j = heapq.heappop(self.heap)
+        return a, i, j
 
 
 def _monic_parts(terms: dict, field):
@@ -323,7 +402,7 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
         raise RingError("generators live in different rings")
     field = ring.field
     packing = _packing(order, ring.nvars)
-    guard, lcm = packing.guard, packing.lcm
+    guard = packing.guard
     p = field.characteristic
     work = [repack(g.terms, ring.packing, packing) for g in gens]
     if not groebner_prefix:
@@ -332,46 +411,20 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     leads = []
     tails = []
     tops = []
-    alive = []
-    # heap of (weighted lcm degree, packed lcm, i, j): selection by graded
-    # degree, for inputs homogeneous in the ring weights this is true
-    # degree-by-degree processing
-    pairs = []
+    # selection by weighted lcm degree: for inputs homogeneous in the ring
+    # weights this is true degree-by-degree processing
+    pairs = _PairSet(packing, ring.weights)
 
     def push_element(terms):
         lt, tail = _monic_parts(_strip_content(terms, field), field)
         t = len(leads)
-        # Gebauer-Moeller update of the pair set, on packed lcms
-        lcms = {} if t < groebner_prefix else \
-            {i: lcm(leads[i], lt) for i in range(t) if alive[i]}
-        # criterion M: drop a pair whose lcm is properly divided by another's
-        groups = {}
-        for i, a in lcms.items():
-            for b in lcms.values():
-                if b != a and not (a - b) & guard:
-                    break
-            else:
-                groups.setdefault(a, []).append(i)
-        # criterion F: one pair per lcm value; a coprime member kills its group
-        new_pairs = [(packing.degree(a, ring.weights), a, group[0], t)
-                     for a, group in groups.items()
-                     if not any(a == leads[i] + lt for i in group)]
-        # criterion B: prune old pairs via the new leading term
-        survivors = [(d, a, i, j) for d, a, i, j in pairs
-                     if (a - lt) & guard or lcm(leads[i], lt) == a
-                     or lcm(leads[j], lt) == a]
-        pairs.clear()
-        pairs.extend(survivors)
-        pairs.extend(new_pairs)
-        heapq.heapify(pairs)
+        pairs.add(lt, pair=t >= groebner_prefix)
         # retire basis elements whose leading term became redundant
-        for i in red.retire_multiples(lt):
-            alive[i] = False
+        pairs.retire(red.retire_multiples(lt))
         red.append(t, lt, tail)
         leads.append(lt)
         tails.append(tail)
         tops.append(red.tops[-1])
-        alive.append(True)
 
     for k, terms in enumerate(work):
         # a reduced prefix is irreducible by the elements before it
@@ -380,7 +433,7 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
             push_element(rem)
 
     while pairs:
-        _, lcm_p, i, j = heapq.heappop(pairs)
+        lcm_p, i, j = pairs.pop()
         # s-polynomial of two monic elements: their leading terms cancel
         qi = lcm_p - leads[i]
         qj = lcm_p - leads[j]

@@ -65,7 +65,7 @@ class _PackedRecursion:
         self.units = packing.units
         self.shifts = packing.shifts
         self.guard = packing.guard
-        self.low = sum(EXPONENT_LIMIT << s for s in self.shifts)
+        self.low = packing.fields
         self.bits = [1 << (s + EXPONENT_BITS) for s in self.shifts]
         self.var_of = {b: v for v, b in enumerate(self.bits)}
         self.weights = weights

@@ -133,15 +133,20 @@ class _Packing:
     is then the term order, ``a + b`` is the product, and a divides b iff
     ``(b - a) & guard`` is 0.  A guard bit set in a sum means an exponent
     passed the limit.  Every packing of n variables puts the exponent
-    fields at the same ``shifts``.
+    fields at the same ``shifts``; ``fields`` masks them.
+
+    The low bits of a sum or difference depend only on the low bits of
+    its operands, so divisibility and the guard test read the exponent
+    fields alone, and so does ``field_max``, the lcm on the fields.
     """
 
-    __slots__ = ("units", "shifts", "guard", "first_row")
+    __slots__ = ("units", "shifts", "guard", "fields", "first_row")
 
     def __init__(self, order: TermOrder, nvars: int):
         step = EXPONENT_BITS + 1
         self.shifts = tuple(range(0, nvars * step, step))
         self.guard = sum(1 << (s + EXPONENT_BITS) for s in self.shifts)
+        self.fields = sum(EXPONENT_LIMIT << s for s in self.shifts)
         units = [1 << s for s in self.shifts]
         offset = nvars * step
         for row in reversed(order.rows(nvars)):
@@ -163,16 +168,20 @@ class _Packing:
     def exponents(self, a) -> tuple:
         return tuple([(a >> s) & EXPONENT_LIMIT for s in self.shifts])
 
-    def top(self, monos) -> int:
-        """Packed componentwise maximum of packed monomials (0 if none)."""
-        if not monos:
-            return 0
-        return sum(max((a >> s) & EXPONENT_LIMIT for a in monos) * u
-                   for s, u in zip(self.shifts, self.units))
+    def field_max(self, a, b) -> int:
+        """Componentwise maximum of the exponent fields of a and b, with
+        the order rows left out.
 
-    def lcm(self, a, b) -> int:
-        exps = self.exponents
-        return sum(map(mul, map(max, exps(a), exps(b)), self.units))
+        SWAR on all fields at once: with a guard bit set above each field
+        of a, subtracting b leaves that bit set exactly where a's exponent
+        is at least b's, and no field borrows from the next; the bit minus
+        itself shifted down to the field's base fills that field's mask.
+        """
+        a &= self.fields
+        b &= self.fields
+        ge = ((a | self.guard) - b) & self.guard
+        mask = ge - (ge >> EXPONENT_BITS)
+        return (a & mask) | (b & ~mask)
 
     def degree(self, a, weights) -> int:
         """Weighted degree, from the exponent fields."""

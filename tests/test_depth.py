@@ -11,6 +11,7 @@ from fiberlab.fields import GF, QQ
 from fiberlab.groebner import (_MonomialForms, _nf_terms, buchberger, extend_basis,
                                normal_form)
 from fiberlab.ideals import Ideal
+from fiberlab.hilbert import HilbertSeries
 from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError
 
 from conftest import colon, intersect, leading_exponents, random_poly
@@ -263,6 +264,115 @@ def test_annihilator_series_matches_colon(field):
         assert kernel.numerator_dict() == _sub_numerators(hs, oracle)
         dims.add(kernel.dimension)
     assert {-1, 0, 1} <= dims
+
+
+def _search_within_failed_cut(gb, theta, bound, var_range=None):
+    """(witness, K): socle_witness within K = 0 :_A theta, theta a failed
+    cut, returns the witness of the unrestricted search."""
+    hs = series_of_basis(gb)
+    ok, _, cut_hs = regular_cut(gb, hs, theta)
+    assert not ok
+    kernel = annihilator_series(hs, cut_hs)
+    witness = socle_witness(gb, bound, var_range)
+    assert socle_witness(gb, bound, var_range, within=kernel) == witness
+    return witness, kernel
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_socle_search_within_annihilator_finds_the_same_witness(field):
+    """Absolute and relative searches, confined to the degrees where 0 :_A
+    theta is nonzero, find the unrestricted witness, on seeded Artinian
+    complete intersections and on ideals (q1, q2) + a * m^2 of depth 0 and
+    dimension 2; at least one degree below each witness is skipped."""
+    ring = Ring(field, ["a", "b", "c", "d"])
+    rng = random.Random("socle-within")
+    a = ring.variable(0)
+    for _ in range(2):
+        quadrics = tuple(random_poly(ring, 2, rng, terms=8) for _ in range(4))
+        embedded = quadrics[:2] + tuple(a * Polynomial(ring, {m: field.one})
+                                        for m in ring.monomials_of_degree(2))
+        for gens in (quadrics, embedded):
+            gb = Ideal(ring, gens).groebner()
+            dense = ring.linear_form([field.random_raw(rng, nonzero=True) for _ in range(4)])
+            in_cd = ring.linear_form([0, 0] + [field.random_raw(rng, nonzero=True)
+                                               for _ in range(2)])
+            for theta, var_range in ((dense, None), (in_cd, [2, 3])):
+                witness, kernel = _search_within_failed_cut(gb, theta, 6, var_range)
+                assert witness is not None
+                top = witness.homogeneous_degree()
+                assert 0 in kernel.coefficients(top)[:top]
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_socle_search_within_zero_series_finds_nothing(field):
+    """A ``within`` that is 0 in every degree through the bound leaves no
+    degree to search: None, although the unrestricted search finds the
+    witness of k[x,y]/(x^2, xy) in degree 1."""
+    ring = Ring(field, ["x", "y"])
+    x, y = ring.variable(0), ring.variable(1)
+    gb = Ideal(ring, (x * x, x * y)).groebner()
+    assert socle_witness(gb, 3) is not None
+    for zero_through_bound in ({}, {4: 1}, {4: 1, 5: -1}):
+        within = HilbertSeries.from_numerator(zero_through_bound, 2)
+        assert socle_witness(gb, 3, within=within) is None
+    assert socle_witness(gb, 3, var_range=[1],
+                         within=HilbertSeries.from_numerator({4: 1}, 2)) is None
+
+
+def _sevengen_gr(field):
+    """(presentation, w-first ring, w-first gr ideal) of Example 2.2."""
+    from conftest import mono_ideal
+    ring = Ring(field, ["x", "y", "z"])
+    sevengen = mono_ideal(ring, (0, 0, 6), (0, 1, 5), (1, 1, 4), (1, 2, 3),
+                          (1, 3, 2), (2, 3, 1), (3, 3, 0))
+    pres = rees_and_gr(sevengen)
+    big, _, gr = pres.w_first
+    return pres, big, gr
+
+
+def test_report_socle_searches_on_sevengen_gr_find_the_unrestricted_witness(monkeypatch):
+    """Example 2.2, on the w-first copy of gr with the report's seeds: the
+    depth descent's search within its failed parameter cut's K and the
+    grade search within its failed linear cut's K each return the witness
+    of the unrestricted search."""
+    pres, big, gr = _sevengen_gr(GF(32003))
+    searched = []
+    search = depth_mod.socle_witness
+
+    def both(gb, bound, var_range=None, within=None):
+        witness = search(gb, bound, var_range, within=within)
+        if within is not None:
+            assert witness == search(gb, bound, var_range)
+            searched.append(witness)
+        return witness
+
+    monkeypatch.setattr(depth_mod, "socle_witness", both)
+    rep = graded_depth(gr, seed="depthgr:ex-2.2-sevengen")
+    out = bounded_ideal_grade(gr.groebner(), range(big.nvars - pres.split),
+                              seed="grade:ex-2.2-sevengen")
+    assert rep.value == 2 and out["value"] == 1 and rep.exact and out["exact"]
+    assert searched == [rep.witness, out["witness"]]
+
+
+def test_socle_search_within_annihilator_on_sevengen_gr_over_qq():
+    """Over QQ, on the w-first gr of Example 2.2 cut by the regular forms
+    w5 + x and w2 + w7 (sparse, so that the bases stay small): the
+    absolute search within 0 :_A z and the search relative to the w
+    variables within 0 :_A w1 find the unrestricted witnesses, with
+    degrees below them skipped."""
+    pres, big, gr = _sevengen_gr(QQ)
+    v = big.variable
+    gb, hs = gr.groebner(), series_of_basis(gr.groebner())
+    for theta in (v(4) + v(7), v(1) + v(6)):
+        ok, gb, hs = regular_cut(gb, hs, theta)
+        assert ok
+    wvars = range(big.nvars - pres.split)
+    for theta, var_range in ((v(9), None), (v(0), wvars)):
+        witness, kernel = _search_within_failed_cut(gb, theta, depth_mod._socle_bound(gb),
+                                                    var_range)
+        assert witness is not None
+        top = witness.homogeneous_degree()
+        assert 0 in kernel.coefficients(top)[:top]
 
 
 def _counting_cuts(monkeypatch):

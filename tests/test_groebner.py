@@ -1,4 +1,7 @@
+import hashlib
+import operator
 import random
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -390,6 +393,183 @@ def test_exponents_at_parse_limit():
     assert list(buchberger(gens, GREVLEX).elements) == naive_buchberger(gens, GREVLEX)
     gb = buchberger([x - big_y], LEX)
     assert normal_form(x * big_y, gb) == ring.monomial((0, 2 * MAX_EXPONENT, 0))
+
+
+# ---------------------------------------------------------------------------
+# pair bookkeeping on the exponent fields
+
+PACKING_ORDERS = {"grevlex": GREVLEX, "lex": LEX, "elim2": Elimination(2),
+                  "weight2113": WeightThen((2, 1, 1, 3))}
+
+
+def _edge_exponents(rng, nvars):
+    """Seeded exponent tuples, with zeros and EXPONENT_LIMIT mixed in."""
+    pool = (0, 0, 1, 2, 7, EXPONENT_LIMIT - 1, EXPONENT_LIMIT)
+    return [tuple(rng.choice(pool) if rng.random() < 0.5 else rng.randrange(EXPONENT_LIMIT + 1)
+                  for _ in range(nvars)) for _ in range(60)]
+
+
+@pytest.mark.parametrize("order", list(PACKING_ORDERS.values()), ids=list(PACKING_ORDERS))
+def test_field_max_matches_tuple_max(order):
+    """The SWAR lcm on the exponent fields is the componentwise maximum
+    of the exponent tuples, with no order row: for equal, zero and
+    EXPONENT_LIMIT fields, on full packed monomials and on field-only
+    values alike; folded over a list it is the reducers' overflow bound."""
+    from fiberlab.polyring import _packing
+    packing = _packing(order, 4)
+    pack, fields = packing.pack, packing.fields
+    rng = random.Random(f"field-max:{order}")
+    exps = _edge_exponents(rng, 4) + [(0, 0, 0, 0), (EXPONENT_LIMIT,) * 4]
+    for u in exps:
+        a = pack(u)
+        assert packing.field_max(a, a) == a & fields
+        assert packing.field_max(a, 0) == a & fields
+        for v in rng.sample(exps, 8) + [u]:
+            b = pack(v)
+            want = pack(tuple(map(max, u, v))) & fields
+            assert packing.field_max(a, b) == packing.field_max(b, a) == want
+            assert packing.field_max(a & fields, b & fields) == want
+            assert packing.exponents(want) == tuple(map(max, u, v))
+    for _ in range(20):
+        group = rng.sample(exps, rng.randrange(1, 6))
+        top = reduce(packing.field_max, map(pack, group), 0)
+        assert packing.exponents(top) == tuple(max(col) for col in zip(*group))
+        assert top == top & fields
+
+
+@pytest.mark.parametrize("order", list(PACKING_ORDERS.values()), ids=list(PACKING_ORDERS))
+def test_reducer_bounds_are_tail_field_maxima(order):
+    """Each reducer's overflow bound is the field maximum of its tail, and
+    the guard test with it flags exactly the quotients that would carry
+    an exponent past EXPONENT_LIMIT."""
+    from fiberlab.polyring import _packing
+    ring = Ring(GF(32003), ["a", "b", "c", "d"])
+    packing = _packing(order, 4)
+    rng = random.Random(f"tops:{order}")
+    gens = [random_poly(ring, d, rng) for d in (2, 2, 3)]
+    red = buchberger(gens, order)._reducers
+    assert red.packing is packing
+    for tail, top in zip(red.tails, red.tops):
+        exps = [packing.exponents(m) for m, _ in tail] or [(0,) * 4]
+        want = tuple(max(col) for col in zip(*exps))
+        assert top == top & packing.fields and packing.exponents(top) == want
+        for k, unit in enumerate(packing.units):
+            room = EXPONENT_LIMIT - want[k]
+            assert not (room * unit + top) & packing.guard
+            if want[k]:
+                assert ((room + 1) * unit + top) & packing.guard
+
+
+def _reference_pairs(heap, lead_exps, alive, lt_exps, t, packing, weights):
+    """The Gebauer-Moeller update on exponent tuples, criterion M by
+    comparing every lcm with every other: the set of heap entries after
+    element t, with leading exponents lt_exps, enters."""
+    pack = packing.pack
+
+    def divides(u, v):
+        return all(x <= y for x, y in zip(u, v))
+
+    lcms = {i: tuple(map(max, lead_exps[i], lt_exps)) for i in range(t) if alive[i]}
+    groups = {}
+    for i, a in lcms.items():
+        if not any(b != a and divides(b, a) for b in lcms.values()):
+            groups.setdefault(a, []).append(i)
+    new = {(sum(map(operator.mul, weights, a)), pack(a), group[0], t)
+           for a, group in groups.items()
+           if not any(all(min(x, y) == 0 for x, y in zip(lead_exps[i], lt_exps))
+                      for i in group)}
+    old = set()
+    for d, a, i, j in heap:
+        a_exps = packing.exponents(a)
+        if (not divides(lt_exps, a_exps)
+                or tuple(map(max, lead_exps[i], lt_exps)) == a_exps
+                or tuple(map(max, lead_exps[j], lt_exps)) == a_exps):
+            old.add((d, a, i, j))
+    return old | new
+
+
+def _pinned_pair_cases():
+    """Three seeded ideals in five variables, each over F_p and Q, under
+    grevlex, an elimination order and a weight order."""
+    for seed, order in ((1, GREVLEX), (2, Elimination(2)), (3, WeightThen((1, 2, 1, 3, 2)))):
+        for field in (GF(32003), QQ):
+            yield pytest.param(seed, order, field, id=f"{seed}-{order}-{field}")
+
+
+def _recording_pairs(monkeypatch):
+    """Spy on ``_PairSet``: every update is checked against the tuple
+    oracle; returns the record of elements added, pairs pushed and the
+    sequence of pairs taken."""
+    record = {"adds": 0, "pushed": 0, "taken": []}
+    add, pop = groebner_mod._PairSet.add, groebner_mod._PairSet.pop
+
+    def spy_add(self, lt, pair):
+        t = len(self.fields)
+        exps = [self.packing.exponents(f) for f in self.fields]
+        heap, alive = list(self.heap), list(self.alive)
+        add(self, lt, pair)
+        record["adds"] += 1
+        if pair:
+            want = _reference_pairs(heap, exps, alive, self.packing.exponents(lt), t,
+                                    self.packing, self.weights)
+            assert set(self.heap) == want
+            record["pushed"] += sum(1 for *_, j in self.heap if j == t)
+
+    def spy_pop(self):
+        out = pop(self)
+        record["taken"].append(out)
+        return out
+
+    monkeypatch.setattr(groebner_mod._PairSet, "add", spy_add)
+    monkeypatch.setattr(groebner_mod._PairSet, "pop", spy_pop)
+    return record
+
+
+def _digest(taken):
+    return hashlib.sha256(repr(taken).encode()).hexdigest()[:16]
+
+
+# (elements added, pairs pushed, pairs taken, digest of the taken (packed
+# lcm, i, j) sequence).  Any change to the criteria, the tie-breaks or the
+# selection order moves them; they were recorded with the pair criteria
+# on unpacked exponent tuples, so the field-only criteria take every
+# S-polynomial in the same order.
+PINNED_PAIRS = {
+    "1-grevlex-GF(32003)": (13, 29, 29, "52215305003afea0"),
+    "1-grevlex-QQ": (17, 44, 44, "d4e50f81f8c85e7e"),
+    "2-elimination(2)-GF(32003)": (24, 71, 71, "4a0b61be17c4f0ac"),
+    "2-elimination(2)-QQ": (29, 89, 89, "04ce99a92f044a05"),
+    "3-weight_then([1, 2, 1, 3, 2],grevlex)-GF(32003)": (20, 59, 59, "10531bb217930023"),
+    "3-weight_then([1, 2, 1, 3, 2],grevlex)-QQ": (33, 109, 109, "a02a8d01832ccd17"),
+    "sevengen-w-first-gr-descent": (2245, 4269, 4100, "8b81998a938f677c"),
+}
+
+
+@pytest.mark.parametrize("seed,order,field", list(_pinned_pair_cases()))
+def test_pair_sequence_pinned(seed, order, field, monkeypatch):
+    """Every pair update equals the tuple oracle, and the pairs pushed and
+    the S-pairs taken, in order, are the pinned ones."""
+    ring = Ring(field, ["a", "b", "c", "d", "e"])
+    rng = random.Random(f"pairs:{seed}")
+    gens = [random_poly(ring, d, rng, terms=5) for d in (2, 2, 2, 3)]
+    record = _recording_pairs(monkeypatch)
+    buchberger(gens, order)
+    adds, pushed, taken, digest = PINNED_PAIRS[f"{seed}-{order}-{field}"]
+    assert (record["adds"], record["pushed"], len(record["taken"])) == (adds, pushed, taken)
+    assert _digest(record["taken"]) == digest
+
+
+def test_pair_sequence_pinned_on_sevengen_gr_descent(sevengen, monkeypatch):
+    """The same on the w-first copy of Example 2.2's gr ideal: its basis
+    from the generators, then every cut of the report's depth descent."""
+    from fiberlab.blowup import rees_and_gr
+    from fiberlab.depth import graded_depth
+    _, _, gr = rees_and_gr(sevengen).w_first
+    record = _recording_pairs(monkeypatch)
+    graded_depth(buchberger(gr.generators, GREVLEX), seed="depthgr:ex-2.2-sevengen")
+    adds, pushed, taken, digest = PINNED_PAIRS["sevengen-w-first-gr-descent"]
+    assert (record["adds"], record["pushed"], len(record["taken"])) == (adds, pushed, taken)
+    assert _digest(record["taken"]) == digest
 
 
 # ---------------------------------------------------------------------------

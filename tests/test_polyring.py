@@ -130,12 +130,12 @@ def test_homogeneous_degree(R3):
 
 def test_monomial_helpers():
     """On packed monomials a divides b iff (b - a) & guard is 0, and the
-    lcm is the componentwise maximum."""
+    lcm on the exponent fields is the componentwise maximum."""
     packing = Ring(GF(32003), ["x", "y"]).packing
     pack, guard = packing.pack, packing.guard
     assert not (pack((2, 1)) - pack((1, 0))) & guard
     assert (pack((2, 1)) - pack((1, 2))) & guard
-    assert packing.lcm(pack((1, 2)), pack((2, 1))) == pack((2, 2))
+    assert packing.field_max(pack((1, 2)), pack((2, 1))) == pack((2, 2)) & packing.fields
 
 
 def test_substitute(R3):
