@@ -231,13 +231,16 @@ class IdealContext:
                                      f"formula {dim} vs eliminated {eliminated}")
         return dim
 
-    def forget(self):
-        """Drop the memoized power rows, product rows, forms ideals,
-        normal-form matrices and ranks.  A report calls this between
-        stages that share none of them, so that one seed's prefix ideals
-        and the high powers of a reduction search do not stay in memory
-        while the next stage runs; all are cheap to build again."""
-        self._powers = None
+    def forget(self, *, powers: bool = True):
+        """Drop the memoized product rows, forms ideals, normal-form
+        matrices and ranks, and the power rows unless ``powers`` is False.
+        A report calls this between stages that share none of them, so
+        that one seed's prefix ideals and the high powers of a reduction
+        search do not stay in memory while the next stage runs; all are
+        cheap to build again.  Between the stages of two seeds it keeps
+        the power rows, which no seed changes."""
+        if powers:
+            self._powers = None
         self._forms_ideals.clear()
         self._nf_matrices.clear()
         self._ranks.clear()

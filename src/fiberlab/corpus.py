@@ -235,7 +235,7 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
         preds[f"tight:seed{seed}"] = tight[seed].to_json()
         preds[f"vv:seed{seed}"] = vv[seed].to_json()
         preds[f"adjusted:seed{seed}"] = analytically_adjusted(ctx, fs).to_json()
-        ctx.forget()
+        ctx.forget(powers=False)
     report["_objects"] = {
         "id": ctx.label, "ideal": ctx.ideal, "fp": fp, "rees": ctx.pres,
         "fiber_cm": ctx.fiber_cm, "rees_cm": ctx.rees_cm, "seeds": seeds,
@@ -320,7 +320,7 @@ def _bounded_blowup(ctx, report, seeds, n_max, r_max):
         for seed, fs in forms.items():
             preds[f"tight:seed{seed}"] = tight_profile(ctx, fs, n_max).to_json()
             preds[f"adjusted:seed{seed}"] = analytically_adjusted(ctx, fs).to_json()
-            ctx.forget()
+            ctx.forget(powers=False)
     if red_number is not None:
         inv["reduction_number"] = red_number
     else:

@@ -21,6 +21,14 @@ associated prime) does the stage try the candidate schedule.  Searching
 the socle before any cut costs far more where the stage is regular: a
 failed search runs to its full degree bound.
 
+A form whose cut failed is not cut again later in the same descent.  If
+x * a = 0 in A with a != 0 homogeneous and theta is a regular form, write
+a = theta^k * a' with a' not in theta * A; then x * a' = 0, so x is a
+zero-divisor on A/theta A too.  The schedule still draws every
+candidate, so the seeded draws, and with them the regular forms and the
+witness, stay the same.  The cuts of one descent share one memo of the
+Hilbert recursion, dropped when the descent returns (D12).
+
 The socle witness, taken relative to a subset of the variables, ends the
 grade search: grade(I, A) = 0 exactly when (0 :_A I) != 0 (Bruns-Herzog,
 Cohen-Macaulay Rings, 1.2.5).  The search follows a failed cut by a
@@ -61,10 +69,15 @@ class DepthReport:
     seed: str = ""
 
 
-def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial):
-    """(theta regular on S/ideal?, basis and series of the quotient)."""
+def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial,
+                memo: dict | None = None):
+    """(theta regular on S/ideal?, basis and series of the quotient).
+
+    ``memo`` is the Hilbert recursion's memo (``hilbert.monomial_numerator``)
+    that the cuts of one descent share; the descent drops it when it
+    returns."""
     new_gb = extend_basis(gb, (theta,))
-    new_hs = series_of_basis(new_gb)
+    new_hs = series_of_basis(new_gb, memo)
     return hs.equals_after_cut(new_hs, theta.homogeneous_degree()), new_gb, new_hs
 
 
@@ -88,9 +101,10 @@ def annihilator_series(hs: HilbertSeries, cut_hs: HilbertSeries) -> HilbertSerie
 def regular_prefix(gb: GroebnerBasis, forms) -> int:
     """How many leading forms are a regular sequence on S/ideal: cut by
     one form after another and stop at the first that is not regular."""
-    hs = series_of_basis(gb)
+    memo = {}
+    hs = series_of_basis(gb, memo)
     for k, theta in enumerate(forms):
-        ok, gb, hs = regular_cut(gb, hs, theta)
+        ok, gb, hs = regular_cut(gb, hs, theta, memo)
         if not ok:
             return k
     return len(forms)
@@ -251,7 +265,8 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict
     rng = random.Random(str(seed))
     var_range = list(var_range)
     forms = []
-    cur_gb, cur_hs = gb, series_of_basis(gb)
+    memo = {}
+    cur_gb, cur_hs = gb, series_of_basis(gb, memo)
 
     def result(witness):
         return {"value": len(forms), "candidate_degree_bound": GRADE_CANDIDATE_DEGREE,
@@ -280,7 +295,7 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict
                 if not f.is_zero() and f.is_homogeneous():
                     higher.append(f)
         if linear:
-            ok, ngb, nhs = regular_cut(cur_gb, cur_hs, linear[0])
+            ok, ngb, nhs = regular_cut(cur_gb, cur_hs, linear[0], memo)
             if ok:
                 forms.append(linear[0])
                 cur_gb, cur_hs = ngb, nhs
@@ -290,7 +305,7 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict
             if w is not None:
                 return result(w)
         for theta in base + linear[1:] + higher:
-            ok, ngb, nhs = regular_cut(cur_gb, cur_hs, theta)
+            ok, ngb, nhs = regular_cut(cur_gb, cur_hs, theta, memo)
             if ok:
                 forms.append(theta)
                 cur_gb, cur_hs = ngb, nhs
@@ -310,13 +325,16 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
     if any(w != 1 for w in ring.weights):
         raise ValueError("descent depth needs the standard grading")
     rng = random.Random(str(seed))
-    hs = series_of_basis(gb)
+    memo = {}
+    hs = series_of_basis(gb, memo)
     dim_total = hs.dimension
     if dim_total < 0:
         raise ValueError("depth of the zero ring is undefined")
 
     depth = 0
     forms = []
+    # forms whose cut failed: zero-divisors at every later stage too
+    zero_divisors = set()
     cur_gb, cur_hs = gb, hs
     while True:
         if depth >= dim_total:
@@ -324,12 +342,13 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
         if cur_hs.dimension == 1:
             # one parameter cut: regular, or its annihilator ends the descent
             theta = _dense_form(ring, rng)
-            ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta)
+            ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta, memo)
             if ok:
                 forms.append(theta)
                 cur_gb, cur_hs = new_gb, new_hs
                 depth += 1
                 continue
+            zero_divisors.add(theta)
             kernel = annihilator_series(cur_hs, new_hs)
             if kernel.dimension == 0:
                 top = max(kernel.reduced()[0])
@@ -342,13 +361,16 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
         found_regular = False
         if cur_hs.dimension > 0:
             for theta in _candidate_forms(ring, rng):
-                ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta)
+                if theta in zero_divisors:
+                    continue
+                ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta, memo)
                 if ok:
                     forms.append(theta)
                     cur_gb, cur_hs = new_gb, new_hs
                     depth += 1
                     found_regular = True
                     break
+                zero_divisors.add(theta)
         if found_regular:
             continue
         w = socle_witness(cur_gb, bound)

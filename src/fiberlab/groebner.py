@@ -17,6 +17,11 @@ rows, so each lcm is a SWAR field maximum (``_Packing.field_max``), and
 the packed lcm with its rows and degree is built only for the pairs that
 enter the heap.  The overflow bounds of the reducers are field maxima
 too.  See D11 in docs/decisions.md.
+
+``extend_basis`` starts the engine from a reduced basis's own reducer
+index (``buchberger``'s ``prefix``): its elements enter as they stand,
+with no pairs among them, and only the new generators are reduced.  See
+D12.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from operator import mul
 
 from .graded import degree_basis
 from .hilbert import series_of_basis
-from .linalg import negated_product, zeros
+from .linalg import negated_product, raw_rows, zeros
 from .polyring import (_OVERFLOW, EXPONENT_LIMIT, GREVLEX, Elimination, Polynomial, Ring,
                        RingError, TermOrder, _Packing, _packing, repack)
 
@@ -62,6 +67,13 @@ class _Reducers:
         self.tops.append(reduce(self.packing.field_max, (m for m, _ in tail), 0))
         self.ids.append(ident)
         self.first.clear()
+
+    def copy(self) -> "_Reducers":
+        """The same reducers in new lists, with an empty ``first`` memo."""
+        red = _Reducers(self.packing)
+        red.lts, red.tails, red.tops, red.ids = (self.lts[:], self.tails[:], self.tops[:],
+                                                 self.ids[:])
+        return red
 
     def divisor(self, m) -> int:
         """Index of the first reducer whose leading monomial divides m, or
@@ -290,7 +302,8 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
     Rows are built in ascending monomial order: a standard monomial's row
     is a unit vector, and a monomial m whose first reducer is lt + sum
     c * t has N[m] = -sum c * N[(m / lt) * t], one gathered product of
-    rows already built (``linalg.negated_product``).  The divisor search
+    rows already built (``linalg.negated_product``), with the reducer's
+    tail coefficients made into a row once per call.  The divisor search
     shares the reducers' ``first`` memo and every step checks the
     exponent-overflow guard, as in ``_MonomialForms``.  The number of
     standard monomials is checked against the Hilbert function of
@@ -313,6 +326,7 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
     width = len(standard)
     column = {m: j for j, m in enumerate(standard)}
     nf = zeros(field, (len(monos), width))
+    coefficients = {}       # reducer index -> its tail coefficients as a row
     for j in range(len(monos) - 1, -1, -1):
         m, k = monos[j], firsts[j]
         if k < 0:
@@ -325,7 +339,10 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
             rows = [index[q + tm] for tm, _ in tails[k]]
         except KeyError:
             raise ValueError("normal-form matrices need a homogeneous basis") from None
-        nf[j] = negated_product([[tc for _, tc in tails[k]]], nf[rows], field)[0]
+        c = coefficients.get(k)
+        if c is None:
+            c = coefficients[k] = raw_rows([[tc for _, tc in tails[k]]], field)
+        nf[j] = negated_product(c, nf[rows], field)[0]
     if width != series_of_basis(gb).coefficients(degree)[degree]:
         raise AssertionError(f"{width} standard monomials in degree {degree} "
                              "against the Hilbert function")
@@ -385,14 +402,19 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
 
 
 def buchberger(generators, order: TermOrder = GREVLEX, *,
-               groebner_prefix: int = 0) -> GroebnerBasis:
+               prefix: GroebnerBasis | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``generators``.
 
-    ``groebner_prefix=k`` promises that the first k generators already
-    form a reduced Groebner basis for this order, so they enter the basis
-    without reduction and pairs among them are skipped.
+    ``prefix``, a reduced basis for ``order`` in the same ring, is a warm
+    start: the basis is that of ideal(prefix) + ideal(generators), and
+    the engine starts from ``prefix._reducers`` as they stand, with no
+    pairs among them.  A reduced basis is monic and none of its leading
+    monomials divides another, so its elements need no reduction, no
+    rescaling and retire nothing (D12 in docs/decisions.md).
 
     Polynomials enter and leave packed for ``order`` (``polyring.repack``).
+    The closing self-check reduces every source generator, the prefix's
+    included, to 0 modulo the result, on the packed maps.
     """
     gens = [g for g in generators if g is not None and not g.is_zero()]
     if not gens:
@@ -400,25 +422,32 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
     ring = gens[0].ring
     if any(g.ring != ring for g in gens):
         raise RingError("generators live in different rings")
+    if prefix is not None and (prefix.ring != ring or prefix.order != order):
+        raise RingError("warm start from a basis of another ring or order")
     field = ring.field
     packing = _packing(order, ring.nvars)
     guard = packing.guard
     p = field.characteristic
     work = [repack(g.terms, ring.packing, packing) for g in gens]
-    if not groebner_prefix:
-        work.sort(key=max)      # by leading monomial; stable on ties
-    red = _Reducers(packing)
-    leads = []
-    tails = []
-    tops = []
     # selection by weighted lcm degree: for inputs homogeneous in the ring
     # weights this is true degree-by-degree processing
     pairs = _PairSet(packing, ring.weights)
+    if prefix is None:
+        work.sort(key=max)      # by leading monomial; stable on ties
+        red = _Reducers(packing)
+    else:
+        # the prefix enters as its reducers stand, with no pairs among them
+        red = prefix._reducers.copy()
+        for lt in red.lts:
+            pairs.add(lt, pair=False)
+    leads = red.lts[:]
+    tails = red.tails[:]
+    tops = red.tops[:]
 
     def push_element(terms):
         lt, tail = _monic_parts(_strip_content(terms, field), field)
         t = len(leads)
-        pairs.add(lt, pair=t >= groebner_prefix)
+        pairs.add(lt, pair=True)
         # retire basis elements whose leading term became redundant
         pairs.retire(red.retire_multiples(lt))
         red.append(t, lt, tail)
@@ -426,9 +455,8 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
         tails.append(tail)
         tops.append(red.tops[-1])
 
-    for k, terms in enumerate(work):
-        # a reduced prefix is irreducible by the elements before it
-        rem = terms if k < groebner_prefix else _nf_terms(terms, red, p)
+    for terms in work:
+        rem = _nf_terms(dict(terms), red, p)
         if rem:
             push_element(rem)
 
@@ -454,9 +482,17 @@ def buchberger(generators, order: TermOrder = GREVLEX, *,
             push_element(rem)
 
     elements = _final_reduce(red, field, ring)
-    gb = GroebnerBasis(ring, order, tuple(elements), tuple(gens))
-    for g in gens:
-        if not gb.contains(g):
+    sources = tuple(gens) if prefix is None else prefix.elements + tuple(gens)
+    gb = GroebnerBasis(ring, order, tuple(elements), sources)
+    if prefix is not None:
+        seed = prefix._reducers
+        for lt, tail in zip(seed.lts, seed.tails):
+            terms = dict(tail)
+            terms[lt] = field.one
+            work.append(terms)
+    final = gb._reducers
+    for terms in work:
+        if _nf_terms(terms, final, p):
             raise AssertionError("source generator does not reduce to zero")
     return gb
 
@@ -477,14 +513,11 @@ def _final_reduce(red: _Reducers, field, ring):
 
 
 def extend_basis(gb: GroebnerBasis, extra) -> GroebnerBasis:
-    """Basis of ideal(gb) + ideal(extra), reusing gb's pair bookkeeping."""
+    """Basis of ideal(gb) + ideal(extra), warm-started from gb's reducers."""
     extra = tuple(g for g in extra if not g.is_zero())
     if not extra:
         return gb
-    if not gb.elements:
-        return buchberger(extra, gb.order)
-    return buchberger(gb.elements + extra, gb.order,
-                      groebner_prefix=len(gb.elements))
+    return buchberger(extra, gb.order, prefix=gb if gb.elements else None)
 
 
 # ---------------------------------------------------------------------------

@@ -43,16 +43,22 @@ def _poly_add(a: dict, b: dict) -> dict:
     return res
 
 
-def monomial_numerator(gens, weights, packing) -> dict:
+def monomial_numerator(gens, weights, packing, memo: dict | None = None) -> dict:
     """Numerator (degree -> coefficient) for the quotient by a monomial
     ideal.  ``gens`` are ``packing``'s ints (a ``polyring._Packing``) and
     must generate minimally, as the leading monomials of a reduced basis
-    do."""
-    return _PackedRecursion(packing, tuple(weights)).numerator(tuple(sorted(gens)))
+    do.
+
+    ``memo`` is a dict the caller keeps, to share the recursion's nodes
+    between calls: a node's numerator depends only on its generators, the
+    packing and the weights, so one memo serves every call with the same
+    packing and weights, such as the cuts of one depth descent."""
+    memo = {} if memo is None else memo
+    return _PackedRecursion(packing, tuple(weights), memo).numerator(tuple(sorted(gens)))
 
 
 class _PackedRecursion:
-    """The pivot recursion on packed monomials, memoized per call.
+    """The pivot recursion on packed monomials, memoized in ``memo``.
 
     A node is a sorted tuple of minimal generators.  Divisibility is
     ``(b - a) & guard == 0`` and division by x_v is ``a - units[v]``.
@@ -61,7 +67,7 @@ class _PackedRecursion:
     monomial as a mask of guard bits.
     """
 
-    def __init__(self, packing, weights):
+    def __init__(self, packing, weights, memo: dict):
         self.units = packing.units
         self.shifts = packing.shifts
         self.guard = packing.guard
@@ -69,7 +75,7 @@ class _PackedRecursion:
         self.bits = [1 << (s + EXPONENT_BITS) for s in self.shifts]
         self.var_of = {b: v for v, b in enumerate(self.bits)}
         self.weights = weights
-        self.memo = {}
+        self.memo = memo
 
     def numerator(self, gens: tuple) -> dict:
         if not gens:
@@ -133,14 +139,14 @@ class _PackedRecursion:
         return _poly_add(n_plus, {d + w: c for d, c in n_colon.items()})
 
 
-def series_of_basis(gb) -> "HilbertSeries":
+def series_of_basis(gb, memo: dict | None = None) -> "HilbertSeries":
     """Hilbert series of S/ideal from a reduced basis's packed leading
-    monomials."""
+    monomials; ``memo`` as in ``monomial_numerator``."""
     ring = gb.ring
     if not gb.elements:
         return HilbertSeries.from_numerator({0: 1}, ring.nvars, ring.weights)
     red = gb._reducers
-    num = monomial_numerator(red.lts, ring.weights, red.packing)
+    num = monomial_numerator(red.lts, ring.weights, red.packing, memo)
     return HilbertSeries.from_numerator(num, ring.nvars, ring.weights)
 
 

@@ -247,10 +247,17 @@ def zeros(field: FieldSpec, shape) -> np.ndarray:
     return np.zeros(shape, dtype=_dtype(field.characteristic))
 
 
+def raw_rows(rows, field: FieldSpec) -> np.ndarray:
+    """Raw values (any nested sequence) as rows of the field's dtype, made
+    once for rows that enter many products."""
+    return np.asarray(rows, dtype=_dtype(field.characteristic))
+
+
 def negated_product(a, b: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """-(a @ b) for raw matrices a (r x k, any nested sequence) and b
-    (a k x n array), exact over both fields: one ``_submul``, which over
-    F_p holds for every p up to ``fields.MAX_PRIME``."""
+    """-(a @ b) for raw matrices a (r x k, any nested sequence, or rows
+    from ``raw_rows``, which are taken as they are) and b (a k x n
+    array), exact over both fields: one ``_submul``, which over F_p holds
+    for every p up to ``fields.MAX_PRIME``."""
     a = np.asarray(a, dtype=_dtype(field.characteristic))
     out = zeros(field, (len(a), b.shape[1]))
     return _submul(out, [(a, b)], field.characteristic) if a.size else out

@@ -378,12 +378,47 @@ def test_socle_search_within_annihilator_on_sevengen_gr_over_qq():
 def _counting_cuts(monkeypatch):
     calls = []
 
-    def counted(gb, hs, theta):
+    def counted(gb, hs, theta, memo=None):
         calls.append(theta)
-        return regular_cut(gb, hs, theta)
+        return regular_cut(gb, hs, theta, memo)
 
     monkeypatch.setattr(depth_mod, "regular_cut", counted)
     return calls
+
+
+def test_skipped_candidates_are_zero_divisors_where_skipped(monkeypatch):
+    """Example 2.2's w-first Rees and gr descents, with the report's seeds:
+    each candidate the descent skips, because its cut failed at an earlier
+    stage, is cut at the stage where it was skipped, and is not regular
+    there either.  The skips are the 20 repeated single variables."""
+    pres, big, gr = _sevengen_gr(GF(32003))
+    rees = pres.w_first[1]
+    cut, schedule = depth_mod.regular_cut, depth_mod._candidate_forms
+    stage, cuts, skipped = [None], [], []
+
+    def tracked(gb, hs, theta, memo=None):
+        out = cut(gb, hs, theta, memo)
+        cuts.append(theta)
+        # the stage the next candidate is cut at
+        stage[0] = (out[1], out[2]) if out[0] else (gb, hs)
+        return out
+
+    def candidates(ring, rng):
+        for theta in schedule(ring, rng):
+            made, at = len(cuts), stage[0]
+            yield theta
+            if len(cuts) == made:       # resumed without a cut: skipped
+                skipped.append((theta, at))
+
+    monkeypatch.setattr(depth_mod, "regular_cut", tracked)
+    monkeypatch.setattr(depth_mod, "_candidate_forms", candidates)
+    reps = [graded_depth(rees, seed="cm:ex-2.2-sevengen:rees:depth"),
+            graded_depth(gr, seed="depthgr:ex-2.2-sevengen")]
+    assert [(r.value, r.exact) for r in reps] == [(3, True), (2, True)]
+    assert len(skipped) == 20
+    assert all(len(theta.terms) == 1 for theta, _ in skipped)
+    for theta, (gb, hs) in skipped:
+        assert cut(gb, hs, theta)[0] is False
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])

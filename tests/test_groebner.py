@@ -310,6 +310,66 @@ def test_extend_basis_matches_scratch(binomial4):
     assert ext.elements == scratch.elements
 
 
+def _warm_start_cases(field):
+    """(prefix basis, extra generators) on seeded ideals in 4 and 5
+    variables: a sparse linear form, a quadric, and the variable that
+    divides the most leading monomials, whose leading term retires them."""
+    for nvars in (4, 5):
+        ring = Ring(field, [f"x{i}" for i in range(nvars)])
+        rng = random.Random(f"warm-start:{nvars}")
+        gb = buchberger([random_poly(ring, d, rng) for d in (2, 2, 3)])
+        coeffs = [field.zero] * nvars
+        coeffs[0], coeffs[-1] = field.one, field.random_raw(rng, nonzero=True)
+        exps = leading_exponents(gb)
+        var = max(range(nvars), key=lambda i: (sum(1 for e in exps if e[i]), -i))
+        yield gb, (ring.linear_form(coeffs),)
+        yield gb, (random_poly(ring, 2, rng),)
+        yield gb, (ring.variable(var),)
+
+
+@pytest.mark.parametrize("field", [GF(32003), GF(67108859), QQ],
+                         ids=["F32003", "F67108859", "QQ"])
+def test_warm_start_equals_the_basis_from_scratch(field):
+    """extend_basis starts from the prefix's reducers, yet gives the basis
+    buchberger builds from all the generators; the prefix's own reducers
+    are left as they were.  One case retires prefix leading terms."""
+    retired = False
+    for gb, extra in _warm_start_cases(field):
+        red = gb._reducers
+        before = (list(red.lts), list(red.tails), list(red.tops), list(red.ids))
+        ext = extend_basis(gb, extra)
+        assert ext.elements == buchberger(gb.elements + extra).elements
+        assert ext.source_generators == gb.elements + extra
+        assert (red.lts, red.tails, red.tops, red.ids) == before
+        retired |= not set(red.lts) <= set(ext._reducers.lts)
+    assert retired
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_warm_start_self_check_catches_a_dropped_element(field, monkeypatch):
+    """A final basis that lost an element fails the closing self-check:
+    dropping the extra variable leaves that variable unreduced, and
+    dropping an element that kept a prefix leading term leaves that
+    prefix element unreduced (no other leading term divides it)."""
+    gb, extra = list(_warm_start_cases(field))[2]
+    ext = extend_basis(gb, extra)
+    prefix_leads = {max(g.terms) for g in gb.elements}     # grevlex-packed
+    kept = [g for g in ext.elements if max(g.terms) in prefix_leads]
+    assert kept and extra[0] in ext.elements
+    final_reduce = groebner_mod._final_reduce
+    for lost in (extra[0], kept[0]):
+        monkeypatch.setattr(groebner_mod, "_final_reduce",
+                            lambda *a: [g for g in final_reduce(*a) if g != lost])
+        with pytest.raises(AssertionError, match="source generator"):
+            extend_basis(gb, extra)
+
+
+def test_warm_start_refuses_another_order(binomial4):
+    gb = binomial4.groebner()
+    with pytest.raises(RingError, match="warm start"):
+        buchberger([binomial4.ring.variable(0)], LEX, prefix=gb)
+
+
 def test_determinism(sevengen):
     a = buchberger(list(sevengen.generators), GREVLEX)
     b = buchberger(list(sevengen.generators), GREVLEX)
@@ -533,7 +593,11 @@ def _digest(taken):
 # lcm, i, j) sequence).  Any change to the criteria, the tie-breaks or the
 # selection order moves them; they were recorded with the pair criteria
 # on unpacked exponent tuples, so the field-only criteria take every
-# S-polynomial in the same order.
+# S-polynomial in the same order.  Since the descent skips a form whose
+# cut already failed (D12), it makes 38 cuts where it made 48.  Each of
+# the 38 takes exactly the pairs it took before, and the 10 it no longer
+# makes are the repeated failures, so the descent's entry was recorded
+# again: it was (2245, 4269, 4100, "8b81998a938f677c").
 PINNED_PAIRS = {
     "1-grevlex-GF(32003)": (13, 29, 29, "52215305003afea0"),
     "1-grevlex-QQ": (17, 44, 44, "d4e50f81f8c85e7e"),
@@ -541,7 +605,7 @@ PINNED_PAIRS = {
     "2-elimination(2)-QQ": (29, 89, 89, "04ce99a92f044a05"),
     "3-weight_then([1, 2, 1, 3, 2],grevlex)-GF(32003)": (20, 59, 59, "10531bb217930023"),
     "3-weight_then([1, 2, 1, 3, 2],grevlex)-QQ": (33, 109, 109, "a02a8d01832ccd17"),
-    "sevengen-w-first-gr-descent": (2245, 4269, 4100, "8b81998a938f677c"),
+    "sevengen-w-first-gr-descent": (1802, 3539, 3405, "c7f176368b0ebdf9"),
 }
 
 

@@ -1,10 +1,15 @@
 import random
 
+import pytest
+
+from fiberlab import depth as depth_mod
 from fiberlab.fields import GF
-from fiberlab.hilbert import HilbertSeries, monomial_numerator
+from fiberlab.groebner import extend_basis
+from fiberlab.hilbert import HilbertSeries, monomial_numerator, series_of_basis
+from fiberlab.ideals import Ideal
 from fiberlab.polyring import GREVLEX, Polynomial, Ring, _packing
 
-from conftest import leading_exponents
+from conftest import exponent_terms, leading_exponents, random_poly
 
 
 def brute_hilbert_function(gens, nvars, weights, up_to):
@@ -157,3 +162,62 @@ def test_series_of_basis_reads_packed_leads():
             assert hs.numerator_dict() == tuple_numerator(leads, ring.weights)
             assert hs.coefficients(8) == brute_hilbert_function(
                 leads, 4, ring.weights, 8)
+
+
+def sympy_standard_counts(gens, up_to):
+    """Standard monomials per degree 0..up_to of sympy's reduced grevlex
+    basis of the polynomials ``gens``, over F_p: no code shared with the
+    engine or the recursion."""
+    sympy = pytest.importorskip("sympy")
+    ring = gens[0].ring
+    p = ring.field.characteristic
+    symbols = sympy.symbols(ring.names)
+    exprs = [sum(c * sympy.prod([s ** e for s, e in zip(symbols, m)])
+                 for m, c in exponent_terms(g).items()) for g in gens]
+    basis = sympy.groebner(exprs, *symbols, modulus=p, order="grevlex")
+    leads = [sympy.Poly(g, *symbols, modulus=p).monoms(order="grevlex")[0]
+             for g in basis.exprs]
+    return brute_hilbert_function(leads, ring.nvars, ring.weights, up_to)
+
+
+@pytest.mark.parametrize("nvars", [4, 5])
+def test_shared_memo_series_against_fresh_and_sympy(nvars):
+    """Seeded ideals in one ring, each cut by two linear forms, all under
+    one memo: every series equals a fresh recursion's and sympy's count
+    of standard monomials through degree 7."""
+    ring = Ring(GF(32003), [f"x{i}" for i in range(nvars)])
+    rng = random.Random(f"shared-memo:{nvars}")
+    memo = {}
+    for _ in range(3):
+        gens = [random_poly(ring, d, rng) for d in (2, 2, 3)]
+        gb = Ideal(ring, tuple(gens)).groebner()
+        for cuts in range(3):
+            if cuts:
+                gb = extend_basis(gb, (random_poly(ring, 1, rng, terms=2),))
+            shared = series_of_basis(gb, memo)
+            assert shared == series_of_basis(gb)
+            assert shared.coefficients(7) == sympy_standard_counts(gb.source_generators, 7)
+    assert memo
+
+
+def test_descent_cuts_share_one_memo_and_match_fresh_and_sympy(binomial4, monkeypatch):
+    """Every cut of the depth descent on the w-first gr of
+    (x^2 - y^2, xy, xz, yz), regular or not, shares the descent's one
+    memo; the series it reads equals a fresh recursion's and sympy's
+    count through degree 6."""
+    from fiberlab.blowup import rees_and_gr
+    _, _, gr = rees_and_gr(binomial4).w_first
+    cut, seen = depth_mod.regular_cut, []
+
+    def recorded(gb, hs, theta, memo=None):
+        out = cut(gb, hs, theta, memo)
+        seen.append((out[1], out[2], memo))
+        return out
+
+    monkeypatch.setattr(depth_mod, "regular_cut", recorded)
+    rep = depth_mod.graded_depth(gr, seed="t")
+    assert (rep.value, rep.exact) == (2, True)
+    assert len(seen) > 10 and len({id(m) for *_, m in seen}) == 1 and seen[0][2]
+    for gb, hs, _ in seen:
+        assert hs == series_of_basis(gb)
+        assert hs.coefficients(6) == sympy_standard_counts(gb.source_generators, 6)

@@ -402,19 +402,31 @@ def test_forget_clears_quotient_memos(binomial4):
     """Every memo of the context, each dict-valued private attribute (the
     ranks and the product rows among them) and the power rows, is filled
     by tightness, Valabrega-Valla and a reduction search and emptied by
-    ``forget()``: a memo added later cannot escape it."""
+    ``forget()``: a memo added later cannot escape it.  The per-seed
+    ``forget(powers=False)`` empties all of them but the power rows, and
+    the powers read afterwards are the rows kept."""
     ctx = IdealContext(binomial4)
-    fs = generic_forms(ctx, 3, "forget:1")
-    tight_profile(ctx, fs, 2)
-    valabrega_valla(ctx, FormSequence(fs.forms[:2], fs.provenance, fs.coefficients[:2]), 2)
-    minimal_reduction(ctx, seed="forget:red")
-    assert ctx.forms_ideal(fs.forms[:2]) is ctx.forms_ideal(fs.forms[:2])
+
+    def fill(seed):
+        fs = generic_forms(ctx, 3, f"forget:{seed}")
+        tight_profile(ctx, fs, 2)
+        valabrega_valla(ctx, FormSequence(fs.forms[:2], fs.provenance, fs.coefficients[:2]), 2)
+        minimal_reduction(ctx, seed="forget:red")
+        assert ctx.forms_ideal(fs.forms[:2]) is ctx.forms_ideal(fs.forms[:2])
 
     def memos():
         return {name: value for name, value in vars(ctx).items()
                 if name == "_powers" or (name.startswith("_") and isinstance(value, dict))}
 
+    fill(1)
     assert {"_powers", "_ranks", "_rows"} <= memos().keys()
+    assert all(memos().values())
+    powers = list(ctx._powers)
+    ctx.forget(powers=False)
+    assert not any(v for name, v in memos().items() if name != "_powers")
+    fill(2)
+    assert all(a is b for a, b in zip(ctx._powers, powers))
+    assert len(ctx._powers) >= len(powers)
     assert all(memos().values())
     ctx.forget()
     assert not any(memos().values())
