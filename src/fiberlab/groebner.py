@@ -33,7 +33,7 @@ from operator import mul
 
 from .graded import degree_basis
 from .hilbert import series_of_basis
-from .linalg import negated_product, raw_rows, zeros
+from .linalg import negated_combinations, raw_rows, zeros
 from .polyring import (_OVERFLOW, EXPONENT_LIMIT, GREVLEX, Elimination, Polynomial, Ring,
                        RingError, TermOrder, _Packing, _packing, repack)
 
@@ -299,12 +299,15 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
     ``graded.degree_basis(ring, degree)``, written over ``standard``, the
     standard monomials of that degree, grevlex-descending.
 
-    Rows are built in ascending monomial order: a standard monomial's row
-    is a unit vector, and a monomial m whose first reducer is lt + sum
-    c * t has N[m] = -sum c * N[(m / lt) * t], one gathered product of
-    rows already built (``linalg.negated_product``), with the reducer's
-    tail coefficients made into a row once per call.  The divisor search
-    shares the reducers' ``first`` memo and every step checks the
+    A standard monomial's row is a unit vector.  A monomial m whose first
+    reducer is lt + sum c * t has N[m] = -sum c * N[(m / lt) * t], a
+    combination of rows of lower monomials with the reducer's tail
+    coefficients.  Its level is 0 for a standard monomial and otherwise
+    1 + the highest level among those rows (1 for an empty tail), so the
+    monomials of one level and one reducer need only lower levels and
+    share one coefficient row: each such group is one exact product
+    (``linalg.negated_combinations``), level after level.  The divisor
+    search shares the reducers' ``first`` memo and every step checks the
     exponent-overflow guard, as in ``_MonomialForms``.  The number of
     standard monomials is checked against the Hilbert function of
     S/ideal.
@@ -326,7 +329,8 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
     width = len(standard)
     column = {m: j for j, m in enumerate(standard)}
     nf = zeros(field, (len(monos), width))
-    coefficients = {}       # reducer index -> its tail coefficients as a row
+    levels = [0] * len(monos)
+    groups = {}             # (level, reducer index) -> (rows of N, their gathers)
     for j in range(len(monos) - 1, -1, -1):
         m, k = monos[j], firsts[j]
         if k < 0:
@@ -339,10 +343,13 @@ def normal_form_matrix(gb: GroebnerBasis, degree: int):
             rows = [index[q + tm] for tm, _ in tails[k]]
         except KeyError:
             raise ValueError("normal-form matrices need a homogeneous basis") from None
-        c = coefficients.get(k)
-        if c is None:
-            c = coefficients[k] = raw_rows([[tc for _, tc in tails[k]]], field)
-        nf[j] = negated_product(c, nf[rows], field)[0]
+        levels[j] = 1 + max((levels[r] for r in rows), default=0)
+        out, gathers = groups.setdefault((levels[j], k), ([], []))
+        out.append(j)
+        gathers.append(rows)
+    for (_, k), (out, gathers) in sorted(groups.items()):
+        c = raw_rows([[tc for _, tc in tails[k]]], field)
+        nf[out] = negated_combinations(c, nf, gathers, field)
     if width != series_of_basis(gb).coefficients(degree)[degree]:
         raise AssertionError(f"{width} standard monomials in degree {degree} "
                              "against the Hilbert function")

@@ -141,13 +141,20 @@ class _PackedRecursion:
 
 def series_of_basis(gb, memo: dict | None = None) -> "HilbertSeries":
     """Hilbert series of S/ideal from a reduced basis's packed leading
-    monomials; ``memo`` as in ``monomial_numerator``."""
-    ring = gb.ring
-    if not gb.elements:
-        return HilbertSeries.from_numerator({0: 1}, ring.nvars, ring.weights)
-    red = gb._reducers
-    num = monomial_numerator(red.lts, ring.weights, red.packing, memo)
-    return HilbertSeries.from_numerator(num, ring.nvars, ring.weights)
+    monomials, computed once per basis and kept on it, as
+    ``functools.cached_property`` keeps a value; ``memo``, as in
+    ``monomial_numerator``, serves that first computation."""
+    series = gb.__dict__.get("_series")
+    if series is None:
+        ring = gb.ring
+        if gb.elements:
+            red = gb._reducers
+            num = monomial_numerator(red.lts, ring.weights, red.packing, memo)
+        else:
+            num = {0: 1}
+        series = gb.__dict__["_series"] = HilbertSeries.from_numerator(
+            num, ring.nvars, ring.weights)
+    return series
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ class Ideal:
                 gens.append(g)
         self.generators = tuple(gens)
         self._gb_cache = {}
-        self._hilbert = None
+        self._mingens = None
 
     # -- basics ----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -64,9 +64,13 @@ class Ideal:
         more = ", ..." if len(self.generators) > 6 else ""
         return f"Ideal({gens}{more})"
 
-    def minimal_generators(self):
-        from .graded import minimal_generators
-        return minimal_generators(self)
+    def minimal_generators(self) -> list:
+        """``graded.minimal_generators``, computed once: every call returns
+        the same list."""
+        if self._mingens is None:
+            from .graded import minimal_generators
+            self._mingens = minimal_generators(self)
+        return self._mingens
 
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Ideal") -> "Ideal":
@@ -86,12 +90,10 @@ class Ideal:
 
     # -- numeric invariants ---------------------------------------------------
     def hilbert_series(self) -> HilbertSeries:
-        """Series of R/I in the ring's grading."""
-        if self._hilbert is None:
-            if not self.is_homogeneous():
-                raise RingError("Hilbert series needs a homogeneous ideal")
-            self._hilbert = series_of_basis(self.groebner())
-        return self._hilbert
+        """Series of R/I in the ring's grading, kept on the grevlex basis."""
+        if not self.is_homogeneous():
+            raise RingError("Hilbert series needs a homogeneous ideal")
+        return series_of_basis(self.groebner())
 
     def krull_dimension(self) -> int:
         """dim(R/I); -1 when I is the unit ideal."""

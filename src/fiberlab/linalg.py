@@ -5,21 +5,27 @@ Everything returns canonical reduced row-echelon data so that callers
 
 One block kernel does the work over both fields, after Dumas, Giorgi and
 Pernet (FFLAS-FFPACK, 2008): a block of rows is reduced against the
-basis with a matrix product, eliminated within the block, and
-back-substituted into the basis with another.  Rows are numpy arrays
-of dtype ``_dtype(p)`` everywhere; this module alone knows the field,
-in five places: that dtype, ``_residues``, ``_submul``, the pivot steps
-of ``_gauss_jordan`` and the reduction steps of ``multiply_rows``,
+basis with a matrix product, eliminated within the block, live rows
+only, and back-substituted into the basis with another.  Rows are numpy
+arrays of dtype ``_dtype(p)`` everywhere; this module alone knows the
+field, in five places: that dtype, ``_residues``, ``_submul``, the pivot
+steps of ``_gauss_jordan`` and the reduction steps of ``multiply_rows``,
 which builds the rows of products from the rows of their factors.
+Callers with many small products of one coefficient row group them into
+one (``negated_combinations``, after the F4 idea of Faugere, 1999).
 
 Over F_p residues in [0, p) sit in float64 arrays, and reduction mod p
 waits until a product is complete.  This is exact: a product sums
 nonnegative terms, so while the total is an integer below 2**53 every
-partial sum is too.  The inner dimension of a product is therefore cut
-into chunks of (2**53 - p) // (p - 1)**2 terms: 8.6M at p = 32003, 2 at
-p = 67108859, the largest prime below ``fields.MAX_PRIME`` = 2**26.
-Residues are x - p*floor(x/p), exact for integers |x| <= 2**53 - p (see
-``_residues``).
+partial sum is too, in any order of summation.  The inner dimension of
+a product is therefore cut into chunks of (2**53 - p) // (p - 1)**2
+terms: 8.6M at p = 32003, 2 at p = 67108859, the largest prime below
+``fields.MAX_PRIME`` = 2**26.  Residues are x - p*floor(x/p), exact for
+integers |x| <= 2**53 - p (see ``_residues``).  Every product is one
+``@`` on one OpenBLAS thread: the products are panels of at most
+``_BLOCK`` rows, too thin to pay for a thread pool, so the module sets
+OPENBLAS_NUM_THREADS to 1 before numpy loads, unless it is set already
+(``docs/decisions.md`` D13).
 
 Over Q rows are ``object`` arrays of ``Fraction`` (and the exact integer
 zeros of ``zeros``).  An operation on an entry costs a Python call
@@ -31,16 +37,18 @@ QQ oracle tests take four times as long (``docs/decisions.md`` D8).
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 from itertools import islice
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")     # read once, when numpy loads
+
+import numpy as np  # noqa: E402
 
 from .fields import FieldSpec
 
 _EXACT = 1 << 53        # float64 represents every integer up to here
 _BLOCK = 64             # rows per block in ``Echelon.extend`` and ``reduce``
-_BLAS_MIN = 8           # thinner products run as einsum, off the BLAS thread pool
 
 
 def _dtype(p: int):
@@ -67,10 +75,8 @@ def _submul(b: np.ndarray, terms, p: int) -> np.ndarray:
     ``b`` is left as it is.
 
     Over F_p products add up unreduced while they hold at most
-    (2**53 - p) // (p - 1)**2 inner terms; thin ones go through einsum,
-    because OpenBLAS wakes its thread pool for them too, at a cost of
-    milliseconds on a busy host.  Over Q each row of c meets only the
-    rows of m at its nonzero coefficients."""
+    (2**53 - p) // (p - 1)**2 inner terms.  Over Q each row of c meets
+    only the rows of m at its nonzero coefficients."""
     if not p:
         b = b.copy()
         for c, m in terms:
@@ -86,27 +92,30 @@ def _submul(b: np.ndarray, terms, p: int) -> np.ndarray:
             cs, ms = c[:, s:s + step], m[s:s + step]
             if count + cs.shape[1] > step:
                 b, acc, count = _residues(np.subtract(b, acc, out=acc), p), None, 0
-            if min(cs.shape) >= _BLAS_MIN:
-                prod = cs @ ms
-            else:
-                prod = np.einsum("ik,kj->ij", cs, ms)
+            prod = cs @ ms
             acc = prod if acc is None else np.add(acc, prod, out=acc)
             count += cs.shape[1]
     return b if acc is None else _residues(np.subtract(b, acc, out=acc), p)
 
 
 def _gauss_jordan(block: np.ndarray, p: int):
-    """Reduce the rows of ``block`` to RREF among themselves, in place and
-    in row order; rows dependent on earlier ones end zero.  Returns a
-    flag per row, True where it was independent, and the new pivots.
+    """Reduce the rows of ``block``, residues, to RREF among themselves in
+    row order; rows dependent on earlier ones end zero.  Returns a flag
+    per row, True where it was independent, those rows reduced, and
+    their pivots.
 
-    Over F_p a pivot subtracts at most (p - 1)**2 from each other row, so
-    the block is reduced only every (2**53 - p) // (p - 1)**2 pivots.
-    Over Q a step changes only the pivot row's nonzero columns."""
+    A row that is zero on entry stays zero, so only the live rows are
+    visited and eliminated, in place when every row is live and in a
+    copy of them otherwise.  Over F_p a pivot subtracts at most
+    (p - 1)**2 from each other row, so the rows are reduced only every
+    (2**53 - p) // (p - 1)**2 pivots.  Over Q a step changes only the
+    pivot row's nonzero columns."""
     step = (_EXACT - p) // (p - 1) ** 2
-    grew = np.zeros(len(block), dtype=bool)
+    live = np.flatnonzero(block.any(axis=1))
+    rows = block if len(live) == len(block) else block[live]
+    grew = np.zeros(len(rows), dtype=bool)
     pivots = []
-    for i, row in enumerate(block):
+    for i, row in enumerate(rows):
         nz = np.flatnonzero(_residues(row, p))
         if not nz.size:
             continue
@@ -114,19 +123,20 @@ def _gauss_jordan(block: np.ndarray, p: int):
         inv = pow(int(row[c]), -1, p) if p else 1 / Fraction(row[c])
         _residues(np.multiply(row, inv, out=row), p)
         if pivots and len(pivots) % step == 0:
-            _residues(block, p)
-        col = _residues(block[:, c].copy(), p)
+            _residues(rows, p)
+        col = _residues(rows[:, c].copy(), p)
         col[i] = 0
         hit = np.flatnonzero(col)
         if p:
-            block[hit] -= np.outer(col[hit], row)
+            rows[hit] -= np.outer(col[hit], row)
         else:
             nz = np.flatnonzero(row)
-            block[np.ix_(hit, nz)] -= np.outer(col[hit], row[nz])
+            rows[np.ix_(hit, nz)] -= np.outer(col[hit], row[nz])
         grew[i] = True
         pivots.append(c)
-    _residues(block, p)
-    return grew, pivots
+    flags = np.zeros(len(block), dtype=bool)
+    flags[live[grew]] = True
+    return flags, _residues(rows[grew], p), pivots
 
 
 class Echelon:
@@ -227,9 +237,9 @@ class Echelon:
         vectors = iter(vectors)
         while rows := list(islice(vectors, _BLOCK)):
             block = self._reduce_block(self._block(rows))
-            grew, pivots = _gauss_jordan(block, self.field.characteristic)
+            grew, new, pivots = _gauss_jordan(block, self.field.characteristic)
             if pivots:
-                self._insert(block[grew], np.array(pivots, dtype=np.intp))
+                self._insert(new, np.array(pivots, dtype=np.intp))
             flags.extend(grew.tolist())
         return flags
 
@@ -261,6 +271,18 @@ def negated_product(a, b: np.ndarray, field: FieldSpec) -> np.ndarray:
     a = np.asarray(a, dtype=_dtype(field.characteristic))
     out = zeros(field, (len(a), b.shape[1]))
     return _submul(out, [(a, b)], field.characteristic) if a.size else out
+
+
+def negated_combinations(c: np.ndarray, rows: np.ndarray, index,
+                         field: FieldSpec) -> np.ndarray:
+    """Row i is -sum_t c[0, t] * rows[index[i][t]], for one raw coefficient
+    row ``c`` (from ``raw_rows``) of T terms that every output row
+    shares.  The a outputs are one ``negated_product`` of ``c`` against
+    the gathered rows, laid out as T x (a * width)."""
+    index = np.asarray(index, dtype=np.intp)
+    a, width = len(index), rows.shape[1]
+    gathered = rows[index.T].reshape(c.shape[1], a * width)
+    return negated_product(c, gathered, field).reshape(a, width)
 
 
 def index_array(columns) -> np.ndarray:

@@ -27,8 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graded import (PresentationMatrix, minimal_generators, piece_span_of_polys,
-                     spanning_rows, syzygies_degreewise)
+from .graded import (PresentationMatrix, piece_span_of_polys, spanning_rows,
+                     syzygies_degreewise)
 
 
 class IncompleteResolutionError(RuntimeError):
@@ -129,7 +129,7 @@ def minimal_resolution(ideal, ceiling: int = DEFAULT_CEILING) -> Resolution:
     fixed seed: any forms that pass prove the same bound, and Betti
     numbers are unique, so no seed can change the table."""
     ring = ideal.ring
-    gens = minimal_generators(ideal)
+    gens = ideal.minimal_generators()
     if gens and ideal.is_unit():
         raise ValueError("resolution of the zero module is not meaningful here")
     cert = certified_regularity(gens, ring, ceiling, "resolution")

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from fiberlab import groebner as groebner_mod
+from fiberlab import linalg as linalg_mod
 from fiberlab.fields import GF, QQ
 from fiberlab.graded import degree_basis, vector_to_poly
 from fiberlab.groebner import (buchberger, eliminate, extend_basis, normal_form,
                                normal_form_matrix)
 from fiberlab.ideals import Ideal
+from fiberlab.linalg import negated_product
 from fiberlab.polyring import (EXPONENT_LIMIT, GREVLEX, LEX, MAX_EXPONENT, Elimination,
                                Polynomial, Ring, RingError, WeightThen)
 
@@ -641,24 +643,46 @@ def test_pair_sequence_pinned_on_sevengen_gr_descent(sevengen, monkeypatch):
 
 @pytest.mark.parametrize("field", [GF(32003), GF(67108859), QQ],
                          ids=["F32003", "F67108859", "QQ"])
-def test_normal_form_matrix_rows_are_normal_forms(field):
+def test_normal_form_matrix_rows_are_normal_forms(field, monkeypatch):
     """Row j, read over the standard monomials, is the normal form of the
     j-th monomial of the degree, in degrees 0-8, on seeded bases; at
-    p = 67108859 every gathered product runs in chunks of two terms."""
+    p = 67108859 every gathered product runs in chunks of two terms.
+    The bases: two with short tails; one of three quartics of 12 terms,
+    whose (level, reducer) groups have several members and tails of
+    dozens of terms, so that there are fewer products than non-standard
+    monomials; and one with the monomial generator a^3, whose multiples
+    have an empty tail."""
     ring = Ring(field, ["a", "b", "c", "d"])
     rng = random.Random("normal-form-matrix")
-    for _ in range(2):
-        gens = tuple(random_poly(ring, rng.randrange(2, 4), rng) for _ in range(3))
+    a = ring.variable(0)
+    bases = [tuple(random_poly(ring, rng.randrange(2, 4), rng) for _ in range(3))
+             for _ in range(2)]
+    bases.append(tuple(random_poly(ring, 4, rng, terms=12) for _ in range(3)))
+    bases.append((a ** 3, random_poly(ring, 3, rng), random_poly(ring, 4, rng)))
+    products = []
+    monkeypatch.setattr(linalg_mod, "negated_product",
+                        lambda *args: products.append(1) or negated_product(*args))
+    counts = []
+    for gens in bases:
         ideal = Ideal(ring, gens)
         gb = ideal.groebner()
+        products.clear()
+        reduced = 0
         for e in range(9):
             nf, standard = normal_form_matrix(gb, e)
             monos = degree_basis(ring, e)[0]
             assert len(nf) == len(monos)
             assert len(standard) == ideal.hilbert_series().coefficients(e)[e]
+            reduced += len(monos) - len(standard)
             for m, row in zip(monos, nf):
                 assert vector_to_poly(row, standard, ring) == \
                     normal_form(mul_term(ring.one(), m, field.one), gb)
+        counts.append((len(products), reduced, max(map(len, gb._reducers.tails))))
+        if gens is bases[3]:
+            assert a ** 3 in gb.elements
+    assert all(made <= reduced for made, reduced, _ in counts)
+    made, reduced, longest = counts[2]
+    assert made < reduced and longest > 30
 
 
 def test_normal_form_matrix_edges(R3):

@@ -164,6 +164,28 @@ def test_series_of_basis_reads_packed_leads():
                 leads, 4, ring.weights, 8)
 
 
+def fresh_series(gb):
+    """The series of a basis's leading monomials from a new recursion with
+    no memo, not the series that the basis keeps."""
+    red = gb._reducers
+    num = monomial_numerator(red.lts, gb.ring.weights, red.packing)
+    return HilbertSeries.from_numerator(num, gb.ring.nvars, gb.ring.weights)
+
+
+def test_series_of_basis_is_kept_on_the_basis():
+    """The first call computes the series with the caller's memo; every
+    later call returns the same object and leaves its memo untouched."""
+    ring = Ring(GF(32003), ["a", "b", "c", "d"])
+    rng = random.Random("kept-series")
+    gb = Ideal(ring, tuple(random_poly(ring, d, rng) for d in (2, 2, 3))).groebner()
+    memo, later = {}, {}
+    hs = series_of_basis(gb, memo)
+    assert memo and hs == fresh_series(gb)
+    assert series_of_basis(gb) is hs
+    assert series_of_basis(gb, later) is hs and not later
+    assert Ideal(ring, gb.elements).hilbert_series() == hs
+
+
 def sympy_standard_counts(gens, up_to):
     """Standard monomials per degree 0..up_to of sympy's reduced grevlex
     basis of the polynomials ``gens``, over F_p: no code shared with the
@@ -195,7 +217,7 @@ def test_shared_memo_series_against_fresh_and_sympy(nvars):
             if cuts:
                 gb = extend_basis(gb, (random_poly(ring, 1, rng, terms=2),))
             shared = series_of_basis(gb, memo)
-            assert shared == series_of_basis(gb)
+            assert shared == fresh_series(gb)
             assert shared.coefficients(7) == sympy_standard_counts(gb.source_generators, 7)
     assert memo
 
@@ -219,5 +241,5 @@ def test_descent_cuts_share_one_memo_and_match_fresh_and_sympy(binomial4, monkey
     assert (rep.value, rep.exact) == (2, True)
     assert len(seen) > 10 and len({id(m) for *_, m in seen}) == 1 and seen[0][2]
     for gb, hs, _ in seen:
-        assert hs == series_of_basis(gb)
+        assert hs == fresh_series(gb)
         assert hs.coefficients(6) == sympy_standard_counts(gb.source_generators, 6)

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -164,15 +167,41 @@ def low_rank_rows(rng, nrows, ncols, rank, p, zero_rows=0):
     return rows
 
 
+def combinations(rng, rows, count, p):
+    """``count`` random linear combinations of ``rows``, exact mod p or
+    over Q."""
+    out = []
+    for _ in range(count):
+        coeffs = [random_entry(rng, p) for _ in rows]
+        combo = [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*rows)]
+        out.append([v % p for v in combo] if p else combo)
+    return out
+
+
+def kernel_cases(rng, p):
+    """Row lists for the block kernel, made as they are read: one of more
+    rows than one block, rank-deficient, with zero rows; a square one, of
+    full rank over F_p; and one whose blocks of 64 rows take the three
+    shapes of ``_gauss_jordan``'s live-row loop: rows that die inside
+    their block (block 1, 12 rows of rank at most 8, then combinations of
+    them), a block that is zero on entry (block 2, in the span of block
+    1) and a block whose only live row is its last (block 3)."""
+    for nrows, ncols, rank, zeros in ((150, 40, 23, 9), (70, 90, 60, 3), (30, 30, 30, 0)):
+        yield low_rank_rows(rng, nrows, ncols, rank, p, zeros)
+    base = low_rank_rows(rng, 12, 20, 8, p)
+    yield (base + combinations(rng, base, 52 + 64 + 63, p)
+           + [[random_entry(rng, p) for _ in range(20)]])
+
+
 @pytest.mark.parametrize("p", FIELDS)
 def test_block_kernel_matches_oracle(p):
     rng = random.Random(f"block-kernel:{p}")
     field = field_of(p)
-    # more rows than one block, rank-deficient, with zero rows; and a
-    # square case, of full rank over F_p
-    for nrows, ncols, rank, zeros in ((150, 40, 23, 9), (70, 90, 60, 3), (30, 30, 30, 0)):
-        rows = low_rank_rows(rng, nrows, ncols, rank, p, zeros)
+    for case, rows in enumerate(kernel_cases(rng, p)):
+        ncols = len(rows[0])
         want_rows, want_pivots, want_flags = oracle_rref(rows, p)
+        if case == 3:
+            assert not any(want_flags[12:191]) and want_flags[191]
         e = Echelon(field, ncols)
         assert e.extend(rows) == want_flags
         assert e.rank == len(want_pivots)
@@ -270,3 +299,30 @@ def test_multiply_rows_matches_oracle(p):
             want.append([v % p for v in out] if p else out)
     assert got.tolist() == want
     assert multiply_rows(rows, [], width, field).shape == (0, width)
+
+
+# ---------------------------------------------------------------------------
+# the BLAS thread count
+
+SEEN_AT_NUMPY_IMPORT = """
+import os, sys
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            print(os.environ.get("OPENBLAS_NUM_THREADS"))
+sys.meta_path.insert(0, Spy())
+import fiberlab
+"""
+
+
+@pytest.mark.parametrize("preset, seen", [(None, "1"), ("3", "3")])
+def test_blas_thread_count_is_set_before_numpy_loads(preset, seen):
+    """A fresh interpreter that imports fiberlab loads numpy, and with it
+    OpenBLAS, with OPENBLAS_NUM_THREADS = 1, unless the variable was
+    already set: then its value is kept."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    out = subprocess.run([sys.executable, "-c", SEEN_AT_NUMPY_IMPORT], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [seen]
