@@ -2,13 +2,19 @@
 algebra, associated graded ring, reductions and Cohen-Macaulay tests.
 
 Both presentations come from one elimination.  With generators f_1..f_m
-of common degree d, the Rees relations J live in k[x.., w..] (kernel of
-w_i -> f_i t, by eliminating t), and the fiber relations Q in
-k[w_1..w_m] (kernel of w_i -> f_i) are Q = J ∩ k[w], read off J by
-eliminating the x-variables (D5 in docs/decisions.md).  J is bigraded,
-so its generators are homogeneous for the standard regrading in which
-every variable has weight one; all dimension, multiplicity and depth
-computations run in that regrading (verified generator by generator).
+of common degree d, the Rees relations J are the kernel of w_i -> f_i t,
+by eliminating t, and the fiber relations Q in k[w_1..w_m] (kernel of
+w_i -> f_i) are Q = J ∩ k[w], read off J by eliminating the x-variables
+(D5 in docs/decisions.md).  The presentations are plain ideals: Q of
+k[w], and J and gr = J + I·S[w] of k[w.., x..], with the w-variables
+first, where every cut of the depth descents, the grade search, the CM
+test and the Valabrega-Valla route keeps its grevlex bases smaller.  The
+eliminations and gr's dimension check work in k[x.., w..], where their
+own bases are the smaller ones; only ``rees_and_gr`` knows the order
+(D14).  J is bigraded, so its generators are homogeneous for the
+standard regrading in which every variable has weight one; all
+dimension, multiplicity and depth computations run in that regrading
+(verified generator by generator).
 """
 
 from __future__ import annotations
@@ -18,92 +24,50 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .graded import degree_basis, product_rows
-from .groebner import (GREVLEX, GroebnerBasis, eliminate, extend_basis,
-                       normal_form_matrix)
-from .hilbert import HilbertSeries, series_of_basis
+from .graded import degree_basis, generic_rank, product_rows
+from .groebner import eliminate, extend_basis, normal_form_matrix
+from .hilbert import series_of_basis
 from .ideals import Ideal
 from .linalg import independent_rows, negated_product, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
-from .resolutions import (DEFAULT_CEILING, IncompleteResolutionError,
+from .resolutions import (DEFAULT_CEILING, BoundExceededError, IncompleteResolutionError,
                           minimal_resolution)
 
 
-def _is_bihomogeneous(p: Polynomial, split: int) -> bool:
-    """One x-degree and one w-degree (the variables from index ``split``
-    on): homogeneous with w weighing one and with w weighing two."""
+def _is_bihomogeneous(p: Polynomial, wvars) -> bool:
+    """One x-degree and one w-degree (w the variables ``wvars``):
+    homogeneous with w weighing one and with w weighing two."""
     ring = p.ring
-    regraded = Ring(ring.field, ring.names, (1,) * split + (2,) * (ring.nvars - split))
+    regraded = Ring(ring.field, ring.names,
+                    tuple(2 if i in wvars else 1 for i in range(ring.nvars)))
     return p.is_homogeneous() and ring.embed(p, regraded).is_homogeneous()
 
 
 @dataclass
-class FiberPresentation:
-    """k[w_1..w_m] together with the relations Q of the fiber cone."""
-
-    fiber_ring: Ring
-    relations: Ideal
-    source: tuple               # the degree-d minimal generators of I
-    degree: int
-
-    def hilbert_series(self) -> HilbertSeries:
-        return self.relations.hilbert_series()
-
-    def analytic_spread(self) -> int:
-        return self.hilbert_series().dimension
-
-    def multiplicity(self) -> int:
-        return self.hilbert_series().multiplicity
-
-    def relation_piece_dim(self, n: int) -> int:
-        """dim_k of the degree-n part of Q, from the fiber Hilbert series."""
-        ambient = self.fiber_ring.dim_of_degree(n)
-        return ambient - self.hilbert_series().coefficients(n)[n]
-
-
-@dataclass
 class ReesPresentation:
-    """Presentations of the Rees algebra and associated graded ring.
+    """The Rees ideal J and the gr ideal J + I·S[w], both in k[w.., x..]
+    with the standard regrading (all weights one); ``wvars`` are the
+    indices of w_1..w_m, the generators of gr+.  Their bases are built
+    on first use."""
 
-    ``big_ring`` is k[x.., w..] in the standard regrading (all weights
-    one); the bigraded structure is recovered by splitting exponents at
-    ``split``.  ``rees_ideal`` presents the Rees algebra, ``gr_ideal``
-    the associated graded ring.
-    """
-
-    big_ring: Ring
-    split: int
     rees_ideal: Ideal
     gr_ideal: Ideal
-    source: tuple
-    degree: int
+    wvars: range
 
-    def rees_dimension(self) -> int:
-        return self.rees_ideal.krull_dimension()
-
-    def gr_dimension(self) -> int:
-        return self.gr_ideal.krull_dimension()
+    def w_form(self, coeffs) -> Polynomial:
+        """sum c_i w_i, the image in gr of the form sum c_i f_i."""
+        ring = self.gr_ideal.ring
+        full = [ring.field.zero] * ring.nvars
+        for i, c in zip(self.wvars, coeffs):
+            full[i] = c
+        return ring.linear_form(full)
 
     def gr_plus_codimension(self) -> int:
         """Codimension of the irrelevant ideal of gr (an upper bound for
         its height)."""
-        wvars = [self.big_ring.variable(i)
-                 for i in range(self.split, self.big_ring.nvars)]
-        top = Ideal(self.big_ring, self.gr_ideal.generators + tuple(wvars))
-        return self.gr_dimension() - top.krull_dimension()
-
-    @cached_property
-    def w_first(self) -> tuple:
-        """(ring, Rees ideal, gr ideal) copied into k[w.., x..], where the
-        depth descents, the grade search and the Valabrega-Valla gr route
-        cut: in grevlex with the w variables first the bases of their cuts
-        stay smaller (sevengen's gr descent takes half the time).  The
-        eliminations stay x-first, where their own bases are the smaller
-        ones.  The copies' bases are built on first use."""
-        big, split = self.big_ring, self.split
-        ring = Ring(big.field, big.names[split:] + big.names[:split])
-        return (ring, *(Ideal(ring, tuple(big.embed(g, ring) for g in ideal.generators))
-                        for ideal in (self.rees_ideal, self.gr_ideal)))
+        gr = self.gr_ideal
+        top = Ideal(gr.ring, gr.generators + tuple(gr.ring.variable(i) for i in self.wvars))
+        return gr.krull_dimension() - top.krull_dimension()
 
 
 class IdealContext:
@@ -225,7 +189,8 @@ class IdealContext:
         gens = equigenerated_data(self)[0]
         dim = comb(len(gens) + n - 1, n) - len(self.power_rows(n))
         if self.fp is not None:
-            eliminated = self.fp.relation_piece_dim(n)
+            eliminated = (self.fp.ring.dim_of_degree(n)
+                          - self.fp.hilbert_series().coefficients(n)[n])
             if dim != eliminated:
                 raise AssertionError(f"fiber piece mismatch at n={n}: "
                                      f"formula {dim} vs eliminated {eliminated}")
@@ -247,7 +212,8 @@ class IdealContext:
         self._rows.clear()
 
     @cached_property
-    def fp(self) -> "FiberPresentation | None":
+    def fp(self) -> Ideal | None:
+        """Q, the fiber relations, as an ideal of k[w]."""
         return None if self.bounded else fiber_presentation(self)
 
     @cached_property
@@ -263,7 +229,7 @@ class IdealContext:
         """Analytic spread: the fiber dimension, or the exact Jacobian
         squeeze when the plan is bounded."""
         if not self.bounded:
-            return self.fp.analytic_spread()
+            return self.fp.krull_dimension()
         lower, exact = self.jacobian_spread
         return lower if exact else None
 
@@ -282,21 +248,20 @@ class IdealContext:
 
     @cached_property
     def fiber_resolution(self):
-        return minimal_resolution(self.fp.relations, ceiling=self.cutoff)
+        return minimal_resolution(self.fp, ceiling=self.cutoff)
 
     @cached_property
     def fiber_cm(self) -> "CMReport | None":
         if self.bounded:
             return None
-        return is_cm_graded((self.fp.fiber_ring, self.fp.relations),
-                            trials=self.trials, base_seed=f"cm:{self.label}:fiber")
+        return is_cm_graded(self.fp, trials=self.trials, base_seed=f"cm:{self.label}:fiber")
 
     @cached_property
     def rees_cm(self) -> "CMReport | None":
         if self.bounded:
             return None
-        return is_cm_graded((self.pres.big_ring, self.pres.rees_ideal),
-                            trials=self.trials, base_seed=f"cm:{self.label}:rees")
+        return is_cm_graded(self.pres.rees_ideal, trials=self.trials,
+                            base_seed=f"cm:{self.label}:rees")
 
 
 def equigenerated_data(ideal):
@@ -313,22 +278,21 @@ def equigenerated_data(ideal):
     return ctx.mingens, ctx.degree
 
 
-def fiber_presentation(ideal) -> FiberPresentation:
-    """Relations Q of the fiber cone, the kernel of w_i -> f_i: Q = J ∩ k[w]
-    for the Rees ideal J, by eliminating the x-variables from J."""
+def fiber_presentation(ideal) -> Ideal:
+    """Relations Q of the fiber cone, the kernel of w_i -> f_i, as an ideal
+    of k[w]: Q = J ∩ k[w] for the Rees ideal J, by eliminating the
+    x-variables from J in k[x.., w..]."""
     ctx = IdealContext.of(ideal)
     pres = ctx.pres
-    big_ring, split = pres.big_ring, pres.split
-    fiber_ring = Ring(big_ring.field, big_ring.names[split:])
-    rel_polys = tuple(big_ring.restrict(g, fiber_ring)
-                      for g in eliminate(pres.rees_ideal.generators, split))
-    for q in rel_polys:
-        if not q.substitute(list(pres.source), ctx.ring).is_zero():
+    big = pres.rees_ideal.ring
+    fiber_ring = Ring(big.field, tuple(big.names[i] for i in pres.wvars))
+    work = Ring(big.field, ctx.ring.names + fiber_ring.names)
+    relations = tuple(work.restrict(g, fiber_ring) for g in eliminate(
+        [big.embed(g, work) for g in pres.rees_ideal.generators], ctx.ring.nvars))
+    for q in relations:
+        if not q.substitute(ctx.mingens, ctx.ring).is_zero():
             raise AssertionError("fiber relation does not vanish on the generators")
-    relations = Ideal(fiber_ring, rel_polys)
-    relations._gb_cache[repr(GREVLEX)] = GroebnerBasis(
-        fiber_ring, GREVLEX, rel_polys, rel_polys)
-    return FiberPresentation(fiber_ring, relations, pres.source, pres.degree)
+    return Ideal(fiber_ring, relations)
 
 
 def fiber_truncated(ideal, n_max: int) -> dict:
@@ -347,20 +311,15 @@ def spread_via_jacobian(ideal, seed="jac") -> tuple:
     dim R it is exact.  The bound is the best of five points.
     """
     ring = ideal.ring
-    field = ring.field
     gens = IdealContext.of(ideal).mingens
     jac = [[g.derivative(j) for j in range(ring.nvars)] for g in gens]
-    best = 0
-    for trial in range(5):
-        rng = random.Random(f"{seed}:{trial}")
-        point = [field.random_raw(rng) for _ in range(ring.nvars)]
-        rows = [[entry.evaluate(point) for entry in row] for row in jac]
-        best = max(best, rank_of_rows(rows, field, ring.nvars))
+    best = generic_rank(jac, [f"{seed}:{trial}" for trial in range(5)])
     return best, best == ring.nvars
 
 
 def rees_and_gr(ideal) -> ReesPresentation:
-    """Rees and associated graded presentations, by eliminating t."""
+    """Rees and associated graded presentations in k[w.., x..], by
+    eliminating t from (w_i - f_i t) in k[t, x.., w..]."""
     ctx = IdealContext.of(ideal)
     ring = ctx.ring
     gens, d = equigenerated_data(ctx)
@@ -369,40 +328,42 @@ def rees_and_gr(ideal) -> ReesPresentation:
     m = len(gens)
     taken = set(ring.names)
     tname = fresh_names("t", 1, taken)[0]
-    wnames = fresh_names("w", m, taken | {tname})
-    elim_ring = Ring(ring.field, (tname,) + ring.names + tuple(wnames),
+    wnames = tuple(fresh_names("w", m, taken | {tname}))
+    elim_ring = Ring(ring.field, (tname,) + ring.names + wnames,
                      (1,) + ring.weights + (d + 1,) * m)
     t = elim_ring.variable(0)
     work = [elim_ring.variable(1 + ring.nvars + i) - ring.embed(f, elim_ring) * t
             for i, f in enumerate(gens)]
     kept = eliminate(work, 1)
-    big_ring = Ring(ring.field, ring.names + tuple(wnames))
-    split = ring.nvars
-    rees_polys = tuple(elim_ring.restrict(g, big_ring) for g in kept)
-    if not all(_is_bihomogeneous(h, split) for h in rees_polys):
-        raise AssertionError("Rees relation is not bihomogeneous")
-    rees_ideal = Ideal(big_ring, rees_polys)
-    rees_ideal._gb_cache[repr(GREVLEX)] = GroebnerBasis(
-        big_ring, GREVLEX, rees_polys, rees_polys)
-    gr_gens = rees_polys + tuple(ring.embed(f, big_ring) for f in gens)
-    gr_ideal = Ideal(big_ring, gr_gens)
-    gr_ideal._gb_cache[repr(GREVLEX)] = extend_basis(
-        rees_ideal.groebner(), gr_gens[len(rees_polys):])
-    pres = ReesPresentation(big_ring, split, rees_ideal, gr_ideal,
-                            tuple(gens), d)
-    _verify_rees(pres, elim_ring, ring, t)
+    big_ring = Ring(ring.field, wnames + ring.names)
+    rees_ideal = Ideal(big_ring, tuple(elim_ring.restrict(g, big_ring) for g in kept))
+    gr_ideal = Ideal(big_ring, rees_ideal.generators
+                     + tuple(ring.embed(f, big_ring) for f in gens))
+    pres = ReesPresentation(rees_ideal, gr_ideal, range(m))
+    _verify_rees(pres, ring, gens, elim_ring, kept)
     return pres
 
 
-def _verify_rees(pres: ReesPresentation, elim_ring: Ring, ring: Ring, t):
-    images = ([elim_ring.variable(1 + i) for i in range(pres.split)]
-              + [ring.embed(f, elim_ring) * t for f in pres.source])
+def _verify_rees(pres: ReesPresentation, ring: Ring, gens, elim_ring: Ring, kept):
+    """Every Rees relation is bihomogeneous and vanishes under w -> f t;
+    dim R(I) = dim R + 1 and dim gr = dim R.  The dimensions are read in
+    the working ring k[x.., w..] of the elimination, from its relations
+    ``kept``: there gr's basis stays far smaller than with w first
+    (D14 in docs/decisions.md)."""
+    t = elim_ring.variable(0)
+    images = ([ring.embed(f, elim_ring) * t for f in gens]
+              + [elim_ring.variable(name) for name in ring.names])
     for g in pres.rees_ideal.generators:
+        if not _is_bihomogeneous(g, pres.wvars):
+            raise AssertionError("Rees relation is not bihomogeneous")
         if not g.substitute(images, elim_ring).is_zero():
             raise AssertionError("Rees relation does not vanish under w -> f t")
-    if pres.rees_dimension() != ring.nvars + 1:
+    xring = Ring(ring.field, elim_ring.names[1:])
+    rees = Ideal(xring, tuple(elim_ring.restrict(g, xring) for g in kept))
+    if rees.krull_dimension() != ring.nvars + 1:
         raise AssertionError("Rees quotient has unexpected dimension")
-    if pres.gr_dimension() != ring.nvars:
+    gr = extend_basis(rees.groebner(), tuple(ring.embed(f, xring) for f in gens))
+    if series_of_basis(gr).dimension != ring.nvars:
         raise AssertionError("gr quotient has unexpected dimension")
 
 
@@ -422,13 +383,13 @@ class CMReport:
         return self.verdict == "CM"
 
 
-def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm") -> CMReport:
-    """Colength-versus-multiplicity test with a random linear system of
-    parameters (four draws per trial); equality certifies CM, excess
-    certifies NOT_CM."""
+def is_cm_graded(ideal: Ideal, trials: int = 3, base_seed="cm") -> CMReport:
+    """Colength-versus-multiplicity test on S/ideal with a random linear
+    system of parameters (four draws per trial); equality certifies CM,
+    excess certifies NOT_CM."""
     if trials < 1:
         raise ValueError(f"CM test needs at least one trial, got {trials}")
-    ring, ideal = ring_and_ideal
+    ring = ideal.ring
     if any(w != 1 for w in ring.weights):
         raise ValueError("CM test needs the standard grading")
     hs = ideal.hilbert_series()
@@ -454,7 +415,7 @@ def is_cm_graded(ring_and_ideal, trials: int = 3, base_seed="cm") -> CMReport:
             if cut_hs.dimension == 0:
                 break
         else:
-            raise RuntimeError("no linear system of parameters found")
+            raise BoundExceededError("no linear system of parameters found in four draws")
         top = max((d for d, _ in cut_hs.numerator), default=0)
         colengths.append(sum(cut_hs.coefficients(top)))
         seeds.append(seed)
@@ -495,7 +456,7 @@ def random_forms_in_degree(ideal, count: int, seed) -> tuple:
         if rank_of_rows(matrix, field, len(gens)) == count:
             break
     else:
-        raise RuntimeError("could not draw independent coefficient rows")
+        raise BoundExceededError("no independent coefficient rows in 16 draws")
     forms = []
     for row in matrix:
         f = ring.zero()

@@ -13,9 +13,12 @@ Exit codes:
     0  success, or a true verdict
     1  golden mismatch, or a false verdict
     2  input error
-    3  a computation bound was exceeded (an ``invariants`` item skipped
-       for a bound; a skip for a property of the input, such as a
-       non-equigenerated ideal having no blow-up block, is not one)
+    3  a computation bound was exceeded: an ``invariants`` item skipped
+       for a bound (a skip for a property of the input, such as a
+       non-equigenerated ideal having no blow-up block, is not one), or a
+       bounded search that ran out under any command, printed as
+       ``bound exceeded: ...`` (a resolution not certified within
+       --cutoff, or seeded random draws that all missed)
     4  unknown verdict
     5  internal error (a self-check failed, or another fault of the
        program), printed as ``internal error: ...``
@@ -40,6 +43,7 @@ from .predicates import (analytically_adjusted, analytically_tight, check_gs,
                          map_degree_via_formula, multiplicity_formula_checks,
                          regular_in_gr, tight_profile, valabrega_valla,
                          valla_dimension)
+from .resolutions import BoundExceededError
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -76,11 +80,12 @@ def _common_flags(p):
                    help="ceiling on the certified regularity bound m of a resolution")
     p.add_argument("--trials", type=_at_least(1), default=corpus_mod.DEFAULT_TRIALS,
                    help="CM test trials")
+    p.add_argument("--markdown", action="store_true", help="render a human table")
+
+
+def _rmax_flag(p):
     p.add_argument("--rmax", type=_at_least(0), default=corpus_mod.DEFAULT_RMAX,
                    help="reduction-number search bound")
-    p.add_argument("--markdown", action="store_true", help="render a human table")
-    p.add_argument("--timings", action="store_true",
-                   help="include wall-clock timing in the report")
 
 
 def build_parser():
@@ -89,7 +94,10 @@ def build_parser():
 
     p_inv = sub.add_parser("invariants", help="blow-up invariants of an ideal file")
     p_inv.add_argument("file")
+    p_inv.add_argument("--timings", action="store_true",
+                       help="include wall-clock timing in the report")
     _common_flags(p_inv)
+    _rmax_flag(p_inv)
 
     p_chk = sub.add_parser("check", help="run one named predicate")
     p_chk.add_argument("predicate", choices=CHECK_NAMES)
@@ -108,6 +116,7 @@ def build_parser():
     p_rep.add_argument("--nmax", type=_at_least(1), default=None,
                        help="power bound for per-n checks")
     _common_flags(p_rep)
+    _rmax_flag(p_rep)
     return ap
 
 
@@ -165,7 +174,8 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ctx = IdealContext(_load_ideal(args.file, args.field))
+    ctx = IdealContext(_load_ideal(args.file, args.field), trials=args.trials,
+                       cutoff=args.cutoff)
     seeds = _seeds(args)
     nmax = corpus_mod.DEFAULT_NMAX_FLOOR if args.nmax is None else args.nmax
     name = args.predicate
@@ -232,7 +242,7 @@ def cmd_reproduce(args) -> int:
     any_diff = False
     out = {}
     for t in targets:
-        diffs, report = results[t]
+        diffs = results[t]
         out[t] = {"diffs": diffs, "ok": not diffs}
         if diffs:
             any_diff = True
@@ -242,13 +252,11 @@ def cmd_reproduce(args) -> int:
 
 
 def _reproduce_one(entry_id, field, seeds, nmax, trials, rmax, cutoff):
-    entry = corpus_mod.CORPUS_BY_ID[entry_id]
+    """The entry's differences from its golden record."""
     report = corpus_mod.compute_entry(entry_id, field, seeds, nmax, trials,
                                       rmax, cutoff)
-    report = corpus_mod.strip_objects(report)
-    golden = corpus_mod.load_golden(entry)
-    diffs = corpus_mod.compare_with_golden(report, golden)
-    return diffs, report
+    golden = corpus_mod.load_golden(corpus_mod.CORPUS_BY_ID[entry_id])
+    return corpus_mod.compare_with_golden(corpus_mod.strip_objects(report), golden)
 
 
 def main(argv=None) -> int:
@@ -266,6 +274,9 @@ def main(argv=None) -> int:
     except (FieldError, RingError, FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BoundExceededError as exc:
+        print(f"bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_BOUND
     except (AssertionError, RuntimeError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

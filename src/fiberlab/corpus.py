@@ -174,7 +174,7 @@ def _ideal_block(ctx, entry, report):
         inv["betti"] = res.table.rows()
         inv["presentation_column_degrees"] = sorted(res.presentation.column_degrees)
         if ctx.degree is not None:
-            inv["linear_rank"] = linear_rank(res.presentation, ideal.ring.field)
+            inv["linear_rank"] = linear_rank(res.presentation)
     else:
         report["skipped"]["resolution"] = f"incomplete at cutoff {res.table.ceiling}"
 
@@ -247,36 +247,32 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
 def _depth_block(ctx, report):
     """Depths of the fiber (Auslander-Buchsbaum on its certified
     resolution), the Rees algebra and gr (the descent), grade and codim of
-    gr+.  The descents and the grade search run on the w-first copies of
-    the Rees and gr ideals (``ReesPresentation.w_first``), where gr+ is
-    generated by the first m variables; every value is certified, so the
-    order changes none of them."""
+    gr+, with gr+ generated by the w-variables (``ReesPresentation.wvars``)."""
     inv = report["invariants"]
     fp, pres = ctx.fp, ctx.pres
-    wring, wrees, wgr = pres.w_first
     fres = ctx.fiber_resolution
     if fres.table.complete:
-        inv["depth_fiber"] = fp.fiber_ring.nvars - fres.table.projective_dimension
+        inv["depth_fiber"] = fp.ring.nvars - fres.table.projective_dimension
         inv["regularity_fiber"] = fres.table.regularity()
         inv["fiber_relation_degrees"] = sorted(
-            g.homogeneous_degree() for g in fp.relations.minimal_generators())
+            g.homogeneous_degree() for g in fp.minimal_generators())
     else:
         report["skipped"]["fiber_resolution"] = \
             f"incomplete at cutoff {fres.table.ceiling}"
     if not ctx.rees_cm.is_cm:
-        drees = graded_depth(wrees, seed=f"cm:{ctx.label}:rees:depth")
+        drees = graded_depth(pres.rees_ideal, seed=f"cm:{ctx.label}:rees:depth")
         if drees.exact and drees.value >= ctx.rees_cm.dimension:
             raise AssertionError("Rees depth contradicts the NOT_CM verdict")
         if drees.exact:
             inv["depth_rees"] = drees.value
         else:
             report["skipped"]["depth_rees"] = "descent inconclusive within bounds"
-    dgr = graded_depth(wgr, seed=f"depthgr:{ctx.label}")
+    dgr = graded_depth(pres.gr_ideal, seed=f"depthgr:{ctx.label}")
     if dgr.exact:
         inv["depth_gr"] = dgr.value
     else:
         report["skipped"]["depth_gr"] = "descent inconclusive within bounds"
-    grade = bounded_ideal_grade(wgr.groebner(), range(wring.nvars - pres.split),
+    grade = bounded_ideal_grade(pres.gr_ideal.groebner(), pres.wvars,
                                 seed=f"grade:{ctx.label}")
     inv["grade_gr_plus"] = grade["value"]
     inv["grade_gr_plus_bound"] = grade["candidate_degree_bound"]

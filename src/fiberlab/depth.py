@@ -38,10 +38,9 @@ annihilator is 0, for the same reason.
 The reports take the depth of the fiber from its certified resolution
 (Auslander-Buchsbaum) and the depths of the Rees algebra and of gr from
 this engine, whose ambients are too large for dense degreewise kernels.
-They cut the copies of the two presentations in k[w.., x..]
-(``blowup.ReesPresentation.w_first``): no value depends on the order of
-the variables, but with w first the grevlex bases of the cuts stay
-smaller.
+``blowup.rees_and_gr`` presents both in k[w.., x..]: no value depends on
+the order of the variables, but with w first the grevlex bases of the
+cuts stay smaller.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ memberships and complements are deterministic.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -248,28 +249,27 @@ def minors_ideal(pres: PresentationMatrix, size: int, ideal) -> "object":
     return Ideal(ring, tuple(minors(pres.matrix, size, ring)))
 
 
-def linear_rank(pres: PresentationMatrix, field) -> int:
-    """Generic rank of the linear-column submatrix, by random evaluation.
-
-    Five independent evaluations; the maximum observed rank is the
-    answer with failure probability at most (degree/|field|) per trial.
-    """
+def linear_rank(pres: PresentationMatrix) -> int:
+    """Generic rank of the linear-column submatrix, by random evaluation
+    (``generic_rank``, five points)."""
     d = pres.row_degrees[0]
     linear_cols = [k for k, cd in enumerate(pres.column_degrees) if cd == d + 1]
     if not linear_cols:
         return 0
-    import random
-    best = 0
-    ring0 = pres.matrix[0][linear_cols[0]].ring if pres.nrows else None
-    for seed in range(11, 16):
-        rng = random.Random(f"linear-rank:{seed}")
-        point = [field.random_raw(rng) for _ in range(ring0.nvars)]
-        rows = []
-        for i in range(pres.nrows):
-            row = []
-            for k in linear_cols:
-                row.append(pres.matrix[i][k].evaluate(point))
-            rows.append(row)
-        best = max(best, rank_of_rows(rows, field, len(linear_cols)))
-    return best
+    matrix = [[row[k] for k in linear_cols] for row in pres.matrix]
+    return generic_rank(matrix, [f"linear-rank:{seed}" for seed in range(11, 16)])
 
+
+def generic_rank(matrix, seeds) -> int:
+    """The best rank of a nonempty matrix of polynomials at the points
+    drawn with the given seeds, one point per seed.  Each point finds the
+    generic rank with failure probability at most (degree / |field|)."""
+    ring = matrix[0][0].ring
+    field = ring.field
+    best = 0
+    for seed in seeds:
+        rng = random.Random(seed)
+        point = [field.random_raw(rng) for _ in range(ring.nvars)]
+        rows = [[entry.evaluate(point) for entry in row] for row in matrix]
+        best = max(best, rank_of_rows(rows, field, len(matrix[0])))
+    return best

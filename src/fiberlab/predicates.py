@@ -246,11 +246,10 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5) -> Predicate
     """(f_1..f_g) cap I^n = (f_1..f_g) I^{n-1} for all n.
 
     The all-n verdict tests whether the images of the prefix (w-linear
-    forms in the gr presentation) are a regular sequence on gr, each
-    step certified by the Hilbert-numerator identity and cut on gr's
-    w-first copy (``ReesPresentation.w_first``), where the cuts are
-    cheaper and regularity is the same; per-power piece
-    comparisons at degree n*d give explicit failure witnesses.
+    forms in the gr presentation, ``ReesPresentation.w_form``) are a
+    regular sequence on gr, each step certified by the Hilbert-numerator
+    identity; per-power piece comparisons at degree n*d give explicit
+    failure witnesses.
     """
     ctx = IdealContext.of(ideal)
     ideal = ctx.ideal
@@ -262,12 +261,10 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5) -> Predicate
     if fs_prefix.coefficients is None:
         raise ValueError("prefix forms must come with generator coordinates")
     pres = ctx.pres
-    wring, _, wgr = pres.w_first
 
     # gr-route: cut gr by the images, demanding regularity at every step
-    images = [wring.linear_form(list(row) + [wring.field.zero] * pres.split)
-              for row in fs_prefix.coefficients]
-    regular = regular_prefix(wgr.groebner(), images)
+    images = [pres.w_form(row) for row in fs_prefix.coefficients]
+    regular = regular_prefix(pres.gr_ideal.groebner(), images)
     regular_all = regular == len(images)
     failed_at_step = None if regular_all else regular + 1
 

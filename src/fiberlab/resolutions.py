@@ -31,7 +31,14 @@ from .graded import (PresentationMatrix, piece_span_of_polys, spanning_rows,
                      syzygies_degreewise)
 
 
-class IncompleteResolutionError(RuntimeError):
+class BoundExceededError(RuntimeError):
+    """A bounded search ran out without an answer: a resolution whose
+    regularity is not certified below its ceiling, or a fixed number of
+    random draws that all missed.  ``fiberlab`` exits with code 3 on it;
+    a failed self-check stays an internal error."""
+
+
+class IncompleteResolutionError(BoundExceededError):
     def __init__(self, message, table=None):
         super().__init__(message)
         self.table = table

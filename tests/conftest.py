@@ -201,11 +201,25 @@ def crosscheck_bundles(reports) -> list:
     return [r["_objects"] for r in reports if "_objects" in r]
 
 
+def x_first_copy(pres, ideal):
+    """(ring, J, gr): the Rees and gr ideals of ``rees_and_gr`` copied
+    into k[x.., w..], the x-variables of ``ideal`` first."""
+    big = pres.rees_ideal.ring
+    ring = Ring(big.field, ideal.ring.names + tuple(big.names[i] for i in pres.wvars))
+    return (ring, *(Ideal(ring, tuple(big.embed(g, ring) for g in copy.generators))
+                    for copy in (pres.rees_ideal, pres.gr_ideal)))
+
+
+def relation_piece_dim(fp, n):
+    """dim_k [Q]_n of the fiber relations Q, from their Hilbert series."""
+    return fp.ring.dim_of_degree(n) - fp.hilbert_series().coefficients(n)[n]
+
+
 def regular_sequence_on_fiber(fp, coeff_rows) -> bool:
     """Are the forms with the given generator coordinates a regular
-    sequence on the fiber cone?  Exact, via numerator identities."""
-    forms = [fp.fiber_ring.linear_form(list(row)) for row in coeff_rows]
-    return regular_prefix(fp.relations.groebner(), forms) == len(forms)
+    sequence on the fiber cone k[w]/fp?  Exact, via numerator identities."""
+    forms = [fp.ring.linear_form(list(row)) for row in coeff_rows]
+    return regular_prefix(fp.groebner(), forms) == len(forms)
 
 
 def theorem_crosschecks(bundles) -> list:
@@ -233,9 +247,9 @@ def theorem_crosschecks(bundles) -> list:
             emit("ht-gr-plus", ident, codim <= ht, {"codim": codim, "ht": ht})
             # fiber relations embed into the Rees relations
             gb = pres.rees_ideal.groebner()
-            ok = all(gb.contains(fp.fiber_ring.embed(q, pres.big_ring))
-                     for q in fp.relations.generators)
-            emit("Q-inside-rees", ident, ok, {"relations": len(fp.relations.generators)})
+            ok = all(gb.contains(fp.ring.embed(q, pres.rees_ideal.ring))
+                     for q in fp.generators)
+            emit("Q-inside-rees", ident, ok, {"relations": len(fp.generators)})
 
         for seed in b.get("seeds", []):
             fs = b["forms"][seed]
@@ -251,7 +265,7 @@ def theorem_crosschecks(bundles) -> list:
 
             # deviation one + (a) VV prefix + (b) reduction: tight <=> fiber CM
             if fp is not None and fiber_cm is not None \
-                    and fp.analytic_spread() == ht + 1:
+                    and fp.krull_dimension() == ht + 1:
                 if vv.is_true and red.verified and red.reduction_number is not None:
                     agree = tight.is_true == fiber_cm.is_cm
                     emit("fiber-cm-equivalence", ident, agree,

@@ -26,7 +26,7 @@ from fiberlab.predicates import generic_forms, is_perfect, multiplicity_formula_
 from fiberlab.resolutions import minimal_resolution
 
 from conftest import (crosscheck_bundles, joint_rank, mul_term, recheck_regularity,
-                      theorem_crosschecks)
+                      relation_piece_dim, theorem_crosschecks)
 
 
 def _verdict(name, clauses):
@@ -242,7 +242,7 @@ def test_criterion_10_kernel_oracles():
             piece_ok &= e.id == "ex-1-intersection"   # not equigenerated
             continue
         fp = fiber_presentation(load_entry_ideal(e))
-        piece_ok &= dims == {str(n): fp.relation_piece_dim(n) for n in range(1, 5)}
+        piece_ok &= dims == {str(n): relation_piece_dim(fp, n) for n in range(1, 5)}
     clauses.append(("relation dims report vs eliminated presentation", piece_ok))
 
     # (c) Euler sums and the regularity certificate, rechecked on Groebner
@@ -253,8 +253,8 @@ def test_criterion_10_kernel_oracles():
         ideals = [ideal]
         if e.plan == "full":
             fp = fiber_presentation(ideal)
-            if not fp.relations.is_zero():
-                ideals.append(fp.relations)
+            if not fp.is_zero():
+                ideals.append(fp)
         for j in ideals:
             table = minimal_resolution(j).table
             if table.complete:
@@ -296,7 +296,7 @@ def _rational_crosscheck() -> bool:
     ok &= is_perfect(I).is_true
     ctx = IdealContext(I)               # one Rees elimination for both
     fp = ctx.fp
-    dF = graded_depth(fp.relations, seed="qq:depthF")
+    dF = graded_depth(fp, seed="qq:depthF")
     ok &= dF.exact and dF.value == 2
     pres = ctx.pres
     dgr = graded_depth(pres.gr_ideal, seed="qq:depthgr")

@@ -3,7 +3,7 @@ from math import comb, prod
 
 import pytest
 
-from fiberlab.blowup import (FiberPresentation, IdealContext, equigenerated_data,
+from fiberlab.blowup import (IdealContext, equigenerated_data,
                              fiber_presentation, fiber_truncated, is_cm_graded,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
@@ -13,29 +13,30 @@ from fiberlab.graded import piece_span_of_polys
 from fiberlab.groebner import eliminate
 from fiberlab.ideals import Ideal
 from fiberlab.polyring import Ring
+from fiberlab.resolutions import BoundExceededError
 
-from conftest import power_gens
+from conftest import power_gens, relation_piece_dim, x_first_copy
 
 
 def test_complete_intersection_fiber(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     fp = fiber_presentation(Ideal(R3, (x, y)))
-    assert fp.relations.is_zero()
-    assert fp.analytic_spread() == 2
+    assert fp.is_zero()
+    assert fp.krull_dimension() == 2
     assert IdealContext(Ideal(R3, (x, y))).fp.multiplicity() == 1
 
 
 def test_monomial4_quadric(monomial4):
     fp = fiber_presentation(monomial4)
-    rels = fp.relations.generators
+    rels = fp.generators
     assert len(rels) == 1 and rels[0].homogeneous_degree() == 2
-    assert fp.analytic_spread() == 3
+    assert fp.krull_dimension() == 3
     assert fp.multiplicity() == 2      # quadric hypersurface
 
 
 def test_binomial4_cubic(binomial4):
     fp = fiber_presentation(binomial4)
-    rels = fp.relations.minimal_generators()
+    rels = fp.minimal_generators()
     assert len(rels) == 1 and rels[0].homogeneous_degree() == 3
     assert fp.multiplicity() == 3
 
@@ -51,37 +52,39 @@ def test_rees_koszul(R3):
     pres = rees_and_gr(Ideal(R3, (x, y)))
     assert len(pres.rees_ideal.generators) == 1
     g = pres.rees_ideal.generators[0]
-    w1 = pres.big_ring.variable(3)
-    w2 = pres.big_ring.variable(4)
-    xb = pres.big_ring.variable(0)
-    yb = pres.big_ring.variable(1)
+    ring = pres.rees_ideal.ring
+    assert ring.names == ("w1", "w2", "x", "y", "z") and pres.wvars == range(2)
+    w1, w2, xb, yb = (ring.variable(i) for i in range(4))
     assert g in (yb * w1 - xb * w2, xb * w2 - yb * w1)
 
 
 def test_rees_and_gr_dimensions(monomial4, sevengen):
     for ideal in (monomial4, sevengen):
         pres = rees_and_gr(ideal)
-        assert pres.rees_dimension() == 4     # dim R + 1
-        assert pres.gr_dimension() == 3       # dim R
+        assert pres.rees_ideal.krull_dimension() == 4     # dim R + 1
+        assert pres.gr_ideal.krull_dimension() == 3       # dim R
 
 
 def test_w_first_copies_keep_hilbert_series(monomial4, binomial4, sixgen, sevengen):
-    """The w-first copies that the depth block cuts present the same
-    algebras: their bases, rebuilt in the new order, give the Hilbert
-    series of the x-first presentations, and their generators map back
-    onto the x-first ones."""
+    """The w-first presentations that every cut uses present the same
+    algebras as their x-first copies: J and gr have the Hilbert series
+    of the copies, whose bases are built in the other order, and the
+    x-free elements of the x-first copy's elimination basis give Q."""
     for ideal in (monomial4, binomial4, sixgen, sevengen):
-        pres = rees_and_gr(ideal)
-        big, split = pres.big_ring, pres.split
-        ring, rees, gr = pres.w_first
-        assert pres.w_first[0] is ring
-        assert ring.names == big.names[split:] + big.names[:split]
+        ctx = IdealContext(ideal)
+        pres, fp = ctx.pres, ctx.fp
+        big = pres.rees_ideal.ring
+        assert [big.names[i] for i in pres.wvars] == list(fp.ring.names)
+        assert big.names == fp.ring.names + ideal.ring.names
+        ring, rees, gr = x_first_copy(pres, ideal)
         for copy, orig in ((rees, pres.rees_ideal), (gr, pres.gr_ideal)):
-            assert copy.ring is ring
             assert [ring.embed(g, big) for g in copy.generators] == \
                 list(orig.generators)
             assert copy.hilbert_series().numerator_dict() == \
                 orig.hilbert_series().numerator_dict()
+        wanted = Ideal(fp.ring, tuple(ring.restrict(g, fp.ring) for g in eliminate(
+            rees.generators, ideal.ring.nvars)))
+        assert wanted == fp
 
 
 def test_fiber_relations_inside_rees(monomial4, binomial4, sixgen):
@@ -90,8 +93,8 @@ def test_fiber_relations_inside_rees(monomial4, binomial4, sixgen):
         ctx = IdealContext(ideal)
         fp, pres = ctx.fp, ctx.pres
         gb = pres.rees_ideal.groebner()
-        for q in fp.relations.generators:
-            assert gb.contains(fp.fiber_ring.embed(q, pres.big_ring))
+        for q in fp.generators:
+            assert gb.contains(fp.ring.embed(q, pres.rees_ideal.ring))
 
 
 def direct_fiber_relations(ideal, fiber_ring):
@@ -116,7 +119,7 @@ def test_fiber_relations_match_direct_elimination(R3, R3q, monomial4):
     assert len(ideals) == 7
     for ideal in ideals:
         fp = fiber_presentation(ideal)
-        assert fp.relations.generators == direct_fiber_relations(ideal, fp.fiber_ring)
+        assert fp.generators == direct_fiber_relations(ideal, fp.ring)
 
 
 def test_relation_dims_formula(monomial4, binomial4, sixgen, sevengen):
@@ -134,7 +137,7 @@ def test_relation_dims_formula(monomial4, binomial4, sixgen, sevengen):
                 powers.append(prev.minimal_generators())
             formula = comb(m + n - 1, n) - piece_span_of_polys(
                 powers[n], n * d, ideal.ring).rank
-            assert fp.relation_piece_dim(n) == formula
+            assert relation_piece_dim(fp, n) == formula
 
 
 def test_power_gens_count_is_piece_dimension(R3, R3q, binomial4):
@@ -163,20 +166,18 @@ def test_power_gens_count_is_piece_dimension(R3, R3q, binomial4):
 
 def test_spread_bounds(monomial4, sixgen, sevengen):
     for ideal in (monomial4, sixgen, sevengen):
-        spread = fiber_presentation(ideal).analytic_spread()
+        spread = fiber_presentation(ideal).krull_dimension()
         assert ideal.height() <= spread <= 3
 
 
 def test_is_cm_examples(R3, monomial4, binomial4):
     x, y, z = (R3.variable(i) for i in range(3))
-    poly_ring_quotient = (R3, Ideal(R3, ()))
-    assert is_cm_graded(poly_ring_quotient).is_cm
+    assert is_cm_graded(Ideal(R3, ())).is_cm
     ctx = IdealContext(monomial4)
-    fpm, pres = ctx.fp, ctx.pres
-    assert is_cm_graded((fpm.fiber_ring, fpm.relations)).is_cm
-    assert is_cm_graded((pres.big_ring, pres.rees_ideal)).is_cm
+    assert is_cm_graded(ctx.fp).is_cm
+    assert is_cm_graded(ctx.pres.rees_ideal).is_cm
     presb = rees_and_gr(binomial4)
-    rep = is_cm_graded((presb.big_ring, presb.rees_ideal))
+    rep = is_cm_graded(presb.rees_ideal)
     assert rep.verdict == "NOT_CM"
     depth = graded_depth(presb.rees_ideal, seed="cm:depth")
     assert depth.exact and depth.value == 3 < rep.dimension == 4
@@ -189,7 +190,23 @@ def test_is_cm_needs_a_trial(binomial4):
     presb = rees_and_gr(binomial4)
     for trials in (0, -1):
         with pytest.raises(ValueError, match="at least one trial"):
-            is_cm_graded((presb.big_ring, presb.rees_ideal), trials=trials)
+            is_cm_graded(presb.rees_ideal, trials=trials)
+
+
+def test_exhausted_draws_raise_the_bound_error(monomial4, monkeypatch):
+    """The seeded draws are bounded searches: 16 draws of dependent
+    coefficient rows, or four draws per trial that never cut the CM test
+    down to dimension 0, raise ``BoundExceededError``, not a self-check
+    failure."""
+    import fiberlab.blowup as blowup_mod
+    monkeypatch.setattr(blowup_mod, "rank_of_rows", lambda *args: 0)
+    with pytest.raises(BoundExceededError, match="16 draws"):
+        blowup_mod.random_forms_in_degree(monomial4, 2, "s")
+    monkeypatch.undo()
+    rees = rees_and_gr(monomial4).rees_ideal
+    monkeypatch.setattr(blowup_mod, "extend_basis", lambda gb, thetas: gb)
+    with pytest.raises(BoundExceededError, match="four draws"):
+        is_cm_graded(rees)
 
 
 def test_minimal_reductions(R3, monomial4, binomial4):
@@ -216,16 +233,14 @@ def test_truncated_fiber_agrees_with_full(binomial4, sixgen, sevengen):
         full = IdealContext(ideal)
         dims = fiber_truncated(full, 4)
         assert dims == fiber_truncated(IdealContext(ideal, bounded=True), 4)
-        assert dims == {n: full.fp.relation_piece_dim(n) for n in range(1, 5)}
+        assert dims == {n: relation_piece_dim(full.fp, n) for n in range(1, 5)}
 
 
 def test_relation_dim_cross_check_raises(binomial4):
     """A presentation that disagrees with the pieces is a failed
     self-check, raised also under ``python -O``."""
     ctx = IdealContext(binomial4)
-    fp = ctx.fp
-    ctx.fp = FiberPresentation(fp.fiber_ring, Ideal(fp.fiber_ring, ()),
-                               fp.source, fp.degree)
+    ctx.fp = Ideal(ctx.fp.ring, ())
     assert ctx.relation_dim(2) == 0
     with pytest.raises(AssertionError, match="fiber piece mismatch at n=3"):
         ctx.relation_dim(3)
@@ -255,7 +270,7 @@ def test_rees_gr_regularity_equality(monomial4, binomial4):
         gres = minimal_resolution(pres.gr_ideal, ceiling=14)
         assert rres.table.complete and gres.table.complete
         assert rres.table.regularity() == gres.table.regularity()
-        n = pres.big_ring.nvars
+        n = pres.rees_ideal.ring.nvars
         assert n - rres.table.projective_dimension == \
             graded_depth(pres.rees_ideal, seed="ooishi").value
         assert n - gres.table.projective_dimension == \

@@ -95,6 +95,50 @@ def test_reduction_search_past_rmax_exits_three(tmp_path):
     assert run_cli(["invariants", str(p), "--rmax", "2"]).returncode == cli.EXIT_OK
 
 
+def test_check_passes_cutoff_and_trials(simple_file, monkeypatch):
+    """``check`` builds its context with the --cutoff and --trials given."""
+    seen, build = [], cli.IdealContext
+
+    def recorded(*args, **kw):
+        ctx = build(*args, **kw)
+        seen.append((ctx.cutoff, ctx.trials))
+        return ctx
+
+    monkeypatch.setattr(cli, "IdealContext", recorded)
+    argv = ["check", "gs", simple_file, "--s", "2", "--cutoff", "7", "--trials", "2"]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert seen == [(7, 2)]
+
+
+@pytest.mark.parametrize("flag", ["--rmax", "--timings"])
+def test_check_has_no_unread_flags(simple_file, capsys, flag):
+    """No ``check`` predicate reads --rmax or --timings, so they are
+    input errors there."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "gs", simple_file, flag, *(["2"] if flag == "--rmax" else [])])
+    assert exc.value.code == cli.EXIT_INPUT
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,entry_id,message", [
+    (["check", "gs", "FILE", "--cutoff", "1"], "ex-3-monomial4", "presentation not certified"),
+    (["invariants", "FILE", "--field", "5"], "ex-2.1-sixgen", "no linear system of parameters"),
+    (["reproduce", "ex-2.1-sixgen", "--field", "5"], "ex-2.1-sixgen",
+     "no linear system of parameters"),
+], ids=["check", "invariants", "reproduce"])
+def test_exhausted_bound_exits_three(tmp_path, capsys, argv, entry_id, message):
+    """A bounded search that runs out exits with the bound code under
+    every command: a resolution past --cutoff, and the CM test's four
+    draws of a system of parameters, all of which miss over GF(5) on
+    Example 2.1."""
+    entry = CORPUS_BY_ID[entry_id]
+    p = tmp_path / entry.filename
+    p.write_text(read_entry_text(entry))
+    assert cli.main([str(p) if a == "FILE" else a for a in argv]) == cli.EXIT_BOUND
+    err = capsys.readouterr().err
+    assert err.startswith("bound exceeded:") and message in err
+
+
 def test_invariants_needs_a_cm_trial(tmp_path):
     """``--trials 0`` would give no colength to test; it is an input error,
     not a CM verdict, and it is refused before the ideal block runs."""
@@ -210,6 +254,11 @@ def test_reproduce_detects_corruption():
     missing = [{"path": "invariants.not_there", "value": 1}]
     diffs2 = compare_with_golden(report, missing)
     assert diffs2[0]["problem"] == "missing"
+
+
+def test_reproduce_one_returns_only_the_diffs():
+    """A worker hands back the golden differences, not its report."""
+    assert cli._reproduce_one("ex-3-monomial4", None, (1, 2, 3), None, 3, 12, 60) == []
 
 
 def test_reproduce_cli_roundtrip():

@@ -14,7 +14,7 @@ from fiberlab.ideals import Ideal
 from fiberlab.hilbert import HilbertSeries
 from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError
 
-from conftest import colon, intersect, leading_exponents, random_poly
+from conftest import colon, intersect, leading_exponents, random_poly, x_first_copy
 
 
 def standard_monomials(gb, degree):
@@ -89,8 +89,7 @@ def test_bounded_grade_full_variable_range(monomial4):
     pres = rees_and_gr(monomial4)
     gb = pres.gr_ideal.groebner()
     # gr is CM here, so the irrelevant ideal has grade = ht I = 2
-    out = bounded_ideal_grade(gb, range(pres.split, pres.big_ring.nvars),
-                              seed="grade-test")
+    out = bounded_ideal_grade(gb, pres.wvars, seed="grade-test")
     assert out["value"] == 2
 
 
@@ -112,7 +111,7 @@ def test_weighted_grading_rejected():
     with pytest.raises(ValueError, match="standard grading"):
         ideal.hilbert_series().multiplicity
     with pytest.raises(ValueError, match="standard grading"):
-        is_cm_graded((ring, ideal))
+        is_cm_graded(ideal)
 
 
 def test_relative_socle_witness_certifies_grade_zero():
@@ -139,12 +138,11 @@ def test_relative_socle_witness_none_for_positive_grade():
 
 def test_bounded_grade_is_exact_on_sevengen_gr(sevengen):
     """Example 2.2: grade gr+ = 1, ended by a certified witness, on the
-    w-first copy of gr that the report cuts (gr+ = the first 7 variables)."""
+    gr that the report cuts (gr+ = the first 7 variables)."""
     pres = rees_and_gr(sevengen)
-    ring, _, gr = pres.w_first
-    gb = gr.groebner()
-    wvars = range(ring.nvars - pres.split)
-    assert all(ring.names[i].startswith("w") for i in wvars)
+    gr = pres.gr_ideal
+    ring, gb, wvars = gr.ring, gr.groebner(), pres.wvars
+    assert wvars == range(7) and all(ring.names[i].startswith("w") for i in wvars)
     out = bounded_ideal_grade(gb, wvars, seed="grade:ex-2.2-sevengen")
     assert out["value"] == 1 and out["exact"]
     cut = extend_basis(gb, tuple(out["regular_forms"]))
@@ -155,11 +153,11 @@ def test_bounded_grade_is_exact_on_sevengen_gr(sevengen):
 
 
 def test_depth_is_exact_on_sevengen_w_first_gr(sevengen):
-    """Example 2.2: depth gr = 2 on the w-first copy, with the report's
-    seed: two certified regular forms, then a witness in the socle of
-    gr modulo both, rechecked by normal forms in the copy."""
-    pres = rees_and_gr(sevengen)
-    ring, _, gr = pres.w_first
+    """Example 2.2: depth gr = 2 in k[w.., x..], with the report's seed:
+    two certified regular forms, then a witness in the socle of gr modulo
+    both, rechecked by normal forms."""
+    gr = rees_and_gr(sevengen).gr_ideal
+    ring = gr.ring
     rep = graded_depth(gr, seed="depthgr:ex-2.2-sevengen")
     assert rep.exact and rep.value == 2 and rep.dimension == 3
     cut = extend_basis(gr.groebner(), tuple(rep.regular_forms))
@@ -171,18 +169,17 @@ def test_depth_is_exact_on_sevengen_w_first_gr(sevengen):
 def test_depth_and_grade_do_not_depend_on_variable_order(monomial4, binomial4,
                                                           sixgen):
     """The descents and the grade search give the same exact values on the
-    x-first presentations and on their w-first copies."""
+    w-first presentations and on their x-first copies."""
     for ideal in (monomial4, binomial4, sixgen):
         pres = rees_and_gr(ideal)
-        ring, wrees, wgr = pres.w_first
-        m = ring.nvars - pres.split
-        for xfirst, wfirst in ((pres.rees_ideal, wrees), (pres.gr_ideal, wgr)):
+        ring, xrees, xgr = x_first_copy(pres, ideal)
+        for xfirst, wfirst in ((xrees, pres.rees_ideal), (xgr, pres.gr_ideal)):
             a = graded_depth(xfirst, seed="order")
             b = graded_depth(wfirst, seed="order")
             assert a.exact and b.exact and a.value == b.value
-        a = bounded_ideal_grade(pres.gr_ideal.groebner(),
-                                range(pres.split, pres.big_ring.nvars), seed="order")
-        b = bounded_ideal_grade(wgr.groebner(), range(m), seed="order")
+        n = ideal.ring.nvars
+        a = bounded_ideal_grade(xgr.groebner(), range(n, ring.nvars), seed="order")
+        b = bounded_ideal_grade(pres.gr_ideal.groebner(), pres.wvars, seed="order")
         assert a["exact"] and b["exact"] and a["value"] == b["value"]
 
 
@@ -320,18 +317,17 @@ def test_socle_search_within_zero_series_finds_nothing(field):
 
 
 def _sevengen_gr(field):
-    """(presentation, w-first ring, w-first gr ideal) of Example 2.2."""
+    """(presentation, its ring k[w.., x..], gr ideal) of Example 2.2."""
     from conftest import mono_ideal
     ring = Ring(field, ["x", "y", "z"])
     sevengen = mono_ideal(ring, (0, 0, 6), (0, 1, 5), (1, 1, 4), (1, 2, 3),
                           (1, 3, 2), (2, 3, 1), (3, 3, 0))
     pres = rees_and_gr(sevengen)
-    big, _, gr = pres.w_first
-    return pres, big, gr
+    return pres, pres.gr_ideal.ring, pres.gr_ideal
 
 
 def test_report_socle_searches_on_sevengen_gr_find_the_unrestricted_witness(monkeypatch):
-    """Example 2.2, on the w-first copy of gr with the report's seeds: the
+    """Example 2.2, on the report's gr with the report's seeds: the
     depth descent's search within its failed parameter cut's K and the
     grade search within its failed linear cut's K each return the witness
     of the unrestricted search."""
@@ -348,8 +344,7 @@ def test_report_socle_searches_on_sevengen_gr_find_the_unrestricted_witness(monk
 
     monkeypatch.setattr(depth_mod, "socle_witness", both)
     rep = graded_depth(gr, seed="depthgr:ex-2.2-sevengen")
-    out = bounded_ideal_grade(gr.groebner(), range(big.nvars - pres.split),
-                              seed="grade:ex-2.2-sevengen")
+    out = bounded_ideal_grade(gr.groebner(), pres.wvars, seed="grade:ex-2.2-sevengen")
     assert rep.value == 2 and out["value"] == 1 and rep.exact and out["exact"]
     assert searched == [rep.witness, out["witness"]]
 
@@ -366,8 +361,7 @@ def test_socle_search_within_annihilator_on_sevengen_gr_over_qq():
     for theta in (v(4) + v(7), v(1) + v(6)):
         ok, gb, hs = regular_cut(gb, hs, theta)
         assert ok
-    wvars = range(big.nvars - pres.split)
-    for theta, var_range in ((v(9), None), (v(0), wvars)):
+    for theta, var_range in ((v(9), None), (v(0), pres.wvars)):
         witness, kernel = _search_within_failed_cut(gb, theta, depth_mod._socle_bound(gb),
                                                     var_range)
         assert witness is not None
@@ -392,7 +386,7 @@ def test_skipped_candidates_are_zero_divisors_where_skipped(monkeypatch):
     stage, is cut at the stage where it was skipped, and is not regular
     there either.  The skips are the 20 repeated single variables."""
     pres, big, gr = _sevengen_gr(GF(32003))
-    rees = pres.w_first[1]
+    rees = pres.rees_ideal
     cut, schedule = depth_mod.regular_cut, depth_mod._candidate_forms
     stage, cuts, skipped = [None], [], []
 

@@ -626,11 +626,11 @@ def test_pair_sequence_pinned(seed, order, field, monkeypatch):
 
 
 def test_pair_sequence_pinned_on_sevengen_gr_descent(sevengen, monkeypatch):
-    """The same on the w-first copy of Example 2.2's gr ideal: its basis
-    from the generators, then every cut of the report's depth descent."""
+    """The same on Example 2.2's gr ideal, in k[w.., x..]: its basis from
+    the generators, then every cut of the report's depth descent."""
     from fiberlab.blowup import rees_and_gr
     from fiberlab.depth import graded_depth
-    _, _, gr = rees_and_gr(sevengen).w_first
+    gr = rees_and_gr(sevengen).gr_ideal
     record = _recording_pairs(monkeypatch)
     graded_depth(buchberger(gr.generators, GREVLEX), seed="depthgr:ex-2.2-sevengen")
     adds, pushed, taken, digest = PINNED_PAIRS["sevengen-w-first-gr-descent"]

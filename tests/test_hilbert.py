@@ -223,12 +223,12 @@ def test_shared_memo_series_against_fresh_and_sympy(nvars):
 
 
 def test_descent_cuts_share_one_memo_and_match_fresh_and_sympy(binomial4, monkeypatch):
-    """Every cut of the depth descent on the w-first gr of
+    """Every cut of the depth descent on the gr of
     (x^2 - y^2, xy, xz, yz), regular or not, shares the descent's one
     memo; the series it reads equals a fresh recursion's and sympy's
     count through degree 6."""
     from fiberlab.blowup import rees_and_gr
-    _, _, gr = rees_and_gr(binomial4).w_first
+    gr = rees_and_gr(binomial4).gr_ideal
     cut, seen = depth_mod.regular_cut, []
 
     def recorded(gb, hs, theta, memo=None):

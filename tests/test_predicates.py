@@ -216,7 +216,7 @@ def test_adjusted_monomial4_triple_with_oracle(monomial4):
     # consistent with the theory: the fiber is a CM hypersurface and the
     # triple generates a minimal reduction, which forces adjustment
     fp = fiber_presentation(monomial4)
-    assert is_cm_graded((fp.fiber_ring, fp.relations)).is_cm
+    assert is_cm_graded(fp).is_cm
 
 
 def test_adjusted_rejects_dependent(monomial4):

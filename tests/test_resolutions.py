@@ -68,11 +68,11 @@ def test_euler_certificate_holds(sixgen, sevengen, monomial4, binomial4):
 
 def test_fiber_resolution_depths(sixgen, sevengen):
     fp6 = fiber_presentation(sixgen)
-    res6 = minimal_resolution(fp6.relations)
+    res6 = minimal_resolution(fp6)
     assert res6.table.complete
     assert 6 - res6.table.projective_dimension == 2      # depth F = 2
     fp7 = fiber_presentation(sevengen)
-    res7 = minimal_resolution(fp7.relations)
+    res7 = minimal_resolution(fp7)
     assert res7.table.complete
     assert 7 - res7.table.projective_dimension == 2
     assert res7.table.regularity() == 2
@@ -99,8 +99,8 @@ def test_resolution_agrees_with_descent(sixgen, monomial4, binomial4):
         b = graded_depth(ideal, seed="xcheck")
         assert b.exact and a == b.value
     fp = fiber_presentation(sixgen)
-    a = 6 - minimal_resolution(fp.relations).table.projective_dimension
-    b = graded_depth(fp.relations, seed="xcheck")
+    a = 6 - minimal_resolution(fp).table.projective_dimension
+    b = graded_depth(fp, seed="xcheck")
     assert b.exact and a == b.value
 
 
@@ -135,7 +135,7 @@ def corpus_ideals():
         ideal = load_entry_ideal(e)
         out.append((e.id, ideal))
         if e.plan == "full":
-            out.append((f"{e.id}:fiber", fiber_presentation(ideal).relations))
+            out.append((f"{e.id}:fiber", fiber_presentation(ideal)))
     return out
 
 
@@ -194,7 +194,7 @@ def test_weighted_ring_is_refused():
 def test_rationals_agree_on_sixgen_fiber():
     entry = CORPUS_BY_ID["ex-2.1-sixgen"]
     tables = [minimal_resolution(fiber_presentation(
-        load_entry_ideal(entry, field_char=p)).relations).table for p in (32003, 0)]
+        load_entry_ideal(entry, field_char=p))).table for p in (32003, 0)]
     assert all(t.complete for t in tables)
     assert tables[0].rows() == tables[1].rows() == PINNED_FIBERS[entry.id]
     assert tables[1].certificate.m == tables[0].certificate.m == 3

@@ -9,9 +9,13 @@
 #      and tools/: code that only the tests call lives in the tests (the
 #      names of perfbench/tracer.py's targets count as named there); no imported
 #      name that its module in src/ or tests/ never reads (a name in
-#      `__all__` or in a quoted annotation counts as read); and no module
-#      of the package but linalg.py that imports numpy, so that the rows
-#      of both fields stay behind that one module;
+#      `__all__` or in a quoted annotation counts as read); no module of
+#      the package but linalg.py that imports numpy, so that the rows of
+#      both fields stay behind that one module; and no module of the
+#      package but groebner.py and ideals.py that builds a
+#      `GroebnerBasis(...)` or touches an ideal's `_gb_cache`, so that
+#      every basis comes out of the engine and passes its closing
+#      self-check;
 #   1. the tier-1 suite, printing its ten slowest tests (ROADMAP's target
 #      is the whole suite under 60 s);
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
@@ -47,6 +51,14 @@ numpy_users = [f"{path}:{node.lineno}" for path in paths
                        else []))]
 if numpy_users:
     sys.exit("numpy imported outside linalg.py:\n  " + "\n  ".join(numpy_users))
+engine = {pathlib.Path("src/fiberlab/groebner.py"), pathlib.Path("src/fiberlab/ideals.py")}
+hand_made = [f"{path}:{node.lineno}" for path in paths if path not in engine
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if (isinstance(node, ast.Attribute) and node.attr == "_gb_cache")
+             or (isinstance(node, ast.Call) and "GroebnerBasis" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None)))]
+if hand_made:
+    sys.exit("basis built or cached outside the engine:\n  " + "\n  ".join(hand_made))
 files = [p for d in ("src", "tests", "perfbench", "tools")
          for p in sorted(pathlib.Path(d).rglob("*")) if p.suffix in (".py", ".sh")]
 lines = [(path, k, line) for path in files if path.parts[0] != "tests"
