@@ -25,10 +25,10 @@ from functools import cached_property
 from math import comb
 
 from .graded import degree_basis, generic_rank, product_rows
-from .groebner import eliminate, extend_basis, normal_form_matrix
+from .groebner import eliminate, extend_basis, normal_form_plan, normal_form_shape
 from .hilbert import series_of_basis
 from .ideals import Ideal
-from .linalg import independent_rows, negated_product, rank_of_rows
+from .linalg import independent_rows, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, BoundExceededError, IncompleteResolutionError,
                           minimal_resolution)
@@ -76,11 +76,12 @@ class IdealContext:
     Every routine below that takes an ideal also takes its context
     (``IdealContext.of`` wraps a bare ideal in a fresh one), so a report
     that passes one context around builds the minimal generators, the
-    powers I^n, the ideals of prefix forms with their normal-form
-    matrices, the ranks of product pieces (``rank``), the fiber and Rees
-    presentations, the resolution of R/I, the CM reports and the analytic
-    spread once.  It keeps I^n as coefficient rows (``power_rows``) and
-    product pieces as ranks: dim_k [I^n]_{nd} is ``len(power_rows(n))``.
+    powers I^n, the ideals of prefix forms, one normal-form plan per
+    shape of their bases, the ranks of product pieces (``rank``), the
+    fiber and Rees presentations, the resolution of R/I, the CM reports
+    and the analytic spread once.  It keeps I^n as coefficient rows
+    (``power_rows``) and product pieces as ranks: dim_k [I^n]_{nd} is
+    ``len(power_rows(n))``.
     ``label`` names the ideal in the seeds of its randomized tests.
     With ``bounded`` the Rees elimination is out of budget: ``fp``,
     ``pres`` and the CM reports are None and the spread comes from the
@@ -97,7 +98,7 @@ class IdealContext:
         self.bounded = bounded
         self._powers = None
         self._forms_ideals = {}
-        self._nf_matrices = {}
+        self._plans = {}
         self._ranks = {}
         self._rows = {}
 
@@ -149,12 +150,13 @@ class IdealContext:
         (``graded.product_rows``), in S_e / [P]_e for e the degree of the
         products and P the ideal of the forms ``modulo``: with no such
         forms, the rank in S_e; otherwise the rank of the rows times the
-        normal-form matrix of P's basis in degree e
-        (``groebner.normal_form_matrix``), so no piece of P is built.
-        (1)·[I^r] is [I^r] itself, and no forms give rank 0.  Memoized on
-        (forms, r, modulo), the matrix on (modulo, e), and the rows of the
-        last (forms, r): tightness ranks them with and without its
-        prefix."""
+        normal-form matrix of P's basis in degree e, which the basis's
+        normal-form plan applies to them (``groebner.NormalFormPlan``), so
+        neither a piece of P nor the matrix is built.  (1)·[I^r] is [I^r]
+        itself, and no forms give rank 0.  Memoized on (forms, r, modulo),
+        the plan on its shape (``groebner.normal_form_shape``), which the
+        prefix bases of different seeds share, and the rows of the last
+        (forms, r): tightness ranks them with and without its prefix."""
         forms, modulo = tuple(forms), tuple(modulo)
         if not forms:
             return 0
@@ -170,11 +172,12 @@ class IdealContext:
                     forms, self.power_rows(r), r * d, ring)
             e = r * d + forms[0].homogeneous_degree()
             if modulo:
-                nf = self._nf_matrices.get((modulo, e))
-                if nf is None:
-                    nf = self._nf_matrices[modulo, e] = normal_form_matrix(
-                        self.forms_ideal(modulo).groebner(), e)
-                rank = rank_of_rows(negated_product(rows, nf[0], field), field, len(nf[1]))
+                gb = self.forms_ideal(modulo).groebner()
+                shape = normal_form_shape(gb, e)
+                plan = self._plans.get(shape)
+                if plan is None:
+                    plan = self._plans[shape] = normal_form_plan(gb, e)
+                rank = rank_of_rows(plan.times(rows, gb), field, len(plan.standard))
             else:
                 rank = rank_of_rows(rows, field, len(degree_basis(ring, e)[0]))
             self._ranks[key] = rank
@@ -197,17 +200,19 @@ class IdealContext:
         return dim
 
     def forget(self, *, powers: bool = True):
-        """Drop the memoized product rows, forms ideals, normal-form
-        matrices and ranks, and the power rows unless ``powers`` is False.
-        A report calls this between stages that share none of them, so
-        that one seed's prefix ideals and the high powers of a reduction
-        search do not stay in memory while the next stage runs; all are
-        cheap to build again.  Between the stages of two seeds it keeps
-        the power rows, which no seed changes."""
+        """Drop the memoized product rows, forms ideals and ranks, and the
+        power rows and normal-form plans unless ``powers`` is False.  A
+        report calls this between stages that share none of them, so that
+        one seed's prefix ideals and the high powers of a reduction search
+        do not stay in memory while the next stage runs; all are cheap to
+        build again.  Between the stages of two seeds it keeps the power
+        rows, which no seed changes, and the plans, which hold no
+        coefficients and serve every seed's prefix bases of their
+        shape."""
         if powers:
             self._powers = None
+            self._plans.clear()
         self._forms_ideals.clear()
-        self._nf_matrices.clear()
         self._ranks.clear()
         self._rows.clear()
 

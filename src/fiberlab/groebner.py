@@ -22,6 +22,12 @@ too.  See D11 in docs/decisions.md.
 index (``buchberger``'s ``prefix``): its elements enter as they stand,
 with no pairs among them, and only the new generators are reduced.  See
 D12.
+
+``normal_form_plan`` writes the reduction of every monomial of one
+degree as a recursion on levels, which ``linalg.normal_form_rows`` runs
+forward (the normal-form matrix) or backwards (rows times it).  A plan
+reads the leading monomials and tail supports only, so the bases of one
+shape share it.  See D15.
 """
 
 from __future__ import annotations
@@ -29,11 +35,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import accumulate
 from operator import mul
 
 from .graded import degree_basis
 from .hilbert import series_of_basis
-from .linalg import negated_combinations, raw_rows, zeros
+from .linalg import Recursion, normal_form_rows, raw_rows, reduction_recursion
 from .polyring import (_OVERFLOW, EXPONENT_LIMIT, GREVLEX, Elimination, Polynomial, Ring,
                        RingError, TermOrder, _Packing, _packing, repack)
 
@@ -294,66 +301,98 @@ class _MonomialForms:
         self.forms.clear()
 
 
-def normal_form_matrix(gb: GroebnerBasis, degree: int):
-    """(N, standard): row j of N is the normal form of the j-th monomial of
-    ``graded.degree_basis(ring, degree)``, written over ``standard``, the
-    standard monomials of that degree, grevlex-descending.
+def normal_form_shape(gb: GroebnerBasis, degree: int) -> tuple:
+    """The key of ``normal_form_plan(gb, degree)``: the degree, and the
+    leading monomials and tail supports of gb's reducers, all that a plan
+    reads.  Bases of one shape, whatever their coefficients, share a plan."""
+    red = gb._reducers
+    return degree, tuple(red.lts), tuple(tuple(m for m, _ in tail) for tail in red.tails)
 
-    A standard monomial's row is a unit vector.  A monomial m whose first
-    reducer is lt + sum c * t has N[m] = -sum c * N[(m / lt) * t], a
-    combination of rows of lower monomials with the reducer's tail
-    coefficients.  Its level is 0 for a standard monomial and otherwise
-    1 + the highest level among those rows (1 for an empty tail), so the
-    monomials of one level and one reducer need only lower levels and
-    share one coefficient row: each such group is one exact product
-    (``linalg.negated_combinations``), level after level.  The divisor
-    search shares the reducers' ``first`` memo and every step checks the
-    exponent-overflow guard, as in ``_MonomialForms``.  The number of
-    standard monomials is checked against the Hilbert function of
-    S/ideal.
+
+class NormalFormPlan:
+    """The normal-form recursion of one degree for the bases of one shape
+    (``normal_form_shape``), without their coefficients.
+
+    ``standard`` lists the standard monomials of the degree,
+    grevlex-descending.  The normal-form matrix N has a row per monomial
+    of ``graded.degree_basis(ring, degree)``, over ``standard``: a unit
+    row for a standard monomial and, for a monomial m whose first
+    reducer is lt + sum c * t, N[m] = -sum c * N[(m / lt) * t].
+    ``recursion`` holds that recursion level by level as index arrays
+    (``linalg.reduction_recursion``), its coefficients read off the tails
+    of the reducers, one after another."""
+
+    __slots__ = ("standard", "recursion")
+
+    def __init__(self, standard: tuple, recursion: Recursion):
+        self.standard = standard
+        self.recursion = recursion
+
+    def times(self, rows, gb: GroebnerBasis):
+        """rows · N for gb, a basis of the plan's shape: the normal forms of
+        the coefficient rows (residues, over the monomials of the degree)
+        written over ``standard`` (``linalg.normal_form_rows``)."""
+        field = gb.ring.field
+        coefficients = raw_rows([tc for tail in gb._reducers.tails for _, tc in tail], field)
+        return normal_form_rows(rows, self.recursion, coefficients, field)
+
+
+def normal_form_plan(gb: GroebnerBasis, degree: int) -> NormalFormPlan:
+    """The plan of gb's normal-form matrix in ``degree``.
+
+    A standard monomial has level 0.  A monomial m with first reducer
+    lt + sum c * t reads the rows of the (m / lt) * t, all smaller than
+    m, and has level 1 + the highest of their levels; with an empty tail
+    (a multiple of a monomial generator) its row is zero and it has level
+    0 too.  So every row a level reads lies on a lower level.  The
+    divisor search shares the reducers' ``first`` memo and every step
+    checks the exponent-overflow guard, as in ``_MonomialForms``.  The
+    number of standard monomials is checked against the Hilbert function
+    of S/ideal.  All three read only the shape, so they hold for every
+    basis that shares the plan.
     """
     if gb.order != GREVLEX:
-        raise ValueError("normal-form matrices need a grevlex basis")
-    ring = gb.ring
-    field = ring.field
+        raise ValueError("normal-form plans need a grevlex basis")
     red = gb._reducers
     guard, lts, tails, tops, first = red.packing.guard, red.lts, red.tails, red.tops, red.first
-    monos, index = degree_basis(ring, degree)
+    monos, index = degree_basis(gb.ring, degree)
     firsts = []
     for m in monos:
         k = first.get(m)
         if k is None:
             k = first[m] = red.divisor(m)
         firsts.append(k)
-    standard = tuple(m for m, k in zip(monos, firsts) if k < 0)
-    width = len(standard)
-    column = {m: j for j, m in enumerate(standard)}
-    nf = zeros(field, (len(monos), width))
+    offsets = list(accumulate(map(len, tails), initial=0))
+    supports = [[tm for tm, _ in tail] for tail in tails]
     levels = [0] * len(monos)
-    groups = {}             # (level, reducer index) -> (rows of N, their gathers)
+    members = []            # level L, as ``linalg.reduction_recursion`` reads it, at L - 1
     for j in range(len(monos) - 1, -1, -1):
-        m, k = monos[j], firsts[j]
+        k = firsts[j]
         if k < 0:
-            nf[j, column[m]] = 1
             continue
-        q = m - lts[k]
+        q = monos[j] - lts[k]
         if (q + tops[k]) & guard:
             raise RingError(_OVERFLOW)
         try:
-            rows = [index[q + tm] for tm, _ in tails[k]]
+            sources = [index[q + tm] for tm in supports[k]]
         except KeyError:
-            raise ValueError("normal-form matrices need a homogeneous basis") from None
-        levels[j] = 1 + max((levels[r] for r in rows), default=0)
-        out, gathers = groups.setdefault((levels[j], k), ([], []))
+            raise ValueError("normal-form plans need a homogeneous basis") from None
+        if not sources:
+            continue
+        level = levels[j] = 1 + max(map(levels.__getitem__, sources))
+        if level > len(members):
+            members.append(([], [], [], []))
+        out, counts, reads, positions = members[level - 1]
         out.append(j)
-        gathers.append(rows)
-    for (_, k), (out, gathers) in sorted(groups.items()):
-        c = raw_rows([[tc for _, tc in tails[k]]], field)
-        nf[out] = negated_combinations(c, nf, gathers, field)
-    if width != series_of_basis(gb).coefficients(degree)[degree]:
-        raise AssertionError(f"{width} standard monomials in degree {degree} "
+        counts.append(len(sources))
+        reads += sources
+        positions += range(offsets[k], offsets[k] + len(sources))
+    columns = [j for j, k in enumerate(firsts) if k < 0]
+    if len(columns) != series_of_basis(gb).coefficients(degree)[degree]:
+        raise AssertionError(f"{len(columns)} standard monomials in degree {degree} "
                              "against the Hilbert function")
-    return nf, standard
+    return NormalFormPlan(tuple(monos[j] for j in columns),
+                          reduction_recursion(len(monos), columns, members))
 
 
 def _strip_content(terms: dict, field):

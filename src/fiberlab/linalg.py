@@ -11,8 +11,10 @@ arrays of dtype ``_dtype(p)`` everywhere; this module alone knows the
 field, in five places: that dtype, ``_residues``, ``_submul``, the pivot
 steps of ``_gauss_jordan`` and the reduction steps of ``multiply_rows``,
 which builds the rows of products from the rows of their factors.
-Callers with many small products of one coefficient row group them into
-one (``negated_combinations``, after the F4 idea of Faugere, 1999).
+``normal_form_rows`` multiplies rows by a normal-form matrix through the
+reduction recursion that defines it, one coefficient matrix per level,
+forward or pushed down, whichever side is narrower; its products are
+``_submul`` calls too, so it adds no sixth place.
 
 Over F_p residues in [0, p) sit in float64 arrays, and reduction mod p
 waits until a product is complete.  This is exact: a product sums
@@ -49,6 +51,7 @@ from .fields import FieldSpec
 
 _EXACT = 1 << 53        # float64 represents every integer up to here
 _BLOCK = 64             # rows per block in ``Echelon.extend`` and ``reduce``
+_GATHER = 1 << 16       # most entries in one gather of ``normal_form_rows``
 
 
 def _dtype(p: int):
@@ -263,26 +266,103 @@ def raw_rows(rows, field: FieldSpec) -> np.ndarray:
     return np.asarray(rows, dtype=_dtype(field.characteristic))
 
 
-def negated_product(a, b: np.ndarray, field: FieldSpec) -> np.ndarray:
-    """-(a @ b) for raw matrices a (r x k, any nested sequence, or rows
-    from ``raw_rows``, which are taken as they are) and b (a k x n
-    array), exact over both fields: one ``_submul``, which over F_p holds
-    for every p up to ``fields.MAX_PRIME``."""
-    a = np.asarray(a, dtype=_dtype(field.characteristic))
-    out = zeros(field, (len(a), b.shape[1]))
-    return _submul(out, [(a, b)], field.characteristic) if a.size else out
+class Recursion:
+    """A normal-form recursion as index arrays (``reduction_recursion``)
+    over ``size`` monomials, of which those at the positions ``standard``
+    are standard.  Each entry of ``levels`` is one run of members of a level,
+    as (members, targets, cells, positions): N[members] = -K @ N[targets]
+    for the coefficient matrix K (members x targets) whose entry at each
+    term's cell, row-major, is the coefficient at its position."""
+
+    __slots__ = ("size", "standard", "levels")
+
+    def __init__(self, size: int, standard: np.ndarray, levels: list):
+        self.size = size
+        self.standard = standard
+        self.levels = levels
 
 
-def negated_combinations(c: np.ndarray, rows: np.ndarray, index,
-                         field: FieldSpec) -> np.ndarray:
-    """Row i is -sum_t c[0, t] * rows[index[i][t]], for one raw coefficient
-    row ``c`` (from ``raw_rows``) of T terms that every output row
-    shares.  The a outputs are one ``negated_product`` of ``c`` against
-    the gathered rows, laid out as T x (a * width)."""
-    index = np.asarray(index, dtype=np.intp)
-    a, width = len(index), rows.shape[1]
-    gathered = rows[index.T].reshape(c.shape[1], a * width)
-    return negated_product(c, gathered, field).reshape(a, width)
+def reduction_recursion(size: int, standard, levels) -> Recursion:
+    """The normal-form recursion over ``size`` monomials, with the
+    positions ``standard`` of the standard monomials, for
+    ``normal_form_rows``.  ``levels`` lists the levels 1, 2, ..., each as
+    (members, counts, sources, positions): member i, a monomial, has
+    counts[i] >= 1 terms, the next counts[i] entries of ``sources`` and
+    ``positions``, and the row N[member] = -sum c[position] * N[source]
+    over them, every source of a lower level.
+
+    The members of one level read no row of their own level, so a level
+    may be split anywhere.  It is split into runs of whole members where
+    members x max(terms, standard monomials) would pass ``_GATHER``, which
+    bounds each K and the members' rows (a run of one member excepted)."""
+    width = len(standard)
+    firsts, run = [], []    # the first member of each run; each member's run
+    for members, counts, sources, _ in levels:
+        firsts.append(len(run))
+        a, terms = 0, 0
+        for i, count in enumerate(counts):
+            terms += count
+            if i > a and (i + 1 - a) * max(terms, width) > _GATHER:
+                firsts.append(len(run))
+                a, terms = i, count
+            run.append(len(firsts) - 1)
+    members, counts, sources, positions = (
+        np.asarray([v for level in levels for v in level[i]], dtype=np.intp) for i in range(4))
+    run, firsts = np.asarray(run, dtype=np.intp), np.asarray(firsts, dtype=np.intp)
+    term_run = np.repeat(run, counts)
+    row = np.repeat(np.arange(len(members)) - firsts[run], counts)
+    keys, column = np.unique(term_run * size + sources, return_inverse=True)
+    breadth = np.bincount(keys // size, minlength=len(firsts))     # targets per run
+    first_target = np.cumsum(breadth) - breadth
+    cells = row * breadth[term_run] + column - first_target[term_run]
+    first_term = (np.cumsum(counts) - counts)[firsts]
+    m, t, v = (np.append(starts, total).tolist() for starts, total in
+               ((firsts, len(members)), (first_target, len(keys)), (first_term, len(sources))))
+    runs = [(members[m[i]:m[i + 1]], keys[t[i]:t[i + 1]] % size, cells[v[i]:v[i + 1]],
+             positions[v[i]:v[i + 1]]) for i in range(len(firsts))]
+    return Recursion(size, np.asarray(standard, dtype=np.intp), runs)
+
+
+def normal_form_rows(rows, rec: Recursion, coefficients, field: FieldSpec) -> np.ndarray:
+    """rows · N, for residue rows over the ``rec.size`` monomials and the
+    normal-form matrix N whose recursion ``rec`` holds: N[m] is the unit
+    row of m for a standard monomial, -sum c * N[source] over its terms
+    for a member (c read off ``coefficients``), and zero for any other
+    monomial.
+
+    With fewer rows than standard monomials the rows are pushed down: the
+    recursion runs backwards, top level first, and the columns of the
+    rows at each level's targets lose K^T times those at its members, so
+    that rows · N is read off the standard monomials without N (the
+    transposition principle; ``docs/decisions.md`` D15).  Otherwise N is
+    built forward, one product per level, and multiplied.  Every product
+    is one ``_submul``, so both are exact over both fields; the targets
+    are taken in pieces of at most ``_GATHER`` gathered entries."""
+    p = field.characteristic
+    rows = np.asarray(rows, dtype=_dtype(p))
+    width = len(rec.standard)
+    push = len(rows) < width
+    if push:
+        values = rows.T.copy()
+    else:
+        values = zeros(field, (rec.size, width))
+        values[rec.standard, np.arange(width)] = 1
+    span = max(_GATHER // max(values.shape[1], 1), 1)
+    for members, targets, cells, positions in (reversed(rec.levels) if push else rec.levels):
+        k = zeros(field, (members.size, targets.size))
+        k.flat[cells] = coefficients[positions]
+        pieces = [(k[:, s:s + span], targets[s:s + span]) for s in range(0, targets.size, span)]
+        if push:
+            read = values[members]
+            for ks, at in pieces:
+                values[at] = _submul(values[at], [(ks.T, read)], p)
+        else:
+            values[members] = _submul(zeros(field, (members.size, width)),
+                                      [(ks, values[at]) for ks, at in pieces], p)
+    if push:
+        return values[rec.standard].T
+    out = _submul(zeros(field, (len(rows), width)), [(rows, values)], p)
+    return _residues(np.negative(out, out=out), p)
 
 
 def index_array(columns) -> np.ndarray:

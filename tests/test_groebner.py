@@ -7,13 +7,11 @@ import numpy as np
 import pytest
 
 from fiberlab import groebner as groebner_mod
-from fiberlab import linalg as linalg_mod
 from fiberlab.fields import GF, QQ
 from fiberlab.graded import degree_basis, vector_to_poly
 from fiberlab.groebner import (buchberger, eliminate, extend_basis, normal_form,
-                               normal_form_matrix)
+                               normal_form_plan, normal_form_shape)
 from fiberlab.ideals import Ideal
-from fiberlab.linalg import negated_product
 from fiberlab.polyring import (EXPONENT_LIMIT, GREVLEX, LEX, MAX_EXPONENT, Elimination,
                                Polynomial, Ring, RingError, WeightThen)
 
@@ -639,19 +637,25 @@ def test_pair_sequence_pinned_on_sevengen_gr_descent(sevengen, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# normal-form matrices
+# normal-form plans: the normal-form matrix N, forward and pushed down
 
 @pytest.mark.parametrize("field", [GF(32003), GF(67108859), QQ],
                          ids=["F32003", "F67108859", "QQ"])
-def test_normal_form_matrix_rows_are_normal_forms(field, monkeypatch):
-    """Row j, read over the standard monomials, is the normal form of the
-    j-th monomial of the degree, in degrees 0-8, on seeded bases; at
-    p = 67108859 every gathered product runs in chunks of two terms.
-    The bases: two with short tails; one of three quartics of 12 terms,
-    whose (level, reducer) groups have several members and tails of
-    dozens of terms, so that there are fewer products than non-standard
-    monomials; and one with the monomial generator a^3, whose multiples
-    have an empty tail."""
+def test_normal_form_matrix_rows_are_normal_forms(field):
+    """rows · N in both directions, in degrees 0-8, on seeded bases.
+    Forward (no fewer rows than standard monomials), the unit rows give
+    N, whose row for a monomial, read over the standard monomials, is its
+    normal form.  Pushed down (fewer rows), up to four seeded rows of four
+    terms give their products with N.  Over F_p also W + 2 seeded rows
+    forward, and the unit rows pushed down W - 1 at a time, which give N
+    again; over QQ, where the Fraction arithmetic is the cost, the test
+    stops at the first two.  At p = 67108859 ``_submul`` takes the
+    products of levels with more than two targets in chunks of two
+    terms.  The bases: two with short tails; one of three quartics of 12
+    terms, whose levels have several members and tails of dozens of
+    terms, so that there are fewer products than non-standard monomials;
+    and one with the monomial generator a^3, whose multiples have an
+    empty tail."""
     ring = Ring(field, ["a", "b", "c", "d"])
     rng = random.Random("normal-form-matrix")
     a = ring.variable(0)
@@ -659,51 +663,77 @@ def test_normal_form_matrix_rows_are_normal_forms(field, monkeypatch):
              for _ in range(2)]
     bases.append(tuple(random_poly(ring, 4, rng, terms=12) for _ in range(3)))
     bases.append((a ** 3, random_poly(ring, 3, rng), random_poly(ring, 4, rng)))
-    products = []
-    monkeypatch.setattr(linalg_mod, "negated_product",
-                        lambda *args: products.append(1) or negated_product(*args))
-    counts = []
+    p = field.characteristic
+    dtype = float if p else object
+    counts, chunked = [], 0
     for gens in bases:
         ideal = Ideal(ring, gens)
         gb = ideal.groebner()
-        products.clear()
-        reduced = 0
+        made = reduced = 0
         for e in range(9):
-            nf, standard = normal_form_matrix(gb, e)
+            plan = normal_form_plan(gb, e)
             monos = degree_basis(ring, e)[0]
-            assert len(nf) == len(monos)
-            assert len(standard) == ideal.hilbert_series().coefficients(e)[e]
-            reduced += len(monos) - len(standard)
+            width = len(plan.standard)
+            assert width == ideal.hilbert_series().coefficients(e)[e]
+            reduced += len(monos) - width
+            made += len(plan.recursion.levels)
+            chunked += any(level[1].size > 2 for level in plan.recursion.levels)
+            unit = np.eye(len(monos), dtype=dtype)
+            nf = plan.times(unit, gb)
+            assert nf.shape == (len(monos), width)
             for m, row in zip(monos, nf):
-                assert vector_to_poly(row, standard, ring) == \
+                assert vector_to_poly(row, plan.standard, ring) == \
                     normal_form(mul_term(ring.one(), m, field.one), gb)
-        counts.append((len(products), reduced, max(map(len, gb._reducers.tails))))
+            few = max(min(width - 1, 4), 0)
+            seeded = np.zeros((width + 2 if p else few, len(monos)), dtype=dtype)
+            for row in seeded:
+                for j in rng.sample(range(len(monos)), min(4, len(monos))):
+                    row[j] = field.random_raw(rng, nonzero=True)
+            exact = nf.astype(np.int64).astype(object) if p else nf
+            want = np.zeros((len(seeded), width), dtype=object)
+            for out, row in zip(want, seeded):
+                for j in np.flatnonzero(row):
+                    out += (int(row[j]) if p else row[j]) * exact[j]
+            want = want % p if p else want
+            pairs = [(seeded[:few], want[:few])]
+            if p:
+                pairs += [(seeded, want)] + [(unit[s:s + width - 1], nf[s:s + width - 1])
+                                             for s in range(0, len(monos), max(width - 1, 1))]
+            for rows, want in pairs:
+                got = plan.times(rows, gb)
+                assert got.shape == want.shape and (got == want).all()
+        counts.append((made, reduced, max(map(len, gb._reducers.tails))))
         if gens is bases[3]:
             assert a ** 3 in gb.elements
     assert all(made <= reduced for made, reduced, _ in counts)
     made, reduced, longest = counts[2]
     assert made < reduced and longest > 30
+    assert chunked > 0
 
 
 def test_normal_form_matrix_edges(R3):
     """The zero ideal gives the identity over every monomial; an ideal
-    that contains a whole degree gives a matrix of width zero there."""
-    nf, standard = normal_form_matrix(Ideal(R3, ()).groebner(), 4)
-    assert standard == degree_basis(R3, 4)[0]
-    assert (nf == np.eye(len(standard))).all()
+    that contains a whole degree gives a matrix of width zero there, in
+    either direction."""
+    gb = Ideal(R3, ()).groebner()
+    plan = normal_form_plan(gb, 4)
+    assert plan.standard == degree_basis(R3, 4)[0]
+    unit = np.eye(len(plan.standard))
+    assert (plan.times(unit, gb) == unit).all()
+    assert (plan.times(unit[:3], gb) == unit[:3]).all()
     x, y, z = (R3.variable(i) for i in range(3))
     gb = Ideal(R3, (x * x, y * y, z * z, x * y, x * z, y * z)).groebner()
-    nf, standard = normal_form_matrix(gb, 3)
-    assert standard == () and nf.shape == (10, 0)
-    assert len(normal_form_matrix(gb, 1)[1]) == 3
+    plan = normal_form_plan(gb, 3)
+    assert plan.standard == () and plan.times(np.eye(10), gb).shape == (10, 0)
+    assert len(normal_form_plan(gb, 1).standard) == 3
 
 
 def test_normal_form_matrix_refuses_other_bases(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     with pytest.raises(ValueError, match="grevlex"):
-        normal_form_matrix(buchberger([x * y - z * z], LEX), 2)
+        normal_form_plan(buchberger([x * y - z * z], LEX), 2)
     with pytest.raises(ValueError, match="homogeneous"):
-        normal_form_matrix(buchberger([x * y - z]), 2)
+        normal_form_plan(buchberger([x * y - z]), 2)
 
 
 def test_normal_form_matrix_hilbert_crosscheck(R3, monkeypatch):
@@ -714,7 +744,7 @@ def test_normal_form_matrix_hilbert_crosscheck(R3, monkeypatch):
     wrong = Ideal(R3, (x, y * y)).hilbert_series()
     monkeypatch.setattr(groebner_mod, "series_of_basis", lambda _: wrong)
     with pytest.raises(AssertionError, match="Hilbert function"):
-        normal_form_matrix(gb, 3)
+        normal_form_plan(gb, 3)
 
 
 def test_normal_form_matrix_overflow_raises():
@@ -726,4 +756,27 @@ def test_normal_form_matrix_overflow_raises():
     x, y = ring.variable(0), ring.variable(1)
     gb = buchberger([x ** (w + 1) - y ** w])
     with pytest.raises(RingError):
-        normal_form_matrix(gb, (w + 1) * (EXPONENT_LIMIT + 1))
+        normal_form_plan(gb, (w + 1) * (EXPONENT_LIMIT + 1))
+
+
+def test_normal_form_plan_key_reads_only_the_shape(R3):
+    """Two bases with the same leading monomials and tail supports but
+    other coefficients have one shape; the plan of one gives each its own
+    normal forms.  Another degree or another support is another shape."""
+    x, y, z = (R3.variable(i) for i in range(3))
+    one, two = (buchberger([x * x - (y * z).scale(c), y * y - (x * z).scale(d)])
+                for c, d in ((2, 3), (5, 7)))
+    assert one.elements != two.elements
+    assert normal_form_shape(one, 4) == normal_form_shape(two, 4)
+    assert normal_form_shape(one, 4) != normal_form_shape(one, 5)
+    other = buchberger([x * x - (y * y).scale(2), y * y - (x * z).scale(3)])
+    assert normal_form_shape(one, 4) != normal_form_shape(other, 4)
+    plan = normal_form_plan(one, 4)
+    monos = degree_basis(R3, 4)[0]
+    unit = np.eye(len(monos))
+    for gb in (one, two):
+        for rows in (unit, unit[:len(plan.standard) - 1]):
+            for row, out in zip(rows, plan.times(rows, gb)):
+                assert vector_to_poly(out, plan.standard, R3) == \
+                    normal_form(vector_to_poly(row, monos, R3), gb)
+    assert (plan.times(unit, one) != plan.times(unit, two)).any()

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from fiberlab.fields import GF, QQ
+from fiberlab import linalg as linalg_mod
 from fiberlab.linalg import (Echelon, echelon_from_rows, index_array, multiply_rows,
-                             nullspace, rank_of_rows)
+                             normal_form_rows, nullspace, rank_of_rows,
+                             reduction_recursion)
 
 
 def rref_rows(e):
@@ -299,6 +301,81 @@ def test_multiply_rows_matches_oracle(p):
             want.append([v % p for v in out] if p else out)
     assert got.tolist() == want
     assert multiply_rows(rows, [], width, field).shape == (0, width)
+
+
+# ---------------------------------------------------------------------------
+# normal-form products, forward and pushed down
+
+def random_recursion(rng, size, p):
+    """A normal-form recursion over ``size`` monomials, as
+    ``linalg.reduction_recursion`` takes it, with its rows N over the
+    standard monomials as Python ints mod p (Fractions over Q), and its
+    coefficients.  A monomial is standard, or reads up to six distinct
+    smaller monomials (its terms), or none (a zero row); its level is 1 +
+    the highest level it reads.  The terms share a coefficient vector of
+    nine entries, as the tails of a basis do."""
+    coefficients = [rng.choice((p - 1, random_entry(rng, p))) if p else random_entry(rng, 0)
+                    for _ in range(9)]
+    standard, level, rows, levels = [], [0] * size, [None] * size, []
+    for j in range(size):
+        kind = rng.random()
+        if j < 3 or kind < 0.2:
+            standard.append(j)
+            continue
+        if kind < 0.3:
+            continue
+        sources = rng.sample(range(j), rng.randrange(1, min(6, j) + 1))
+        positions = [rng.randrange(9) for _ in sources]
+        level[j] = 1 + max(level[s] for s in sources)
+        while len(levels) < level[j]:
+            levels.append(([], [], [], []))
+        members, counts, reads, coefs = levels[level[j] - 1]
+        members.append(j)
+        counts.append(len(sources))
+        reads += sources
+        coefs += positions
+        rows[j] = (sources, positions)
+    width = len(standard)
+    nf = [None] * size
+    for j in range(size):
+        if j in standard:
+            nf[j] = [int(j == s) for s in standard]
+        elif rows[j] is None:
+            nf[j] = [0] * width
+        else:
+            sources, positions = rows[j]
+            nf[j] = [-sum(coefficients[q] * nf[s][i] for s, q in zip(sources, positions))
+                     for i in range(width)]
+            nf[j] = [v % p for v in nf[j]] if p else nf[j]
+    return (size, standard, levels), nf, coefficients
+
+
+@pytest.mark.parametrize("gather", [None, 40], ids=["whole", "split"])
+@pytest.mark.parametrize("p", FIELDS)
+def test_normal_form_rows_match_oracle(p, gather, monkeypatch):
+    """rows · N from ``normal_form_rows`` equals the product with the
+    oracle's N, with W - 1 rows (pushed down) and W + 3 rows (forward),
+    against sums of Python ints (Fractions over Q).  Over F_p half the
+    coefficients and entries are p - 1, so that at p = 67108859 two
+    unreduced products would pass 2**53.  With a gather bound of 40
+    entries the levels are split into runs and the targets into pieces."""
+    if gather:
+        monkeypatch.setattr(linalg_mod, "_GATHER", gather)
+    rng = random.Random(f"normal-form-rows:{p}")
+    field = field_of(p)
+    (size, standard, levels), nf, coefficients = random_recursion(rng, 60, p)
+    rec = reduction_recursion(size, standard, levels)
+    if gather:
+        assert len(rec.levels) > len(levels)
+    width = len(standard)
+    for nrows in (width - 1, width + 3):
+        rows = [[rng.choice((p - 1, random_entry(rng, p))) if p else random_entry(rng, 0)
+                 for _ in range(size)] for _ in range(nrows)]
+        got = normal_form_rows(rows, rec, np.asarray(coefficients, dtype=float if p else object),
+                               field)
+        want = [[sum(r[j] * nf[j][i] for j in range(size)) for i in range(width)]
+                for r in rows]
+        assert got.tolist() == ([[v % p for v in row] for row in want] if p else want)
 
 
 # ---------------------------------------------------------------------------

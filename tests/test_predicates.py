@@ -9,6 +9,7 @@ from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
 from fiberlab.graded import piece_span_of_polys
+from fiberlab.groebner import normal_form_shape
 from fiberlab.parse import maximal_minors
 from fiberlab.polyring import Ring
 from fiberlab.predicates import (FormSequence, analytically_adjusted,
@@ -400,11 +401,12 @@ def test_caps_of_empty_prefix(binomial4):
 
 def test_forget_clears_quotient_memos(binomial4):
     """Every memo of the context, each dict-valued private attribute (the
-    ranks and the product rows among them) and the power rows, is filled
-    by tightness, Valabrega-Valla and a reduction search and emptied by
-    ``forget()``: a memo added later cannot escape it.  The per-seed
-    ``forget(powers=False)`` empties all of them but the power rows, and
-    the powers read afterwards are the rows kept."""
+    ranks, the product rows and the normal-form plans among them) and the
+    power rows, is filled by tightness, Valabrega-Valla and a reduction
+    search and emptied by ``forget()``: a memo added later cannot escape
+    it.  The per-seed ``forget(powers=False)`` empties all of them but
+    the power rows and the plans, and the powers and plans read
+    afterwards are the ones kept."""
     ctx = IdealContext(binomial4)
 
     def fill(seed):
@@ -419,17 +421,42 @@ def test_forget_clears_quotient_memos(binomial4):
                 if name == "_powers" or (name.startswith("_") and isinstance(value, dict))}
 
     fill(1)
-    assert {"_powers", "_ranks", "_rows"} <= memos().keys()
+    assert {"_powers", "_ranks", "_rows", "_plans"} <= memos().keys()
     assert all(memos().values())
-    powers = list(ctx._powers)
+    powers, plans = list(ctx._powers), dict(ctx._plans)
     ctx.forget(powers=False)
-    assert not any(v for name, v in memos().items() if name != "_powers")
+    assert not any(v for name, v in memos().items() if name not in ("_powers", "_plans"))
+    assert ctx._plans == plans
     fill(2)
     assert all(a is b for a, b in zip(ctx._powers, powers))
     assert len(ctx._powers) >= len(powers)
+    assert all(ctx._plans[key] is plan for key, plan in plans.items())
     assert all(memos().values())
     ctx.forget()
     assert not any(memos().values())
+
+
+def test_rank_keeps_one_plan_per_shape(binomial4):
+    """Prefix ideals of two seeds with the same leading monomials and tail
+    supports but other coefficients share one normal-form plan, and each
+    gets its own normal forms: the ranks match the piece route.  Another
+    degree, or a prefix of another support, builds its own plan."""
+    ctx = IdealContext(binomial4)
+    ring, d = ctx.ring, ctx.degree
+    one = [ring.one()]
+    prefixes = [generic_forms(ctx, 2, f"plans:{seed}").forms for seed in (1, 2)]
+    bases = [ctx.forms_ideal(forms).groebner() for forms in prefixes]
+    assert bases[0].elements != bases[1].elements
+    assert normal_form_shape(bases[0], d) == normal_form_shape(bases[1], d)
+    ipiece = piece_span_of_polys(power_gens(binomial4, 1), d, ring)
+    for forms in prefixes:
+        ppiece = piece_span_of_polys(forms, d, ring)
+        assert ctx.rank(one, 1, forms) == joint_rank(ppiece, ipiece) - ppiece.rank
+    assert len(ctx._plans) == 1
+    ctx.rank(one, 2, prefixes[0])
+    assert len(ctx._plans) == 2
+    ctx.rank(one, 1, prefixes[0][:1])
+    assert len(ctx._plans) == 3
 
 
 # ---------------------------------------------------------------------------

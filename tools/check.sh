@@ -19,11 +19,13 @@
 #   1. the tier-1 suite, printing its ten slowest tests (ROADMAP's target
 #      is the whole suite under 60 s);
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
-#      blow-up, predicate, resolution and CLI tests and the 7 report
-#      digests under `python -O`, where a bare `assert` in the package
-#      would check nothing; the digests with OPENBLAS_NUM_THREADS=2, so
-#      that no report depends on the BLAS thread count (`linalg` sets 1
-#      when the variable is unset) and the threaded path stays run;
+#      blow-up, predicate, resolution, CLI and linear-algebra tests (the
+#      exactness of the kernel and of the normal-form products among
+#      them) and the 7 report digests under `python -O`, where a bare
+#      `assert` in the package would check nothing; the digests with
+#      OPENBLAS_NUM_THREADS=2, so that no report depends on the BLAS
+#      thread count (`linalg` sets 1 when the variable is unset) and the
+#      threaded path stays run;
 #   3. the benchmark's self-test (tracer, oracles, host-speed probe).
 #
 #     sh tools/check.sh
@@ -105,6 +107,6 @@ python -m pytest -q --continue-on-collection-errors --durations=10
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
     tests/test_polyring.py tests/test_graded.py tests/test_ideals.py \
     tests/test_blowup.py tests/test_predicates.py tests/test_resolutions.py \
-    tests/test_cli.py
+    tests/test_cli.py tests/test_linalg.py
 OPENBLAS_NUM_THREADS=2 python -O -m pytest -q tests/test_report_digests.py
 python3 perfbench/selftest.py
