@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .graded import degree_basis, generic_rank, product_rows
+from .graded import degree_basis, generic_rank, minors_ideal, product_rows
 from .groebner import eliminate, extend_basis, normal_form_plan, normal_form_shape
 from .hilbert import series_of_basis
 from .ideals import Ideal
-from .linalg import independent_rows, rank_of_rows
+from .linalg import echelon_from_rows, independent_rows, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, BoundExceededError, IncompleteResolutionError,
                           minimal_resolution)
@@ -70,18 +70,31 @@ class ReesPresentation:
         return gr.krull_dimension() - top.krull_dimension()
 
 
+class _Power:
+    """[I^n]_{nd} as ``IdealContext.power_rows`` builds it: its basis
+    ``rows``, with ``ends[i]`` of them from the blocks of the generators
+    g_0..g_i, and the pivot columns of their reduced echelon basis."""
+
+    __slots__ = ("rows", "ends", "pivots")
+
+    def __init__(self, rows, ends, pivots):
+        self.rows = rows
+        self.ends = ends
+        self.pivots = pivots
+
+
 class IdealContext:
     """One ideal and the expensive objects built from it, each built once.
 
     Every routine below that takes an ideal also takes its context
     (``IdealContext.of`` wraps a bare ideal in a fresh one), so a report
     that passes one context around builds the minimal generators, the
-    powers I^n, the ideals of prefix forms, one normal-form plan per
-    shape of their bases, the ranks of product pieces (``rank``), the
-    fiber and Rees presentations, the resolution of R/I, the CM reports
-    and the analytic spread once.  It keeps I^n as coefficient rows
-    (``power_rows``) and product pieces as ranks: dim_k [I^n]_{nd} is
-    ``len(power_rows(n))``.
+    powers I^n, the Fitting ideals, the ideals of prefix forms, one
+    normal-form plan per shape of their bases, the ranks of product pieces
+    (``rank``), the fiber and Rees presentations, the resolution of R/I,
+    the CM reports and the analytic spread once.  It keeps I^n as
+    coefficient rows (``power_rows``) and product pieces as ranks: dim_k
+    [I^n]_{nd} is ``len(power_rows(n))``.
     ``label`` names the ideal in the seeds of its randomized tests.
     With ``bounded`` the Rees elimination is out of budget: ``fp``,
     ``pres`` and the CM reports are None and the spread comes from the
@@ -97,8 +110,11 @@ class IdealContext:
         self.cutoff = cutoff
         self.bounded = bounded
         self._powers = None
+        self._fitting = {}
         self._forms_ideals = {}
+        self._inside = {}
         self._plans = {}
+        self._forward = {}
         self._ranks = {}
         self._rows = {}
 
@@ -118,21 +134,41 @@ class IdealContext:
 
     def power_rows(self, n: int):
         """A basis of [I^n]_{nd} as coefficient rows over
-        ``degree_basis(ring, nd)`` (I^0 = (1)), built incrementally: the
-        rows among g*b, for the minimal generators g and the rows b of
-        I^{n-1}, that are independent of those before them.  The minimal
-        generators of the equigenerated I^n are a basis of [I^n]_{nd}, so
-        mu(I^n) is their count."""
+        ``degree_basis(ring, nd)`` (I^0 = (1)), built incrementally from
+        generator prefixes: the generator g_i multiplies only the rows of
+        I^{n-1} kept from the blocks of g_0..g_i, and the rows among these
+        products that are independent of those before them are kept, block
+        after block.  Labelled by monomials in w_0..w_{m-1}, w_i standing
+        for g_i, the kept rows are the degree-n standard monomials of the
+        fiber relations for lex with w_{m-1} > ... > w_0, in increasing
+        order; standard monomials are closed under division, so every one
+        of them is such a product, and they span [I^n]_{nd} (D16 in
+        docs/decisions.md).
+        The minimal generators of the equigenerated I^n are a basis of
+        [I^n]_{nd}, so mu(I^n) is their count."""
         d = equigenerated_data(self)[1]
         ring = self.ring
         if self._powers is None:    # I^0: the row of 1 in S_0
-            self._powers = [product_rows([ring.one()], [[ring.field.one]], 0, ring)]
+            one = product_rows([ring.one()], [[ring.field.one]], 0, ring)
+            self._powers = [_Power(one, [1] * len(self.mingens), [0])]
         while len(self._powers) <= n:
             r = len(self._powers) - 1
-            blocks = (product_rows([g], self._powers[r], r * d, ring) for g in self.mingens)
-            self._powers.append(independent_rows(
-                blocks, ring.field, len(degree_basis(ring, (r + 1) * d)[0])))
-        return self._powers[n]
+            low = self._powers[r]
+            blocks = (product_rows([g], low.rows[:end], r * d, ring)
+                      for g, end in zip(self.mingens, low.ends))
+            self._powers.append(_Power(*independent_rows(
+                blocks, ring.field, len(degree_basis(ring, (r + 1) * d)[0]))))
+        return self._powers[n].rows
+
+    def fitting_ideal(self, size: int) -> tuple:
+        """(the ideal of the size x size minors of the minimal
+        presentation, I + that ideal), built once each: the Fitting ideals
+        that ``check_gs`` and ``generically_ci`` read heights off."""
+        pair = self._fitting.get(size)
+        if pair is None:
+            minors = minors_ideal(self.presentation, size, self.ideal)
+            pair = self._fitting[size] = (minors, self.ideal + minors)
+        return pair
 
     def forms_ideal(self, forms) -> Ideal:
         """The ideal the forms generate, memoized on the forms with its
@@ -144,19 +180,48 @@ class IdealContext:
             ideal = self._forms_ideals[key] = Ideal(self.ring, key)
         return ideal
 
+    @cached_property
+    def _generating_piece(self):
+        """[I]_d as a reduced echelon basis, from ``power_rows(1)``."""
+        d = equigenerated_data(self)[1]
+        return echelon_from_rows(self.power_rows(1), self.ring.field,
+                                 len(degree_basis(self.ring, d)[0]))
+
+    def _in_generating_degree(self, forms: tuple) -> bool:
+        """Do the forms lie in I_d?  Certified once per forms tuple: their
+        rows in S_d reduce to zero against [I]_d's echelon basis."""
+        inside = self._inside.get(forms)
+        if inside is None:
+            inside = forms[0].homogeneous_degree() == equigenerated_data(self)[1]
+            if inside:
+                rows = product_rows(forms, self.power_rows(0), 0, self.ring)
+                inside = not self._generating_piece.reduce(rows).any()
+            self._inside[forms] = inside
+        return inside
+
     def rank(self, forms, r: int, modulo=()) -> int:
         """Rank of the coefficient rows of (forms)·[I^r], the products of
         the forms, nonzero of one degree, with ``power_rows(r)``
         (``graded.product_rows``), in S_e / [P]_e for e the degree of the
-        products and P the ideal of the forms ``modulo``: with no such
-        forms, the rank in S_e; otherwise the rank of the rows times the
-        normal-form matrix of P's basis in degree e, which the basis's
-        normal-form plan applies to them (``groebner.NormalFormPlan``), so
-        neither a piece of P nor the matrix is built.  (1)·[I^r] is [I^r]
-        itself, and no forms give rank 0.  Memoized on (forms, r, modulo),
-        the plan on its shape (``groebner.normal_form_shape``), which the
-        prefix bases of different seeds share, and the rows of the last
-        (forms, r): tightness ranks them with and without its prefix."""
+        products and P the ideal of the forms ``modulo``.
+
+        With no such forms it is the rank in S_e.  When the forms lie in
+        I_d (certified once per forms tuple) and I^{r+1} is already built,
+        the products lie in V = [I^{r+1}]_{(r+1)d}, so they are C·E for
+        E the reduced echelon basis of V, and their columns at E's pivots
+        are C: only those columns are made, and their rank is the rank
+        (D16 in docs/decisions.md).  Otherwise the rank is read on all of
+        S_e.  Modulo P it is the rank of the rows times the normal-form
+        matrix of P's basis in degree e, which the basis's normal-form
+        plan applies to them (``groebner.NormalFormPlan``), so neither a
+        piece of P nor the matrix is built, but for an N built forward,
+        which is kept for more rows of the same basis.
+
+        (1)·[I^r] is [I^r] itself, and no forms give rank 0.  Memoized on
+        (forms, r, modulo), the plan on its shape
+        (``groebner.normal_form_shape``), which the prefix bases of
+        different seeds share, and the full rows of the last (forms, r):
+        tightness ranks them with and without its prefix."""
         forms, modulo = tuple(forms), tuple(modulo)
         if not forms:
             return 0
@@ -165,11 +230,6 @@ class IdealContext:
         if rank is None:
             ring, field = self.ring, self.ring.field
             d = equigenerated_data(self)[1]
-            rows = self._rows.get((forms, r))
-            if rows is None:
-                self._rows.clear()
-                rows = self._rows[forms, r] = product_rows(
-                    forms, self.power_rows(r), r * d, ring)
             e = r * d + forms[0].homogeneous_degree()
             if modulo:
                 gb = self.forms_ideal(modulo).groebner()
@@ -177,11 +237,27 @@ class IdealContext:
                 plan = self._plans.get(shape)
                 if plan is None:
                     plan = self._plans[shape] = normal_form_plan(gb, e)
-                rank = rank_of_rows(plan.times(rows, gb), field, len(plan.standard))
+                rows = plan.times(self._full_rows(forms, r), gb, self._forward)
+                rank = rank_of_rows(rows, field, len(plan.standard))
+            elif len(self._powers or ()) > r + 1 and self._in_generating_degree(forms):
+                pivots = self._powers[r + 1].pivots
+                rows = product_rows(forms, self.power_rows(r), r * d, ring, pivots)
+                rank = rank_of_rows(rows, field, len(pivots))
             else:
-                rank = rank_of_rows(rows, field, len(degree_basis(ring, e)[0]))
+                rank = rank_of_rows(self._full_rows(forms, r), field,
+                                    len(degree_basis(ring, e)[0]))
             self._ranks[key] = rank
         return rank
+
+    def _full_rows(self, forms: tuple, r: int):
+        """The rows of (forms)·[I^r] on all of S_e, kept for the last
+        (forms, r)."""
+        rows = self._rows.get((forms, r))
+        if rows is None:
+            self._rows.clear()
+            rows = self._rows[forms, r] = product_rows(
+                forms, self.power_rows(r), r * equigenerated_data(self)[1], self.ring)
+        return rows
 
     def relation_dim(self, n: int) -> int:
         """dim_k [Q]_n.  The fiber is k[I_d], whose degree-n piece is
@@ -199,20 +275,26 @@ class IdealContext:
                                      f"formula {dim} vs eliminated {eliminated}")
         return dim
 
-    def forget(self, *, powers: bool = True):
-        """Drop the memoized product rows, forms ideals and ranks, and the
-        power rows and normal-form plans unless ``powers`` is False.  A
+    def forget(self, *, keep_powers: int | None = None):
+        """Drop the memoized product rows, forms ideals, ranks, forward
+        normal-form matrices and certificates of forms in I_d; with
+        ``keep_powers`` None also the power rows and the normal-form
+        plans, and otherwise the powers above I^keep_powers only.  A
         report calls this between stages that share none of them, so that
         one seed's prefix ideals and the high powers of a reduction search
         do not stay in memory while the next stage runs; all are cheap to
-        build again.  Between the stages of two seeds it keeps the power
-        rows, which no seed changes, and the plans, which hold no
-        coefficients and serve every seed's prefix bases of their
-        shape."""
-        if powers:
+        build again.  Between stages it keeps the powers that the later
+        stages read, which no seed changes, and the plans, which hold no
+        coefficients and serve every seed's prefix bases of their shape.
+        The Fitting ideals belong to the ideal and stay."""
+        if keep_powers is None:
             self._powers = None
             self._plans.clear()
+        elif self._powers is not None:
+            del self._powers[keep_powers + 1:]
         self._forms_ideals.clear()
+        self._inside.clear()
+        self._forward.clear()
         self._ranks.clear()
         self._rows.clear()
 
@@ -490,7 +572,8 @@ def minimal_reduction(ideal, seed="red:1", r_max: int = 12,
     elif any(f.homogeneous_degree() != d for f in forms):
         raise ValueError(f"forms must be nonzero of the generating degree {d}")
     for r in range(0, r_max + 1):
-        if ctx.rank(forms, r) == len(ctx.power_rows(r + 1)):
+        mu = len(ctx.power_rows(r + 1))     # built first: the rank projects on it
+        if ctx.rank(forms, r) == mu:
             return ReductionData(forms, str(seed), r, True, spread, d)
     return ReductionData(forms, str(seed), None, False, spread, d)
 

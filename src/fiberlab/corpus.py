@@ -210,8 +210,9 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
                                           r_max=r_max,
                                           forms=fs.forms if reduce_forms else None)
                   for seed, fs in forms.items()}
-    ctx.forget()
     red_numbers = [reductions[seed].reduction_number for seed in seeds]
+    n_max = max((red_numbers[0] or 0) + 2, n_max)
+    ctx.forget(keep_powers=n_max)   # what tightness and VV read
     inv["reduction_numbers"] = red_numbers
     inv["reduction_number"] = red_numbers[0] if len(set(red_numbers)) == 1 else None
     inv["reduction_stable"] = len(set(red_numbers)) == 1
@@ -223,7 +224,6 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
         return
 
     _depth_block(ctx, report)
-    n_max = max((red_numbers[0] or 0) + 2, n_max)
     report["bounds"]["n_max"] = n_max
     g = ctx.ideal.height()
     tight, vv = {}, {}
@@ -235,7 +235,7 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
         preds[f"tight:seed{seed}"] = tight[seed].to_json()
         preds[f"vv:seed{seed}"] = vv[seed].to_json()
         preds[f"adjusted:seed{seed}"] = analytically_adjusted(ctx, fs).to_json()
-        ctx.forget(powers=False)
+        ctx.forget(keep_powers=n_max)
     report["_objects"] = {
         "id": ctx.label, "ideal": ctx.ideal, "fp": fp, "rees": ctx.pres,
         "fiber_cm": ctx.fiber_cm, "rees_cm": ctx.rees_cm, "seeds": seeds,
@@ -312,11 +312,11 @@ def _bounded_blowup(ctx, report, seeds, n_max, r_max):
         red_number = minimal_reduction(ctx, seed=f"{ctx.label}:red:{seeds[0]}",
                                        r_max=capped_rmax,
                                        forms=forms[seeds[0]].forms).reduction_number
-        ctx.forget()
+        ctx.forget(keep_powers=n_max)   # what tightness reads
         for seed, fs in forms.items():
             preds[f"tight:seed{seed}"] = tight_profile(ctx, fs, n_max).to_json()
             preds[f"adjusted:seed{seed}"] = analytically_adjusted(ctx, fs).to_json()
-            ctx.forget(powers=False)
+            ctx.forget(keep_powers=n_max)
     if red_number is not None:
         inv["reduction_number"] = red_number
     else:

@@ -4,7 +4,9 @@ Macaulay rows come from two builders.  ``spanning_columns`` writes the
 rows of polynomials, as their columns and coefficients (``spanning_rows``
 makes them dense); ``product_rows`` writes the rows of f*b for a form f
 and rows b already built, the products of the powers I^n and of the
-product pieces (forms)·I^r, without building f*b as a polynomial.
+product pieces (forms)·I^r, without building f*b as a polynomial, and
+with all their columns or only the pivot columns of a piece that holds
+them, where their rank is read (D16 in docs/decisions.md).
 
 The degree-e piece of a free module with generator degrees
 (d_1, ..., d_r) has one block of columns per generator, laid out by
@@ -18,7 +20,8 @@ generators and both matrices of the degreewise syzygies are made of
 these rows: the map's rows, collected by codomain column, and the
 multiples of the syzygies already found.  ``product_rows`` moves each
 entry of b at monomial m to the column of t*m for each term c*t of f,
-from one cached index array per (ring, degree, t) (``shifted_columns``).
+from one cached index array per (ring, degree, t) (``shifted_columns``);
+given columns, only the entries that land on them move.
 
 Graded pieces are represented by canonical reduced row-echelon bases
 over the monomial basis of the ambient degree, so dimensions, piece
@@ -119,19 +122,22 @@ def spanning_rows(elements, degree: int, ring: Ring, shifts=(0,)):
         yield vec
 
 
-def product_rows(forms, rows, degree: int, ring: Ring):
+def product_rows(forms, rows, degree: int, ring: Ring, columns=None):
     """The rows of f*b over ``degree_basis(ring, degree + deg f)`` for each
     of the forms f, all nonzero of one degree, and each of the rows b over
     ``degree_basis(ring, degree)``, form after form: each term c*t of f
     adds c*b at the columns of t times b's monomials
-    (``linalg.multiply_rows``), so no product is built as a polynomial."""
+    (``linalg.multiply_rows``), so no product is built as a polynomial.
+    With ``columns`` only those columns of the products are made, in that
+    order: the pivot columns of a piece that holds the products, on which
+    their rank can be read (``IdealContext.rank``)."""
     degrees = {f.homogeneous_degree() for f in forms}
     if len(degrees) != 1 or -1 in degrees:
         raise ValueError(f"products need nonzero forms of one degree, not {sorted(degrees)}")
     width = len(degree_basis(ring, degree + degrees.pop())[0])
     terms = [[(shifted_columns(ring, degree, t), c) for t, c in f.terms.items()]
              for f in forms]
-    return multiply_rows(rows, terms, width, ring.field)
+    return multiply_rows(rows, terms, width, ring.field, columns)
 
 
 def graded_piece(ideal, degree: int) -> Echelon:

@@ -24,10 +24,10 @@ with no pairs among them, and only the new generators are reduced.  See
 D12.
 
 ``normal_form_plan`` writes the reduction of every monomial of one
-degree as a recursion on levels, which ``linalg.normal_form_rows`` runs
-forward (the normal-form matrix) or backwards (rows times it).  A plan
-reads the leading monomials and tail supports only, so the bases of one
-shape share it.  See D15.
+degree as a recursion on levels, which ``linalg`` runs forward (the
+normal-form matrix, ``normal_form_matrix``) or backwards (rows times it,
+``normal_form_rows``).  A plan reads the leading monomials and tail
+supports only, so the bases of one shape share it.  See D15.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ from operator import mul
 
 from .graded import degree_basis
 from .hilbert import series_of_basis
-from .linalg import Recursion, normal_form_rows, raw_rows, reduction_recursion
+from .linalg import (Recursion, normal_form_matrix, normal_form_rows, raw_rows,
+                     reduction_recursion)
 from .polyring import (_OVERFLOW, EXPONENT_LIMIT, GREVLEX, Elimination, Polynomial, Ring,
                        RingError, TermOrder, _Packing, _packing, repack)
 
@@ -328,13 +329,23 @@ class NormalFormPlan:
         self.standard = standard
         self.recursion = recursion
 
-    def times(self, rows, gb: GroebnerBasis):
+    def times(self, rows, gb: GroebnerBasis, kept: dict):
         """rows · N for gb, a basis of the plan's shape: the normal forms of
         the coefficient rows (residues, over the monomials of the degree)
-        written over ``standard`` (``linalg.normal_form_rows``)."""
+        written over ``standard`` (``linalg.normal_form_rows``).  Fewer
+        rows than standard monomials are pushed down the recursion;
+        otherwise N is built forward and multiplied, the narrower side
+        (D15).  ``kept``, a dict of the caller's, keeps per plan the last
+        basis whose N was built, with that N: more rows for the same basis
+        are then only multiplied by it."""
         field = gb.ring.field
         coefficients = raw_rows([tc for tail in gb._reducers.tails for _, tc in tail], field)
-        return normal_form_rows(rows, self.recursion, coefficients, field)
+        if len(rows) < len(self.standard):
+            return normal_form_rows(rows, self.recursion, coefficients, field)
+        last = kept.get(self)
+        if last is None or last[0] is not gb:
+            last = kept[self] = (gb, normal_form_matrix(self.recursion, coefficients, field))
+        return normal_form_rows(rows, self.recursion, coefficients, field, last[1])
 
 
 def normal_form_plan(gb: GroebnerBasis, degree: int) -> NormalFormPlan:

@@ -10,11 +10,16 @@ only, and back-substituted into the basis with another.  Rows are numpy
 arrays of dtype ``_dtype(p)`` everywhere; this module alone knows the
 field, in five places: that dtype, ``_residues``, ``_submul``, the pivot
 steps of ``_gauss_jordan`` and the reduction steps of ``multiply_rows``,
-which builds the rows of products from the rows of their factors.
+which builds the rows of products from the rows of their factors, all
+their columns or only the columns asked for (the pivot columns of a
+piece that holds the products, where their rank can be read:
+``docs/decisions.md`` D16).  ``independent_rows`` keeps the rows of
+blocks that add to the span, with the pivots of their echelon basis.
 ``normal_form_rows`` multiplies rows by a normal-form matrix through the
-reduction recursion that defines it, one coefficient matrix per level,
-forward or pushed down, whichever side is narrower; its products are
-``_submul`` calls too, so it adds no sixth place.
+reduction recursion that defines it, one coefficient matrix per level:
+pushed down, or by the matrix that ``normal_form_matrix`` builds
+forward; their products are ``_submul`` calls too, so they add no sixth
+place.
 
 Over F_p residues in [0, p) sit in float64 arrays, and reduction mod p
 waits until a product is complete.  This is exact: a product sums
@@ -323,45 +328,59 @@ def reduction_recursion(size: int, standard, levels) -> Recursion:
     return Recursion(size, np.asarray(standard, dtype=np.intp), runs)
 
 
-def normal_form_rows(rows, rec: Recursion, coefficients, field: FieldSpec) -> np.ndarray:
+def _levels(rec: Recursion, coefficients, field: FieldSpec, width: int, downward: bool):
+    """Each run of the recursion's levels, top level first when
+    ``downward``, as its members and the pieces (K[:, s], targets[s]) of
+    its coefficient matrix K, the targets taken in pieces of at most
+    ``_GATHER`` entries of rows ``width`` wide."""
+    span = max(_GATHER // max(width, 1), 1)
+    for members, targets, cells, positions in (reversed(rec.levels) if downward
+                                                else rec.levels):
+        k = zeros(field, (members.size, targets.size))
+        k.flat[cells] = coefficients[positions]
+        yield members, [(k[:, s:s + span], targets[s:s + span])
+                        for s in range(0, targets.size, span)]
+
+
+def normal_form_matrix(rec: Recursion, coefficients, field: FieldSpec) -> np.ndarray:
+    """The normal-form matrix N whose recursion ``rec`` holds (see
+    ``normal_form_rows``), built forward, one product per level."""
+    p = field.characteristic
+    width = len(rec.standard)
+    values = zeros(field, (rec.size, width))
+    values[rec.standard, np.arange(width)] = 1
+    for members, pieces in _levels(rec, coefficients, field, width, False):
+        values[members] = _submul(zeros(field, (members.size, width)),
+                                  [(ks, values[at]) for ks, at in pieces], p)
+    return values
+
+
+def normal_form_rows(rows, rec: Recursion, coefficients, field: FieldSpec,
+                     matrix=None) -> np.ndarray:
     """rows · N, for residue rows over the ``rec.size`` monomials and the
     normal-form matrix N whose recursion ``rec`` holds: N[m] is the unit
     row of m for a standard monomial, -sum c * N[source] over its terms
     for a member (c read off ``coefficients``), and zero for any other
     monomial.
 
-    With fewer rows than standard monomials the rows are pushed down: the
-    recursion runs backwards, top level first, and the columns of the
-    rows at each level's targets lose K^T times those at its members, so
-    that rows · N is read off the standard monomials without N (the
-    transposition principle; ``docs/decisions.md`` D15).  Otherwise N is
-    built forward, one product per level, and multiplied.  Every product
-    is one ``_submul``, so both are exact over both fields; the targets
-    are taken in pieces of at most ``_GATHER`` gathered entries."""
+    Given ``matrix``, N itself (``normal_form_matrix``), the rows are
+    multiplied by it.  Otherwise they are pushed down: the recursion runs
+    backwards, top level first, and the columns of the rows at each
+    level's targets lose K^T times those at its members, so that rows · N
+    is read off the standard monomials without N (the transposition
+    principle; ``docs/decisions.md`` D15).  Every product is one
+    ``_submul``, so both are exact over both fields; the targets are
+    taken in pieces of at most ``_GATHER`` gathered entries."""
     p = field.characteristic
     rows = np.asarray(rows, dtype=_dtype(p))
-    width = len(rec.standard)
-    push = len(rows) < width
-    if push:
+    if matrix is None:
         values = rows.T.copy()
-    else:
-        values = zeros(field, (rec.size, width))
-        values[rec.standard, np.arange(width)] = 1
-    span = max(_GATHER // max(values.shape[1], 1), 1)
-    for members, targets, cells, positions in (reversed(rec.levels) if push else rec.levels):
-        k = zeros(field, (members.size, targets.size))
-        k.flat[cells] = coefficients[positions]
-        pieces = [(k[:, s:s + span], targets[s:s + span]) for s in range(0, targets.size, span)]
-        if push:
+        for members, pieces in _levels(rec, coefficients, field, len(rows), True):
             read = values[members]
             for ks, at in pieces:
                 values[at] = _submul(values[at], [(ks.T, read)], p)
-        else:
-            values[members] = _submul(zeros(field, (members.size, width)),
-                                      [(ks, values[at]) for ks, at in pieces], p)
-    if push:
         return values[rec.standard].T
-    out = _submul(zeros(field, (len(rows), width)), [(rows, values)], p)
+    out = _submul(zeros(field, (len(rows), len(rec.standard))), [(rows, matrix)], p)
     return _residues(np.negative(out, out=out), p)
 
 
@@ -371,7 +390,7 @@ def index_array(columns) -> np.ndarray:
     return np.asarray(columns, dtype=np.intp)
 
 
-def multiply_rows(rows, forms, width: int, field: FieldSpec) -> np.ndarray:
+def multiply_rows(rows, forms, width: int, field: FieldSpec, columns=None) -> np.ndarray:
     """The rows (residues, or any nested sequence of them) times the
     multiplication matrix of each form, stacked form after form, as rows
     of ``width`` columns.  A form is given as one (columns, raw
@@ -380,6 +399,11 @@ def multiply_rows(rows, forms, width: int, field: FieldSpec) -> np.ndarray:
     term is one vectorized scatter-add; it runs on the transposes, where
     it moves whole rows, three times as fast as moving columns.
 
+    With ``columns``, a sequence of distinct columns of the products, only
+    those are made, in that order: each term reads the output position of
+    its columns, -1 where a column is not needed, and moves only the
+    entries that land on one.
+
     Over F_p a term adds at most (p - 1)**2 to an entry, so the sums are
     reduced once they hold (2**53 - p) // (p - 1)**2 such terms, a
     residue counting as one: the bound of ``_submul``.  Over Q the rows
@@ -387,27 +411,40 @@ def multiply_rows(rows, forms, width: int, field: FieldSpec) -> np.ndarray:
     p = field.characteristic
     by_column = np.asarray(rows, dtype=_dtype(p)).T.copy()
     term = np.empty_like(by_column)
+    at = None
+    if columns is not None:
+        at = np.full(width, -1, dtype=np.intp)
+        at[np.asarray(columns, dtype=np.intp)] = np.arange(len(columns))
+        width = len(columns)
     step = (_EXACT - p) // (p - 1) ** 2 if p else None
     blocks = []
     for terms in forms:
         block, load = zeros(field, (width, by_column.shape[1])), 0
-        for columns, c in terms:
+        for cols, c in terms:
             if load == step:    # never over Q
                 _residues(block, p)
                 load = 1
-            block[columns] += np.multiply(by_column, c, out=term)
+            if at is None:
+                block[cols] += np.multiply(by_column, c, out=term)
+            else:
+                to = at[cols]
+                hit = np.flatnonzero(to >= 0)
+                block[to[hit]] += np.multiply(by_column[hit], c)
             load += 1
         blocks.append(_residues(block, p).T)
     return np.concatenate(blocks) if blocks else zeros(field, (0, width))
 
 
-def independent_rows(blocks, field: FieldSpec, width: int) -> np.ndarray:
+def independent_rows(blocks, field: FieldSpec, width: int):
     """The rows of the blocks (arrays of rows, read in order) that are
     independent of the rows before them, as one array: a basis of their
-    span made of their own rows."""
+    span made of their own rows.  Also, per block, the number of rows
+    kept from it and the blocks before it, and the pivot columns of the
+    span's reduced echelon basis, ascending."""
     e = Echelon(field, width)
     kept = [block[e.extend(block)] for block in blocks]
-    return np.concatenate(kept) if kept else zeros(field, (0, width))
+    rows = np.concatenate(kept) if kept else zeros(field, (0, width))
+    return rows, np.cumsum([len(k) for k in kept], dtype=np.intp).tolist(), e.pivots
 
 
 def sparse_rows(entries, ncols: int, field: FieldSpec):

@@ -84,17 +84,16 @@ def generic_forms(ideal, count: int, seed) -> FormSequence:
 # G_s and friends
 
 def check_gs(ideal, s: int) -> PredicateReport:
-    """G_s via Fitting-ideal heights: ht I_{r-i}(phi) >= i+1 for i < s."""
-    from .graded import minors_ideal
+    """G_s via Fitting-ideal heights: ht I_{r-i}(phi) >= i+1 for i < s,
+    the ideals of minors from the context (``IdealContext.fitting_ideal``)."""
     ctx = IdealContext.of(ideal)
     ideal = ctx.ideal
-    pres = ctx.presentation
-    r = pres.nrows
+    r = ctx.presentation.nrows
     heights = {}
     verdict = True
     for i in range(1, s):
         size = r - i
-        minors = minors_ideal(pres, size, ideal)
+        minors, fitting = ctx.fitting_ideal(size)
         if size <= 0 or minors.is_unit():
             heights[i] = "inf"
             continue
@@ -102,7 +101,6 @@ def check_gs(ideal, s: int) -> PredicateReport:
             heights[i] = 0
             verdict = False
             continue
-        fitting = ideal + minors
         h = fitting.height()
         heights[i] = h
         if h < i + 1:
@@ -306,21 +304,20 @@ def regular_in_gr(ideal, fs_prefix: FormSequence, n_max: int = 5) -> PredicateRe
 # generic complete intersection, perfectness, formulas
 
 def generically_ci(ideal) -> PredicateReport:
-    """Height-2 Fitting criterion: ht(I + I_{r-2}(phi)) >= 3."""
-    from .graded import minors_ideal
+    """Height-2 Fitting criterion: ht(I + I_{r-2}(phi)) >= 3, the ideals
+    from the context (``IdealContext.fitting_ideal``)."""
     ctx = IdealContext.of(ideal)
     ideal = ctx.ideal
     if ideal.height() != 2:
         return PredicateReport(
             "gen-ci", {"ideal": ideal_fingerprint(ideal)}, "unknown",
             certificate={"reason": "criterion restricted to height-2 ideals"})
-    pres = ctx.presentation
-    r = pres.nrows
-    minors = minors_ideal(pres, r - 2, ideal)
+    r = ctx.presentation.nrows
+    minors, fitting = ctx.fitting_ideal(r - 2)
     if r - 2 <= 0 or minors.is_unit():
         return PredicateReport("gen-ci", {"ideal": ideal_fingerprint(ideal)}, "true",
                                certificate={"fitting_height": "inf"})
-    h = (ideal + minors).height() if not minors.is_zero() else 0
+    h = fitting.height() if not minors.is_zero() else 0
     return PredicateReport(
         "gen-ci", {"ideal": ideal_fingerprint(ideal)},
         "true" if h >= 3 else "false",

@@ -3,16 +3,20 @@ from math import comb, prod
 
 import pytest
 
+from fiberlab import blowup as blowup_mod
 from fiberlab.blowup import (IdealContext, equigenerated_data,
                              fiber_presentation, fiber_truncated, is_cm_graded,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
 from fiberlab.corpus import CORPUS, load_entry_ideal
 from fiberlab.depth import graded_depth
-from fiberlab.graded import piece_span_of_polys
+from fiberlab.fields import GF, QQ
+from fiberlab.graded import piece_span_of_polys, product_rows, spanning_rows
 from fiberlab.groebner import eliminate
 from fiberlab.ideals import Ideal
+from fiberlab.linalg import rank_of_rows
 from fiberlab.polyring import Ring
+from fiberlab.predicates import generic_forms
 from fiberlab.resolutions import BoundExceededError
 
 from conftest import power_gens, relation_piece_dim, x_first_copy
@@ -162,6 +166,75 @@ def test_power_gens_count_is_piece_dimension(R3, R3q, binomial4):
             assert len(rows) == len(gens) == piece_span_of_polys(
                 raw, n * ctx.degree, ring).rank
             assert not piece_span_of_polys(gens, n * ctx.degree, ring).reduce(rows).any()
+
+
+def test_power_rows_are_standard_monomials_of_the_fiber(R3, R3q, binomial4):
+    """``power_rows`` multiplies g_i by the rows of I^{n-1} kept from the
+    blocks of g_0..g_i only.  Labelled by monomials in the generators, the
+    rows it keeps are closed under division, as the standard monomials of
+    the fiber relations are, and they are the polynomial products of their
+    labels, chosen greedily in the order of the scan; their number, per
+    block and in all, is the rank of the products, and in all the rank of
+    every raw product f_{i1}...f_{in}, so they span [I^n]_{nd}.  For
+    n <= 4 on the six equigenerated corpus ideals and binomial4 over QQ."""
+    ctxs = [IdealContext(load_entry_ideal(e)) for e in CORPUS]
+    ctxs = [ctx for ctx in ctxs if ctx.degree is not None]
+    assert len(ctxs) == 6
+    ctxs.append(IdealContext(Ideal(R3q, tuple(R3.embed(g, R3q)
+                                              for g in binomial4.generators))))
+    for ctx in ctxs:
+        ring, gens, d = ctx.ring, ctx.mingens, ctx.degree
+        labels, ends, products = [()], [1] * len(gens), {(): ring.one()}
+        for n in range(1, 5):
+            candidates = [(*label, i) for i, end in enumerate(ends) for label in labels[:end]]
+            for label in candidates:
+                products[label] = products[label[:-1]] * gens[label[-1]]
+            piece = piece_span_of_polys([], n * d, ring)
+            rows = list(spanning_rows([products[c] for c in candidates], n * d, ring))
+            kept = [c for c, grew in zip(candidates, piece.extend(rows)) if grew]
+            got = ctx.power_rows(n)
+            assert got.tolist() == [row.tolist() for row, c in zip(rows, candidates)
+                                    if c in kept]
+            low = set(labels)
+            assert all(tuple(sorted(c[:k] + c[k + 1:])) in low
+                       for c in kept for k in range(n))
+            labels = kept
+            ends = [sum(max(c) <= i for c in kept) for i in range(len(gens))]
+            assert ctx._powers[n].ends == ends
+            raw = [prod(c, start=ring.one())
+                   for c in combinations_with_replacement(gens, n)]
+            assert len(got) == piece_span_of_polys(raw, n * d, ring).rank
+
+
+@pytest.mark.parametrize("field", [GF(32003), GF(67108859), QQ],
+                         ids=["F32003", "F67108859", "QQ"])
+def test_projected_rank_is_the_full_rank(R3, binomial4, sixgen, field, monkeypatch):
+    """``IdealContext.rank`` of (forms)·I^r, for forms in I_d with I^{r+1}
+    built, makes the products at the pivot columns of I^{r+1} only, and
+    their rank is the rank of the full products.  A form outside I_d
+    (x^d), or a power I^{r+1} not yet built, takes the full-width
+    route.  Over QQ, where the Fraction products are the cost, only
+    binomial4."""
+    routes = []
+
+    def spy(forms, rows, degree, ring, columns=None):
+        routes.append(columns is not None)
+        return product_rows(forms, rows, degree, ring, columns)
+
+    monkeypatch.setattr(blowup_mod, "product_rows", spy)
+    ring = Ring(field, R3.names)
+    for ideal in (binomial4, sixgen) if field.characteristic else (binomial4,):
+        ctx = IdealContext(Ideal(ring, tuple(R3.embed(g, ring) for g in ideal.generators)))
+        d, x = ctx.degree, ring.variable(0)
+        ctx.power_rows(3)
+        forms = generic_forms(ctx, 3, "projected").forms
+        for case, r, projected in ((forms, 0, True), (forms[:2], 1, True), (forms, 2, True),
+                                   ([forms[0], x ** d], 1, False), (forms, 3, False)):
+            routes.clear()
+            got = ctx.rank(case, r)
+            assert routes[-1] is projected
+            full = product_rows(case, ctx.power_rows(r), r * d, ring)
+            assert got == rank_of_rows(full, ring.field, full.shape[1])
 
 
 def test_spread_bounds(monomial4, sixgen, sevengen):

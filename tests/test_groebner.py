@@ -12,6 +12,7 @@ from fiberlab.graded import degree_basis, vector_to_poly
 from fiberlab.groebner import (buchberger, eliminate, extend_basis, normal_form,
                                normal_form_plan, normal_form_shape)
 from fiberlab.ideals import Ideal
+from fiberlab.linalg import normal_form_matrix
 from fiberlab.polyring import (EXPONENT_LIMIT, GREVLEX, LEX, MAX_EXPONENT, Elimination,
                                Polynomial, Ring, RingError, WeightThen)
 
@@ -679,7 +680,7 @@ def test_normal_form_matrix_rows_are_normal_forms(field):
             made += len(plan.recursion.levels)
             chunked += any(level[1].size > 2 for level in plan.recursion.levels)
             unit = np.eye(len(monos), dtype=dtype)
-            nf = plan.times(unit, gb)
+            nf = plan.times(unit, gb, {})
             assert nf.shape == (len(monos), width)
             for m, row in zip(monos, nf):
                 assert vector_to_poly(row, plan.standard, ring) == \
@@ -700,7 +701,7 @@ def test_normal_form_matrix_rows_are_normal_forms(field):
                 pairs += [(seeded, want)] + [(unit[s:s + width - 1], nf[s:s + width - 1])
                                              for s in range(0, len(monos), max(width - 1, 1))]
             for rows, want in pairs:
-                got = plan.times(rows, gb)
+                got = plan.times(rows, gb, {})
                 assert got.shape == want.shape and (got == want).all()
         counts.append((made, reduced, max(map(len, gb._reducers.tails))))
         if gens is bases[3]:
@@ -719,12 +720,12 @@ def test_normal_form_matrix_edges(R3):
     plan = normal_form_plan(gb, 4)
     assert plan.standard == degree_basis(R3, 4)[0]
     unit = np.eye(len(plan.standard))
-    assert (plan.times(unit, gb) == unit).all()
-    assert (plan.times(unit[:3], gb) == unit[:3]).all()
+    assert (plan.times(unit, gb, {}) == unit).all()
+    assert (plan.times(unit[:3], gb, {}) == unit[:3]).all()
     x, y, z = (R3.variable(i) for i in range(3))
     gb = Ideal(R3, (x * x, y * y, z * z, x * y, x * z, y * z)).groebner()
     plan = normal_form_plan(gb, 3)
-    assert plan.standard == () and plan.times(np.eye(10), gb).shape == (10, 0)
+    assert plan.standard == () and plan.times(np.eye(10), gb, {}).shape == (10, 0)
     assert len(normal_form_plan(gb, 1).standard) == 3
 
 
@@ -776,7 +777,32 @@ def test_normal_form_plan_key_reads_only_the_shape(R3):
     unit = np.eye(len(monos))
     for gb in (one, two):
         for rows in (unit, unit[:len(plan.standard) - 1]):
-            for row, out in zip(rows, plan.times(rows, gb)):
+            for row, out in zip(rows, plan.times(rows, gb, {})):
                 assert vector_to_poly(out, plan.standard, R3) == \
                     normal_form(vector_to_poly(row, monos, R3), gb)
-    assert (plan.times(unit, one) != plan.times(unit, two)).any()
+    assert (plan.times(unit, one, {}) != plan.times(unit, two, {})).any()
+
+
+def test_forward_matrix_is_kept_per_basis(R3, monkeypatch):
+    """With the caller's ``kept`` dict, rows no fewer than the standard
+    monomials build N forward once per (plan, basis): more rows for the
+    same basis reuse it, another basis of the plan's shape builds its own
+    and replaces it, and fewer rows are pushed down without it.  Every
+    product equals the one made without ``kept``."""
+    x, y, z = (R3.variable(i) for i in range(3))
+    one, two = (buchberger([x * x - (y * z).scale(c), y * y - (x * z).scale(d)])
+                for c, d in ((2, 3), (5, 7)))
+    plan = normal_form_plan(one, 4)
+    built = []
+    monkeypatch.setattr(groebner_mod, "normal_form_matrix",
+                        lambda *args: built.append(1) or normal_form_matrix(*args))
+    unit = np.eye(len(degree_basis(R3, 4)[0]))
+    kept = {}
+    for gb, rows, builds in ((one, unit, True), (one, unit[::-1], False),
+                             (one, unit[:len(plan.standard) - 1], False),
+                             (two, unit, True), (one, unit, True)):
+        want = plan.times(rows, gb, {})
+        built.clear()
+        assert (plan.times(rows, gb, kept) == want).all()
+        assert bool(built) is builds
+    assert kept[plan][0] is one

@@ -10,7 +10,7 @@ import pytest
 from fiberlab.fields import GF, QQ
 from fiberlab import linalg as linalg_mod
 from fiberlab.linalg import (Echelon, echelon_from_rows, index_array, multiply_rows,
-                             normal_form_rows, nullspace, rank_of_rows,
+                             normal_form_matrix, normal_form_rows, nullspace, rank_of_rows,
                              reduction_recursion)
 
 
@@ -278,7 +278,8 @@ def test_multiply_rows_matches_oracle(p):
     columns, form after form, against sums of Python ints (Fractions over
     Q).  The columns of different terms overlap, and over F_p half the
     entries and coefficients are p - 1, so that at p = 67108859 nine
-    unreduced terms would pass 2**53 at a shared column."""
+    unreduced terms would pass 2**53 at a shared column.  Given columns,
+    in any order, only those are made, in that order."""
     rng = random.Random(f"multiply-rows:{p}")
     field = field_of(p)
     nrows, ncols, width = 5, 7, 12
@@ -301,6 +302,10 @@ def test_multiply_rows_matches_oracle(p):
             want.append([v % p for v in out] if p else out)
     assert got.tolist() == want
     assert multiply_rows(rows, [], width, field).shape == (0, width)
+    for columns in (rng.sample(range(width), 5), [3], []):
+        at = multiply_rows(rows, [[(index_array(cols), c) for cols, c in terms]
+                                  for terms in forms], width, field, columns)
+        assert at.tolist() == [[row[j] for j in columns] for row in want]
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +358,10 @@ def random_recursion(rng, size, p):
 @pytest.mark.parametrize("gather", [None, 40], ids=["whole", "split"])
 @pytest.mark.parametrize("p", FIELDS)
 def test_normal_form_rows_match_oracle(p, gather, monkeypatch):
-    """rows · N from ``normal_form_rows`` equals the product with the
-    oracle's N, with W - 1 rows (pushed down) and W + 3 rows (forward),
-    against sums of Python ints (Fractions over Q).  Over F_p half the
+    """N from ``normal_form_matrix`` is the oracle's N, and rows · N from
+    ``normal_form_rows``, pushed down and multiplied by that N, equals the
+    product with it, with W - 1 and W + 3 rows, against sums of Python
+    ints (Fractions over Q).  Over F_p half the
     coefficients and entries are p - 1, so that at p = 67108859 two
     unreduced products would pass 2**53.  With a gather bound of 40
     entries the levels are split into runs and the targets into pieces."""
@@ -368,14 +374,17 @@ def test_normal_form_rows_match_oracle(p, gather, monkeypatch):
     if gather:
         assert len(rec.levels) > len(levels)
     width = len(standard)
+    coefficients = np.asarray(coefficients, dtype=float if p else object)
+    matrix = normal_form_matrix(rec, coefficients, field)
+    assert matrix.tolist() == nf
     for nrows in (width - 1, width + 3):
         rows = [[rng.choice((p - 1, random_entry(rng, p))) if p else random_entry(rng, 0)
                  for _ in range(size)] for _ in range(nrows)]
-        got = normal_form_rows(rows, rec, np.asarray(coefficients, dtype=float if p else object),
-                               field)
         want = [[sum(r[j] * nf[j][i] for j in range(size)) for i in range(width)]
                 for r in rows]
-        assert got.tolist() == ([[v % p for v in row] for row in want] if p else want)
+        for got in (normal_form_rows(rows, rec, coefficients, field),
+                    normal_form_rows(rows, rec, coefficients, field, matrix)):
+            assert got.tolist() == ([[v % p for v in row] for row in want] if p else want)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ from math import comb
 
 import pytest
 
+from fiberlab import blowup as blowup_mod
 from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
                              minimal_reduction)
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
-from fiberlab.graded import piece_span_of_polys
+from fiberlab.graded import minors_ideal, piece_span_of_polys
 from fiberlab.groebner import normal_form_shape
 from fiberlab.parse import maximal_minors
 from fiberlab.polyring import Ring
@@ -211,7 +212,7 @@ def test_adjusted_monomial4_triple_with_oracle(monomial4):
     rep = analytically_adjusted(monomial4, fs)
     assert rep.is_true
     # brute oracle: dim of the span of the 12 products in degree 4
-    from fiberlab.graded import piece_span_of_polys
+    from fiberlab.graded import minors_ideal, piece_span_of_polys
     prods = [a * b for a in fs.forms for b in monomial4.generators]
     assert piece_span_of_polys(prods, 4, monomial4.ring).rank == 9
     # consistent with the theory: the fiber is a CM hypersurface and the
@@ -400,13 +401,16 @@ def test_caps_of_empty_prefix(binomial4):
 
 
 def test_forget_clears_quotient_memos(binomial4):
-    """Every memo of the context, each dict-valued private attribute (the
-    ranks, the product rows and the normal-form plans among them) and the
-    power rows, is filled by tightness, Valabrega-Valla and a reduction
-    search and emptied by ``forget()``: a memo added later cannot escape
-    it.  The per-seed ``forget(powers=False)`` empties all of them but
-    the power rows and the plans, and the powers and plans read
-    afterwards are the ones kept."""
+    """Every memo of the context but the Fitting ideals, each dict-valued
+    private attribute (the ranks, the product rows, the normal-form plans,
+    the forward normal-form matrices and the certificates of forms in I_d
+    among them) and the power rows, is filled by tightness,
+    Valabrega-Valla and a reduction search and emptied by ``forget()``: a
+    memo added later cannot escape it.  The per-stage
+    ``forget(keep_powers=n)`` empties all of them but the plans and the
+    powers through I^n, and the powers and plans read afterwards are the
+    ones kept.  The Fitting ideals belong to the ideal, not to a stage,
+    and stay."""
     ctx = IdealContext(binomial4)
 
     def fill(seed):
@@ -418,22 +422,27 @@ def test_forget_clears_quotient_memos(binomial4):
 
     def memos():
         return {name: value for name, value in vars(ctx).items()
-                if name == "_powers" or (name.startswith("_") and isinstance(value, dict))}
+                if name == "_powers" or (name.startswith("_") and isinstance(value, dict)
+                                         and name != "_fitting")}
 
+    fitting = ctx.fitting_ideal(2)
     fill(1)
-    assert {"_powers", "_ranks", "_rows", "_plans"} <= memos().keys()
+    assert {"_powers", "_ranks", "_rows", "_plans", "_forward", "_inside"} <= memos().keys()
     assert all(memos().values())
+    assert len(ctx._powers) > 3
     powers, plans = list(ctx._powers), dict(ctx._plans)
-    ctx.forget(powers=False)
+    ctx.forget(keep_powers=2)
+    assert ctx._powers == powers[:3]
     assert not any(v for name, v in memos().items() if name not in ("_powers", "_plans"))
     assert ctx._plans == plans
     fill(2)
-    assert all(a is b for a, b in zip(ctx._powers, powers))
+    assert all(a is b for a, b in zip(ctx._powers, powers[:3]))
     assert len(ctx._powers) >= len(powers)
     assert all(ctx._plans[key] is plan for key, plan in plans.items())
     assert all(memos().values())
     ctx.forget()
     assert not any(memos().values())
+    assert ctx.fitting_ideal(2) is fitting
 
 
 def test_rank_keeps_one_plan_per_shape(binomial4):
@@ -471,6 +480,27 @@ def test_gen_ci(R3, binomial4, monomial4):
     assert not generically_ci(matrix54).is_true
     # restricted to height 2
     assert generically_ci(Ideal(R3, (x,))).verdict == "unknown"
+
+
+def test_fitting_ideals_are_built_once(binomial4, monkeypatch):
+    """G_s and the generic-CI criterion read the same Fitting ideals off
+    one context: each ideal of minors, and its sum with I, is built once
+    however often they are read, and the verdicts match those of fresh
+    contexts."""
+    built = []
+
+    def spy(pres, size, ideal):
+        built.append(size)
+        return minors_ideal(pres, size, ideal)
+
+    monkeypatch.setattr(blowup_mod, "minors_ideal", spy)
+    ctx = IdealContext(binomial4)
+    reports = [check_gs(ctx, 3), check_gs(ctx, 4), generically_ci(ctx), generically_ci(ctx)]
+    r = ctx.presentation.nrows
+    assert sorted(built) == [r - 3, r - 2, r - 1]
+    assert ctx.fitting_ideal(r - 2)[1] is ctx.fitting_ideal(r - 2)[1]
+    fresh = [check_gs(binomial4, 3), check_gs(binomial4, 4), generically_ci(binomial4)]
+    assert [rep.to_json() for rep in reports] == [rep.to_json() for rep in fresh + fresh[-1:]]
 
 
 def test_perfect(monomial4, sixgen, R3):
