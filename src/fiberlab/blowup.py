@@ -9,12 +9,11 @@ w_i -> f_i) are Q = J ∩ k[w], read off J by eliminating the x-variables
 k[w], and J and gr = J + I·S[w] of k[w.., x..], with the w-variables
 first, where every cut of the depth descents, the grade search, the CM
 test and the Valabrega-Valla route keeps its grevlex bases smaller.  The
-eliminations and gr's dimension check work in k[x.., w..], where their
-own bases are the smaller ones; only ``rees_and_gr`` knows the order
-(D14).  J is bigraded, so its generators are homogeneous for the
-standard regrading in which every variable has weight one; all
-dimension, multiplicity and depth computations run in that regrading
-(verified generator by generator).
+eliminations work in k[x.., w..], where their own bases are the smaller
+ones; only ``rees_and_gr`` knows the order (D14).  J is bigraded, so its
+generators are homogeneous for the standard regrading in which every
+variable has weight one; all dimension, multiplicity and depth
+computations run in that regrading (verified generator by generator).
 """
 
 from __future__ import annotations
@@ -32,6 +31,8 @@ from .linalg import echelon_from_rows, independent_rows, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
 from .resolutions import (DEFAULT_CEILING, BoundExceededError, IncompleteResolutionError,
                           minimal_resolution)
+
+REES_CHECK_DEGREE = 4   # J is held to the powers of I through this total degree
 
 
 def _is_bihomogeneous(p: Polynomial, wvars) -> bool:
@@ -64,10 +65,13 @@ class ReesPresentation:
 
     def gr_plus_codimension(self) -> int:
         """Codimension of the irrelevant ideal of gr (an upper bound for
-        its height)."""
+        its height), after checking dim gr = dim R."""
         gr = self.gr_ideal
+        dim = gr.krull_dimension()
+        if dim != gr.ring.nvars - len(self.wvars):
+            raise AssertionError("gr quotient has unexpected dimension")
         top = Ideal(gr.ring, gr.generators + tuple(gr.ring.variable(i) for i in self.wvars))
-        return gr.krull_dimension() - top.krull_dimension()
+        return dim - top.krull_dimension()
 
 
 class _Power:
@@ -427,16 +431,17 @@ def rees_and_gr(ideal) -> ReesPresentation:
     gr_ideal = Ideal(big_ring, rees_ideal.generators
                      + tuple(ring.embed(f, big_ring) for f in gens))
     pres = ReesPresentation(rees_ideal, gr_ideal, range(m))
-    _verify_rees(pres, ring, gens, elim_ring, kept)
+    _verify_rees(ctx, pres, elim_ring)
     return pres
 
 
-def _verify_rees(pres: ReesPresentation, ring: Ring, gens, elim_ring: Ring, kept):
-    """Every Rees relation is bihomogeneous and vanishes under w -> f t;
-    dim R(I) = dim R + 1 and dim gr = dim R.  The dimensions are read in
-    the working ring k[x.., w..] of the elimination, from its relations
-    ``kept``: there gr's basis stays far smaller than with w first
-    (D14 in docs/decisions.md)."""
+def _verify_rees(ctx: IdealContext, pres: ReesPresentation, elim_ring: Ring):
+    """Every Rees relation is bihomogeneous and vanishes under w -> f t,
+    dim R(I) = dim R + 1, and through total degree ``REES_CHECK_DEGREE``
+    J has the Hilbert function of R(I), whose (a, b) piece is
+    [I^b]_{a+bd}, the rank of S_a·I^b: so J is the Rees ideal there (D17
+    in docs/decisions.md)."""
+    ring, gens = ctx.ring, ctx.mingens
     t = elim_ring.variable(0)
     images = ([ring.embed(f, elim_ring) * t for f in gens]
               + [elim_ring.variable(name) for name in ring.names])
@@ -445,13 +450,16 @@ def _verify_rees(pres: ReesPresentation, ring: Ring, gens, elim_ring: Ring, kept
             raise AssertionError("Rees relation is not bihomogeneous")
         if not g.substitute(images, elim_ring).is_zero():
             raise AssertionError("Rees relation does not vanish under w -> f t")
-    xring = Ring(ring.field, elim_ring.names[1:])
-    rees = Ideal(xring, tuple(elim_ring.restrict(g, xring) for g in kept))
-    if rees.krull_dimension() != ring.nvars + 1:
+    series = pres.rees_ideal.hilbert_series()
+    if series.dimension != ring.nvars + 1:
         raise AssertionError("Rees quotient has unexpected dimension")
-    gr = extend_basis(rees.groebner(), tuple(ring.embed(f, xring) for f in gens))
-    if series_of_basis(gr).dimension != ring.nvars:
-        raise AssertionError("gr quotient has unexpected dimension")
+    for total, value in enumerate(series.coefficients(REES_CHECK_DEGREE)):
+        pieces = sum(ctx.rank([Polynomial(ring, {m: ring.field.one})
+                               for m in degree_basis(ring, a)[0]], total - a)
+                     for a in range(total + 1))
+        if value != pieces:
+            raise AssertionError(f"Rees piece mismatch at total degree {total}: "
+                                 f"J gives {value}, the powers of I {pieces}")
 
 
 # ---------------------------------------------------------------------------

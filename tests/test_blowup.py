@@ -1,18 +1,21 @@
+from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import comb, prod
 
 import pytest
 
 from fiberlab import blowup as blowup_mod
+from fiberlab import cli
 from fiberlab.blowup import (IdealContext, equigenerated_data,
                              fiber_presentation, fiber_truncated, is_cm_graded,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
-from fiberlab.corpus import CORPUS, load_entry_ideal
+from fiberlab.corpus import CORPUS, CORPUS_BY_ID, load_entry_ideal, read_entry_text
 from fiberlab.depth import graded_depth
 from fiberlab.fields import GF, QQ
 from fiberlab.graded import piece_span_of_polys, product_rows, spanning_rows
 from fiberlab.groebner import eliminate
+from fiberlab.hilbert import _poly_add, _poly_mul
 from fiberlab.ideals import Ideal
 from fiberlab.linalg import rank_of_rows
 from fiberlab.polyring import Ring
@@ -67,6 +70,92 @@ def test_rees_and_gr_dimensions(monomial4, sevengen):
         pres = rees_and_gr(ideal)
         assert pres.rees_ideal.krull_dimension() == 4     # dim R + 1
         assert pres.gr_ideal.krull_dimension() == 3       # dim R
+
+
+@pytest.fixture(scope="module")
+def rees_contexts():
+    """Contexts of the five full-plan entries over GF(32003) and of
+    monomial4 and binomial4 over QQ, their Rees presentations built."""
+    entries = [e for e in CORPUS if e.plan == "full"]
+    assert len(entries) == 5
+    ctxs = [IdealContext(load_entry_ideal(e)) for e in entries]
+    ctxs += [IdealContext(load_entry_ideal(CORPUS_BY_ID[name], 0))
+             for name in ("ex-3-monomial4", "ex-3-binomial4")]
+    for ctx in ctxs:
+        assert ctx.pres is not None
+    return ctxs
+
+
+def test_rees_hilbert_function_is_the_powers_of_i(rees_contexts):
+    """HF_{S[w]/J}(t) = sum over a + b = t of dim_k [I^b]_{a+bd}, the
+    bigraded pieces of R(I), through t = 6: past the total degree
+    ``REES_CHECK_DEGREE`` that ``rees_and_gr`` checks."""
+    for ctx in rees_contexts:
+        ring = ctx.ring
+        hf = ctx.pres.rees_ideal.hilbert_series().coefficients(6)
+        pieces = [sum(ctx.rank([ring.monomial(ring.exponents(u))
+                                for u in ring.monomials_of_degree(a)], t - a)
+                      for a in range(t + 1)) for t in range(7)]
+        assert hf == pieces
+
+
+def test_gr_numerator_from_the_rees_numerator(rees_contexts):
+    """N_gr = (1 - T^{d-1})·N_R + T^{d-1}·(1 - T)^m, both numerators over
+    (1 - T)^{m+n}, against gr's own series: R(I)_{(a,b)} = [I^b]_{a+bd}
+    and (I·R(I))_{(a,b)} = R(I)_{(a-d,b+1)}."""
+    for ctx in rees_contexts:
+        pres, d, m = ctx.pres, ctx.degree, len(ctx.mingens)
+        rees = pres.rees_ideal.hilbert_series().numerator_dict()
+        gr = pres.gr_ideal.hilbert_series().numerator_dict()
+        tail = {d - 1 + k: (-1) ** k * comb(m, k) for k in range(m + 1)}
+        assert gr == _poly_add(_poly_mul({0: 1, d - 1: -1}, rees), tail)
+
+
+def _drop_a_linear_syzygy(monkeypatch):
+    """Make the t-elimination of ``rees_and_gr`` lose one relation of
+    bidegree (1, 1): x-degree one and w-degree one in k[t, x.., w..]."""
+    real = blowup_mod.eliminate
+
+    def planted(gens, count):
+        kept = real(gens, count)
+        if count != 1:      # the x-elimination of the fiber
+            return kept
+        ring = kept[0].ring
+        n = ring.nvars - len(gens)      # t, then the x-variables, then one w per generator
+
+        def bidegree(g):
+            return {(sum(e[1:n]), sum(e[n:])) for e in map(ring.exponents, g.terms)}
+
+        linear = [g for g in kept if bidegree(g) == {(1, 1)}]
+        assert linear
+        return [g for g in kept if g is not linear[0]]
+
+    monkeypatch.setattr(blowup_mod, "eliminate", planted)
+
+
+@pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
+def test_rees_check_refuses_a_dropped_linear_syzygy(R3, binomial4, sevengen, field,
+                                                     monkeypatch):
+    """A J without one of its linear syzygies still vanishes under
+    w -> f t and still has dimension dim R + 1, and its gr still has
+    dimension dim R; its Hilbert function in total degree 2 exceeds the
+    pieces of the powers of I, and the check refuses it."""
+    _drop_a_linear_syzygy(monkeypatch)
+    ring = Ring(field, R3.names)
+    for ideal in (binomial4, sevengen):
+        copy = Ideal(ring, tuple(R3.embed(g, ring) for g in ideal.generators))
+        with pytest.raises(AssertionError, match="total degree 2"):
+            rees_and_gr(copy)
+
+
+def test_dropped_linear_syzygy_exits_five(tmp_path, monkeypatch, capsys):
+    """Under ``fiberlab invariants`` the refused J is an internal error."""
+    entry = CORPUS_BY_ID["ex-3-binomial4"]
+    p = tmp_path / entry.filename
+    p.write_text(read_entry_text(entry))
+    _drop_a_linear_syzygy(monkeypatch)
+    assert cli.main(["invariants", str(p)]) == cli.EXIT_INTERNAL == 5
+    assert capsys.readouterr().err.startswith("internal error: AssertionError")
 
 
 def test_w_first_copies_keep_hilbert_series(monomial4, binomial4, sixgen, sevengen):
@@ -327,9 +416,13 @@ def test_jacobian_spread(monomial4, sevengen):
 
 
 def test_gr_plus_codim(monomial4, sixgen):
+    """gr/gr+ = R/I, so gr+ has codimension ht I; a gr of the wrong
+    dimension (J alone) is a failed self-check."""
     for ideal in (monomial4, sixgen):
         pres = rees_and_gr(ideal)
-        assert pres.gr_plus_codimension() <= ideal.height()
+        assert pres.gr_plus_codimension() == ideal.height()
+        with pytest.raises(AssertionError, match="gr quotient has unexpected dimension"):
+            replace(pres, gr_ideal=pres.rees_ideal).gr_plus_codimension()
 
 
 def test_rees_gr_regularity_equality(monomial4, binomial4):

@@ -410,7 +410,8 @@ def test_forget_clears_quotient_memos(binomial4):
     ``forget(keep_powers=n)`` empties all of them but the plans and the
     powers through I^n, and the powers and plans read afterwards are the
     ones kept.  The Fitting ideals belong to the ideal, not to a stage,
-    and stay."""
+    and stay.  The Rees presentation is built and its memos dropped
+    first, so that both fills start from the same state."""
     ctx = IdealContext(binomial4)
 
     def fill(seed):
@@ -426,6 +427,8 @@ def test_forget_clears_quotient_memos(binomial4):
                                          and name != "_fitting")}
 
     fitting = ctx.fitting_ideal(2)
+    assert ctx.pres is not None     # its one-time check builds I^1..I^4
+    ctx.forget()
     fill(1)
     assert {"_powers", "_ranks", "_rows", "_plans", "_forward", "_inside"} <= memos().keys()
     assert all(memos().values())
