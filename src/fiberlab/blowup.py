@@ -333,8 +333,7 @@ class IdealContext:
         """Minimal presentation of I, from the certified resolution."""
         res = self.resolution
         if not res.table.complete:
-            raise IncompleteResolutionError(
-                "presentation not certified complete", table=res.table)
+            raise IncompleteResolutionError("presentation not certified complete")
         return res.presentation
 
     @cached_property

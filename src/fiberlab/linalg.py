@@ -155,7 +155,7 @@ class Echelon:
     and ``pivots`` list them in pivot order.  The rows are kept in
     insertion order as panels of at most ``_BLOCK`` rows: growth appends
     a panel instead of copying the basis, and an update replaces a panel
-    instead of changing it, so copies share panels.
+    instead of changing it.
     """
 
     def __init__(self, field: FieldSpec, width: int):
@@ -250,14 +250,6 @@ class Echelon:
                 self._insert(new, np.array(pivots, dtype=np.intp))
             flags.extend(grew.tolist())
         return flags
-
-    def copy(self) -> "Echelon":
-        """Independent copy; rows are shared, since they are replaced
-        instead of changed."""
-        other = Echelon(self.field, self.width)
-        other._panels = list(self._panels)
-        other._panel_pivots = list(self._panel_pivots)
-        return other
 
 
 def zeros(field: FieldSpec, shape) -> np.ndarray:

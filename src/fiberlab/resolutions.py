@@ -7,19 +7,18 @@ be generated in degrees <= m in S = k[x_1..x_n], standard graded.  J is
 m-regular when there are linear forms h_1..h_j such that multiplication
 by h_i is injective from degree m to degree m+1 of S/(J, h_1..h_{i-1})
 for each i, and (S/(J, h_1..h_j))_m = 0.  Any forms that pass prove the
-bound; generic ones pass exactly when J is m-regular.
-``certified_regularity`` tries seeded random forms for m = the top
-generator degree, m + 1, ... up to a ceiling, on the echelons of J_m and
-J_{m+1}, which each form only extends.
+bound; generic ones pass exactly when J is m-regular.  h is injective
+from degree m where its kernel 0 :_A h is 0, and that kernel's series
+comes from the series of the cut (``depth.annihilator_series``; D18 in
+``docs/decisions.md``).
 
 An m-regular J has beta_{i,j}(S/J) = 0 for j > i + m - 1, so step i + 1
-of the resolution is computed through degree i + m and no further.  A
-table is complete when the certificate holds and a step comes back
-empty; it then also must have pd <= n and alternating Betti sums equal
-to the Hilbert numerator, cross-checks that raise ``AssertionError``.
-When no m up to the ceiling is certified, the steps are cut at
-m = ceiling and the table is flagged incomplete, never silently
-truncated.
+of the resolution is computed through degree i + m and no further, until
+a step comes back empty.  pd <= n - r, for the r leading forms that are
+a regular sequence on S/J, and alternating Betti sums equal to the
+Hilbert numerator are cross-checks that raise ``AssertionError``.
+Without a certificate no syzygy is computed and the table is flagged
+incomplete.
 """
 
 from __future__ import annotations
@@ -27,8 +26,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graded import (PresentationMatrix, piece_span_of_polys, spanning_rows,
-                     syzygies_degreewise)
+from .depth import annihilator_series, regular_cut
+from .graded import PresentationMatrix, syzygies_degreewise
+from .hilbert import series_of_basis
 
 
 class BoundExceededError(RuntimeError):
@@ -39,18 +39,18 @@ class BoundExceededError(RuntimeError):
 
 
 class IncompleteResolutionError(BoundExceededError):
-    def __init__(self, message, table=None):
-        super().__init__(message)
-        self.table = table
+    """A value read off a table that no certificate made complete."""
 
 
 @dataclass(frozen=True)
 class RegularityCertificate:
     """Linear forms h_1..h_j that pass the Bayer-Stillman criterion at m:
-    the ideal is m-regular, so reg(S/J) <= m - 1."""
+    the ideal is m-regular, so reg(S/J) <= m - 1.  The first ``regular``
+    forms are a regular sequence on S/J, so pd(S/J) <= n - regular."""
 
     m: int
     forms: tuple
+    regular: int
 
 
 @dataclass
@@ -60,7 +60,6 @@ class BettiTable:
     entries: dict                 # (homological index, internal degree) -> count
     projective_dimension: int
     complete: bool
-    nvars: int
     ceiling: int                  # the bound on m given to the certificate search
     numerator: dict               # Hilbert numerator of R/I, degree -> coefficient
     certificate: RegularityCertificate | None
@@ -85,71 +84,80 @@ class BettiTable:
 @dataclass
 class Resolution:
     table: BettiTable
-    presentation: PresentationMatrix
+    presentation: PresentationMatrix | None     # None when the table is incomplete
 
 
 DEFAULT_CEILING = 60
+REGULARITY_REDRAWS = 8     # draws whose kernel has positive dimension, at most
 
 
-def certified_regularity(gens, ring, ceiling: int,
+def certified_regularity(ideal, ceiling: int,
                          seed: str) -> RegularityCertificate | None:
-    """The least m <= ``ceiling``, from the top degree of ``gens`` up, at
-    which seeded random linear forms certify that (gens) is m-regular,
-    with those forms; None when no m up to the ceiling is certified."""
+    """The least m <= ``ceiling``, from max(1, top degree of a minimal
+    generator) up, at which seeded random linear forms certify that the
+    ideal is m-regular, with those forms; None above the ceiling, or after
+    ``REGULARITY_REDRAWS`` redraws.
+
+    The forms cut the ideal's grevlex basis until the quotient has
+    dimension 0.  A form whose kernel has positive dimension is drawn
+    again, so every kernel kept, and the last quotient, is 0 in all high
+    degrees; m is the least at which they all are."""
+    ring = ideal.ring
     if any(w != 1 for w in ring.weights):
         raise ValueError("the regularity criterion needs the standard grading")
+    m = max([1] + [g.homogeneous_degree() for g in ideal.minimal_generators()])
+    if m > ceiling:
+        return None
     rng = random.Random(f"regularity:{seed}")
-    m = max([1] + [g.homogeneous_degree() for g in gens])
-    low = piece_span_of_polys(gens, m, ring)
-    while m <= ceiling:
-        high = piece_span_of_polys(gens, m + 1, ring)
-        forms = _regular_forms(low.copy(), high.copy(), m, ring, rng)
-        if forms is not None:
-            return RegularityCertificate(m, forms)
-        low, m = high, m + 1
-    return None
-
-
-def _regular_forms(low, high, m, ring, rng):
-    """Random linear forms that pass the criterion at m, extending the
-    echelons ``low`` = J'_m and ``high`` = J'_{m+1} of J' = (J, forms so
-    far) in place; None once a form is not injective from degree m.
-
-    h is injective there iff rank(J'_{m+1} + h S_m) - rank J'_{m+1}
-    = dim S_m - rank J'_m.  With n independent forms (S/J')_m = 0, so
-    n forms that do not get there were dependent: None as well."""
-    forms = []
-    while low.rank < low.width:
-        if len(forms) == ring.nvars:
-            return None
+    memo = {}
+    gb = ideal.groebner()
+    hs = series_of_basis(gb, memo)
+    forms, nonzero, regular, redraws = [], set(), 0, 0
+    while hs.dimension > 0:
         h = ring.linear_form([ring.field.random_raw(rng) for _ in range(ring.nvars)])
-        if sum(high.extend(spanning_rows([h], m + 1, ring))) != low.width - low.rank:
-            return None
-        low.extend(spanning_rows([h], m, ring))
+        ok, cut_gb, cut_hs = (False, gb, hs) if h.is_zero() else regular_cut(gb, hs, h, memo)
+        kernel = annihilator_series(hs, cut_hs)
+        if kernel.dimension > 0:
+            redraws += 1
+            if redraws > REGULARITY_REDRAWS:
+                return None
+            continue
+        if ok and regular == len(forms):
+            regular += 1
+        nonzero.update(kernel.reduced()[0])
         forms.append(h)
-    return tuple(forms)
+        gb, hs = cut_gb, cut_hs
+    nonzero.update(hs.reduced()[0])
+    while m in nonzero:
+        m += 1
+    return RegularityCertificate(m, tuple(forms), regular) if m <= ceiling else None
 
 
 def minimal_resolution(ideal, ceiling: int = DEFAULT_CEILING) -> Resolution:
     """Minimal free resolution data of R/ideal, each step cut on the
     diagonal that ``certified_regularity`` proves.  Its forms have one
     fixed seed: any forms that pass prove the same bound, and Betti
-    numbers are unique, so no seed can change the table."""
+    numbers are unique, so no seed can change the table.  Without a
+    certificate the table holds steps 0 and 1 only, and no presentation."""
     ring = ideal.ring
     gens = ideal.minimal_generators()
     if gens and ideal.is_unit():
         raise ValueError("resolution of the zero module is not meaningful here")
-    cert = certified_regularity(gens, ring, ceiling, "resolution")
-    m = cert.m if cert else ceiling
-
+    cert = certified_regularity(ideal, ceiling, "resolution")
     gen_degs = [g.homogeneous_degree() for g in gens]
     entries = {(0, 0): 1}
     for d in gen_degs:
         entries[(1, d)] = entries.get((1, d), 0) + 1
+    numerator = ideal.hilbert_series().numerator_dict()
+    if cert is None:
+        return Resolution(BettiTable(entries, 1 if gens else 0, False, ceiling,
+                                     numerator, None), None)
+
+    bound = ring.nvars - cert.regular
     cod_degs, cols, dom_degs = [0], [[g] for g in gens], gen_degs
     i = 1
     while True:
-        syz, syz_degs = syzygies_degreewise(cols, cod_degs, ring, i + m)
+        syz, syz_degs = syzygies_degreewise(cols, cod_degs, ring, i + cert.m)
         if i == 1:
             presentation = PresentationMatrix(
                 matrix=[[s[k] for s in syz] for k in range(len(gens))],
@@ -157,19 +165,17 @@ def minimal_resolution(ideal, ceiling: int = DEFAULT_CEILING) -> Resolution:
         if not syz:
             break
         i += 1
-        if i > ring.nvars:
-            if cert:
-                raise AssertionError(f"certified resolution has pd {i} > "
-                                     f"{ring.nvars} variables")
-            break       # a cut below the regularity: not exact, incomplete
+        if i > bound:
+            raise AssertionError(
+                f"certified resolution has pd >= {i}, but {cert.regular} forms are "
+                f"a regular sequence on S/J in {ring.nvars} variables")
         for d in syz_degs:
             entries[(i, d)] = entries.get((i, d), 0) + 1
         cod_degs, cols, dom_degs = dom_degs, syz, syz_degs
 
-    pd = max(h for (h, _) in entries)
-    table = BettiTable(entries, pd, cert is not None, ring.nvars, ceiling,
-                       ideal.hilbert_series().numerator_dict(), cert)
-    if cert and not table.euler_ok():
+    table = BettiTable(entries, max(h for (h, _) in entries), True, ceiling,
+                       numerator, cert)
+    if not table.euler_ok():
         raise AssertionError("certified Betti table does not reproduce the "
                              "Hilbert numerator")
     return Resolution(table, presentation)

@@ -4,6 +4,7 @@ import pytest
 
 from fiberlab.depth import regular_prefix
 from fiberlab.fields import GF, QQ
+from fiberlab.graded import piece_span_of_polys, spanning_rows
 from fiberlab.groebner import eliminate
 from fiberlab.ideals import Ideal
 from fiberlab.linalg import rank_of_rows
@@ -96,26 +97,24 @@ def rng():
 
 
 def recheck_regularity(gens, ring, certificate):
-    """The Bayer-Stillman criterion for ``certificate`` = (m, forms), read
-    off Hilbert functions of Groebner quotients instead of the echelons
-    ``resolutions.certified_regularity`` extends: h is injective from
-    degree m to m+1 on S/K iff HF(S/(K,h), m+1) = HF(S/K, m+1) - HF(S/K, m),
-    by the exact sequence 0 -> (0:h)_m -> (S/K)_m -> (S/K)_{m+1} ->
-    (S/(K,h))_{m+1} -> 0."""
+    """The Bayer-Stillman criterion for ``certificate`` = (m, forms), on
+    dense echelons of the graded pieces instead of the Hilbert series of
+    cuts that ``resolutions.certified_regularity`` reads: with J' = (gens,
+    forms so far), h is injective from degree m to m+1 on S/J' iff
+    rank(J'_{m+1} + h S_m) - rank J'_{m+1} = dim S_m - rank J'_m, and the
+    last J'_m must be all of S_m."""
     m, forms = certificate.m, certificate.forms
-
-    def hf(polys):
-        return Ideal(ring, tuple(polys)).hilbert_series().coefficients(m + 1)[m:]
-
     if any(g.homogeneous_degree() > m for g in gens):
         return False
     if any(h.homogeneous_degree() != 1 for h in forms):
         return False
-    for i, h in enumerate(forms):
-        (low, high), (_, cut) = hf([*gens, *forms[:i]]), hf([*gens, *forms[:i + 1]])
-        if cut != high - low:
+    low = piece_span_of_polys(gens, m, ring)
+    high = piece_span_of_polys(gens, m + 1, ring)
+    for h in forms:
+        if sum(high.extend(spanning_rows([h], m + 1, ring))) != low.width - low.rank:
             return False
-    return hf([*gens, *forms])[0] == 0
+        low.extend(spanning_rows([h], m, ring))
+    return low.rank == low.width
 
 
 def joint_rank(a, b):

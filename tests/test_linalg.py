@@ -238,21 +238,6 @@ def test_single_adds_mixed_with_extend(p):
     assert list(e.pivots) == want_pivots
 
 
-def test_copy_is_independent():
-    for p in (32003, 0):
-        rng = random.Random("copy")
-        field = field_of(p)
-        rows = low_rank_rows(rng, 100, 30, 20, p)
-        e = echelon_from_rows(rows[:70], field, 30)
-        before_rows, before_pivots = rref_rows(e), list(e.pivots)
-        other = e.copy()
-        assert other.extend(rows[70:]) == oracle_rref(rows, p)[2][70:]
-        other.add([random_entry(rng, p) for _ in range(30)])
-        assert rref_rows(e) == before_rows
-        assert list(e.pivots) == before_pivots
-        assert rref_rows(other) == oracle_rref(rref_rows(other), p)[0]
-
-
 @pytest.mark.parametrize("p", FIELDS)
 def test_nullspace_of_transpose_view(p):
     rng = random.Random(f"kernel-view:{p}")

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from fiberlab import resolutions
 from fiberlab.blowup import fiber_presentation
 from fiberlab.corpus import CORPUS, CORPUS_BY_ID, load_entry_ideal
+from fiberlab.depth import annihilator_series
 from fiberlab.fields import GF
 from fiberlab.graded import minimal_generators
 from fiberlab.hilbert import HilbertSeries
@@ -17,10 +21,8 @@ def depth_via_resolution(ideal, ceiling=DEFAULT_CEILING) -> int:
     """depth of R/ideal over the polynomial ambient (Auslander-Buchsbaum)."""
     res = minimal_resolution(ideal, ceiling)
     if not res.table.complete:
-        bound = ideal.ring.nvars - res.table.projective_dimension
         raise IncompleteResolutionError(
-            f"resolution incomplete at cutoff {res.table.ceiling}; depth unknown, "
-            f"<= {bound}", table=res.table)
+            f"resolution incomplete at cutoff {res.table.ceiling}; depth unknown")
     return ideal.ring.nvars - res.table.projective_dimension
 
 
@@ -150,7 +152,9 @@ def test_pinned_betti_tables(corpus_ideals):
 
 def test_certificate_rechecked_independently(corpus_ideals, R3):
     """Every complete table carries (m, forms) that pass the criterion on
-    Groebner quotients, and m = reg(J) = reg(R/J) + 1."""
+    dense echelons of the graded pieces, and m = reg(J) = reg(R/J) + 1;
+    its regular forms meet Auslander-Buchsbaum with equality here:
+    pd = n - r."""
     x, y, z = (R3.variable(i) for i in range(3))
     cases = corpus_ideals + [("koszul", Ideal(R3, (x, y, z))), ("zero", Ideal(R3, ()))]
     for label, ideal in cases:
@@ -159,12 +163,13 @@ def test_certificate_rechecked_independently(corpus_ideals, R3):
         assert table.complete and cert is not None, label
         assert recheck_regularity(minimal_generators(ideal), ideal.ring, cert), label
         assert cert.m == table.regularity() + 1, label
+        assert table.projective_dimension == ideal.ring.nvars - cert.regular, label
 
 
 def test_recheck_refuses_a_wrong_certificate(sixgen):
     cert = minimal_resolution(sixgen).table.certificate
     assert recheck_regularity(sixgen.generators, sixgen.ring, cert)
-    short = type(cert)(cert.m - 1, cert.forms)
+    short = replace(cert, m=cert.m - 1)
     assert not recheck_regularity(sixgen.generators, sixgen.ring, short)
 
 
@@ -179,8 +184,8 @@ def test_below_regularity_is_refused(corpus_ideals):
             continue        # the criterion needs generators in degrees <= m
         tried += 1
         for seed in ("a", "b", "c", "d"):
-            assert certified_regularity(gens, ideal.ring, reg - 1, seed) is None, label
-            assert certified_regularity(gens, ideal.ring, reg, seed).m == reg, label
+            assert certified_regularity(ideal, reg - 1, seed) is None, label
+            assert certified_regularity(ideal, reg, seed).m == reg, label
     assert tried >= 4
 
 
@@ -202,14 +207,71 @@ def test_rationals_agree_on_sixgen_fiber():
 
 def test_euler_mismatch_raises(sixgen, monkeypatch):
     """The alternating Betti sums are a cross-check of a certified table:
-    a numerator they do not reproduce is an internal error."""
-    numerator = HilbertSeries.numerator_dict
-
-    def patched(self):
-        num = numerator(self)
-        num[7] = num.get(7, 0) + 1
-        return num
-
-    monkeypatch.setattr(HilbertSeries, "numerator_dict", patched)
+    a numerator they do not reproduce is an internal error.  The plant
+    reaches the ideal's own series, which the table compares its sums
+    with, and not the series of the certificate's cuts."""
+    ideal = Ideal(sixgen.ring, sixgen.generators)
+    true = ideal.hilbert_series()
+    num = true.numerator_dict()
+    num[7] = num.get(7, 0) + 1
+    planted = HilbertSeries.from_numerator(num, true.num_ring_vars, true.weights)
+    monkeypatch.setattr(ideal, "hilbert_series", lambda: planted)
     with pytest.raises(AssertionError, match="Hilbert numerator"):
+        minimal_resolution(ideal)
+
+
+def test_pd_above_the_regular_forms_raises(sixgen, monkeypatch):
+    """r forms that are a regular sequence on S/J bound pd(S/J) by n - r:
+    a certificate that claims one regular form more than it has is an
+    internal error, not a shorter table."""
+    certify = resolutions.certified_regularity
+
+    def planted(*args):
+        cert = certify(*args)
+        return replace(cert, regular=cert.regular + 1)
+
+    monkeypatch.setattr(resolutions, "certified_regularity", planted)
+    with pytest.raises(AssertionError, match="regular sequence"):
         minimal_resolution(Ideal(sixgen.ring, sixgen.generators))
+
+
+@pytest.mark.parametrize("ceiling", [5, 6])
+def test_uncertified_call_builds_no_syzygies(sixgen, monkeypatch, ceiling):
+    """sixgen is 7-regular: a ceiling below its generator degree stops
+    before any cut, one at 6 after them, and neither computes a syzygy."""
+    def refused(*args):
+        raise AssertionError("syzygies of an uncertified table")
+
+    monkeypatch.setattr(resolutions, "syzygies_degreewise", refused)
+    res = minimal_resolution(Ideal(sixgen.ring, sixgen.generators), ceiling)
+    assert not res.table.complete and res.table.certificate is None
+    assert res.presentation is None
+    assert res.table.rows() == [(0, 0, 1), (1, 6, 6)]
+
+
+def test_a_missed_draw_is_drawn_again(monkeypatch):
+    """J = x(y, z, w) over GF(3) has the associated primes (x) and
+    (y, z, w), both of positive dimension.  Seed "a" first draws a form in
+    (y, z, w), whose kernel has positive dimension; the next draw is
+    kept, and the forms certify m = reg J = 2.  Without redraws the same
+    seed certifies nothing."""
+    ring = Ring(GF(3), ["x", "y", "z", "w"])
+    x, y, z, w = (ring.variable(i) for i in range(4))
+    ideal = Ideal(ring, (x * y, x * z, x * w))
+    cut, seen = resolutions.regular_cut, []
+
+    def recorded(gb, hs, theta, memo=None):
+        out = cut(gb, hs, theta, memo)
+        seen.append((theta, hs, out))
+        return out
+
+    monkeypatch.setattr(resolutions, "regular_cut", recorded)
+    cert = certified_regularity(ideal, DEFAULT_CEILING, "a")
+    theta, hs, (ok, _, cut_hs) = seen[0]
+    assert not ok and annihilator_series(hs, cut_hs).dimension > 0
+    assert theta not in cert.forms and cert.forms[0] == seen[1][0]
+    assert len(seen) == len(cert.forms) + 1
+    assert cert.m == 2 == minimal_resolution(ideal).table.regularity() + 1
+    assert recheck_regularity(ideal.generators, ring, cert)
+    monkeypatch.setattr(resolutions, "REGULARITY_REDRAWS", 0)
+    assert certified_regularity(ideal, DEFAULT_CEILING, "a") is None

@@ -26,7 +26,10 @@
 #      OPENBLAS_NUM_THREADS=2, so that no report depends on the BLAS
 #      thread count (`linalg` sets 1 when the variable is unset) and the
 #      threaded path stays run;
-#   3. the benchmark's self-test (tracer, oracles, host-speed probe).
+#   3. the benchmark's self-test (tracer, oracles, host-speed probe);
+#   4. the package's source-line total, `wc -l src/fiberlab/*.py`, which
+#      the line budget in ROADMAP.md and CHANGES.md quote (printed, not a
+#      gate).
 #
 #     sh tools/check.sh
 #
@@ -110,3 +113,4 @@ python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groe
     tests/test_cli.py tests/test_linalg.py
 OPENBLAS_NUM_THREADS=2 python -O -m pytest -q tests/test_report_digests.py
 python3 perfbench/selftest.py
+wc -l src/fiberlab/*.py | tail -n 1
