@@ -29,6 +29,16 @@ candidate, so the seeded draws, and with them the regular forms and the
 witness, stay the same.  The cuts of one descent share one memo of the
 Hilbert recursion, dropped when the descent returns (D12).
 
+Most candidates that fail are caught before any cut, by the stage's own
+reduced basis.  If a variable x_i divides every term of a basis element
+g, then h = g / x_i is not in J (lt(h) properly divides lt(g), a minimal
+generator of in(J)) and x_i * h = g is.  A form all of whose variables
+kill h has theta * h in J, so it is a zero-divisor (Bruns-Herzog 1.2):
+the candidate loop skips it as it skips a failed form, and its cut would
+have failed.  The cut path stays for every regular form and for the
+failures no such element catches, and the schedule still draws every
+candidate, so no report moves (D19).
+
 The socle witness, taken relative to a subset of the variables, ends the
 grade search: grade(I, A) = 0 exactly when (0 :_A I) != 0 (Bruns-Herzog,
 Cohen-Macaulay Rings, 1.2.5).  The search follows a failed cut by a
@@ -48,7 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 
-from .groebner import GroebnerBasis, _MonomialForms, extend_basis, normal_form
+from .groebner import GroebnerBasis, _MonomialForms, _nf_terms, extend_basis, normal_form
 from .hilbert import HilbertSeries, series_of_basis
 from .linalg import nullspace, sparse_rows
 from .polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring
@@ -313,6 +323,52 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict
             return result(None)
 
 
+class _AnnihilatedElements:
+    """Elements h = g / x_i of S/J, one for each element g of J's reduced
+    basis and each variable x_i that divides every term of g, and the
+    variables that kill them (D19).
+
+    h is not in J: lt(h) properly divides lt(g), a minimal generator of
+    in(J).  x_i * h = g is in J.  ``kills`` computes nf(x_j * h) once per
+    (element, variable), when a form first asks for it, and rechecks
+    nf(h) != 0 the first time an element certifies a form.
+    """
+
+    __slots__ = ("red", "p", "elements", "rechecked")
+
+    def __init__(self, gb: GroebnerBasis):
+        red = self.red = gb._reducers
+        self.p = gb.ring.field.characteristic
+        guard, one = red.packing.guard, gb.ring.field.one
+        # (h, {j: x_j * h in J}), x_i * h = g known
+        self.elements = [({m - u: c for m, c in ((lt, one), *tail)}, {i: True})
+                         for lt, tail in zip(red.lts, red.tails)
+                         for i, u in enumerate(red.packing.units)
+                         if all(not (m - u) & guard for m in (lt, *(tm for tm, _ in tail)))]
+        self.rechecked = set()
+
+    def kills(self, theta: Polynomial) -> bool:
+        """True when every variable of theta kills one element h: then
+        theta * h is in J with h not in J, so theta is a zero-divisor."""
+        units, shifts = self.red.packing.units, self.red.packing.shifts
+        support = {i for m in theta.terms for i, s in enumerate(shifts)
+                   if (m >> s) & EXPONENT_LIMIT}
+        for k, (h, zero) in enumerate(self.elements):
+            for i in support:
+                if i not in zero:
+                    zero[i] = not _nf_terms({m + units[i]: c for m, c in h.items()},
+                                            self.red, self.p)
+                if not zero[i]:
+                    break
+            else:
+                if k not in self.rechecked:
+                    if not _nf_terms(dict(h), self.red, self.p):
+                        raise AssertionError("an annihilated element lies in the ideal")
+                    self.rechecked.add(k)
+                return True
+        return False
+
+
 def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
     """Depth of S/J for a standard graded quotient, by certified descent."""
     if isinstance(ideal_or_gb, GroebnerBasis):
@@ -359,8 +415,12 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
         bound = _socle_bound(cur_gb)
         found_regular = False
         if cur_hs.dimension > 0:
+            annihilated = _AnnihilatedElements(cur_gb)
             for theta in _candidate_forms(ring, rng):
                 if theta in zero_divisors:
+                    continue
+                if annihilated.kills(theta):
+                    zero_divisors.add(theta)
                     continue
                 ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta, memo)
                 if ok:

@@ -12,7 +12,7 @@ from fiberlab.groebner import (_MonomialForms, _nf_terms, buchberger, extend_bas
                                normal_form)
 from fiberlab.ideals import Ideal
 from fiberlab.hilbert import HilbertSeries
-from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError
+from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError, repack
 
 from conftest import colon, intersect, leading_exponents, random_poly, x_first_copy
 
@@ -380,39 +380,150 @@ def _counting_cuts(monkeypatch):
     return calls
 
 
+def _annihilated_witness(gb, theta):
+    """An h = g / x_i, for g in gb and a variable x_i dividing every term
+    of g, with h not in J and theta * h in J, read with the public normal
+    form; None when there is none."""
+    ring = gb.ring
+    for g in gb.elements:
+        exps = [ring.exponents(m) for m in g.terms]
+        for i in range(ring.nvars):
+            if all(e[i] for e in exps):
+                h = ring.from_terms({e[:i] + (e[i] - 1,) + e[i + 1:]: c
+                                     for e, c in zip(exps, g.terms.values())})
+                if (not normal_form(h, gb).is_zero()
+                        and normal_form(theta * h, gb).is_zero()):
+                    return h
+    return None
+
+
 def test_skipped_candidates_are_zero_divisors_where_skipped(monkeypatch):
     """Example 2.2's w-first Rees and gr descents, with the report's seeds:
-    each candidate the descent skips, because its cut failed at an earlier
-    stage, is cut at the stage where it was skipped, and is not regular
-    there either.  The skips are the 20 repeated single variables."""
+    each candidate the descent skips without a cut, because its cut failed
+    at an earlier stage or because it kills an annihilated element of the
+    stage's basis, is cut at the stage where it was skipped, and is not
+    regular there either.  The repeated skips are the 20 single variables
+    whose cut failed at the stage before; the 72 witnessed skips each come
+    with an h = g / x_i, found again here with the public normal form, with
+    h not in J and theta * h in J."""
     pres, big, gr = _sevengen_gr(GF(32003))
     rees = pres.rees_ideal
     cut, schedule = depth_mod.regular_cut, depth_mod._candidate_forms
-    stage, cuts, skipped = [None], [], []
+    stage, cuts, repeated, witnessed = [None], [], [], []
+
+    class Recorded(depth_mod._AnnihilatedElements):
+        """The check, noting each stage of the candidate loop and the forms
+        it catches."""
+
+        def __init__(self, gb):
+            super().__init__(gb)
+            stage[0] = gb
+
+        def kills(self, theta):
+            out = super().kills(theta)
+            if out:
+                witnessed.append((theta, stage[0]))
+            return out
 
     def tracked(gb, hs, theta, memo=None):
-        out = cut(gb, hs, theta, memo)
         cuts.append(theta)
-        # the stage the next candidate is cut at
-        stage[0] = (out[1], out[2]) if out[0] else (gb, hs)
-        return out
+        return cut(gb, hs, theta, memo)
 
     def candidates(ring, rng):
         for theta in schedule(ring, rng):
-            made, at = len(cuts), stage[0]
+            made, caught, at = len(cuts), len(witnessed), stage[0]
             yield theta
-            if len(cuts) == made:       # resumed without a cut: skipped
-                skipped.append((theta, at))
+            if len(cuts) == made and len(witnessed) == caught:
+                repeated.append((theta, at))
 
     monkeypatch.setattr(depth_mod, "regular_cut", tracked)
     monkeypatch.setattr(depth_mod, "_candidate_forms", candidates)
+    monkeypatch.setattr(depth_mod, "_AnnihilatedElements", Recorded)
     reps = [graded_depth(rees, seed="cm:ex-2.2-sevengen:rees:depth"),
             graded_depth(gr, seed="depthgr:ex-2.2-sevengen")]
     assert [(r.value, r.exact) for r in reps] == [(3, True), (2, True)]
-    assert len(skipped) == 20
-    assert all(len(theta.terms) == 1 for theta, _ in skipped)
-    for theta, (gb, hs) in skipped:
-        assert cut(gb, hs, theta)[0] is False
+    assert len(repeated) == 20
+    assert all(len(theta.terms) == 1 for theta, _ in repeated)
+    assert len(witnessed) == 72
+    for theta, gb in witnessed:
+        assert _annihilated_witness(gb, theta) is not None
+    for theta, gb in repeated + witnessed:
+        assert cut(gb, series_of_basis(gb), theta)[0] is False
+
+
+def _full_plan_descents():
+    """(entry id, field override) of the five full-plan entries over
+    GF(32003), and of binomial4 and monomial4 over QQ."""
+    from fiberlab.corpus import CORPUS
+    for e in CORPUS:
+        if e.plan == "full":
+            yield pytest.param(e.id, None, id=e.id)
+    for entry_id in ("ex-3-binomial4", "ex-3-monomial4"):
+        yield pytest.param(entry_id, 0, id=f"{entry_id}-QQ")
+
+
+@pytest.mark.parametrize("entry_id,field_char", list(_full_plan_descents()))
+def test_annihilated_element_check_leaves_every_report_unchanged(entry_id, field_char,
+                                                                 monkeypatch):
+    """The Rees and gr descents of a corpus entry, with the report's seeds,
+    give the same ``DepthReport`` with the annihilated-element check on and
+    off (D19): the value, ``exact``, the regular forms, the witness and the
+    socle bound.  With the check on they make fewer cuts."""
+    from fiberlab.corpus import CORPUS_BY_ID, load_entry_ideal
+    ideal = load_entry_ideal(CORPUS_BY_ID[entry_id], field_char)
+    assert ideal.ring.field == (QQ if field_char == 0 else GF(32003))
+    pres = rees_and_gr(ideal)
+    calls = _counting_cuts(monkeypatch)
+    kills = depth_mod._AnnihilatedElements.kills
+    made = []
+    for check in (kills, lambda self, theta: False):
+        monkeypatch.setattr(depth_mod._AnnihilatedElements, "kills", check)
+        calls.clear()
+        made.append([(graded_depth(pres.rees_ideal, seed=f"cm:{entry_id}:rees:depth"),
+                      graded_depth(pres.gr_ideal, seed=f"depthgr:{entry_id}")), len(calls)])
+    (on, on_cuts), (off, off_cuts) = made
+    assert on == off and all(rep.exact for rep in on)
+    assert on_cuts < off_cuts
+
+
+def _xz_yz():
+    """J = (xz, yz) = (z) cap (x, y) in k[x, y, z, w]: dimension 3, depth 2."""
+    ring = Ring(GF(32003), ["x", "y", "z", "w"])
+    x, y, z, w = (ring.variable(i) for i in range(4))
+    return ring, (x, y, z, w), Ideal(ring, (x * z, y * z)).groebner()
+
+
+def test_form_killing_an_annihilated_element_is_skipped_without_a_cut(monkeypatch):
+    """J = (xz, yz): xz / x = z is not in J, and x and y kill it, so the
+    sparse form x + 5y is a zero-divisor.  The check catches it; the
+    descent, shown it first, skips it without a cut; cutting it confirms
+    that it is not regular.  The regular forms w and x + w are not caught."""
+    ring, (x, y, z, w), gb = _xz_yz()
+    theta = x + y.scale(5)
+    ann = depth_mod._AnnihilatedElements(gb)
+    assert ann.kills(theta)
+    assert not ann.kills(w) and not ann.kills(x + w)
+    assert _annihilated_witness(gb, theta) == z
+    assert regular_cut(gb, series_of_basis(gb), theta)[0] is False
+    schedule = depth_mod._candidate_forms
+    monkeypatch.setattr(depth_mod, "_candidate_forms",
+                        lambda ring, rng: iter([theta, *schedule(ring, rng)]))
+    calls = _counting_cuts(monkeypatch)
+    rep = graded_depth(gb, seed="t")
+    assert (rep.value, rep.dimension, rep.exact) == (2, 3, True)
+    assert calls and theta not in calls
+
+
+def test_annihilated_element_in_the_ideal_raises():
+    """A planted element h = xz, which lies in J = (xz, yz), is killed by
+    w, so it would certify w, a regular form: the recheck nf(h) != 0
+    raises before the check answers."""
+    ring, (x, y, z, w), gb = _xz_yz()
+    ann = depth_mod._AnnihilatedElements(gb)
+    assert not ann.kills(w)
+    ann.elements.append((repack((x * z).terms, ring.packing, gb._reducers.packing), {}))
+    with pytest.raises(AssertionError, match="lies in the ideal"):
+        ann.kills(w)
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])

@@ -21,11 +21,13 @@
 #   2. the depth, Hilbert, Groebner, polynomial, graded-piece, ideal,
 #      blow-up, predicate, resolution, CLI and linear-algebra tests (the
 #      exactness of the kernel and of the normal-form products among
-#      them) and the 7 report digests under `python -O`, where a bare
-#      `assert` in the package would check nothing; the digests with
-#      OPENBLAS_NUM_THREADS=2, so that no report depends on the BLAS
-#      thread count (`linalg` sets 1 when the variable is unset) and the
-#      threaded path stays run;
+#      them), the sympy recheck of Example 2.2's depth and grade
+#      certificates (`tests/test_acceptance_certificate.py`, which shares
+#      no code with the depth engine) and the 7 report digests under
+#      `python -O`, where a bare `assert` in the package would check
+#      nothing; the digests with OPENBLAS_NUM_THREADS=2, so that no
+#      report depends on the BLAS thread count (`linalg` sets 1 when the
+#      variable is unset) and the threaded path stays run;
 #   3. the benchmark's self-test (tracer, oracles, host-speed probe);
 #   4. the package's source-line total, `wc -l src/fiberlab/*.py`, which
 #      the line budget in ROADMAP.md and CHANGES.md quote (printed, not a
@@ -110,7 +112,7 @@ python -m pytest -q --continue-on-collection-errors --durations=10
 python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groebner.py \
     tests/test_polyring.py tests/test_graded.py tests/test_ideals.py \
     tests/test_blowup.py tests/test_predicates.py tests/test_resolutions.py \
-    tests/test_cli.py tests/test_linalg.py
+    tests/test_cli.py tests/test_linalg.py tests/test_acceptance_certificate.py
 OPENBLAS_NUM_THREADS=2 python -O -m pytest -q tests/test_report_digests.py
 python3 perfbench/selftest.py
 wc -l src/fiberlab/*.py | tail -n 1
