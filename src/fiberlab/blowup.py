@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
+from .depth import bounded_ideal_grade
 from .graded import degree_basis, generic_rank, minors_ideal, product_rows
 from .groebner import eliminate, extend_basis, normal_form_plan, normal_form_shape
 from .hilbert import series_of_basis
@@ -310,6 +311,19 @@ class IdealContext:
     @cached_property
     def pres(self) -> "ReesPresentation | None":
         return None if self.bounded else rees_and_gr(self)
+
+    @cached_property
+    def gr_plus_grade(self) -> dict | None:
+        """grade(gr+, gr) from the seeded grade search
+        (``depth.bounded_ideal_grade``, seed ``grade:<label>``): a lower
+        bound, exact when a socle witness ends it.  Held once built, so
+        that ``predicates.valabrega_valla`` stops its gr route at it; that
+        route reads it only when it is held, and never starts the search
+        (D20)."""
+        if self.bounded:
+            return None
+        return bounded_ideal_grade(self.pres.gr_ideal.groebner(), self.pres.wvars,
+                                   seed=f"grade:{self.label}")
 
     @cached_property
     def jacobian_spread(self) -> tuple:

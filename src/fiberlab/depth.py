@@ -107,11 +107,18 @@ def annihilator_series(hs: HilbertSeries, cut_hs: HilbertSeries) -> HilbertSerie
                                         hs.num_ring_vars, hs.weights)
 
 
-def regular_prefix(gb: GroebnerBasis, forms) -> int:
+def regular_prefix(gb: GroebnerBasis, forms, bound: int | None = None) -> int:
     """How many leading forms are a regular sequence on S/ideal: cut by
-    one form after another and stop at the first that is not regular."""
+    one form after another and stop at the first that is not regular.
+
+    ``bound`` is the exact grade on S/ideal of a homogeneous ideal that
+    holds the forms, homogeneous of positive degree.  Every maximal
+    regular sequence in that ideal has that length (Bruns-Herzog 1.2.5),
+    so once the first ``bound`` forms are regular the next one is not,
+    and only the first ``bound`` forms are cut (D20)."""
     memo = {}
     hs = series_of_basis(gb, memo)
+    forms = list(forms)[:bound]
     for k, theta in enumerate(forms):
         ok, gb, hs = regular_cut(gb, hs, theta, memo)
         if not ok:
@@ -199,7 +206,9 @@ def socle_witness(gb: GroebnerBasis, max_degree: int, var_range=None,
                 for m, c in nf(prod).items():
                     entries[r * width + up_index[m]].append((col, c))
         nf.clear()      # the next degree's products meet none of these forms
-        kernel = nullspace(sparse_rows(entries, len(std), field), field, len(std))
+        # an empty row changes no kernel, so it is not streamed
+        kernel = nullspace(sparse_rows((row for row in entries if row), len(std), field),
+                           field, len(std))
         if len(kernel):
             terms = {}
             for a, c in zip(std, kernel[0]):

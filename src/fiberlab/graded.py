@@ -221,13 +221,14 @@ def syzygies_degreewise(columns, codomain_degrees, ring: Ring, max_degree: int):
         if not width:
             continue
         # the map's rows, collected by codomain column: the kernel of the
-        # transposed matrix is the left kernel, streamed one row at a time
+        # transposed matrix is the left kernel, streamed one row at a time,
+        # the empty rows left out (they change no kernel)
         entries = [[] for _ in range(module_basis(ring, e, codomain_degrees)[1])]
         for r, (cols, coeffs) in enumerate(
                 spanning_columns(columns, e, ring, codomain_degrees)):
             for j, c in zip(cols, coeffs):
                 entries[j].append((r, c))
-        rows = sparse_rows(entries, width, field)
+        rows = sparse_rows((row for row in entries if row), width, field)
         del entries     # read once, then freed before the kernel is allocated
         kernel = nullspace(rows, field, width)
         if not len(kernel):

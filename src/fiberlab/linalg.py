@@ -114,37 +114,53 @@ def _gauss_jordan(block: np.ndarray, p: int):
 
     A row that is zero on entry stays zero, so only the live rows are
     visited and eliminated, in place when every row is live and in a
-    copy of them otherwise.  Over F_p a pivot subtracts at most
-    (p - 1)**2 from each other row, so the rows are reduced only every
-    (2**53 - p) // (p - 1)**2 pivots.  Over Q a step changes only the
-    pivot row's nonzero columns."""
+    copy of them otherwise.  A pivot's column is gathered only where
+    another row can be nonzero: a column nonzero in two rows on entry,
+    or in a pivot row that has updated other rows.  A row's residues are
+    taken only once an update has touched it.  The update subtracts the
+    pivot row times its column scaled by the pivot's inverse, and the
+    pivot rows are scaled once, at the end.  Over F_p an update
+    subtracts at most (p - 1)**2 from each other row, so the rows are
+    reduced only every (2**53 - p) // (p - 1)**2 updates.  Over Q a step
+    changes only the pivot row's nonzero columns."""
     step = (_EXACT - p) // (p - 1) ** 2
     live = np.flatnonzero(block.any(axis=1))
     rows = block if len(live) == len(block) else block[live]
+    meet = np.count_nonzero(rows, axis=0) > 1    # columns two rows may share
+    touched = np.zeros(len(rows), dtype=bool)
     grew = np.zeros(len(rows), dtype=bool)
-    pivots = []
+    pivots, inverses, updates = [], [], 0
     for i, row in enumerate(rows):
-        nz = np.flatnonzero(_residues(row, p))
+        nz = np.flatnonzero(_residues(row, p) if touched[i] else row)
         if not nz.size:
             continue
         c = int(nz[0])
         inv = pow(int(row[c]), -1, p) if p else 1 / Fraction(row[c])
-        _residues(np.multiply(row, inv, out=row), p)
-        if pivots and len(pivots) % step == 0:
-            _residues(rows, p)
+        grew[i] = True
+        pivots.append(c)
+        inverses.append(inv)
+        if not meet[c]:
+            continue
         col = _residues(rows[:, c].copy(), p)
         col[i] = 0
         hit = np.flatnonzero(col)
+        if not hit.size:
+            continue
+        if updates and updates % step == 0:
+            _residues(rows, p)
+        updates += 1
+        scale = _residues(np.multiply(col[hit], inv), p)
         if p:
-            rows[hit] -= np.outer(col[hit], row)
+            rows[hit] -= np.outer(scale, row)
         else:
-            nz = np.flatnonzero(row)
-            rows[np.ix_(hit, nz)] -= np.outer(col[hit], row[nz])
-        grew[i] = True
-        pivots.append(c)
+            rows[np.ix_(hit, nz)] -= np.outer(scale, row[nz])
+        touched[hit] = True
+        meet[nz] = True
     flags = np.zeros(len(block), dtype=bool)
     flags[live[grew]] = True
-    return flags, _residues(rows[grew], p), pivots
+    out = _residues(rows[grew], p)
+    scales = np.array(inverses, dtype=_dtype(p))[:, None]
+    return flags, _residues(np.multiply(out, scales, out=out), p), pivots
 
 
 class Echelon:
@@ -468,7 +484,9 @@ def nullspace(rows, field: FieldSpec, width: int) -> np.ndarray:
     (test it with ``len``)."""
     e = echelon_from_rows(rows, field, width)
     pivots = e.pivots
-    free = np.setdiff1d(np.arange(width), pivots)
+    free = np.ones(width, dtype=bool)
+    free[pivots] = False
+    free = np.flatnonzero(free)     # not setdiff1d, which loads numpy.ma
     r_free = e._ordered(free)
     del e   # the basis goes before the kernel is allocated: a lower peak
     kernel = zeros(field, (len(free), width))

@@ -260,9 +260,13 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5) -> Predicate
         raise ValueError("prefix forms must come with generator coordinates")
     pres = ctx.pres
 
-    # gr-route: cut gr by the images, demanding regularity at every step
+    # gr-route: cut gr by the images, demanding regularity at every step,
+    # up to grade(gr+) when the context holds it exactly: the images lie in
+    # gr+, so the cut after that many regular ones must fail (D20)
     images = [pres.w_form(row) for row in fs_prefix.coefficients]
-    regular = regular_prefix(pres.gr_ideal.groebner(), images)
+    grade = vars(ctx).get("gr_plus_grade")      # held, never searched here
+    bound = grade["value"] if grade and grade["exact"] else None
+    regular = regular_prefix(pres.gr_ideal.groebner(), images, bound)
     regular_all = regular == len(images)
     failed_at_step = None if regular_all else regular + 1
 

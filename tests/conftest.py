@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fiberlab import depth as depth_mod
 from fiberlab.depth import regular_prefix
 from fiberlab.fields import GF, QQ
 from fiberlab.graded import piece_span_of_polys, spanning_rows
@@ -50,6 +51,19 @@ def monomial4(R3):
 def binomial4(R3):
     x, y, z = (R3.variable(i) for i in range(3))
     return Ideal(R3, (x * x - y * y, x * y, x * z, y * z))
+
+
+def counting_cuts(monkeypatch):
+    """The forms of every ``depth.regular_cut`` from here on, in order."""
+    calls = []
+    cut = depth_mod.regular_cut
+
+    def counted(gb, hs, theta, memo=None):
+        calls.append(theta)
+        return cut(gb, hs, theta, memo)
+
+    monkeypatch.setattr(depth_mod, "regular_cut", counted)
+    return calls
 
 
 def mul_term(p, mono, coeff):

@@ -14,7 +14,8 @@ from fiberlab.ideals import Ideal
 from fiberlab.hilbert import HilbertSeries
 from fiberlab.polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring, RingError, repack
 
-from conftest import colon, intersect, leading_exponents, random_poly, x_first_copy
+from conftest import (colon, counting_cuts, intersect, leading_exponents, random_poly,
+                      x_first_copy)
 
 
 def standard_monomials(gb, degree):
@@ -369,17 +370,6 @@ def test_socle_search_within_annihilator_on_sevengen_gr_over_qq():
         assert 0 in kernel.coefficients(top)[:top]
 
 
-def _counting_cuts(monkeypatch):
-    calls = []
-
-    def counted(gb, hs, theta, memo=None):
-        calls.append(theta)
-        return regular_cut(gb, hs, theta, memo)
-
-    monkeypatch.setattr(depth_mod, "regular_cut", counted)
-    return calls
-
-
 def _annihilated_witness(gb, theta):
     """An h = g / x_i, for g in gb and a variable x_i dividing every term
     of g, with h not in J and theta * h in J, read with the public normal
@@ -473,7 +463,7 @@ def test_annihilated_element_check_leaves_every_report_unchanged(entry_id, field
     ideal = load_entry_ideal(CORPUS_BY_ID[entry_id], field_char)
     assert ideal.ring.field == (QQ if field_char == 0 else GF(32003))
     pres = rees_and_gr(ideal)
-    calls = _counting_cuts(monkeypatch)
+    calls = counting_cuts(monkeypatch)
     kills = depth_mod._AnnihilatedElements.kills
     made = []
     for check in (kills, lambda self, theta: False):
@@ -508,7 +498,7 @@ def test_form_killing_an_annihilated_element_is_skipped_without_a_cut(monkeypatc
     schedule = depth_mod._candidate_forms
     monkeypatch.setattr(depth_mod, "_candidate_forms",
                         lambda ring, rng: iter([theta, *schedule(ring, rng)]))
-    calls = _counting_cuts(monkeypatch)
+    calls = counting_cuts(monkeypatch)
     rep = graded_depth(gb, seed="t")
     assert (rep.value, rep.dimension, rep.exact) == (2, 3, True)
     assert calls and theta not in calls
@@ -534,7 +524,7 @@ def test_dimension_one_complete_intersection_takes_one_cut(field, monkeypatch):
     rng = random.Random("ci-dim-1")
     ideal = Ideal(ring, tuple(random_poly(ring, d, rng) for d in (2, 2, 3)))
     assert ideal.krull_dimension() == 1
-    calls = _counting_cuts(monkeypatch)
+    calls = counting_cuts(monkeypatch)
     rep = graded_depth(ideal, seed="t")
     assert rep.exact and rep.value == rep.dimension == 1
     assert len(calls) == 1 and rep.regular_forms == calls
@@ -548,7 +538,7 @@ def test_embedded_point_socle_in_annihilator_top_degree(field, monkeypatch):
     ring = Ring(field, ["x", "y"])
     x, y = ring.variable(0), ring.variable(1)
     gb = Ideal(ring, (x * x, x * y)).groebner()
-    calls = _counting_cuts(monkeypatch)
+    calls = counting_cuts(monkeypatch)
     rep = graded_depth(gb, seed="t")
     assert rep.exact and rep.value == 0 and rep.dimension == 1
     assert len(calls) == 1 and rep.socle_bound_used == 1
@@ -572,7 +562,7 @@ def test_non_parameter_probe_falls_back(monkeypatch):
         return x if len(draws) == 1 else dense(ring, rng)
 
     monkeypatch.setattr(depth_mod, "_dense_form", first_x)
-    calls = _counting_cuts(monkeypatch)
+    calls = counting_cuts(monkeypatch)
     rep = graded_depth(Ideal(ring, (x * y, x * z, y * z)), seed="t")
     assert rep.exact and rep.value == rep.dimension == 1
     assert calls[0] == x and len(calls) > 1

@@ -257,6 +257,60 @@ def test_nullspace_of_transpose_view(p):
     assert len(want) == 90 - len(pivots)
 
 
+def oracle_block(rows, p):
+    """(per-row rank-growth flags, RREF rows and their pivots in the order
+    the pivots were found): ``_gauss_jordan``'s answer, from the oracle.
+    A dict keeps its keys in insertion order."""
+    basis = {}
+    flags = [oracle_insert(basis, row, p) for row in rows]
+    return flags, list(basis.values()), list(basis)
+
+
+def trim_blocks(rng, p):
+    """Blocks for the trims of ``_gauss_jordan``, each of them a case that
+    one trim alone gets wrong: untouched rows, each the only row nonzero
+    at its lead (no column is gathered), with zero rows among them; fill-in
+    (the update of row 1 by row 0 makes column 1 of row 1 nonzero, so
+    row 0, the only row nonzero there on entry, must be cleared at row
+    1's pivot); repeated leads, with rows that are multiples of an earlier
+    one mod p but not as integers (they die only once reduced); and
+    sparse low-rank blocks, where some pivot columns meet one row only."""
+    def entry():
+        return random_entry(rng, p) or 1
+
+    yield [[0, entry(), 0, 0, 0], [0] * 5, [entry(), 0, 0, 0, 0],
+           [0, 0, 0, 0, entry()], [0, 0, entry(), 0, 0]]
+    yield [[1, 3, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1], [0, 0, 2, 5]]
+    lead = [entry() for _ in range(6)]
+    multiples = [[(c * v) % p if p else c * v for v in lead] for c in (2, 3, p - 1 if p else -1)]
+    yield [lead, *multiples, [entry() for _ in range(6)], [1, 1, 0, 0, 0, 0],
+           [entry(), 0, entry(), 0, entry(), 0]]
+    for _ in range(3):
+        base = [[entry() if rng.random() < 0.3 else 0 for _ in range(24)] for _ in range(7)]
+        block = base + combinations(rng, base[:3], 5, p)
+        rng.shuffle(block)
+        yield block
+
+
+@pytest.mark.parametrize("p", FIELDS)
+def test_gauss_jordan_trims_match_oracle(p):
+    """``_gauss_jordan`` gathers a pivot column only where another row can
+    be nonzero, reduces a row only once an update has touched it, and
+    scales the pivot rows at the end; on the cases of ``trim_blocks`` the
+    flags, the rows and the order of the pivots are the oracle's, at
+    p = 67108859 (rows reduced every two updates) too."""
+    rng = random.Random(f"gauss-jordan-trims:{p}")
+    for rows in trim_blocks(rng, p):
+        want_flags, want_rows, want_pivots = oracle_block(rows, p)
+        block = np.array(rows, dtype=np.float64 if p else object)
+        if not p:
+            block = np.vectorize(Fraction, otypes=[object])(block)
+        flags, got, pivots = linalg_mod._gauss_jordan(block, p)
+        assert flags.tolist() == want_flags
+        assert pivots == want_pivots
+        assert (got.astype(np.int64) if p else got).tolist() == want_rows
+
+
 @pytest.mark.parametrize("p", FIELDS)
 def test_multiply_rows_matches_oracle(p):
     """Each term (columns, c) of a form adds c times every row at its
@@ -397,3 +451,19 @@ def test_blas_thread_count_is_set_before_numpy_loads(preset, seen):
     out = subprocess.run([sys.executable, "-c", SEEN_AT_NUMPY_IMPORT], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.split() == [seen]
+
+
+def test_a_report_loads_no_numpy_ma():
+    """A cold report loads no module that it does not use: the kernels take
+    the free columns of ``nullspace`` from a mask, not from
+    ``np.setdiff1d``, whose ``np.unique`` imports ``numpy.ma`` the first
+    time it runs under numpy 2 (about 10 ms of the first report)."""
+    script = ("import sys\n"
+              "from fiberlab.corpus import compute_entry\n"
+              "before = set(sys.modules)\n"
+              "compute_entry('ex-1-matrix6x5')\n"
+              "print(sorted(m for m in set(sys.modules) - before\n"
+              "             if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["[]"]

@@ -7,10 +7,12 @@ import pytest
 from fiberlab import blowup as blowup_mod
 from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
                              minimal_reduction)
+from fiberlab.depth import regular_cut
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
 from fiberlab.graded import minors_ideal, piece_span_of_polys
 from fiberlab.groebner import normal_form_shape
+from fiberlab.hilbert import series_of_basis
 from fiberlab.parse import maximal_minors
 from fiberlab.polyring import Ring
 from fiberlab.predicates import (FormSequence, analytically_adjusted,
@@ -21,8 +23,8 @@ from fiberlab.predicates import (FormSequence, analytically_adjusted,
                                  regular_in_gr, tight_profile, valabrega_valla,
                                  valla_dimension)
 
-from conftest import (colon, crosscheck_bundles, intersect, joint_rank, power_gens,
-                      products, regular_sequence_on_fiber, theorem_crosschecks)
+from conftest import (colon, counting_cuts, crosscheck_bundles, intersect, joint_rank,
+                      power_gens, products, regular_sequence_on_fiber, theorem_crosschecks)
 
 
 def user_forms(forms) -> FormSequence:
@@ -295,6 +297,87 @@ def test_vv_sevengen_pair_fails(sevengen):
     rep = valabrega_valla(sevengen, fs, n_max=3)
     assert not rep.is_true
     assert rep.certificate["first_failure"] == 2
+
+
+def _full_plan_entries():
+    from fiberlab.corpus import CORPUS
+    return [e.id for e in CORPUS if e.plan == "full"]
+
+
+# VV cuts the bound leaves out over a report's three seeds: every seed of
+# these entries has its first image regular and the second not, on a gr+
+# of grade 1 (g = 2); on monomial4 and binomial4 the images are regular
+BOUND_SKIPS = {"ex-2.1-sixgen": 3, "ex-2.2-sevengen": 3, "ex-3-matrix5x4": 3,
+               "ex-3-monomial4": 0, "ex-3-binomial4": 0}
+
+
+@pytest.mark.parametrize("entry_id", _full_plan_entries())
+def test_vv_stops_at_the_grade_of_gr_plus(entry_id, monkeypatch):
+    """With the report's exact grade of gr+ held on the context, the gr
+    route of Valabrega-Valla cuts only that many images: each seed's
+    ``PredicateReport`` is the same as with the grade taken away, and one
+    cut fewer is made for each seed whose first ``grade`` images are
+    regular, short of g.  Each cut left out is made here, and fails: a
+    regular sequence in gr+ is never longer than its grade (D20)."""
+    from fiberlab.corpus import CORPUS_BY_ID, DEFAULT_SEEDS, load_entry_ideal
+    ctx = IdealContext(load_entry_ideal(CORPUS_BY_ID[entry_id]), entry_id)
+    assert ctx.ideal.ring.field == GF(32003)
+    grade = ctx.gr_plus_grade
+    assert grade["exact"]
+    k, g = grade["value"], ctx.ideal.height()
+    pres = ctx.pres
+    calls = counting_cuts(monkeypatch)
+    skipped = 0
+    for seed in DEFAULT_SEEDS:
+        fs = generic_forms(ctx, ctx.spread, f"{entry_id}:forms:{seed}")
+        prefix = FormSequence(fs.forms[:g], fs.provenance, fs.coefficients[:g])
+        made = []
+        for held in (True, False):
+            if not held:
+                del vars(ctx)["gr_plus_grade"]
+            calls.clear()
+            made.append((valabrega_valla(ctx, prefix, 2), len(calls)))
+        vars(ctx)["gr_plus_grade"] = grade
+        (bounded, bounded_cuts), (free, free_cuts) = made
+        assert bounded == free
+        if free_cuts == bounded_cuts:
+            continue
+        assert (bounded_cuts, free_cuts) == (k, k + 1) and k < g
+        assert bounded.certificate["gr_regular_failed_at"] == k + 1
+        images = [pres.w_form(row) for row in prefix.coefficients]
+        gb = pres.gr_ideal.groebner()
+        hs = series_of_basis(gb)
+        for theta in images[:k]:
+            ok, gb, hs = regular_cut(gb, hs, theta)
+            assert ok
+        assert regular_cut(gb, hs, images[k])[0] is False
+        skipped += 1
+    assert skipped == BOUND_SKIPS[entry_id]
+
+
+def test_vv_without_an_exact_grade_cuts_every_image(sixgen, monkeypatch):
+    """Without an exact grade of gr+ on the context, VV cuts the images
+    until one fails, as it did before the bound: with the grade marked
+    not exact, and on a context that holds no grade, where it starts no
+    grade search (as for ``fiberlab check vv``).  On sixgen the first
+    image is regular and the second is not, on a gr+ of grade 1."""
+    ctx = IdealContext(sixgen)
+    fs = generic_forms(ctx, 2, "vv:1")
+    grade = ctx.gr_plus_grade
+    assert (grade["value"], grade["exact"]) == (1, True)
+    calls = counting_cuts(monkeypatch)
+    bounded = valabrega_valla(ctx, fs, 2)
+    assert len(calls) == 1
+    vars(ctx)["gr_plus_grade"] = {**grade, "exact": False}
+    calls.clear()
+    assert valabrega_valla(ctx, fs, 2) == bounded
+    assert len(calls) == 2
+    monkeypatch.setattr(blowup_mod, "bounded_ideal_grade", None)     # never called
+    fresh = IdealContext(sixgen)
+    calls.clear()
+    assert valabrega_valla(fresh, fs, 2) == bounded
+    assert len(calls) == 2
+    assert "gr_plus_grade" not in vars(fresh)
 
 
 def test_vv_prefix_must_be_regular_sequence(sixgen):

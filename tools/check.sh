@@ -25,9 +25,11 @@
 #      certificates (`tests/test_acceptance_certificate.py`, which shares
 #      no code with the depth engine) and the 7 report digests under
 #      `python -O`, where a bare `assert` in the package would check
-#      nothing; the digests with OPENBLAS_NUM_THREADS=2, so that no
-#      report depends on the BLAS thread count (`linalg` sets 1 when the
-#      variable is unset) and the threaded path stays run;
+#      nothing; the digests and the linear-algebra tests again with
+#      OPENBLAS_NUM_THREADS=2, so that no report depends on the BLAS
+#      thread count (`linalg` sets 1 when the variable is unset) and the
+#      kernel's oracle tests, not only the digests, run the threaded
+#      product path;
 #   3. the benchmark's self-test (tracer, oracles, host-speed probe);
 #   4. the package's source-line total, `wc -l src/fiberlab/*.py`, which
 #      the line budget in ROADMAP.md and CHANGES.md quote (printed, not a
@@ -113,6 +115,6 @@ python -O -m pytest -q tests/test_depth.py tests/test_hilbert.py tests/test_groe
     tests/test_polyring.py tests/test_graded.py tests/test_ideals.py \
     tests/test_blowup.py tests/test_predicates.py tests/test_resolutions.py \
     tests/test_cli.py tests/test_linalg.py tests/test_acceptance_certificate.py
-OPENBLAS_NUM_THREADS=2 python -O -m pytest -q tests/test_report_digests.py
+OPENBLAS_NUM_THREADS=2 python -O -m pytest -q tests/test_report_digests.py tests/test_linalg.py
 python3 perfbench/selftest.py
 wc -l src/fiberlab/*.py | tail -n 1
