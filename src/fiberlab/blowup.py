@@ -1,5 +1,5 @@
 """Blow-up algebras of an equigenerated ideal: special fiber, Rees
-algebra, associated graded ring, reductions and Cohen-Macaulay tests.
+algebra, associated graded ring, reductions and Cohen-Macaulay verdicts.
 
 Both presentations come from one elimination.  With generators f_1..f_m
 of common degree d, the Rees relations J are the kernel of w_i -> f_i t,
@@ -7,13 +7,18 @@ by eliminating t, and the fiber relations Q in k[w_1..w_m] (kernel of
 w_i -> f_i) are Q = J ∩ k[w], read off J by eliminating the x-variables
 (D5 in docs/decisions.md).  The presentations are plain ideals: Q of
 k[w], and J and gr = J + I·S[w] of k[w.., x..], with the w-variables
-first, where every cut of the depth descents, the grade search, the CM
-test and the Valabrega-Valla route keeps its grevlex bases smaller.  The
+first, where every cut of the depth descents, the grade search and the
+Valabrega-Valla route keeps its grevlex bases smaller.  The
 eliminations work in k[x.., w..], where their own bases are the smaller
 ones; only ``rees_and_gr`` knows the order (D14).  J is bigraded, so its
 generators are homogeneous for the standard regrading in which every
 variable has weight one; all dimension, multiplicity and depth
 computations run in that regrading (verified generator by generator).
+
+The fiber and the Rees algebra are standard graded quotients, so each is
+Cohen-Macaulay exactly when its depth equals its dimension: both
+verdicts are read off the certified depth descent (``is_cm_graded``,
+D21).
 """
 
 from __future__ import annotations
@@ -23,10 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 
-from .depth import bounded_ideal_grade
+from .depth import DepthReport, bounded_ideal_grade, graded_depth
 from .graded import degree_basis, generic_rank, minors_ideal, product_rows
-from .groebner import eliminate, extend_basis, normal_form_plan, normal_form_shape
-from .hilbert import series_of_basis
+from .groebner import eliminate, normal_form_plan, normal_form_shape
 from .ideals import Ideal
 from .linalg import echelon_from_rows, independent_rows, rank_of_rows
 from .polyring import Polynomial, Ring, fresh_names
@@ -97,21 +101,20 @@ class IdealContext:
     powers I^n, the Fitting ideals, the ideals of prefix forms, one
     normal-form plan per shape of their bases, the ranks of product pieces
     (``rank``), the fiber and Rees presentations, the resolution of R/I,
-    the CM reports and the analytic spread once.  It keeps I^n as
-    coefficient rows (``power_rows``) and product pieces as ranks: dim_k
-    [I^n]_{nd} is ``len(power_rows(n))``.
+    the depths of the fiber and the Rees algebra and the analytic spread
+    once.  It keeps I^n as coefficient rows (``power_rows``) and product
+    pieces as ranks: dim_k [I^n]_{nd} is ``len(power_rows(n))``.
     ``label`` names the ideal in the seeds of its randomized tests.
     With ``bounded`` the Rees elimination is out of budget: ``fp``,
-    ``pres`` and the CM reports are None and the spread comes from the
-    Jacobian squeeze (None unless that is exact).
+    ``pres``, the depths and the CM verdicts are None and the spread
+    comes from the Jacobian squeeze (None unless that is exact).
     """
 
-    def __init__(self, ideal: Ideal, label: str = "", *, trials: int = 3,
+    def __init__(self, ideal: Ideal, label: str = "", *,
                  cutoff: int = DEFAULT_CEILING, bounded: bool = False):
         self.ideal = ideal
         self.ring = ideal.ring
         self.label = label
-        self.trials = trials
         self.cutoff = cutoff
         self.bounded = bounded
         self._powers = None
@@ -355,17 +358,41 @@ class IdealContext:
         return minimal_resolution(self.fp, ceiling=self.cutoff)
 
     @cached_property
-    def fiber_cm(self) -> "CMReport | None":
-        if self.bounded:
-            return None
-        return is_cm_graded(self.fp, trials=self.trials, base_seed=f"cm:{self.label}:fiber")
+    def fiber_depth(self) -> "DepthReport | None":
+        """depth F(I), by the CM test's certified descent (``is_cm_graded``,
+        seed ``cm:<label>:fiber:depth``)."""
+        return None if self.bounded else is_cm_graded(
+            self.fp, f"cm:{self.label}:fiber:depth")
 
     @cached_property
-    def rees_cm(self) -> "CMReport | None":
-        if self.bounded:
-            return None
-        return is_cm_graded(self.pres.rees_ideal, trials=self.trials,
-                            base_seed=f"cm:{self.label}:rees")
+    def rees_depth(self) -> "DepthReport | None":
+        """depth R(I), by the certified descent (seed ``cm:<label>:rees:depth``)."""
+        return None if self.bounded else is_cm_graded(
+            self.pres.rees_ideal, f"cm:{self.label}:rees:depth")
+
+    @property
+    def fiber_cm(self) -> bool | None:
+        """Is F(I) Cohen-Macaulay: is its depth its dimension (D21)?"""
+        rep = self.fiber_depth
+        return None if rep is None else rep.value == rep.dimension
+
+    @property
+    def rees_cm(self) -> bool | None:
+        """Is R(I) Cohen-Macaulay: is its depth its dimension (D21)?"""
+        rep = self.rees_depth
+        return None if rep is None else rep.value == rep.dimension
+
+
+def is_cm_graded(ideal: Ideal, seed: str) -> DepthReport:
+    """Cohen-Macaulay test of S/ideal: its depth by the descent
+    (``depth.graded_depth``), which must end with a certificate.  S/ideal
+    is Cohen-Macaulay exactly when the returned depth is its dimension;
+    an inexact descent gives only a lower bound, so no verdict."""
+    rep = graded_depth(ideal, seed=seed)
+    if not rep.exact:
+        raise BoundExceededError(f"depth descent {seed} found neither a regular "
+                                 "form nor a socle witness within bounds")
+    return rep
 
 
 def equigenerated_data(ideal):
@@ -473,67 +500,6 @@ def _verify_rees(ctx: IdealContext, pres: ReesPresentation, elim_ring: Ring):
         if value != pieces:
             raise AssertionError(f"Rees piece mismatch at total degree {total}: "
                                  f"J gives {value}, the powers of I {pieces}")
-
-
-# ---------------------------------------------------------------------------
-# Cohen-Macaulay test by Artinian reduction colength
-
-@dataclass
-class CMReport:
-    verdict: str               # "CM" | "NOT_CM"
-    dimension: int
-    multiplicity: int
-    colengths: list
-    seeds: list
-
-    @property
-    def is_cm(self) -> bool:
-        return self.verdict == "CM"
-
-
-def is_cm_graded(ideal: Ideal, trials: int = 3, base_seed="cm") -> CMReport:
-    """Colength-versus-multiplicity test on S/ideal with a random linear
-    system of parameters (four draws per trial); equality certifies CM,
-    excess certifies NOT_CM."""
-    if trials < 1:
-        raise ValueError(f"CM test needs at least one trial, got {trials}")
-    ring = ideal.ring
-    if any(w != 1 for w in ring.weights):
-        raise ValueError("CM test needs the standard grading")
-    hs = ideal.hilbert_series()
-    s = hs.dimension
-    if s < 0:
-        raise ValueError("CM test of the zero ring")
-    e = hs.multiplicity
-    if s == 0:
-        total = sum(hs.coefficients(max((d for d, _ in hs.numerator), default=0)))
-        return CMReport("CM", 0, e, [total], [])
-    gb = ideal.groebner()
-    colengths = []
-    seeds = []
-    for trial in range(trials):
-        seed = f"{base_seed}:{trial}"
-        rng = random.Random(seed)
-        for attempt in range(4):
-            thetas = [ring.linear_form([ring.field.random_raw(rng)
-                                        for _ in range(ring.nvars)])
-                      for _ in range(s)]
-            cut_gb = extend_basis(gb, thetas)
-            cut_hs = series_of_basis(cut_gb)
-            if cut_hs.dimension == 0:
-                break
-        else:
-            raise BoundExceededError("no linear system of parameters found in four draws")
-        top = max((d for d, _ in cut_hs.numerator), default=0)
-        colengths.append(sum(cut_hs.coefficients(top)))
-        seeds.append(seed)
-    if any(c < e for c in colengths):
-        raise AssertionError("colength below multiplicity: parameter check failed")
-    agree_cm = all(c == e for c in colengths)
-    agree_not = all(c > e for c in colengths)
-    if not (agree_cm or agree_not):
-        raise AssertionError(f"unstable CM trials: colengths {colengths} vs e={e}")
-    return CMReport("CM" if agree_cm else "NOT_CM", s, e, colengths, seeds)
 
 
 # ---------------------------------------------------------------------------

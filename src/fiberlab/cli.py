@@ -6,7 +6,8 @@
 
 Reports are JSON with sorted keys (byte-deterministic for fixed input,
 seeds and field); human tables via --markdown.  ``invariants`` runs the
-corpus pipeline's ``basic`` plan, with the file's stem in its seeds.
+corpus pipeline's ``basic`` plan, with the file's stem in its seeds; its
+Cohen-Macaulay verdicts are depth = dimension on certified depth descents.
 
 Exit codes:
 
@@ -18,7 +19,9 @@ Exit codes:
        non-equigenerated ideal having no blow-up block, is not one), or a
        bounded search that ran out under any command, printed as
        ``bound exceeded: ...`` (a resolution not certified within
-       --cutoff, or seeded random draws that all missed)
+       --cutoff, seeded random draws that all missed, or a depth descent
+       that ended without a certificate, which leaves a Cohen-Macaulay
+       verdict undecided)
     4  unknown verdict
     5  internal error (a self-check failed, or another fault of the
        program), printed as ``internal error: ...``
@@ -78,8 +81,6 @@ def _common_flags(p):
     p.add_argument("--cutoff", type=_at_least(1),
                    default=corpus_mod.DEFAULT_CUTOFF_CEILING,
                    help="ceiling on the certified regularity bound m of a resolution")
-    p.add_argument("--trials", type=_at_least(1), default=corpus_mod.DEFAULT_TRIALS,
-                   help="CM test trials")
     p.add_argument("--markdown", action="store_true", help="render a human table")
 
 
@@ -163,8 +164,8 @@ def cmd_invariants(args) -> int:
     t0 = time.time()
     entry = corpus_mod.CorpusEntry(Path(args.file).stem, args.file, "",
                                    plan="basic")
-    report = corpus_mod.entry_report(entry, ideal, _seeds(args), trials=args.trials,
-                                     r_max=args.rmax, cutoff=args.cutoff)
+    report = corpus_mod.entry_report(entry, ideal, _seeds(args), r_max=args.rmax,
+                                     cutoff=args.cutoff)
     if args.timings:
         report["timing_seconds"] = round(time.time() - t0, 3)
     else:
@@ -174,8 +175,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_check(args) -> int:
-    ctx = IdealContext(_load_ideal(args.file, args.field), trials=args.trials,
-                       cutoff=args.cutoff)
+    ctx = IdealContext(_load_ideal(args.file, args.field), cutoff=args.cutoff)
     seeds = _seeds(args)
     nmax = corpus_mod.DEFAULT_NMAX_FLOOR if args.nmax is None else args.nmax
     name = args.predicate
@@ -231,14 +231,14 @@ def cmd_reproduce(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futs = {t: pool.submit(_reproduce_one, t, args.field, tuple(seeds),
-                                   args.nmax, args.trials, args.rmax, args.cutoff)
+                                   args.nmax, args.rmax, args.cutoff)
                     for t in targets}
             for t in targets:
                 results[t] = futs[t].result()
     else:
         for t in targets:
             results[t] = _reproduce_one(t, args.field, tuple(seeds), args.nmax,
-                                        args.trials, args.rmax, args.cutoff)
+                                        args.rmax, args.cutoff)
     any_diff = False
     out = {}
     for t in targets:
@@ -251,10 +251,9 @@ def cmd_reproduce(args) -> int:
     return EXIT_FALSE if any_diff else EXIT_OK
 
 
-def _reproduce_one(entry_id, field, seeds, nmax, trials, rmax, cutoff):
+def _reproduce_one(entry_id, field, seeds, nmax, rmax, cutoff):
     """The entry's differences from its golden record."""
-    report = corpus_mod.compute_entry(entry_id, field, seeds, nmax, trials,
-                                      rmax, cutoff)
+    report = corpus_mod.compute_entry(entry_id, field, seeds, nmax, rmax, cutoff)
     golden = corpus_mod.load_golden(corpus_mod.CORPUS_BY_ID[entry_id])
     return corpus_mod.compare_with_golden(corpus_mod.strip_objects(report), golden)
 

@@ -68,7 +68,6 @@ CORPUS_BY_ID = {e.id: e for e in CORPUS}
 DEFAULT_SEEDS = (1, 2, 3)
 DEFAULT_NMAX_FLOOR = 5
 DEFAULT_RMAX = 12
-DEFAULT_TRIALS = 3
 DEFAULT_CUTOFF_CEILING = 60
 
 
@@ -87,23 +86,22 @@ _REPORT_CACHE = {}
 
 def compute_entry(entry_id: str, field_char: int | None = None,
                   seeds=DEFAULT_SEEDS, n_max: int | None = None,
-                  trials: int = DEFAULT_TRIALS, r_max: int = DEFAULT_RMAX,
+                  r_max: int = DEFAULT_RMAX,
                   cutoff: int = DEFAULT_CUTOFF_CEILING) -> dict:
     """Full report tree for one corpus entry; deterministic for fixed
     (entry, field, seeds, bounds), and cached on that key."""
-    key = (entry_id, field_char, tuple(seeds), n_max, trials, r_max, cutoff)
+    key = (entry_id, field_char, tuple(seeds), n_max, r_max, cutoff)
     if key not in _REPORT_CACHE:
         entry = CORPUS_BY_ID[entry_id]
         report = entry_report(entry, load_entry_ideal(entry, field_char), seeds,
-                              n_max, trials, r_max, cutoff)
+                              n_max, r_max, cutoff)
         _REPORT_CACHE[key] = {"id": entry.id, "description": entry.description,
                               **report}
     return _REPORT_CACHE[key]
 
 
 def entry_report(entry: CorpusEntry, ideal: Ideal, seeds=DEFAULT_SEEDS,
-                 n_max: int | None = None, trials: int = DEFAULT_TRIALS,
-                 r_max: int = DEFAULT_RMAX,
+                 n_max: int | None = None, r_max: int = DEFAULT_RMAX,
                  cutoff: int = DEFAULT_CUTOFF_CEILING) -> dict:
     """Report tree of one ideal under its entry's plan, over one
     ``IdealContext``; ``entry.id`` names the ideal in every seed.
@@ -113,23 +111,25 @@ def entry_report(entry: CorpusEntry, ideal: Ideal, seeds=DEFAULT_SEEDS,
     predicates).  For an equigenerated ideal the plan then adds:
 
     - ``basic``: the invariants read off the fiber and Rees presentations
-      (analytic spread, fiber multiplicity, reduction numbers, fiber and
-      Rees CM verdicts), and the relation dimensions and indeg read off
+      (analytic spread, fiber multiplicity, reduction numbers, and the
+      fiber and Rees CM verdicts, depth = dimension on the certified
+      depth descents), and the relation dimensions and indeg read off
       mu(I^n) = dim_k [I^n]_{nd} and checked against the fiber
       presentation;
     - ``full``: basic, plus the fiber resolution, the depth, grade and
-      codimension values, the seeded tight / VV / adjusted predicates and
+      codimension values (the fiber's depth by Auslander-Buchsbaum, held
+      to its descent), the seeded tight / VV / adjusted predicates and
       the formula checks;
     - ``bounded-blowup``: relation dimensions and indeg from mu(I^n)
       alone, the Jacobian spread, a capped reduction search,
       the seeded tight / adjusted predicates and the formula checks.
     """
-    ctx = IdealContext(ideal, entry.id, trials=trials, cutoff=cutoff,
+    ctx = IdealContext(ideal, entry.id, cutoff=cutoff,
                        bounded=entry.plan == "bounded-blowup")
     report = {
         "field": ideal.ring.field.characteristic,
         "seeds": list(seeds),
-        "bounds": {"r_max": r_max, "trials": trials, "cutoff_ceiling": cutoff},
+        "bounds": {"r_max": r_max, "cutoff_ceiling": cutoff},
         "skipped": {},
         "invariants": {},
         "predicates": {},
@@ -198,8 +198,8 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
     indeg = fiber_indeg(ctx)
     preds["indeg"] = indeg.to_json()
     inv["indeg_Q"] = indeg.certificate["indeg"]
-    inv["fiber_cm"] = ctx.fiber_cm.verdict
-    inv["rees_cm"] = ctx.rees_cm.verdict
+    inv["fiber_cm"] = "CM" if ctx.fiber_cm else "NOT_CM"
+    inv["rees_cm"] = "CM" if ctx.rees_cm else "NOT_CM"
 
     # one drawn sequence per seed serves as the reduction candidate, the
     # tightness sequence and (its prefix) the Valabrega-Valla input
@@ -246,27 +246,26 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
 
 def _depth_block(ctx, report):
     """Depths of the fiber (Auslander-Buchsbaum on its certified
-    resolution), the Rees algebra and gr (the descent), grade and codim of
-    gr+, with gr+ generated by the w-variables (``ReesPresentation.wvars``)."""
+    resolution, which must equal the depth of its descent), the Rees
+    algebra when it is not CM (its descent) and gr (the descent), grade
+    and codim of gr+, with gr+ generated by the w-variables
+    (``ReesPresentation.wvars``)."""
     inv = report["invariants"]
     fp, pres = ctx.fp, ctx.pres
     fres = ctx.fiber_resolution
     if fres.table.complete:
         inv["depth_fiber"] = fp.ring.nvars - fres.table.projective_dimension
+        if inv["depth_fiber"] != ctx.fiber_depth.value:
+            raise AssertionError(f"fiber depth {inv['depth_fiber']} by Auslander-Buchsbaum, "
+                                 f"{ctx.fiber_depth.value} by the descent")
         inv["regularity_fiber"] = fres.table.regularity()
         inv["fiber_relation_degrees"] = sorted(
             g.homogeneous_degree() for g in fp.minimal_generators())
     else:
         report["skipped"]["fiber_resolution"] = \
             f"incomplete at cutoff {fres.table.ceiling}"
-    if not ctx.rees_cm.is_cm:
-        drees = graded_depth(pres.rees_ideal, seed=f"cm:{ctx.label}:rees:depth")
-        if drees.exact and drees.value >= ctx.rees_cm.dimension:
-            raise AssertionError("Rees depth contradicts the NOT_CM verdict")
-        if drees.exact:
-            inv["depth_rees"] = drees.value
-        else:
-            report["skipped"]["depth_rees"] = "descent inconclusive within bounds"
+    if not ctx.rees_cm:
+        inv["depth_rees"] = ctx.rees_depth.value
     dgr = graded_depth(pres.gr_ideal, seed=f"depthgr:{ctx.label}")
     if dgr.exact:
         inv["depth_gr"] = dgr.value

@@ -45,9 +45,12 @@ Cohen-Macaulay Rings, 1.2.5).  The search follows a failed cut by a
 linear form in those variables, and skips the degrees where that form's
 annihilator is 0, for the same reason.
 
-The reports take the depth of the fiber from its certified resolution
-(Auslander-Buchsbaum) and the depths of the Rees algebra and of gr from
-this engine, whose ambients are too large for dense degreewise kernels.
+The reports read the Cohen-Macaulay verdicts of the fiber and the Rees
+algebra off this engine, as depth = dimension (``blowup.is_cm_graded``),
+and take the depths of the Rees algebra and of gr from it, whose ambients
+are too large for dense degreewise kernels; the depth of the fiber
+comes from its certified resolution (Auslander-Buchsbaum), held to the
+fiber's descent.
 ``blowup.rees_and_gr`` presents both in k[w.., x..]: no value depends on
 the order of the variables, but with w first the grevlex bases of the
 cuts stay smaller.

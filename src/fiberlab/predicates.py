@@ -283,18 +283,14 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5) -> Predicate
 
     if regular_all and first_failure is not None:
         raise AssertionError("gr-route and piece route disagree on VV")
-    # "gb_equality_upto" and "full_ideal_equality" keep the values every
-    # report has had since their option went, until the schema changes
     return PredicateReport(
         "vv", {"ideal": ideal_fingerprint(ideal), "forms": fs_prefix.provenance,
                "g": g},
         "true" if regular_all else "false",
-        bounds_used={"n_max": n_max, "all_n": "regular sequence on gr",
-                     "gb_equality_upto": 0},
+        bounds_used={"n_max": n_max, "all_n": "regular sequence on gr"},
         certificate={"per_power": {str(n): v for n, v in per_n.items()},
                      "first_failure": first_failure,
-                     "gr_regular_failed_at": failed_at_step,
-                     "full_ideal_equality": {}})
+                     "gr_regular_failed_at": failed_at_step})
 
 
 def regular_in_gr(ideal, fs_prefix: FormSequence, n_max: int = 5) -> PredicateReport:
@@ -387,7 +383,7 @@ def multiplicity_formula_checks(ideal) -> PredicateReport:
         hyps["spread_3"] = ctx.spread == 3
         applicable = hyps["spread_3"]
     if applicable:
-        hyps["rees_cm"] = ctx.rees_cm.is_cm
+        hyps["rees_cm"] = ctx.rees_cm
         applicable = hyps["rees_cm"]
     cert["hypotheses"] = hyps
     verdict = formula_ok
@@ -446,8 +442,8 @@ def map_degree_via_formula(ideal) -> PredicateReport:
         if len(ctx.mingens) > 2:
             linearly_presented = all(m == 1 for m in ms)
             cert["linearly_presented"] = linearly_presented
-            cert["rees_cm"] = ctx.rees_cm.is_cm
-            if ctx.rees_cm.is_cm and integral:
+            cert["rees_cm"] = ctx.rees_cm
+            if ctx.rees_cm and integral:
                 if linearly_presented != (cert["map_degree"] == 1):
                     raise AssertionError(
                         "linear presentation vs degree-1 cross-check failed")

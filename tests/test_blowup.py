@@ -7,10 +7,11 @@ import pytest
 from fiberlab import blowup as blowup_mod
 from fiberlab import cli
 from fiberlab.blowup import (IdealContext, equigenerated_data,
-                             fiber_presentation, fiber_truncated, is_cm_graded,
+                             fiber_presentation, fiber_truncated,
                              minimal_reduction, rees_and_gr,
                              spread_via_jacobian)
-from fiberlab.corpus import CORPUS, CORPUS_BY_ID, load_entry_ideal, read_entry_text
+from fiberlab.corpus import (CORPUS, CORPUS_BY_ID, compute_entry, load_entry_ideal,
+                             read_entry_text)
 from fiberlab.depth import graded_depth
 from fiberlab.fields import GF, QQ
 from fiberlab.graded import piece_span_of_polys, product_rows, spanning_rows
@@ -22,7 +23,7 @@ from fiberlab.polyring import Ring
 from fiberlab.predicates import generic_forms
 from fiberlab.resolutions import BoundExceededError
 
-from conftest import power_gens, relation_piece_dim, x_first_copy
+from conftest import colength_cm, power_gens, relation_piece_dim, x_first_copy
 
 
 def test_complete_intersection_fiber(R3):
@@ -217,7 +218,6 @@ def test_fiber_relations_match_direct_elimination(R3, R3q, monomial4):
 
 def test_relation_dims_formula(monomial4, binomial4, sixgen, sevengen):
     """dim_k [Q]_n by elimination vs the binomial-minus-piece formula."""
-    from fiberlab.graded import piece_span_of_polys
     for ideal in (monomial4, binomial4, sixgen, sevengen):
         fp = fiber_presentation(ideal)
         gens, d = equigenerated_data(ideal)
@@ -333,42 +333,60 @@ def test_spread_bounds(monomial4, sixgen, sevengen):
 
 
 def test_is_cm_examples(R3, monomial4, binomial4):
-    x, y, z = (R3.variable(i) for i in range(3))
-    assert is_cm_graded(Ideal(R3, ())).is_cm
-    ctx = IdealContext(monomial4)
-    assert is_cm_graded(ctx.fp).is_cm
-    assert is_cm_graded(ctx.pres.rees_ideal).is_cm
-    presb = rees_and_gr(binomial4)
-    rep = is_cm_graded(presb.rees_ideal)
-    assert rep.verdict == "NOT_CM"
-    depth = graded_depth(presb.rees_ideal, seed="cm:depth")
-    assert depth.exact and depth.value == 3 < rep.dimension == 4
-    assert all(c > rep.multiplicity for c in rep.colengths)
+    """The CM verdicts are depth = dimension on the certified descents,
+    with the colength criterion (``conftest.colength_cm``) beside them:
+    S itself, the CM fiber and Rees algebra of monomial4, and the Rees
+    algebra of binomial4, of depth 3 in dimension 4."""
+    depth = graded_depth(Ideal(R3, ()), seed="cm:S")
+    assert depth.exact and depth.value == depth.dimension == 3
+    assert colength_cm(Ideal(R3, ()), "cm:S")
+    ctx = IdealContext(monomial4, "m4")
+    assert ctx.fiber_cm and ctx.rees_cm
+    assert ctx.fiber_depth.seed == "cm:m4:fiber:depth"
+    assert ctx.rees_depth.seed == "cm:m4:rees:depth"
+    assert colength_cm(ctx.fp, "cm:m4") and colength_cm(ctx.pres.rees_ideal, "cm:m4")
+    ctxb = IdealContext(binomial4, "b4")
+    assert ctxb.fiber_cm and not ctxb.rees_cm
+    rees = ctxb.rees_depth
+    assert rees.exact and rees.witness is not None and rees.value == 3 < rees.dimension == 4
+    assert not colength_cm(ctxb.pres.rees_ideal, "cm:b4")
 
 
-def test_is_cm_needs_a_trial(binomial4):
-    """No trial means no colength, and no verdict: ``all`` over none
-    would read CM for the non-CM Rees algebra of binomial4."""
-    presb = rees_and_gr(binomial4)
-    for trials in (0, -1):
-        with pytest.raises(ValueError, match="at least one trial"):
-            is_cm_graded(presb.rees_ideal, trials=trials)
+@pytest.mark.parametrize("entry_id", [e.id for e in CORPUS if e.plan == "full"])
+def test_colength_oracle_agrees_with_the_descent(entry_id):
+    """On the five full-plan entries over GF(32003) the colength criterion
+    gives the fiber and Rees verdicts that the reports read off the depth
+    descents."""
+    objects = compute_entry(entry_id)["_objects"]
+    assert colength_cm(objects["fp"], f"oracle:{entry_id}:fiber") == objects["fiber_cm"]
+    assert colength_cm(objects["rees"].rees_ideal, f"oracle:{entry_id}:rees") \
+        == objects["rees_cm"]
+
+
+def test_rees_descent_of_monomial4_over_gf3_is_inexact():
+    """A known gap of the descent's candidate schedule over GF(3) (ROADMAP
+    20): R(I) of monomial4 is CM of depth 4, and the colength criterion,
+    on the draws of the old colength test's first trial, reads CM, but
+    the Rees descent certifies only 3 regular forms and then finds no
+    regular candidate and no socle witness, so the CM test raises the
+    bound error and the report exits 3 (``test_cli``)."""
+    ctx = IdealContext(load_entry_ideal(CORPUS_BY_ID["ex-3-monomial4"], 3),
+                       "ex-3-monomial4")
+    rees = ctx.pres.rees_ideal
+    assert colength_cm(rees, "cm:ex-3-monomial4:rees:0")
+    rep = graded_depth(rees, seed="cm:ex-3-monomial4:rees:depth")
+    assert (rep.value, rep.dimension, rep.exact, rep.witness) == (3, 4, False, None)
+    with pytest.raises(BoundExceededError, match="cm:ex-3-monomial4:rees:depth"):
+        ctx.rees_cm
 
 
 def test_exhausted_draws_raise_the_bound_error(monomial4, monkeypatch):
     """The seeded draws are bounded searches: 16 draws of dependent
-    coefficient rows, or four draws per trial that never cut the CM test
-    down to dimension 0, raise ``BoundExceededError``, not a self-check
+    coefficient rows raise ``BoundExceededError``, not a self-check
     failure."""
-    import fiberlab.blowup as blowup_mod
     monkeypatch.setattr(blowup_mod, "rank_of_rows", lambda *args: 0)
     with pytest.raises(BoundExceededError, match="16 draws"):
         blowup_mod.random_forms_in_degree(monomial4, 2, "s")
-    monkeypatch.undo()
-    rees = rees_and_gr(monomial4).rees_ideal
-    monkeypatch.setattr(blowup_mod, "extend_basis", lambda gb, thetas: gb)
-    with pytest.raises(BoundExceededError, match="four draws"):
-        is_cm_graded(rees)
 
 
 def test_minimal_reductions(R3, monomial4, binomial4):

@@ -68,9 +68,6 @@ def test_check_exit_codes(simple_file):
     ["invariants", "FILE", "--rmax", "-1"],
     ["invariants", "FILE", "--cutoff", "0"],
     ["reproduce", "ex-3-monomial4", "--jobs", "0"],
-    ["invariants", "FILE", "--trials", "0"],
-    ["check", "gs", "FILE", "--trials", "0"],
-    ["check", "tight", "FILE", "--trials", "-2"],
 ])
 def test_out_of_range_flags_exit_two(simple_file, capsys, args):
     """An integer flag outside its range is an input error, before any
@@ -95,19 +92,19 @@ def test_reduction_search_past_rmax_exits_three(tmp_path):
     assert run_cli(["invariants", str(p), "--rmax", "2"]).returncode == cli.EXIT_OK
 
 
-def test_check_passes_cutoff_and_trials(simple_file, monkeypatch):
-    """``check`` builds its context with the --cutoff and --trials given."""
+def test_check_passes_cutoff(simple_file, monkeypatch):
+    """``check`` builds its context with the --cutoff given."""
     seen, build = [], cli.IdealContext
 
     def recorded(*args, **kw):
         ctx = build(*args, **kw)
-        seen.append((ctx.cutoff, ctx.trials))
+        seen.append(ctx.cutoff)
         return ctx
 
     monkeypatch.setattr(cli, "IdealContext", recorded)
-    argv = ["check", "gs", simple_file, "--s", "2", "--cutoff", "7", "--trials", "2"]
+    argv = ["check", "gs", simple_file, "--s", "2", "--cutoff", "7"]
     assert cli.main(argv) == cli.EXIT_OK
-    assert seen == [(7, 2)]
+    assert seen == [7]
 
 
 @pytest.mark.parametrize("flag", ["--rmax", "--timings"])
@@ -122,15 +119,17 @@ def test_check_has_no_unread_flags(simple_file, capsys, flag):
 
 @pytest.mark.parametrize("argv,entry_id,message", [
     (["check", "gs", "FILE", "--cutoff", "1"], "ex-3-monomial4", "presentation not certified"),
-    (["invariants", "FILE", "--field", "5"], "ex-2.1-sixgen", "no linear system of parameters"),
-    (["reproduce", "ex-2.1-sixgen", "--field", "5"], "ex-2.1-sixgen",
-     "no linear system of parameters"),
+    (["invariants", "FILE", "--field", "3"], "ex-3-monomial4",
+     "depth descent cm:ex-3-monomial4:rees:depth"),
+    (["reproduce", "ex-3-monomial4", "--field", "3"], "ex-3-monomial4",
+     "depth descent cm:ex-3-monomial4:rees:depth"),
 ], ids=["check", "invariants", "reproduce"])
 def test_exhausted_bound_exits_three(tmp_path, capsys, argv, entry_id, message):
     """A bounded search that runs out exits with the bound code under
-    every command: a resolution past --cutoff, and the CM test's four
-    draws of a system of parameters, all of which miss over GF(5) on
-    Example 2.1."""
+    every command: a resolution past --cutoff, and the Rees descent of
+    monomial4 over GF(3), whose few linear forms hold too few regular
+    ones for its schedule, and which then finds no socle witness either,
+    so it certifies no CM verdict."""
     entry = CORPUS_BY_ID[entry_id]
     p = tmp_path / entry.filename
     p.write_text(read_entry_text(entry))
@@ -139,16 +138,25 @@ def test_exhausted_bound_exits_three(tmp_path, capsys, argv, entry_id, message):
     assert err.startswith("bound exceeded:") and message in err
 
 
-def test_invariants_needs_a_cm_trial(tmp_path):
-    """``--trials 0`` would give no colength to test; it is an input error,
-    not a CM verdict, and it is refused before the ideal block runs."""
-    entry = CORPUS_BY_ID["ex-3-binomial4"]
-    p = tmp_path / entry.filename
-    p.write_text(read_entry_text(entry))
-    out = run_cli(["invariants", str(p), "--trials", "0"])
-    assert out.returncode == 2
-    assert "--trials: must be >= 1" in out.stderr and not out.stdout
-    assert "elapsed" not in out.stderr
+def test_inexact_rees_descent_exits_three(simple_file, capsys, monkeypatch):
+    """A Rees descent that ends with neither a regular form nor a socle
+    witness bounds the depth from below only, so it decides no CM
+    verdict: ``invariants`` exits with the bound code and prints no
+    report."""
+    from fiberlab import blowup
+    from fiberlab.depth import DepthReport
+    real = blowup.graded_depth
+
+    def inexact_rees(ideal, *, seed):
+        if ":rees:" in seed:
+            return DepthReport(0, ideal.krull_dimension(), False, seed=seed)
+        return real(ideal, seed=seed)
+
+    monkeypatch.setattr(blowup, "graded_depth", inexact_rees)
+    assert cli.main(["invariants", simple_file]) == cli.EXIT_BOUND
+    out = capsys.readouterr()
+    assert out.err.startswith("bound exceeded: depth descent cm:m4:rees:depth")
+    assert not out.out
 
 
 def test_adjusted_more_forms_than_generators_exit_two(simple_file):
@@ -258,7 +266,7 @@ def test_reproduce_detects_corruption():
 
 def test_reproduce_one_returns_only_the_diffs():
     """A worker hands back the golden differences, not its report."""
-    assert cli._reproduce_one("ex-3-monomial4", None, (1, 2, 3), None, 3, 12, 60) == []
+    assert cli._reproduce_one("ex-3-monomial4", None, (1, 2, 3), None, 12, 60) == []
 
 
 def test_reproduce_cli_roundtrip():

@@ -1,12 +1,12 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from fiberlab import depth as depth_mod
 from fiberlab.blowup import IdealContext, rees_and_gr
-from fiberlab.depth import (DepthReport, annihilator_series, bounded_ideal_grade,
-                            graded_depth, regular_cut, series_of_basis,
-                            socle_witness)
+from fiberlab.depth import (annihilator_series, bounded_ideal_grade, graded_depth,
+                            regular_cut, series_of_basis, socle_witness)
 from fiberlab.fields import GF, QQ
 from fiberlab.groebner import (_MonomialForms, _nf_terms, buchberger, extend_basis,
                                normal_form)
@@ -101,9 +101,8 @@ def test_depth_skips_to_dimension_cap(R3):
 
 
 def test_weighted_grading_rejected():
-    """The descent, the multiplicity and the CM test need the standard
-    grading; a weighted ring is refused with ValueError, also under -O."""
-    from fiberlab.blowup import is_cm_graded
+    """The descent and the multiplicity need the standard grading; a
+    weighted ring is refused with ValueError, also under -O."""
     ring = Ring(GF(32003), ["x", "y", "w"], weights=(1, 1, 2))
     x, y, w = (ring.variable(i) for i in range(3))
     ideal = Ideal(ring, (x * y, w - x * x))
@@ -111,8 +110,6 @@ def test_weighted_grading_rejected():
         graded_depth(ideal, seed="t")
     with pytest.raises(ValueError, match="standard grading"):
         ideal.hilbert_series().multiplicity
-    with pytest.raises(ValueError, match="standard grading"):
-        is_cm_graded(ideal)
 
 
 def test_relative_socle_witness_certifies_grade_zero():
@@ -184,26 +181,21 @@ def test_depth_and_grade_do_not_depend_on_variable_order(monomial4, binomial4,
         assert a["exact"] and b["exact"] and a["value"] == b["value"]
 
 
-def test_inexact_rees_descent_is_skipped_with_reason(binomial4, monkeypatch):
-    """binomial4 has a non-CM Rees algebra, so the depth block runs the
-    Rees descent; an inexact outcome leaves depth_rees out and records
-    why, as an inexact gr descent does for depth_gr."""
+def test_planted_auslander_buchsbaum_mismatch_is_an_internal_error(monomial4):
+    """The depth block holds the fiber's depth by Auslander-Buchsbaum, on
+    its certified resolution, to the depth of the fiber's descent, which
+    the CM verdict reads: a planted descent one shallower raises
+    ``AssertionError``, and the real one agrees."""
     from fiberlab import corpus
-    real = corpus.graded_depth
-
-    def inexact_rees(ideal, *, seed):
-        if ":rees:" in seed:
-            return DepthReport(0, ideal.krull_dimension(), False, seed=seed)
-        return real(ideal, seed=seed)
-
-    monkeypatch.setattr(corpus, "graded_depth", inexact_rees)
-    ctx = IdealContext(binomial4, "ex-3-binomial4")
-    assert not ctx.rees_cm.is_cm
+    ctx = IdealContext(monomial4, "ex-3-monomial4")
+    real = ctx.fiber_depth
+    ctx.fiber_depth = replace(real, value=real.value - 1)
+    with pytest.raises(AssertionError, match="Auslander-Buchsbaum"):
+        corpus._depth_block(ctx, {"invariants": {}, "skipped": {}})
+    ctx.fiber_depth = real
     report = {"invariants": {}, "skipped": {}}
     corpus._depth_block(ctx, report)
-    assert "depth_rees" not in report["invariants"]
-    assert report["skipped"] == {"depth_rees": "descent inconclusive within bounds"}
-    assert report["invariants"]["depth_gr"] == 2
+    assert report["invariants"]["depth_fiber"] == real.value == 3
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])

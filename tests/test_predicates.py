@@ -5,12 +5,11 @@ from math import comb
 import pytest
 
 from fiberlab import blowup as blowup_mod
-from fiberlab.blowup import (IdealContext, fiber_presentation, is_cm_graded,
-                             minimal_reduction)
+from fiberlab.blowup import IdealContext, fiber_presentation, minimal_reduction
 from fiberlab.depth import regular_cut
 from fiberlab.fields import GF, QQ
 from fiberlab.ideals import Ideal
-from fiberlab.graded import minors_ideal, piece_span_of_polys
+from fiberlab.graded import graded_piece, minors_ideal, piece_span_of_polys
 from fiberlab.groebner import normal_form_shape
 from fiberlab.hilbert import series_of_basis
 from fiberlab.parse import maximal_minors
@@ -151,7 +150,6 @@ def colon_oracle_caps(ideal, prefix, last, n):
     """(colon cap, plain cap) in degree 2n, with the colon ideal taken from
     Groebner elimination (``conftest.colon``), sharing no code with the
     kernel route of ``analytically_tight``."""
-    from fiberlab.graded import graded_piece
     ring = ideal.ring
     prefix_ideal = Ideal(ring, tuple(prefix))
     power = Ideal(ring, tuple(power_gens(ideal, n)))
@@ -214,13 +212,11 @@ def test_adjusted_monomial4_triple_with_oracle(monomial4):
     rep = analytically_adjusted(monomial4, fs)
     assert rep.is_true
     # brute oracle: dim of the span of the 12 products in degree 4
-    from fiberlab.graded import minors_ideal, piece_span_of_polys
     prods = [a * b for a in fs.forms for b in monomial4.generators]
     assert piece_span_of_polys(prods, 4, monomial4.ring).rank == 9
     # consistent with the theory: the fiber is a CM hypersurface and the
     # triple generates a minimal reduction, which forces adjustment
-    fp = fiber_presentation(monomial4)
-    assert is_cm_graded(fp).is_cm
+    assert IdealContext(monomial4).fiber_cm
 
 
 def test_adjusted_rejects_dependent(monomial4):

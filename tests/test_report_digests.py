@@ -14,13 +14,13 @@ import pytest
 from fiberlab.corpus import CORPUS, compute_entry, strip_objects
 
 DIGESTS = {
-    "ex-1-intersection": "a3e61a4a97ea",
-    "ex-1-matrix6x5": "348803202db5",
-    "ex-2.1-sixgen": "85cfbbfc1a27",
-    "ex-2.2-sevengen": "f2741e587f15",
-    "ex-3-monomial4": "0ebe99bb76b3",
-    "ex-3-binomial4": "0968d34934a4",
-    "ex-3-matrix5x4": "7dd3e0991f32",
+    "ex-1-intersection": "4f82e7ecae2d",
+    "ex-1-matrix6x5": "b5ab012fbcd1",
+    "ex-2.1-sixgen": "29cdb6b41814",
+    "ex-2.2-sevengen": "8e55da6faf3d",
+    "ex-3-monomial4": "94abc85ac7ff",
+    "ex-3-binomial4": "a189c477fe10",
+    "ex-3-matrix5x4": "a9c8c85215fa",
 }
 
 
