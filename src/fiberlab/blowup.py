@@ -316,7 +316,7 @@ class IdealContext:
         return None if self.bounded else rees_and_gr(self)
 
     @cached_property
-    def gr_plus_grade(self) -> dict | None:
+    def gr_plus_grade(self) -> DepthReport | None:
         """grade(gr+, gr) from the seeded grade search
         (``depth.bounded_ideal_grade``, seed ``grade:<label>``): a lower
         bound, exact when a socle witness ends it.  Held once built, so

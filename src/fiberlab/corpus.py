@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .blowup import IdealContext, fiber_truncated, minimal_reduction
-from .depth import graded_depth
+from .depth import GRADE_CANDIDATE_DEGREE, graded_depth
 from .graded import linear_rank
 from .ideals import Ideal
 from .parse import parse_ideal_file
@@ -272,8 +272,8 @@ def _depth_block(ctx, report):
     else:
         report["skipped"]["depth_gr"] = "descent inconclusive within bounds"
     grade = ctx.gr_plus_grade
-    inv["grade_gr_plus"] = grade["value"]
-    inv["grade_gr_plus_bound"] = grade["candidate_degree_bound"]
+    inv["grade_gr_plus"] = grade.value
+    inv["grade_gr_plus_bound"] = GRADE_CANDIDATE_DEGREE
     inv["gr_plus_codim"] = pres.gr_plus_codimension()
 
 

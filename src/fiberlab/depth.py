@@ -1,49 +1,21 @@
-"""Depth of standard graded quotients by exact regular-element descent.
+"""Depth and grade of standard graded quotients, by chains of certified
+regular cuts.
 
 A homogeneous form theta of degree c is a nonzerodivisor on A = S/J
-exactly when the Hilbert numerators satisfy N_{J+(theta)} =
-(1 - t^c) * N_J, and quotienting a graded ring by a regular form drops
-depth by exactly one.  So the engine cuts by candidate linear forms
-whose regularity is certified by that numerator identity (no
-genericity needed for soundness), and certifies the final depth-0 stage
-by exhibiting a socle element: a nonzero h with h * x_i in J for all i.
+exactly when the Hilbert numerators satisfy N_{J+(theta)} = (1 - t^c) *
+N_J, so each cut is certified by that identity, with no genericity needed
+for soundness.  Quotienting a graded ring by a regular form drops its
+depth, and the grade of an ideal that holds the form, by exactly one.
 
-A stage whose quotient A has dimension 1 makes one parameter cut by a
-dense linear form theta.  If theta is not regular, K = 0 :_A theta has
-the series (H_{A/theta A} - (1 - t) H_A) / t, read off the two series the
-cut already computed.  When K has dimension 0, theta is a parameter and
-K, nonzero of finite length, lies in H^0_m(A), so depth A = 0; the top
-degree of K is killed by every variable, so the socle search through
-that degree must find a witness.  The socle lies in K (h * x_i = 0 for
-every i gives h * theta = 0), so the search skips the degrees where K
-is 0.  Only when K has dimension 1 (theta in a one-dimensional
-associated prime) does the stage try the candidate schedule.  Searching
-the socle before any cut costs far more where the stage is regular: a
-failed search runs to its full degree bound.
+``CutChain`` holds one chain of such cuts, with what lets it pass over
+a cut that must fail (D12, D19).  Three schedules run over it, and every
+cut they make is a ``regular_cut``:
 
-A form whose cut failed is not cut again later in the same descent.  If
-x * a = 0 in A with a != 0 homogeneous and theta is a regular form, write
-a = theta^k * a' with a' not in theta * A; then x * a' = 0, so x is a
-zero-divisor on A/theta A too.  The schedule still draws every
-candidate, so the seeded draws, and with them the regular forms and the
-witness, stay the same.  The cuts of one descent share one memo of the
-Hilbert recursion, dropped when the descent returns (D12).
-
-Most candidates that fail are caught before any cut, by the stage's own
-reduced basis.  If a variable x_i divides every term of a basis element
-g, then h = g / x_i is not in J (lt(h) properly divides lt(g), a minimal
-generator of in(J)) and x_i * h = g is.  A form all of whose variables
-kill h has theta * h in J, so it is a zero-divisor (Bruns-Herzog 1.2):
-the candidate loop skips it as it skips a failed form, and its cut would
-have failed.  The cut path stays for every regular form and for the
-failures no such element catches, and the schedule still draws every
-candidate, so no report moves (D19).
-
-The socle witness, taken relative to a subset of the variables, ends the
-grade search: grade(I, A) = 0 exactly when (0 :_A I) != 0 (Bruns-Herzog,
-Cohen-Macaulay Rings, 1.2.5).  The search follows a failed cut by a
-linear form in those variables, and skips the degrees where that form's
-annihilator is 0, for the same reason.
+- ``graded_depth``: the depth, ended by a socle witness (D6);
+- ``bounded_ideal_grade``: the grade of the ideal of some variables,
+  ended by a witness relative to them;
+- ``regular_prefix``: how many leading forms of a given list are a
+  regular sequence (D20).
 
 The reports read the Cohen-Macaulay verdicts of the fiber and the Rees
 algebra off this engine, as depth = dimension (``blowup.is_cm_graded``),
@@ -69,8 +41,10 @@ from .polyring import EXPONENT_LIMIT, GREVLEX, Polynomial, Ring
 
 @dataclass
 class DepthReport:
-    """Outcome of the descent; ``exact`` is False only when neither a
-    regular form nor a socle witness could be found within bounds."""
+    """Outcome of a chain of cuts: ``value`` regular forms (the depth, or
+    the grade of an ideal) on S/J, of dimension ``dimension``.  ``exact``
+    is False only when neither a regular form nor a socle witness was
+    found within bounds: the value is then a lower bound."""
 
     value: int
     dimension: int
@@ -86,8 +60,7 @@ def regular_cut(gb: GroebnerBasis, hs: HilbertSeries, theta: Polynomial,
     """(theta regular on S/ideal?, basis and series of the quotient).
 
     ``memo`` is the Hilbert recursion's memo (``hilbert.monomial_numerator``)
-    that the cuts of one descent share; the descent drops it when it
-    returns."""
+    that the cuts of one ``CutChain`` share."""
     new_gb = extend_basis(gb, (theta,))
     new_hs = series_of_basis(new_gb, memo)
     return hs.equals_after_cut(new_hs, theta.homogeneous_degree()), new_gb, new_hs
@@ -119,14 +92,11 @@ def regular_prefix(gb: GroebnerBasis, forms, bound: int | None = None) -> int:
     regular sequence in that ideal has that length (Bruns-Herzog 1.2.5),
     so once the first ``bound`` forms are regular the next one is not,
     and only the first ``bound`` forms are cut (D20)."""
-    memo = {}
-    hs = series_of_basis(gb, memo)
-    forms = list(forms)[:bound]
-    for k, theta in enumerate(forms):
-        ok, gb, hs = regular_cut(gb, hs, theta, memo)
-        if not ok:
-            return k
-    return len(forms)
+    chain = CutChain(gb)
+    for theta in list(forms)[:bound]:
+        if not chain.cut(theta)[0]:
+            break
+    return len(chain.forms)
 
 
 def _standard_layers(gb: GroebnerBasis):
@@ -268,34 +238,27 @@ GRADE_CANDIDATE_DEGREE = 3     # highest degree of a grade-search candidate
 GRADE_CANDIDATES_PER_DEGREE = 6
 
 
-def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict:
-    """Grade on S/ideal of the ideal generated by the given variables.
+def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> DepthReport:
+    """Grade on S/ideal of the ideal I generated by the given variables.
 
     Every cut is certified by the numerator identity, so the value is a
-    lower bound.  Each stage draws its seeded candidates, then tries the
-    first random linear form.  When that form is not regular, a relative
-    socle witness (h not in J', h * x_i in J' for every i in var_range),
-    searched in the degrees where the form's annihilator is nonzero,
-    shows that every element of the ideal is a zero-divisor, and the
-    value is exact.  Without a witness the stage tries the variables and
-    the other candidates, through degree ``GRADE_CANDIDATE_DEGREE``; a stop
-    there is only bounded, and "exact" is False.
+    lower bound.  grade(I, A) = 0 exactly when (0 :_A I) != 0
+    (Bruns-Herzog, Cohen-Macaulay Rings, 1.2.5), so a socle witness
+    relative to the variables (h not in J', h * x_i in J' for every i in
+    var_range) makes the value exact.  Each stage draws its seeded
+    candidates, then cuts by the first random linear form.  When that form
+    is not regular, the witness is searched in the degrees where its
+    annihilator is nonzero.  Without one, the stage tries the variables
+    and the other candidates, through degree ``GRADE_CANDIDATE_DEGREE``; a
+    stop there is only bounded, and ``exact`` is False.
     """
     ring = gb.ring
     field = ring.field
     rng = random.Random(str(seed))
     var_range = list(var_range)
-    forms = []
-    memo = {}
-    cur_gb, cur_hs = gb, series_of_basis(gb, memo)
-
-    def result(witness):
-        return {"value": len(forms), "candidate_degree_bound": GRADE_CANDIDATE_DEGREE,
-                "seed": str(seed), "exact": witness is not None,
-                "regular_forms": forms, "witness": witness}
-
+    base = [ring.variable(i) for i in var_range]
+    chain = CutChain(gb)
     while True:
-        base = [ring.variable(i) for i in var_range]
         linear = []
         for _ in range(GRADE_CANDIDATES_PER_DEGREE):
             coeffs = [field.zero] * ring.nvars
@@ -316,23 +279,16 @@ def bounded_ideal_grade(gb: GroebnerBasis, var_range, *, seed="grade:1") -> dict
                 if not f.is_zero() and f.is_homogeneous():
                     higher.append(f)
         if linear:
-            ok, ngb, nhs = regular_cut(cur_gb, cur_hs, linear[0], memo)
+            ok, cut_hs = chain.cut(linear[0])
             if ok:
-                forms.append(linear[0])
-                cur_gb, cur_hs = ngb, nhs
                 continue
-            w = socle_witness(cur_gb, _socle_bound(cur_gb), var_range=var_range,
-                              within=annihilator_series(cur_hs, nhs))
+            bound = _socle_bound(chain.gb)
+            w = socle_witness(chain.gb, bound, var_range=var_range,
+                              within=annihilator_series(chain.hs, cut_hs))
             if w is not None:
-                return result(w)
-        for theta in base + linear[1:] + higher:
-            ok, ngb, nhs = regular_cut(cur_gb, cur_hs, theta, memo)
-            if ok:
-                forms.append(theta)
-                cur_gb, cur_hs = ngb, nhs
-                break
-        else:
-            return result(None)
+                return chain.report(seed, True, w, bound)
+        if not chain.first_regular(base + linear[1:] + higher):
+            return chain.report(seed, False)
 
 
 class _AnnihilatedElements:
@@ -341,7 +297,9 @@ class _AnnihilatedElements:
     variables that kill them (D19).
 
     h is not in J: lt(h) properly divides lt(g), a minimal generator of
-    in(J).  x_i * h = g is in J.  ``kills`` computes nf(x_j * h) once per
+    in(J).  x_i * h = g is in J.  So a form theta all of whose variables
+    kill h has theta * h in J, and is a zero-divisor (Bruns-Herzog 1.2):
+    its cut would fail.  ``kills`` computes nf(x_j * h) once per
     (element, variable), when a form first asks for it, and rechecks
     nf(h) != 0 the first time an element certifies a form.
     """
@@ -381,73 +339,109 @@ class _AnnihilatedElements:
         return False
 
 
+class CutChain:
+    """A chain of certified cuts of S/J: the basis ``gb`` and series ``hs``
+    of the stage S/(J, theta_1..theta_k), the regular forms theta_i
+    (``forms``), the forms known to be zero-divisors on the stage, the
+    stage's ``_AnnihilatedElements``, and the memo of the Hilbert
+    recursion that its cuts share, dropped with the chain (D12).
+
+    A zero-divisor stays one at every later stage.  If x * a = 0 in A with
+    a != 0 homogeneous and theta is a regular form of positive degree,
+    write a = theta^k * a' with a' not in theta * A; then x * a' = 0, so x
+    is a zero-divisor on A/theta A (D12).
+    """
+
+    def __init__(self, gb: GroebnerBasis):
+        self.memo = {}
+        self.gb, self.hs = gb, series_of_basis(gb, self.memo)
+        self.dimension = self.hs.dimension
+        self.forms = []
+        self.zero_divisors = set()
+        self.annihilated = None     # built when a schedule first filters the stage
+
+    def cut(self, theta: Polynomial):
+        """(theta regular on the stage?, series of the stage cut by theta).
+        A regular theta starts the next stage; any other is a known
+        zero-divisor from here on."""
+        ok, gb, hs = regular_cut(self.gb, self.hs, theta, self.memo)
+        if ok:
+            self.forms.append(theta)
+            self.gb, self.hs, self.annihilated = gb, hs, None
+        else:
+            self.zero_divisors.add(theta)
+        return ok, hs
+
+    def first_regular(self, forms) -> bool:
+        """Cut by the first of ``forms`` that is regular on the stage; False
+        when none is.  A known zero-divisor, or a form that kills an
+        annihilated element of the stage (D19), is passed over without a
+        cut, which would fail.  The forms are drawn all the same, so the
+        seeded draws, and with them the regular forms and the witnesses,
+        do not depend on what is passed over."""
+        if self.annihilated is None:
+            self.annihilated = _AnnihilatedElements(self.gb)
+        for theta in forms:
+            if theta in self.zero_divisors:
+                continue
+            if self.annihilated.kills(theta):
+                self.zero_divisors.add(theta)
+            elif self.cut(theta)[0]:
+                return True
+        return False
+
+    def report(self, seed, exact: bool, witness: Polynomial | None = None,
+               bound: int = 0) -> DepthReport:
+        """The chain's regular forms, then a socle witness found within
+        degree ``bound``, or none."""
+        return DepthReport(len(self.forms), self.dimension, exact, self.forms,
+                           witness, bound, str(seed))
+
+
 def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
-    """Depth of S/J for a standard graded quotient, by certified descent."""
-    if isinstance(ideal_or_gb, GroebnerBasis):
-        gb = ideal_or_gb
-    else:
-        ideal = ideal_or_gb
-        gb = ideal.groebner()
+    """Depth of S/J for a standard graded quotient, by certified descent.
+
+    Each stage cuts by a regular form from the candidate schedule, and a
+    stage with none ends on a socle witness: a nonzero h with h * x_i in
+    J' for all i.  A stage whose quotient A has dimension 1 first makes
+    one parameter cut by a dense linear form theta (D6).  If theta is not
+    regular and K = 0 :_A theta has dimension 0, theta is a parameter and
+    K, nonzero of finite length, lies in H^0_m(A), so depth A = 0; the top
+    degree of K is killed by every variable, so the socle search through
+    that degree must find a witness.  Only when K has dimension 1 (theta
+    in a one-dimensional associated prime) does the stage try the
+    schedule.  Searching the socle before any cut costs far more where
+    the stage is regular: a failed search runs to its full degree bound.
+    """
+    gb = ideal_or_gb if isinstance(ideal_or_gb, GroebnerBasis) else ideal_or_gb.groebner()
     ring = gb.ring
     if any(w != 1 for w in ring.weights):
         raise ValueError("descent depth needs the standard grading")
     rng = random.Random(str(seed))
-    memo = {}
-    hs = series_of_basis(gb, memo)
-    dim_total = hs.dimension
-    if dim_total < 0:
+    chain = CutChain(gb)
+    if chain.dimension < 0:
         raise ValueError("depth of the zero ring is undefined")
-
-    depth = 0
-    forms = []
-    # forms whose cut failed: zero-divisors at every later stage too
-    zero_divisors = set()
-    cur_gb, cur_hs = gb, hs
-    while True:
-        if depth >= dim_total:
-            return DepthReport(depth, dim_total, True, forms, None, 0, str(seed))
-        if cur_hs.dimension == 1:
-            # one parameter cut: regular, or its annihilator ends the descent
-            theta = _dense_form(ring, rng)
-            ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta, memo)
+    # each regular form drops the stage's dimension by one, so it is
+    # positive until the depth reaches the dimension
+    while len(chain.forms) < chain.dimension:
+        if chain.hs.dimension == 1:
+            ok, cut_hs = chain.cut(_dense_form(ring, rng))
             if ok:
-                forms.append(theta)
-                cur_gb, cur_hs = new_gb, new_hs
-                depth += 1
                 continue
-            zero_divisors.add(theta)
-            kernel = annihilator_series(cur_hs, new_hs)
+            kernel = annihilator_series(chain.hs, cut_hs)
             if kernel.dimension == 0:
                 top = max(kernel.reduced()[0])
-                w = socle_witness(cur_gb, top, within=kernel)
+                w = socle_witness(chain.gb, top, within=kernel)
                 if w is None:
                     raise AssertionError(f"no socle element through degree {top}, "
                                          "the top degree of a finite-length 0 :_A theta")
-                return DepthReport(depth, dim_total, True, forms, w, top, str(seed))
-        bound = _socle_bound(cur_gb)
-        found_regular = False
-        if cur_hs.dimension > 0:
-            annihilated = _AnnihilatedElements(cur_gb)
-            for theta in _candidate_forms(ring, rng):
-                if theta in zero_divisors:
-                    continue
-                if annihilated.kills(theta):
-                    zero_divisors.add(theta)
-                    continue
-                ok, new_gb, new_hs = regular_cut(cur_gb, cur_hs, theta, memo)
-                if ok:
-                    forms.append(theta)
-                    cur_gb, cur_hs = new_gb, new_hs
-                    depth += 1
-                    found_regular = True
-                    break
-                zero_divisors.add(theta)
-        if found_regular:
+                return chain.report(seed, True, w, top)
+        if chain.first_regular(_candidate_forms(ring, rng)):
             continue
-        w = socle_witness(cur_gb, bound)
+        bound = _socle_bound(chain.gb)
+        w = socle_witness(chain.gb, bound)
         if w is None:
             bound *= 2
-            w = socle_witness(cur_gb, bound)
-        if w is not None:
-            return DepthReport(depth, dim_total, True, forms, w, bound, str(seed))
-        return DepthReport(depth, dim_total, False, forms, None, bound, str(seed))
+            w = socle_witness(chain.gb, bound)
+        return chain.report(seed, w is not None, w, bound)
+    return chain.report(seed, True)

@@ -32,6 +32,7 @@ from .blowup import (IdealContext, equigenerated_data, minimal_reduction,
 from .depth import regular_prefix
 from .ideals import Ideal
 from .polyring import Ring, fresh_names
+from .resolutions import BoundExceededError
 
 
 @dataclass
@@ -253,9 +254,11 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5) -> Predicate
     ideal = ctx.ideal
     equigenerated_data(ctx)
     g = len(fs_prefix.forms)
-    prefix_ideal = ctx.forms_ideal(fs_prefix.forms)
-    if prefix_ideal.height() != g:
-        raise ValueError("prefix is not a regular sequence (height drop)")
+    height = ctx.forms_ideal(fs_prefix.forms).height()
+    if height != g:
+        # a drawn prefix that missed general position: a bound, not bad input
+        raise BoundExceededError(f"prefix {fs_prefix.provenance} is not a regular "
+                                 f"sequence (height drop: {height} < {g})")
     if fs_prefix.coefficients is None:
         raise ValueError("prefix forms must come with generator coordinates")
     pres = ctx.pres
@@ -265,7 +268,7 @@ def valabrega_valla(ideal, fs_prefix: FormSequence, n_max: int = 5) -> Predicate
     # gr+, so the cut after that many regular ones must fail (D20)
     images = [pres.w_form(row) for row in fs_prefix.coefficients]
     grade = vars(ctx).get("gr_plus_grade")      # held, never searched here
-    bound = grade["value"] if grade and grade["exact"] else None
+    bound = grade.value if grade and grade.exact else None
     regular = regular_prefix(pres.gr_ideal.groebner(), images, bound)
     regular_all = regular == len(images)
     failed_at_step = None if regular_all else regular + 1

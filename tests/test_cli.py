@@ -123,13 +123,17 @@ def test_check_has_no_unread_flags(simple_file, capsys, flag):
      "depth descent cm:ex-3-monomial4:rees:depth"),
     (["reproduce", "ex-3-monomial4", "--field", "3"], "ex-3-monomial4",
      "depth descent cm:ex-3-monomial4:rees:depth"),
-], ids=["check", "invariants", "reproduce"])
+    (["reproduce", "ex-3-matrix5x4", "--field", "7"], "ex-3-matrix5x4",
+     "is not a regular sequence (height drop"),
+], ids=["check", "invariants", "reproduce", "vv-height-drop"])
 def test_exhausted_bound_exits_three(tmp_path, capsys, argv, entry_id, message):
     """A bounded search that runs out exits with the bound code under
-    every command: a resolution past --cutoff, and the Rees descent of
+    every command: a resolution past --cutoff; the Rees descent of
     monomial4 over GF(3), whose few linear forms hold too few regular
     ones for its schedule, and which then finds no socle witness either,
-    so it certifies no CM verdict."""
+    so it certifies no CM verdict; and a Valabrega-Valla prefix drawn
+    over GF(7) for matrix5x4 whose ideal has too small a height, a seeded
+    draw that missed general position, not an input error."""
     entry = CORPUS_BY_ID[entry_id]
     p = tmp_path / entry.filename
     p.write_text(read_entry_text(entry))

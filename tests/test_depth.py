@@ -91,7 +91,7 @@ def test_bounded_grade_full_variable_range(monomial4):
     gb = pres.gr_ideal.groebner()
     # gr is CM here, so the irrelevant ideal has grade = ht I = 2
     out = bounded_ideal_grade(gb, pres.wvars, seed="grade-test")
-    assert out["value"] == 2
+    assert out.value == 2
 
 
 def test_depth_skips_to_dimension_cap(R3):
@@ -142,9 +142,9 @@ def test_bounded_grade_is_exact_on_sevengen_gr(sevengen):
     ring, gb, wvars = gr.ring, gr.groebner(), pres.wvars
     assert wvars == range(7) and all(ring.names[i].startswith("w") for i in wvars)
     out = bounded_ideal_grade(gb, wvars, seed="grade:ex-2.2-sevengen")
-    assert out["value"] == 1 and out["exact"]
-    cut = extend_basis(gb, tuple(out["regular_forms"]))
-    h = out["witness"]
+    assert out.value == 1 and out.exact
+    cut = extend_basis(gb, tuple(out.regular_forms))
+    h = out.witness
     assert not normal_form(h, cut).is_zero()
     for i in wvars:
         assert normal_form(h * ring.variable(i), cut).is_zero()
@@ -178,7 +178,7 @@ def test_depth_and_grade_do_not_depend_on_variable_order(monomial4, binomial4,
         n = ideal.ring.nvars
         a = bounded_ideal_grade(xgr.groebner(), range(n, ring.nvars), seed="order")
         b = bounded_ideal_grade(pres.gr_ideal.groebner(), pres.wvars, seed="order")
-        assert a["exact"] and b["exact"] and a["value"] == b["value"]
+        assert a.exact and b.exact and a.value == b.value
 
 
 def test_planted_auslander_buchsbaum_mismatch_is_an_internal_error(monomial4):
@@ -338,8 +338,8 @@ def test_report_socle_searches_on_sevengen_gr_find_the_unrestricted_witness(monk
     monkeypatch.setattr(depth_mod, "socle_witness", both)
     rep = graded_depth(gr, seed="depthgr:ex-2.2-sevengen")
     out = bounded_ideal_grade(gr.groebner(), pres.wvars, seed="grade:ex-2.2-sevengen")
-    assert rep.value == 2 and out["value"] == 1 and rep.exact and out["exact"]
-    assert searched == [rep.witness, out["witness"]]
+    assert rep.value == 2 and out.value == 1 and rep.exact and out.exact
+    assert searched == [rep.witness, out.witness]
 
 
 def test_socle_search_within_annihilator_on_sevengen_gr_over_qq():
@@ -447,10 +447,11 @@ def _full_plan_descents():
 @pytest.mark.parametrize("entry_id,field_char", list(_full_plan_descents()))
 def test_annihilated_element_check_leaves_every_report_unchanged(entry_id, field_char,
                                                                  monkeypatch):
-    """The Rees and gr descents of a corpus entry, with the report's seeds,
-    give the same ``DepthReport`` with the annihilated-element check on and
-    off (D19): the value, ``exact``, the regular forms, the witness and the
-    socle bound.  With the check on they make fewer cuts."""
+    """The Rees and gr descents and the grade search of gr+ of a corpus
+    entry, with the report's seeds, give the same ``DepthReport`` with the
+    annihilated-element check on and off (D19): the value, ``exact``, the
+    regular forms, the witness and the socle bound.  With the check on
+    they make fewer cuts."""
     from fiberlab.corpus import CORPUS_BY_ID, load_entry_ideal
     ideal = load_entry_ideal(CORPUS_BY_ID[entry_id], field_char)
     assert ideal.ring.field == (QQ if field_char == 0 else GF(32003))
@@ -462,10 +463,45 @@ def test_annihilated_element_check_leaves_every_report_unchanged(entry_id, field
         monkeypatch.setattr(depth_mod._AnnihilatedElements, "kills", check)
         calls.clear()
         made.append([(graded_depth(pres.rees_ideal, seed=f"cm:{entry_id}:rees:depth"),
-                      graded_depth(pres.gr_ideal, seed=f"depthgr:{entry_id}")), len(calls)])
+                      graded_depth(pres.gr_ideal, seed=f"depthgr:{entry_id}"),
+                      bounded_ideal_grade(pres.gr_ideal.groebner(), pres.wvars,
+                                          seed=f"grade:{entry_id}")), len(calls)])
     (on, on_cuts), (off, off_cuts) = made
     assert on == off and all(rep.exact for rep in on)
     assert on_cuts < off_cuts
+
+
+def test_grade_fallback_passes_over_an_annihilating_form(monkeypatch):
+    """k[x,y,a,b]/(xa), the grade of (a, b), with the search's first
+    linear draw replaced by 2a, a zero-divisor: its cut fails, and (a, b)
+    has grade 1, so no relative witness ends the stage, and the fallback
+    loop tries the variables.  a kills the annihilated element xa / a = x,
+    so with the check on that loop passes over it without a cut, and
+    with the check off it cuts a and sees it fail.  Either way the search
+    cuts b, and ends with the witness x: the same report."""
+    ring = Ring(GF(32003), ["x", "y", "a", "b"])
+    x, a, b = ring.variable(0), ring.variable(2), ring.variable(3)
+    gb = Ideal(ring, (x * a,)).groebner()
+    linear_form, drawn = Ring.linear_form, []
+
+    def first_is_2a(self, coeffs):
+        drawn.append(linear_form(self, coeffs))
+        return a.scale(2) if len(drawn) == 1 else drawn[-1]
+
+    monkeypatch.setattr(Ring, "linear_form", first_is_2a)
+    calls = counting_cuts(monkeypatch)
+    kills = depth_mod._AnnihilatedElements.kills
+    made = []
+    for check in (kills, lambda self, theta: False):
+        monkeypatch.setattr(depth_mod._AnnihilatedElements, "kills", check)
+        drawn.clear()
+        calls.clear()
+        made.append((bounded_ideal_grade(gb, [2, 3], seed="t"), list(calls)))
+    (on, on_calls), (off, off_calls) = made
+    assert on == off
+    assert (on.value, on.exact, on.regular_forms, on.witness) == (1, True, [b], x)
+    assert on_calls[:2] == [a.scale(2), b] and len(on_calls) == 3
+    assert off_calls == [a.scale(2), a, *on_calls[1:]]
 
 
 def _xz_yz():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations
 from math import comb
@@ -21,6 +22,7 @@ from fiberlab.predicates import (FormSequence, analytically_adjusted,
                                  multiplicity_formula_checks,
                                  regular_in_gr, tight_profile, valabrega_valla,
                                  valla_dimension)
+from fiberlab.resolutions import BoundExceededError
 
 from conftest import (colon, counting_cuts, crosscheck_bundles, intersect, joint_rank,
                       power_gens, products, regular_sequence_on_fiber, theorem_crosschecks)
@@ -319,8 +321,8 @@ def test_vv_stops_at_the_grade_of_gr_plus(entry_id, monkeypatch):
     ctx = IdealContext(load_entry_ideal(CORPUS_BY_ID[entry_id]), entry_id)
     assert ctx.ideal.ring.field == GF(32003)
     grade = ctx.gr_plus_grade
-    assert grade["exact"]
-    k, g = grade["value"], ctx.ideal.height()
+    assert grade.exact
+    k, g = grade.value, ctx.ideal.height()
     pres = ctx.pres
     calls = counting_cuts(monkeypatch)
     skipped = 0
@@ -360,11 +362,11 @@ def test_vv_without_an_exact_grade_cuts_every_image(sixgen, monkeypatch):
     ctx = IdealContext(sixgen)
     fs = generic_forms(ctx, 2, "vv:1")
     grade = ctx.gr_plus_grade
-    assert (grade["value"], grade["exact"]) == (1, True)
+    assert (grade.value, grade.exact) == (1, True)
     calls = counting_cuts(monkeypatch)
     bounded = valabrega_valla(ctx, fs, 2)
     assert len(calls) == 1
-    vars(ctx)["gr_plus_grade"] = {**grade, "exact": False}
+    vars(ctx)["gr_plus_grade"] = dataclasses.replace(grade, exact=False)
     calls.clear()
     assert valabrega_valla(ctx, fs, 2) == bounded
     assert len(calls) == 2
@@ -382,8 +384,8 @@ def test_vv_prefix_must_be_regular_sequence(sixgen):
     gens = sixgen.minimal_generators()
     rows = [[1 if i == k else 0 for i in range(len(gens))] for k in (0, 1)]
     bad = FormSequence([gens[0], gens[1]], "user", rows)
-    # z^6, yz^5 share the component z: height 1 < 2
-    with pytest.raises(ValueError):
+    # z^6, yz^5 share the component z: height 1 < 2, a bound (exit 3)
+    with pytest.raises(BoundExceededError, match="height drop: 1 < 2"):
         valabrega_valla(sixgen, bad, n_max=2)
 
 
@@ -465,6 +467,31 @@ def test_caps_match_piece_route(field, count, n_max):
                     assert ctx.rank((), n, modulo) == 0
                     with pytest.raises(ValueError, match="degree"):
                         ctx.rank(mixed, n, modulo)
+
+
+# (colon cap, plain cap) of tightness in powers 1..5 for binomial4's
+# seed-3 forms over GF(5): tight in powers 1, 4 and 5, not in 2 and 3
+BINOMIAL4_GF5_SEED3_CAPS = [(2, 2), (9, 8), (19, 18), (31, 31), (46, 46)]
+
+
+def test_tightness_caps_of_binomial4_seed3_over_gf5():
+    """Over GF(5) the report's seed-3 forms on binomial4 read tight in
+    power 1, not tight in powers 2 and 3, and tight again in 4 and 5,
+    which ``tight_profile``'s monotonicity check refuses.  The caps are
+    pinned, and the piece route gives the same ones for n = 1..3: the
+    ranks are right, and whether the propagation needs general forms is
+    an open question (ROADMAP item 23)."""
+    from fiberlab.corpus import CORPUS_BY_ID, load_entry_ideal
+    ctx = IdealContext(load_entry_ideal(CORPUS_BY_ID["ex-3-binomial4"], 5))
+    assert ctx.ideal.ring.field == GF(5)
+    fs = generic_forms(ctx, ctx.spread, "ex-3-binomial4:forms:3")
+    caps = []
+    for n in range(1, 6):
+        cert = analytically_tight(ctx, fs, n).certificate
+        caps.append((cert["colon_cap_dim"], cert["plain_cap_dim"]))
+    assert caps == BINOMIAL4_GF5_SEED3_CAPS
+    for n in range(1, 4):
+        assert piece_route_caps(ctx.ideal, fs.forms[:-1], fs.forms[-1], n) == caps[n - 1]
 
 
 def test_caps_of_empty_prefix(binomial4):
