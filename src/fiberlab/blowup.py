@@ -329,6 +329,27 @@ class IdealContext:
                                    seed=f"grade:{self.label}")
 
     @cached_property
+    def gr_plus_codim(self) -> int | None:
+        """dim gr - dim gr/gr+ (``ReesPresentation.gr_plus_codimension``)."""
+        return None if self.bounded else self.pres.gr_plus_codimension()
+
+    @cached_property
+    def gr_depth(self) -> DepthReport | None:
+        """depth gr, by the certified descent (seed ``depthgr:<label>``).
+
+        A Cohen-Macaulay graded ring has grade = height = codimension for
+        every homogeneous ideal (Bruns-Herzog 2.1.4, at the homogeneous
+        maximal ideal).  So when the exact grade of gr+ is below its
+        codimension, gr is not CM, its depth is at most dim gr - 1, and
+        the descent stops there (D23)."""
+        if self.bounded:
+            return None
+        grade, bound = self.gr_plus_grade, None
+        if grade.exact and grade.value < self.gr_plus_codim:
+            bound = grade.dimension - 1
+        return graded_depth(self.pres.gr_ideal, seed=f"depthgr:{self.label}", bound=bound)
+
+    @cached_property
     def jacobian_spread(self) -> tuple:
         return spread_via_jacobian(self, seed=f"jac:{self.label}")
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .blowup import IdealContext, fiber_truncated, minimal_reduction
-from .depth import GRADE_CANDIDATE_DEGREE, graded_depth
+from .depth import GRADE_CANDIDATE_DEGREE
 from .graded import linear_rank
 from .ideals import Ideal
 from .parse import parse_ideal_file
@@ -247,11 +247,13 @@ def _blowup(ctx, entry, report, seeds, n_max, r_max):
 def _depth_block(ctx, report):
     """Depths of the fiber (Auslander-Buchsbaum on its certified
     resolution, which must equal the depth of its descent), the Rees
-    algebra when it is not CM (its descent) and gr (the descent), grade
-    and codim of gr+, with gr+ generated by the w-variables
-    (``ReesPresentation.wvars``)."""
+    algebra when it is not CM (its descent) and gr (``ctx.gr_depth``: the
+    descent, stopped at dim gr - 1 when the grade of gr+ shows that gr is
+    not CM), grade and codim of gr+, with gr+ generated by the w-variables
+    (``ReesPresentation.wvars``).  When gr is not CM, the Rees algebra
+    must be one deeper (Huckaba-Marley)."""
     inv = report["invariants"]
-    fp, pres = ctx.fp, ctx.pres
+    fp = ctx.fp
     fres = ctx.fiber_resolution
     if fres.table.complete:
         inv["depth_fiber"] = fp.ring.nvars - fres.table.projective_dimension
@@ -266,15 +268,19 @@ def _depth_block(ctx, report):
             f"incomplete at cutoff {fres.table.ceiling}"
     if not ctx.rees_cm:
         inv["depth_rees"] = ctx.rees_depth.value
-    dgr = graded_depth(pres.gr_ideal, seed=f"depthgr:{ctx.label}")
+    dgr = ctx.gr_depth
     if dgr.exact:
         inv["depth_gr"] = dgr.value
+        # Huckaba-Marley: R = k[x] is CM and ht I > 0, so when gr is not
+        # CM, depth R(I) = depth gr + 1 (D23)
+        if dgr.value < dgr.dimension and ctx.rees_depth.value != dgr.value + 1:
+            raise AssertionError(f"depth R(I) = {ctx.rees_depth.value} by the descent, but gr "
+                                 f"is not CM of depth {dgr.value} (Huckaba-Marley)")
     else:
         report["skipped"]["depth_gr"] = "descent inconclusive within bounds"
-    grade = ctx.gr_plus_grade
-    inv["grade_gr_plus"] = grade.value
+    inv["grade_gr_plus"] = ctx.gr_plus_grade.value
     inv["grade_gr_plus_bound"] = GRADE_CANDIDATE_DEGREE
-    inv["gr_plus_codim"] = pres.gr_plus_codimension()
+    inv["gr_plus_codim"] = ctx.gr_plus_codim
 
 
 def _bounded_blowup(ctx, report, seeds, n_max, r_max):

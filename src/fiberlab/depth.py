@@ -11,7 +11,8 @@ depth, and the grade of an ideal that holds the form, by exactly one.
 a cut that must fail (D12, D19).  Three schedules run over it, and every
 cut they make is a ``regular_cut``:
 
-- ``graded_depth``: the depth, ended by a socle witness (D6);
+- ``graded_depth``: the depth, ended by a socle witness (D6), or by a
+  caller's certified bound (D23);
 - ``bounded_ideal_grade``: the grade of the ideal of some variables,
   ended by a witness relative to them;
 - ``regular_prefix``: how many leading forms of a given list are a
@@ -44,7 +45,10 @@ class DepthReport:
     """Outcome of a chain of cuts: ``value`` regular forms (the depth, or
     the grade of an ideal) on S/J, of dimension ``dimension``.  ``exact``
     is False only when neither a regular form nor a socle witness was
-    found within bounds: the value is then a lower bound."""
+    found within bounds: the value is then a lower bound.  An exact
+    report with no witness has ``value`` = ``dimension``, or ``value`` =
+    the certified upper bound that the caller passed (``graded_depth``'s
+    ``bound``, D23)."""
 
     value: int
     dimension: int
@@ -398,7 +402,7 @@ class CutChain:
                            witness, bound, str(seed))
 
 
-def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
+def graded_depth(ideal_or_gb, *, seed="depth:1", bound: int | None = None) -> DepthReport:
     """Depth of S/J for a standard graded quotient, by certified descent.
 
     Each stage cuts by a regular form from the candidate schedule, and a
@@ -412,6 +416,10 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
     in a one-dimensional associated prime) does the stage try the
     schedule.  Searching the socle before any cut costs far more where
     the stage is regular: a failed search runs to its full degree bound.
+
+    ``bound`` is a certified upper bound on the depth, as in
+    ``regular_prefix``: once that many forms are regular they are the
+    depth, and the report is exact with no witness (D23).
     """
     gb = ideal_or_gb if isinstance(ideal_or_gb, GroebnerBasis) else ideal_or_gb.groebner()
     ring = gb.ring
@@ -423,7 +431,8 @@ def graded_depth(ideal_or_gb, *, seed="depth:1") -> DepthReport:
         raise ValueError("depth of the zero ring is undefined")
     # each regular form drops the stage's dimension by one, so it is
     # positive until the depth reaches the dimension
-    while len(chain.forms) < chain.dimension:
+    top = chain.dimension if bound is None else min(bound, chain.dimension)
+    while len(chain.forms) < top:
         if chain.hs.dimension == 1:
             ok, cut_hs = chain.cut(_dense_form(ring, rng))
             if ok:

@@ -5,6 +5,7 @@ import pytest
 
 from fiberlab import depth as depth_mod
 from fiberlab.blowup import IdealContext, rees_and_gr
+from fiberlab.corpus import CORPUS, CORPUS_BY_ID, load_entry_ideal
 from fiberlab.depth import (annihilator_series, bounded_ideal_grade, graded_depth,
                             regular_cut, series_of_basis, socle_witness)
 from fiberlab.fields import GF, QQ
@@ -196,6 +197,91 @@ def test_planted_auslander_buchsbaum_mismatch_is_an_internal_error(monomial4):
     report = {"invariants": {}, "skipped": {}}
     corpus._depth_block(ctx, report)
     assert report["invariants"]["depth_fiber"] == real.value == 3
+
+
+# the entries whose gr+ has exact grade 1 below its codimension 2, so
+# that gr is not CM and its descent stops at dim gr - 1 (D23)
+NOT_CM_GR = ("ex-2.1-sixgen", "ex-2.2-sevengen", "ex-3-matrix5x4")
+
+
+@pytest.mark.parametrize("entry_id", NOT_CM_GR)
+def test_bounded_gr_descent_drops_only_the_failing_parameter_cut(entry_id, monkeypatch):
+    """gr's descent with the report's seed and ``bound`` = dim gr - 1
+    gives the unbounded descent's value, ``exact`` and regular forms,
+    with no witness: it makes the same cuts but the last, D6's dense
+    parameter cut, which fails, and no socle search.  A bound of dim gr
+    changes nothing."""
+    gr = rees_and_gr(load_entry_ideal(CORPUS_BY_ID[entry_id])).gr_ideal
+    assert gr.ring.field == GF(32003)
+    seed, dim = f"depthgr:{entry_id}", gr.krull_dimension()
+    calls = counting_cuts(monkeypatch)
+    searches = []
+    search = depth_mod.socle_witness
+    monkeypatch.setattr(depth_mod, "socle_witness",
+                        lambda *args, **kw: searches.append(args) or search(*args, **kw))
+    made = []
+    for bound in (None, dim - 1, dim):
+        calls.clear()
+        searches.clear()
+        made.append((graded_depth(gr, seed=seed, bound=bound), list(calls), len(searches)))
+    (free, free_cuts, free_searches), (bounded, cuts, bounded_searches), full = made
+    assert (free.value, free.exact, free.dimension) == (dim - 1, True, dim)
+    assert (bounded.value, bounded.exact, bounded.witness) == (dim - 1, True, None)
+    assert bounded.regular_forms == free.regular_forms
+    assert cuts == free_cuts[:-1] and len(free_cuts[-1].terms) == gr.ring.nvars
+    assert (free_searches, bounded_searches) == (1, 0)
+    assert full == made[0]
+
+
+@pytest.mark.parametrize("entry_id", [e.id for e in CORPUS if e.plan == "full"])
+def test_gr_depth_is_bounded_where_the_grade_shows_gr_not_cm(entry_id, monkeypatch):
+    """``IdealContext.gr_depth`` passes ``bound`` = dim gr - 1 exactly on
+    the entries whose exact grade of gr+ is below its codimension, and
+    no bound on binomial4 (grade 2 = codim 2) and monomial4 (gr CM)."""
+    from fiberlab import blowup
+    bounds = []
+    real = blowup.graded_depth
+    monkeypatch.setattr(blowup, "graded_depth",
+                        lambda ideal, *, seed, bound=None: bounds.append((seed, bound))
+                        or real(ideal, seed=seed, bound=bound))
+    ctx = IdealContext(load_entry_ideal(CORPUS_BY_ID[entry_id]), entry_id)
+    rep = ctx.gr_depth
+    assert rep.exact and bounds[-1][0] == f"depthgr:{entry_id}"
+    grade = ctx.gr_plus_grade
+    assert (grade.value, ctx.gr_plus_codim) == ((1, 2) if entry_id in NOT_CM_GR else (2, 2))
+    assert bounds[-1][1] == (rep.dimension - 1 if entry_id in NOT_CM_GR else None)
+
+
+def test_planted_grade_on_monomial4_is_caught_by_huckaba_marley(monkeypatch, capsys):
+    """A planted exact grade of 1 on monomial4, whose gr is CM (grade 2
+    = codim 2), lets gr's descent stop at depth 2 of dimension 3.  The
+    Rees descent reads 4, not 2 + 1, so the Huckaba-Marley check raises
+    and ``fiberlab reproduce`` exits 5."""
+    from fiberlab import blowup, cli, corpus
+    real = blowup.bounded_ideal_grade
+    monkeypatch.setattr(blowup, "bounded_ideal_grade", lambda gb, var_range, *, seed:
+                        replace(real(gb, var_range, seed=seed), value=1))
+    ctx = IdealContext(load_entry_ideal(CORPUS_BY_ID["ex-3-monomial4"]), "ex-3-monomial4")
+    assert (ctx.gr_depth.value, ctx.gr_depth.dimension, ctx.rees_depth.value) == (2, 3, 4)
+    monkeypatch.setattr(corpus, "_REPORT_CACHE", {})
+    assert cli.main(["reproduce", "ex-3-monomial4"]) == cli.EXIT_INTERNAL == 5
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: AssertionError") and "Huckaba-Marley" in err
+
+
+def test_planted_rees_depth_on_sevengen_is_caught_by_huckaba_marley(sevengen):
+    """On sevengen gr is not CM, of depth 2: a Rees descent planted one
+    deeper than 2 + 1 raises, and the real one passes."""
+    from fiberlab import corpus
+    ctx = IdealContext(sevengen, "ex-2.2-sevengen")
+    real = ctx.rees_depth
+    ctx.rees_depth = replace(real, value=real.value + 1)
+    with pytest.raises(AssertionError, match="Huckaba-Marley"):
+        corpus._depth_block(ctx, {"invariants": {}, "skipped": {}})
+    ctx.rees_depth = real
+    report = {"invariants": {}, "skipped": {}}
+    corpus._depth_block(ctx, report)
+    assert (report["invariants"]["depth_gr"], report["invariants"]["depth_rees"]) == (2, 3)
 
 
 @pytest.mark.parametrize("field", [GF(32003), QQ], ids=["F32003", "QQ"])
@@ -436,7 +522,6 @@ def test_skipped_candidates_are_zero_divisors_where_skipped(monkeypatch):
 def _full_plan_descents():
     """(entry id, field override) of the five full-plan entries over
     GF(32003), and of binomial4 and monomial4 over QQ."""
-    from fiberlab.corpus import CORPUS
     for e in CORPUS:
         if e.plan == "full":
             yield pytest.param(e.id, None, id=e.id)
@@ -452,7 +537,6 @@ def test_annihilated_element_check_leaves_every_report_unchanged(entry_id, field
     annihilated-element check on and off (D19): the value, ``exact``, the
     regular forms, the witness and the socle bound.  With the check on
     they make fewer cuts."""
-    from fiberlab.corpus import CORPUS_BY_ID, load_entry_ideal
     ideal = load_entry_ideal(CORPUS_BY_ID[entry_id], field_char)
     assert ideal.ring.field == (QQ if field_char == 0 else GF(32003))
     pres = rees_and_gr(ideal)
